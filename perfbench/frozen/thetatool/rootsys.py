@@ -1,0 +1,625 @@
+"""Exact root-system engine.
+
+Roots are integer coordinate vectors in the simple-root basis; all pairings
+go through the (symmetrized) Cartan matrix, so there is no floating point
+anywhere.  Weyl group elements are permutations of the (finite, canonically
+ordered) root list.  The module also provides Smith-normal-form arithmetic
+for integer lattice quotients, which is how fundamental groups and their
+two-torsion are computed downstream.
+
+Root ordering convention: positive roots sorted by (height, coordinate
+tuple), then the negative roots in the mirrored order, so that
+``roots[i + num_positive] == -roots[i]``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
+from math import prod
+from typing import Iterator, Optional, Sequence, Tuple
+
+Root = Tuple[int, ...]
+
+SERIES = ("A", "B", "C", "D", "E", "F", "G")
+
+# Reflection-group degrees per simple type; their product is |W|.
+WEYL_DEGREES = {
+    "E6": (2, 5, 6, 8, 9, 12),
+    "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+    "F4": (2, 6, 8, 12),
+    "G2": (2, 6),
+}
+
+
+class RootSystemError(ValueError):
+    """Invalid root-system input (bad series/rank, bad index, bad lattice)."""
+
+
+class CapExceededError(RootSystemError):
+    """Raised when a Weyl-group enumeration would exceed the caller's cap."""
+
+    def __init__(self, predicted_order: int, cap: int):
+        self.predicted_order = predicted_order
+        self.cap = cap
+        super().__init__(
+            f"Weyl group has order {predicted_order}, exceeding the cap {cap}"
+        )
+
+
+class NonFiniteQuotientError(RootSystemError):
+    """Raised when a lattice quotient has a free part."""
+
+    def __init__(self, free_rank: int):
+        self.free_rank = free_rank
+        super().__init__(f"lattice quotient is not finite (free rank {free_rank})")
+
+
+def degrees_for(series: str, rank: int) -> Tuple[int, ...]:
+    """Invariant degrees of the Weyl group of a simple type."""
+    if series == "A":
+        return tuple(range(2, rank + 2))
+    if series in ("B", "C"):
+        return tuple(range(2, 2 * rank + 1, 2))
+    if series == "D":
+        return tuple(range(2, 2 * rank - 1, 2)) + (rank,)
+    key = f"{series}{rank}"
+    if key in WEYL_DEGREES:
+        return WEYL_DEGREES[key]
+    raise RootSystemError(f"no degree table for {key}")
+
+
+def weyl_order(series: str, rank: int) -> int:
+    return prod(degrees_for(series, rank))
+
+
+def validate_type(series: str, rank: int) -> None:
+    """Reject (series, rank) pairs that are not a simple type.
+
+    D3 (= A3) is accepted since it is a legitimate simple system under the
+    D-shaped Cartan matrix.
+    """
+    ok = (
+        (series == "A" and rank >= 1)
+        or (series in ("B", "C") and rank >= 2)
+        or (series == "D" and rank >= 3)
+        or (series == "E" and rank in (6, 7, 8))
+        or (series == "F" and rank == 4)
+        or (series == "G" and rank == 2)
+    )
+    if not ok:
+        raise RootSystemError(f"not a valid simple type: {series}{rank}")
+
+
+def cartan_matrix(series: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
+    """Bourbaki Cartan matrix, entry [i][j] = <alpha_i, alpha_j^vee>."""
+    validate_type(series, rank)
+    n = rank
+    C = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def join(i, j, cij=-1, cji=-1):
+        C[i][j] = cij
+        C[j][i] = cji
+
+    if series in ("A", "B", "C"):
+        for i in range(n - 1):
+            join(i, i + 1)
+        if series == "B" and n >= 2:
+            # alpha_n short: <alpha_{n-1}, alpha_n^vee> = -2
+            join(n - 2, n - 1, -2, -1)
+        if series == "C" and n >= 2:
+            # alpha_n long
+            join(n - 2, n - 1, -1, -2)
+    elif series == "D":
+        for i in range(n - 2):
+            join(i, i + 1)
+        join(n - 3, n - 1)
+    elif series == "E":
+        # chain 1-3-4-5-6(-7-8), node 2 attached to 4 (Bourbaki numbering)
+        chain = [0, 2, 3, 4, 5, 6, 7][: n - 1]
+        for a, b in zip(chain, chain[1:]):
+            join(a, b)
+        join(1, 3)
+    elif series == "F":
+        join(0, 1)
+        join(1, 2, -2, -1)  # alpha_1, alpha_2 long; alpha_3, alpha_4 short
+        join(2, 3)
+    elif series == "G":
+        join(0, 1, -1, -3)  # alpha_1 short, alpha_2 long
+    return tuple(tuple(row) for row in C)
+
+
+def _root_halflengths(series: str, rank: int) -> Tuple[int, ...]:
+    """d_i = (alpha_i, alpha_i)/2, normalized so short roots have d = 1."""
+    n = rank
+    if series == "B":
+        return tuple([2] * (n - 1) + [1])
+    if series == "C":
+        return tuple([1] * (n - 1) + [2])
+    if series == "F":
+        return (2, 2, 1, 1)
+    if series == "G":
+        return (1, 3)
+    return tuple([1] * n)
+
+
+def _height(v: Root) -> int:
+    return sum(v)
+
+
+def _neg(v: Root) -> Root:
+    return tuple(-x for x in v)
+
+
+class RootSystem:
+    """Root system of a simple type, with exact integer arithmetic.
+
+    Attributes:
+        series, rank: the simple type.
+        cartan: Cartan matrix, cartan[i][j] = <alpha_i, alpha_j^vee>.
+        roots: canonical ordered tuple of roots (simple-root coordinates).
+        num_positive: the first num_positive entries of ``roots`` are the
+            positive roots; roots[i + num_positive] = -roots[i].
+    """
+
+    def __init__(self, series: str, rank: int):
+        validate_type(series, rank)
+        self.series = series
+        self.rank = rank
+        self.cartan = cartan_matrix(series, rank)
+        self.halflengths = _root_halflengths(series, rank)
+        # Symmetrized form (alpha_i, alpha_j) = cartan[i][j] * d_j.
+        self.form = tuple(
+            tuple(self.cartan[i][j] * self.halflengths[j] for j in range(rank))
+            for i in range(rank)
+        )
+        for i in range(rank):
+            for j in range(rank):
+                assert self.form[i][j] == self.form[j][i], "form must be symmetric"
+        self._build_roots()
+
+    # -- construction -----------------------------------------------------
+
+    def _build_roots(self) -> None:
+        simples = [
+            tuple(1 if j == i else 0 for j in range(self.rank))
+            for i in range(self.rank)
+        ]
+        seen = set(simples)
+        frontier = list(simples)
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for j in range(self.rank):
+                    w = self._reflect_vector(v, simples[j], j)
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        positives = sorted(
+            (v for v in seen if _height(v) > 0), key=lambda v: (_height(v), v)
+        )
+        self.roots: Tuple[Root, ...] = tuple(positives) + tuple(
+            _neg(v) for v in positives
+        )
+        self.num_positive = len(positives)
+        self.index = {v: i for i, v in enumerate(self.roots)}
+        assert len(self.roots) == 2 * self.num_positive
+        self.simple_indices = tuple(
+            self.index[tuple(1 if k == i else 0 for k in range(self.rank))]
+            for i in range(self.rank)
+        )
+        self._simple_refl_cache: dict[int, "WeylElement"] = {}
+
+    def _reflect_vector(self, v: Root, alpha: Root, j: int) -> Root:
+        c = self.pair_coroot_simple(v, j)
+        return tuple(v[k] - c * alpha[k] for k in range(self.rank))
+
+    # -- pairings ----------------------------------------------------------
+
+    def pair_coroot_simple(self, v: Sequence[int], j: int) -> int:
+        """<v, alpha_j^vee> for v in root-lattice coordinates."""
+        return sum(v[i] * self.cartan[i][j] for i in range(self.rank))
+
+    def inner(self, v: Sequence[int], w: Sequence[int]) -> int:
+        """(v, w) under the W-invariant symmetrized form."""
+        return sum(
+            v[i] * self.form[i][j] * w[j]
+            for i in range(self.rank)
+            for j in range(self.rank)
+        )
+
+    def norm2(self, v: Sequence[int]) -> int:
+        return self.inner(v, v)
+
+    def pair_coroot(self, v: Sequence[int], beta: Sequence[int]) -> int:
+        """Cartan integer <v, beta^vee> = 2(v, beta)/(beta, beta)."""
+        num = 2 * self.inner(v, beta)
+        den = self.norm2(beta)
+        q, r = divmod(num, den)
+        if r:
+            raise RootSystemError(f"non-integral Cartan pairing of {v} with {beta}")
+        return q
+
+    def coroot_coords(self, beta: Sequence[int]) -> Tuple[int, ...]:
+        """Coordinates of beta^vee in the simple-coroot basis.
+
+        beta^vee = sum_i b_i (alpha_i, alpha_i)/(beta, beta) alpha_i^vee,
+        which is integral for any root beta.
+        """
+        n2 = self.norm2(beta)
+        out = []
+        for i in range(self.rank):
+            num = beta[i] * 2 * self.halflengths[i]
+            q, r = divmod(num, n2)
+            if r:
+                raise RootSystemError(f"{beta} is not a root (coroot not integral)")
+            out.append(q)
+        return tuple(out)
+
+    def root_index(self, v: Sequence[int]) -> int:
+        try:
+            return self.index[tuple(v)]
+        except KeyError:
+            raise RootSystemError(f"{tuple(v)} is not a root of {self.series}{self.rank}")
+
+    def is_root(self, v: Sequence[int]) -> bool:
+        return tuple(v) in self.index
+
+    @property
+    def positive_roots(self) -> range:
+        """Indices of the positive roots inside ``roots``."""
+        return range(self.num_positive)
+
+    @property
+    def highest_root(self) -> Root:
+        return self.roots[self.num_positive - 1]
+
+    def weyl_order(self) -> int:
+        return weyl_order(self.series, self.rank)
+
+    def __repr__(self) -> str:
+        return f"RootSystem({self.series}{self.rank}, {len(self.roots)} roots)"
+
+    # -- Weyl elements ------------------------------------------------------
+
+    def identity_element(self) -> "WeylElement":
+        return WeylElement(self, tuple(range(len(self.roots))), word=())
+
+    def reflection(self, root_index: int) -> "WeylElement":
+        """The reflection s_beta as a root permutation."""
+        if not 0 <= root_index < len(self.roots):
+            raise RootSystemError(f"root index {root_index} out of range")
+        beta = self.roots[root_index]
+        perm = []
+        for v in self.roots:
+            c = self.pair_coroot(v, beta)
+            img = tuple(v[k] - c * beta[k] for k in range(self.rank))
+            perm.append(self.index[img])
+        word: Optional[Tuple[int, ...]] = None
+        if _height(beta) == 1:
+            word = (beta.index(1),)
+        return WeylElement(self, tuple(perm), word=word)
+
+    def simple_reflection(self, i: int) -> "WeylElement":
+        """s_{alpha_i} for a simple-root index i."""
+        if not 0 <= i < self.rank:
+            raise RootSystemError(f"simple index {i} out of range")
+        if i not in self._simple_refl_cache:
+            self._simple_refl_cache[i] = self.reflection(self.simple_indices[i])
+        return self._simple_refl_cache[i]
+
+    def longest_element(self) -> "WeylElement":
+        """The unique element sending every positive root to a negative one.
+
+        Built greedily: while some simple root stays positive, append that
+        reflection (each step raises the length by one).
+        """
+        w = self.identity_element()
+        while True:
+            for i in range(self.rank):
+                if w.act_index(self.simple_indices[i]) < self.num_positive:
+                    w = w * self.simple_reflection(i)
+                    break
+            else:
+                break
+        return w
+
+    def enumerate_weyl(self, order_cap: int) -> Iterator[Tuple["WeylElement", int]]:
+        """Yield every Weyl element exactly once with its length, BFS by
+        length over right multiplication by simple reflections, with a hash
+        set of permutations.  The predicted group order is checked against
+        ``order_cap`` before any work happens.
+        """
+        predicted = self.weyl_order()
+        if predicted > order_cap:
+            raise CapExceededError(predicted, order_cap)
+        gens = [self.simple_reflection(i) for i in range(self.rank)]
+        ident = self.identity_element()
+        seen = {ident.perm}
+        level = [ident.perm]
+        length = 0
+        while level:
+            for perm in level:
+                yield WeylElement(self, perm), length
+            nxt = set()
+            for perm in level:
+                for g in gens:
+                    q = tuple(perm[p] for p in g.perm)  # w * s_i
+                    if q not in seen:
+                        nxt.add(q)
+            seen |= nxt
+            level = sorted(nxt)
+            length += 1
+
+
+@dataclass(frozen=True)
+class WeylElement:
+    """A Weyl group element as a permutation of the ambient root list."""
+
+    rs: RootSystem = field(repr=False, compare=False)
+    perm: Tuple[int, ...]
+    word: Optional[Tuple[int, ...]] = field(default=None, compare=False)
+
+    def __mul__(self, other: "WeylElement") -> "WeylElement":
+        """(self * other)(v) = self(other(v))."""
+        word = None
+        if self.word is not None and other.word is not None:
+            word = self.word + other.word
+        return WeylElement(self.rs, tuple(self.perm[p] for p in other.perm), word=word)
+
+    def inverse(self) -> "WeylElement":
+        inv = [0] * len(self.perm)
+        for i, p in enumerate(self.perm):
+            inv[p] = i
+        word = tuple(reversed(self.word)) if self.word is not None else None
+        return WeylElement(self.rs, tuple(inv), word=word)
+
+    def act_index(self, i: int) -> int:
+        return self.perm[i]
+
+    def act(self, v: Sequence[int]) -> Root:
+        return self.rs.roots[self.perm[self.rs.root_index(v)]]
+
+    def length(self) -> int:
+        """Number of positive roots sent to negative roots."""
+        npos = self.rs.num_positive
+        return sum(1 for i in range(npos) if self.perm[i] >= npos)
+
+    def is_identity(self) -> bool:
+        return all(p == i for i, p in enumerate(self.perm))
+
+    def matrix(self) -> Tuple[Tuple[int, ...], ...]:
+        """Integer matrix on the root lattice; column i is w(alpha_i)."""
+        cols = []
+        for i in range(self.rs.rank):
+            v = tuple(1 if k == i else 0 for k in range(self.rs.rank))
+            cols.append(self.act(v))
+        return tuple(
+            tuple(cols[j][i] for j in range(self.rs.rank)) for i in range(self.rs.rank)
+        )
+
+    def is_minus_identity(self) -> bool:
+        npos = self.rs.num_positive
+        n = len(self.perm)
+        return all(self.perm[i] == (i + npos) % n for i in range(n))
+
+    def preserves_pairing(self) -> bool:
+        """Check <w(a), w(b)^vee> = <a, b^vee> on all root pairs."""
+        rs = self.rs
+        for i, a in enumerate(rs.roots):
+            wa = rs.roots[self.perm[i]]
+            for j, b in enumerate(rs.roots):
+                wb = rs.roots[self.perm[j]]
+                if rs.pair_coroot(wa, wb) != rs.pair_coroot(a, b):
+                    return False
+        return True
+
+
+@lru_cache(maxsize=None)
+def build_root_system(series: str, rank: int) -> RootSystem:
+    """Build (and cache) the root system of a simple type.
+
+    Raises RootSystemError on an invalid (series, rank) pair.
+    """
+    return RootSystem(series, rank)
+
+
+# -- integer lattice arithmetic ---------------------------------------------
+
+
+def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
+    """Diagonal of the Smith normal form of an integer matrix.
+
+    Returns the list of nonzero diagonal entries d_1 | d_2 | ... (positive);
+    the rank of the matrix is the number of entries returned.
+    """
+    M = [list(row) for row in mat]
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    diag = []
+    r = c = 0
+    while r < rows and c < cols:
+        # find a pivot of minimal absolute value
+        piv = None
+        for i in range(r, rows):
+            for j in range(c, cols):
+                if M[i][j] != 0 and (piv is None or abs(M[i][j]) < abs(M[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        i0, j0 = piv
+        M[r], M[i0] = M[i0], M[r]
+        for row in M:
+            row[c], row[j0] = row[j0], row[c]
+        # clear row and column; restart if a smaller remainder appears
+        while True:
+            done = True
+            for i in range(r + 1, rows):
+                if M[i][c] % M[r][c] != 0:
+                    q = M[i][c] // M[r][c]
+                    for j in range(c, cols):
+                        M[i][j] -= q * M[r][j]
+                    M[r], M[i] = M[i], M[r]
+                    done = False
+            if done:
+                break
+        for i in range(r + 1, rows):
+            q = M[i][c] // M[r][c]
+            if q:
+                for j in range(c, cols):
+                    M[i][j] -= q * M[r][j]
+        for j in range(c + 1, cols):
+            q = M[r][j] // M[r][c]
+            if q:
+                for i in range(r, rows):
+                    M[i][j] -= q * M[i][c]
+        if any(M[i][c] for i in range(r + 1, rows)) or any(
+            M[r][j] for j in range(c + 1, cols)
+        ):
+            continue
+        diag.append(abs(M[r][c]))
+        r += 1
+        c += 1
+    # enforce the divisibility chain
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag) - 1):
+            a, b = diag[i], diag[i + 1]
+            if b % a != 0:
+                from math import gcd
+
+                g = gcd(a, b)
+                diag[i], diag[i + 1] = g, a * b // g
+                changed = True
+    return diag
+
+
+@dataclass(frozen=True)
+class FiniteAbelianGroup:
+    """Invariant-factor form d_1 | d_2 | ... of a finite abelian group."""
+
+    invariant_factors: Tuple[int, ...]
+
+    def __post_init__(self):
+        for d in self.invariant_factors:
+            if d < 2:
+                raise RootSystemError("invariant factors must be >= 2")
+        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
+            if b % a != 0:
+                raise RootSystemError("invariant factors must form a divisor chain")
+
+    @property
+    def order(self) -> int:
+        return prod(self.invariant_factors) if self.invariant_factors else 1
+
+    def mod_squares(self) -> "FiniteAbelianGroup":
+        """The quotient G / G^2 (elementary abelian 2-group)."""
+        return FiniteAbelianGroup(
+            tuple(2 for d in self.invariant_factors if d % 2 == 0)
+        )
+
+    @classmethod
+    def from_diagonal(cls, diag: Sequence[int]) -> "FiniteAbelianGroup":
+        return cls(tuple(sorted(d for d in diag if d > 1)))
+
+    def __str__(self) -> str:
+        if not self.invariant_factors:
+            return "1"
+        return " x ".join(f"Z/{d}" for d in self.invariant_factors)
+
+
+def lattice_quotient(
+    generators: Sequence[Sequence[int]], sublattice: Sequence[Sequence[int]]
+) -> FiniteAbelianGroup:
+    """Quotient of the lattice spanned by ``generators`` by ``sublattice``.
+
+    Rows of ``generators`` are a basis of the ambient lattice L; rows of
+    ``sublattice`` must lie in L.  Raises NonFiniteQuotientError when the
+    sublattice has lower rank (the error reports the free rank).
+    """
+    gen = [list(r) for r in generators]
+    sub = [list(r) for r in sublattice]
+    n = len(gen)
+    if n == 0:
+        return FiniteAbelianGroup(())
+    dim = len(gen[0])
+    # express each sublattice row in the generator basis (exact solve)
+    coords = []
+    for row in sub:
+        coords.append(_solve_integer(gen, row, dim))
+    diag = smith_normal_form(coords) if coords else []
+    rank = len(diag)
+    if rank < n:
+        raise NonFiniteQuotientError(n - rank)
+    return FiniteAbelianGroup.from_diagonal(diag)
+
+
+def _solve_integer(basis_rows, target, dim) -> list[int]:
+    """Solve x * basis = target exactly over Q, requiring integer x."""
+    n = len(basis_rows)
+    # Gaussian elimination on the transposed system with Fractions
+    A = [[Fraction(basis_rows[i][j]) for i in range(n)] for j in range(dim)]
+    b = [Fraction(t) for t in target]
+    piv_cols = []
+    row = 0
+    for col in range(n):
+        sel = None
+        for r in range(row, dim):
+            if A[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        A[row], A[sel] = A[sel], A[row]
+        b[row], b[sel] = b[sel], b[row]
+        inv = 1 / A[row][col]
+        A[row] = [a * inv for a in A[row]]
+        b[row] *= inv
+        for r in range(dim):
+            if r != row and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [a - f * p for a, p in zip(A[r], A[row])]
+                b[r] -= f * b[row]
+        piv_cols.append(col)
+        row += 1
+    x = [Fraction(0)] * n
+    for r, col in enumerate(piv_cols):
+        x[col] = b[r]
+    for r in range(row, dim):
+        if b[r] != 0:
+            raise RootSystemError("sublattice row is not in the ambient lattice")
+    out = []
+    for val in x:
+        if val.denominator != 1:
+            raise RootSystemError("sublattice row is not in the ambient lattice")
+        out.append(int(val))
+    return out
+
+
+def cokernel(columns: Sequence[Sequence[int]], ambient_rank: int) -> FiniteAbelianGroup:
+    """Z^n modulo the span of the given column vectors (must be finite)."""
+    if not columns:
+        if ambient_rank:
+            raise NonFiniteQuotientError(ambient_rank)
+        return FiniteAbelianGroup(())
+    mat = [[col[i] for col in columns] for i in range(ambient_rank)]
+    diag = smith_normal_form(mat)
+    if len(diag) < ambient_rank:
+        raise NonFiniteQuotientError(ambient_rank - len(diag))
+    return FiniteAbelianGroup.from_diagonal(diag)
+
+
+def fundamental_group(rs: RootSystem) -> FiniteAbelianGroup:
+    """Coweight lattice modulo coroot lattice (the center of the s.c. group).
+
+    In fundamental-coweight coordinates the simple coroot alpha_j^vee is the
+    j-th column of the Cartan matrix.
+    """
+    cols = [
+        [rs.cartan[i][j] for i in range(rs.rank)] for j in range(rs.rank)
+    ]
+    return cokernel(cols, rs.rank)

@@ -1,0 +1,550 @@
+"""Involutions of simple groups encoded by Satake data.
+
+An involution class is stored as (ambient root system, compact set I of
+simple-root indices, diagram automorphism psi); the induced map on roots is
+theta(a) = -w_I(psi(a)), where w_I is the longest element of the parabolic
+generated by I.  The module also carries the embedded catalog of involution
+classes for the simple types and computes the k/p eigenspace dimensions of
+the symmetric decomposition from the Satake data alone.
+
+Catalog records live in ``catalog.txt``, one class per line:
+
+    <series> <rank> <label> I=<1-based indices|-> psi=<cycles|-> k=<name> \
+        phiA=<type> components=<int>
+
+e.g. ``E 7 EVII I=2,3,4,5 psi=- k=e6+R phiA=C3 components=2``.
+"""
+
+from __future__ import annotations
+
+import importlib.resources
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+
+from .rootsys import Root, RootSystem, RootSystemError, WeylElement, build_root_system
+
+
+class SatakeError(ValueError):
+    """Invalid Satake data or unknown catalog entry."""
+
+
+class UnknownClassError(SatakeError):
+    def __init__(self, series: str, rank: int, label: str, available: Sequence[str]):
+        self.available = tuple(available)
+        super().__init__(
+            f"no involution class '{label}' for {series}{rank}; "
+            f"available: {', '.join(available)}"
+        )
+
+
+class SatakeInvolution:
+    """Satake datum (I, psi) on an ambient root system.
+
+    ``compact`` is a frozenset of 0-based simple indices; ``psi`` a tuple
+    permutation of 0..rank-1.  Optional central torus ranks extend the
+    ambient reductive group by a split / theta-fixed central part (they only
+    shift dimension counts).
+    """
+
+    def __init__(
+        self,
+        ambient: RootSystem,
+        compact: Sequence[int] = (),
+        psi: Optional[Sequence[int]] = None,
+        central_split: int = 0,
+        central_compact: int = 0,
+    ):
+        self.ambient = ambient
+        self.compact: FrozenSet[int] = frozenset(compact)
+        self.psi: Tuple[int, ...] = (
+            tuple(psi) if psi is not None else tuple(range(ambient.rank))
+        )
+        if sorted(self.psi) != list(range(ambient.rank)):
+            raise SatakeError("psi is not a permutation of the simple indices")
+        for i in self.compact:
+            if not 0 <= i < ambient.rank:
+                raise SatakeError(f"compact index {i} out of range")
+        self.central_split = central_split
+        self.central_compact = central_compact
+        self._theta_perm: Optional[Tuple[int, ...]] = None
+        self._wI: Optional[WeylElement] = None
+
+    # -- basic derived data --------------------------------------------------
+
+    @property
+    def is_quasi_split(self) -> bool:
+        return not self.compact
+
+    @property
+    def is_split(self) -> bool:
+        return not self.compact and self.psi == tuple(range(self.ambient.rank))
+
+    def psi_vector(self, v: Sequence[int]) -> Root:
+        """Apply the diagram automorphism to root-lattice coordinates."""
+        out = [0] * self.ambient.rank
+        for i, c in enumerate(v):
+            out[self.psi[i]] = c
+        return tuple(out)
+
+    def _w_I(self) -> WeylElement:
+        """Longest element of the parabolic subgroup W_I."""
+        if self._wI is None:
+            rs = self.ambient
+            w = rs.identity_element()
+            while True:
+                for i in sorted(self.compact):
+                    if w.act_index(rs.simple_indices[i]) < rs.num_positive:
+                        w = w * rs.simple_reflection(i)
+                        break
+                else:
+                    break
+            self._wI = w
+        return self._wI
+
+    def theta_perm(self) -> Tuple[int, ...]:
+        """theta as a permutation of the ambient root list."""
+        if self._theta_perm is None:
+            rs = self.ambient
+            wI = self._w_I()
+            perm = []
+            for v in rs.roots:
+                img = wI.act(self.psi_vector(v))
+                perm.append(rs.root_index(tuple(-x for x in img)))
+            self._theta_perm = tuple(perm)
+        return self._theta_perm
+
+    def theta_star(self, root: Sequence[int]) -> Root:
+        """theta*(root) = -w_I(psi(root)); raises if root is not in Phi_S."""
+        rs = self.ambient
+        return rs.roots[self.theta_perm()[rs.root_index(tuple(root))]]
+
+    def compact_subsystem(self) -> FrozenSet[int]:
+        """Indices of the roots of Phi_I inside the ambient root list."""
+        rs = self.ambient
+        out = set()
+        for i, v in enumerate(rs.roots):
+            if all(v[j] == 0 for j in range(rs.rank) if j not in self.compact):
+                out.add(i)
+        return frozenset(out)
+
+    def minus_one_rank(self) -> int:
+        """Dimension of the (-1)-eigenspace of theta* on the character lattice."""
+        n = self.ambient.rank
+        # columns of theta* + identity; (-1)-eigenspace dim = n - rank
+        cols = []
+        for i in range(n):
+            e = tuple(1 if k == i else 0 for k in range(n))
+            t = self.theta_star(e)
+            cols.append([t[k] + e[k] for k in range(n)])
+        return n - _rational_rank(cols)
+
+    def out_class(self) -> Tuple[int, ...]:
+        """Image of theta in the outer automorphism group, as a diagram
+        permutation: the composite of psi with the -w_0 symmetry."""
+        rs = self.ambient
+        w0 = rs.longest_element()
+        sigma0 = [0] * rs.rank
+        for i in range(rs.rank):
+            img = w0.act(tuple(1 if k == i else 0 for k in range(rs.rank)))
+            neg = tuple(-x for x in img)
+            sigma0[i] = neg.index(1)
+        return tuple(sigma0[self.psi[i]] for i in range(rs.rank))
+
+    # -- validation -----------------------------------------------------------
+
+    def validate(self) -> "ValidationReport":
+        """Check the Satake axioms; failures are data, not exceptions."""
+        rs = self.ambient
+        failures: List[str] = []
+        for i in range(rs.rank):
+            for j in range(rs.rank):
+                if rs.cartan[self.psi[i]][self.psi[j]] != rs.cartan[i][j]:
+                    failures.append("psi does not preserve the Cartan matrix")
+                    break
+            else:
+                continue
+            break
+        if {self.psi[i] for i in self.compact} != set(self.compact):
+            failures.append("psi does not stabilize I")
+        try:
+            perm = self.theta_perm()
+        except RootSystemError:
+            failures.append("psi does not map the root set to itself")
+            return ValidationReport(tuple(failures))
+        if any(perm[perm[i]] != i for i in range(len(perm))):
+            failures.append("theta* is not an involution")
+        fixed = {i for i, p in enumerate(perm) if p == i}
+        compact_roots = self.compact_subsystem()
+        if not compact_roots <= fixed:
+            failures.append("theta* does not fix Phi_I pointwise")
+        if not fixed <= compact_roots:
+            failures.append("theta* fixes roots outside Phi_I")
+        # the two expressions -w_I psi and -psi w_I must agree
+        wI = self._w_I()
+        for v in rs.roots:
+            lhs = self.theta_star(v)
+            rhs = tuple(-x for x in self.psi_vector(wI.act(v)))
+            if lhs != rhs:
+                failures.append("-w_I(psi(a)) != -psi(w_I(a))")
+                break
+        return ValidationReport(tuple(failures))
+
+    # -- dimension data --------------------------------------------------------
+
+    def kp_dimensions(self) -> "KPDimensions":
+        """Dimensions (g, k, p, a, m) of the symmetric decomposition.
+
+        dim p = dim a + (|Phi_S| - |Phi_I|)/2 and dim m counts the
+        centralizer of a inside k; the defining identity
+        dim m - dim a = dim k - dim p is asserted.
+        """
+        rs = self.ambient
+        n_compact = len(self.compact_subsystem())
+        dim_a = self.minus_one_rank() + self.central_split
+        dim_g = rs.rank + len(rs.roots) + self.central_split + self.central_compact
+        half, rem = divmod(len(rs.roots) - n_compact, 2)
+        assert rem == 0
+        dim_p = dim_a + half
+        dim_k = dim_g - dim_p
+        dim_m = (rs.rank - self.minus_one_rank()) + self.central_compact + n_compact
+        assert dim_m - dim_a == dim_k - dim_p, "centralizer dimension identity failed"
+        return KPDimensions(dim_g, dim_k, dim_p, dim_a, dim_m)
+
+    def __repr__(self) -> str:
+        rs = self.ambient
+        return (
+            f"SatakeInvolution({rs.series}{rs.rank}, "
+            f"I={{{','.join(str(i + 1) for i in sorted(self.compact))}}}, "
+            f"psi={_psi_to_cycles(self.psi)})"
+        )
+
+
+class KPDimensions(NamedTuple):
+    g: int
+    k: int
+    p: int
+    a: int
+    m: int
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    failures: Tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def _rational_rank(rows: Sequence[Sequence[int]]) -> int:
+    M = [[Fraction(x) for x in row] for row in rows]
+    if not M:
+        return 0
+    nrows, ncols = len(M), len(M[0])
+    rank = 0
+    for col in range(ncols):
+        sel = None
+        for r in range(rank, nrows):
+            if M[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        M[rank], M[sel] = M[sel], M[rank]
+        inv = 1 / M[rank][col]
+        M[rank] = [x * inv for x in M[rank]]
+        for r in range(nrows):
+            if r != rank and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[rank])]
+        rank += 1
+    return rank
+
+
+# -- catalog ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class InvolutionClassEntry:
+    """One involution class of a simple, simply-connected group."""
+
+    series: str
+    rank: int
+    label: str
+    compact: FrozenSet[int]  # 0-based simple indices
+    psi: Tuple[int, ...]
+    fixed_algebra_name: str
+    phi_a_type: str  # expected restricted type, e.g. "BC2"
+    components: int  # expected number of irreducible components of N
+    satake: SatakeInvolution = field(compare=False, repr=False)
+
+    @property
+    def is_quasi_split(self) -> bool:
+        return self.satake.is_quasi_split
+
+    @property
+    def is_split(self) -> bool:
+        return self.satake.is_split
+
+
+def _psi_to_cycles(psi: Sequence[int]) -> str:
+    seen = set()
+    cycles = []
+    for i in range(len(psi)):
+        if i in seen or psi[i] == i:
+            seen.add(i)
+            continue
+        cyc = [i]
+        seen.add(i)
+        j = psi[i]
+        while j != i:
+            cyc.append(j)
+            seen.add(j)
+            j = psi[j]
+        cycles.append("(" + ",".join(str(k + 1) for k in cyc) + ")")
+    return "".join(cycles) if cycles else "-"
+
+
+def _cycles_to_psi(text: str, rank: int) -> Tuple[int, ...]:
+    psi = list(range(rank))
+    if text in ("-", ""):
+        return tuple(psi)
+    for part in text.replace(")(", ");(").split(";"):
+        nodes = [int(x) - 1 for x in part.strip("()").split(",")]
+        for a, b in zip(nodes, nodes[1:] + nodes[:1]):
+            psi[a] = b
+    return tuple(psi)
+
+
+def _flip(n: int) -> Tuple[int, ...]:
+    return tuple(n - 1 - i for i in range(n))
+
+
+def _fork(n: int) -> Tuple[int, ...]:
+    psi = list(range(n))
+    psi[n - 2], psi[n - 1] = psi[n - 1], psi[n - 2]
+    return tuple(psi)
+
+
+def _canonical_type(series: str, rank: int) -> str:
+    if rank == 1:
+        return "A1"
+    if series in ("B", "C") and rank == 2:
+        return "B2"
+    if series == "D" and rank == 3:
+        return "A3"
+    return f"{series}{rank}"
+
+
+def class_records(series: str, rank: int) -> List[dict]:
+    """The involution classes of a simple type, as raw records.
+
+    Labels follow the customary classification names (AI, AII, AIII(p,q),
+    BI(m), CI, CII(m), DI(p), DIII, EI..EIX, FI, FII, G).  Indices inside
+    records are 0-based.
+    """
+    n = rank
+    recs: List[dict] = []
+
+    def rec(label, compact, psi, k_name, phi_a, components):
+        recs.append(
+            dict(
+                label=label,
+                compact=frozenset(compact),
+                psi=tuple(psi),
+                k_name=k_name,
+                phi_a=phi_a,
+                components=components,
+            )
+        )
+
+    ident = tuple(range(n))
+    if series == "A":
+        rec("AI", (), ident, f"so({n + 1})", _canonical_type("A", n),
+            2 if (n + 1) % 2 == 0 else 1)
+        if n % 2 == 1 and n >= 3:
+            m = (n + 1) // 2
+            rec("AII", set(range(0, n, 2)), ident, f"sp({n + 1})",
+                _canonical_type("A", m - 1), 1)
+        for p in range(1, (n + 1) // 2 + 1):
+            q = n + 1 - p
+            if p > q or (p, q) == (1, 1):
+                continue
+            compact = set(range(p, n - p))
+            phi_a = f"BC{p}" if p < q else _canonical_type("C", p)
+            rec(f"AIII({p},{q})", compact, _flip(n),
+                f"s(gl({p})+gl({q}))", phi_a, 2 if p == q else 1)
+    elif series == "B":
+        for m in range(1, n + 1):
+            comps = 2 if (m == n or m % 2 == 0) else 1
+            rec(f"BI({m})", set(range(m, n)), ident,
+                f"so({m})+so({2 * n + 1 - m})", _canonical_type("B", m), comps)
+    elif series == "C":
+        rec("CI", (), ident, f"gl({n})", _canonical_type("C", n), 2)
+        for m in range(1, n // 2 + 1):
+            compact = set(range(n)) - set(range(1, 2 * m, 2))
+            phi_a = f"BC{m}" if 2 * m < n else _canonical_type("C", m)
+            rec(f"CII({m})", compact, ident,
+                f"sp({2 * m})+sp({2 * n - 2 * m})", phi_a, 1)
+    elif series == "D":
+        for p in range(1, n + 1):
+            if p <= n - 2:
+                compact = set(range(p, n))
+                psi = ident if (n - p) % 2 == 0 else _fork(n)
+            elif p == n - 1:
+                compact = set()
+                psi = _fork(n)
+            else:
+                compact = set()
+                psi = ident
+            if p == n:
+                phi_a = _canonical_type("D", n)
+                comps = 4 if n % 2 == 0 else 2
+            else:
+                phi_a = _canonical_type("B", p)
+                comps = 2 if p % 2 == 0 else 1
+            rec(f"DI({p})", compact, psi, f"so({p})+so({2 * n - p})", phi_a, comps)
+        if n % 2 == 0:
+            compact = set(range(0, n - 1, 2))
+            rec("DIII", compact, ident, f"gl({n})",
+                _canonical_type("C", n // 2), 2)
+        else:
+            compact = set(range(0, n - 2, 2))
+            rec("DIII", compact, _fork(n), f"gl({n})", f"BC{(n - 1) // 2}", 1)
+    elif series == "E" and n == 6:
+        rec("EI", (), ident, "sp(8)", "E6", 1)
+        rec("EII", (), (5, 1, 4, 3, 2, 0), "sl(6)+sl(2)", "F4", 1)
+        rec("EIII", {2, 3, 4}, (5, 1, 4, 3, 2, 0), "so(10)+R", "BC2", 1)
+        rec("EIV", {1, 2, 3, 4}, ident, "f4", "A2", 1)
+    elif series == "E" and n == 7:
+        rec("EV", (), ident, "sl(8)", "E7", 2)
+        rec("EVI", {1, 4, 6}, ident, "so(12)+sl(2)", "F4", 1)
+        rec("EVII", {1, 2, 3, 4}, ident, "e6+R", "C3", 2)
+    elif series == "E" and n == 8:
+        rec("EVIII", (), ident, "so(16)", "E8", 1)
+        rec("EIX", {1, 2, 3, 4}, ident, "e7+sl(2)", "F4", 1)
+    elif series == "F":
+        rec("FI", (), ident, "sp(6)+sl(2)", "F4", 1)
+        rec("FII", {0, 1, 2}, ident, "so(9)", "BC1", 1)
+    elif series == "G":
+        rec("G", (), ident, "sl(2)+sl(2)", "G2", 1)
+    return recs
+
+
+def _entry_from_record(series: str, rank: int, r: dict) -> InvolutionClassEntry:
+    ambient = build_root_system(series, rank)
+    inv = SatakeInvolution(ambient, r["compact"], r["psi"])
+    return InvolutionClassEntry(
+        series=series,
+        rank=rank,
+        label=r["label"],
+        compact=frozenset(r["compact"]),
+        psi=tuple(r["psi"]),
+        fixed_algebra_name=r["k_name"],
+        phi_a_type=r["phi_a"],
+        components=r["components"],
+        satake=inv,
+    )
+
+
+def render_record(series: str, rank: int, r: dict) -> str:
+    i_txt = ",".join(str(i + 1) for i in sorted(r["compact"])) or "-"
+    return (
+        f"{series} {rank} {r['label']} I={i_txt} psi={_psi_to_cycles(r['psi'])} "
+        f"k={r['k_name']} phiA={r['phi_a']} components={r['components']}"
+    )
+
+
+def parse_record(line: str) -> Tuple[str, int, dict]:
+    parts = line.split()
+    if len(parts) != 8:
+        raise SatakeError(f"malformed catalog record: {line!r}")
+    series, rank_s, label = parts[0], parts[1], parts[2]
+    rank = int(rank_s)
+    fields = {}
+    for part in parts[3:]:
+        key, _, val = part.partition("=")
+        fields[key] = val
+    compact = frozenset(
+        int(x) - 1 for x in fields["I"].split(",") if fields["I"] != "-" and x
+    )
+    return series, rank, dict(
+        label=label,
+        compact=compact,
+        psi=_cycles_to_psi(fields["psi"], rank),
+        k_name=fields["k"],
+        phi_a=fields["phiA"],
+        components=int(fields["components"]),
+    )
+
+
+MAX_CATALOG_RANK = 8
+
+
+def _catalog_types() -> List[Tuple[str, int]]:
+    out = [("A", r) for r in range(1, MAX_CATALOG_RANK + 1)]
+    out += [("B", r) for r in range(2, MAX_CATALOG_RANK + 1)]
+    out += [("C", r) for r in range(2, MAX_CATALOG_RANK + 1)]
+    out += [("D", r) for r in range(4, MAX_CATALOG_RANK + 1)]
+    out += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    return out
+
+
+def render_catalog() -> str:
+    lines = ["# involution classes of the simple types, rank <= 8"]
+    for series, rank in _catalog_types():
+        for r in class_records(series, rank):
+            lines.append(render_record(series, rank, r))
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=1)
+def _load_catalog() -> Dict[Tuple[str, int], List[Tuple[str, int, dict]]]:
+    text = (
+        importlib.resources.files("thetatool").joinpath("catalog.txt").read_text()
+    )
+    table: Dict[Tuple[str, int], List[Tuple[str, int, dict]]] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        series, rank, rec = parse_record(line)
+        table.setdefault((series, rank), []).append((series, rank, rec))
+    return table
+
+
+@lru_cache(maxsize=None)
+def _catalog_list_cached(series: str, rank: int) -> Tuple[InvolutionClassEntry, ...]:
+    build_root_system(series, rank)  # raises on invalid type
+    if rank <= MAX_CATALOG_RANK:
+        recs = _load_catalog().get((series, rank), [])
+        entries = [_entry_from_record(s, rk, r) for s, rk, r in recs]
+    else:
+        entries = [
+            _entry_from_record(series, rank, r) for r in class_records(series, rank)
+        ]
+    return tuple(sorted(entries, key=lambda e: e.label))
+
+
+def catalog_list(series: str, rank: int) -> List[InvolutionClassEntry]:
+    """All involution classes for a simple type, sorted by label."""
+    return list(_catalog_list_cached(series, rank))
+
+
+def catalog_lookup(series: str, rank: int, label: str) -> InvolutionClassEntry:
+    """Look up an involution class; raises UnknownClassError with choices."""
+    entries = catalog_list(series, rank)
+    for e in entries:
+        if e.label == label:
+            return e
+    raise UnknownClassError(series, rank, label, [e.label for e in entries])
+
+
+def all_catalog_entries(max_rank: int = MAX_CATALOG_RANK) -> List[InvolutionClassEntry]:
+    out = []
+    for series, rank in _catalog_types():
+        if rank <= max_rank:
+            out.extend(catalog_list(series, rank))
+    return out
