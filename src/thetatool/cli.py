@@ -1,10 +1,10 @@
 """Command-line front end: per-involution reports, catalog listings, and
 verification suites, in text or JSON.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  The JSON
-report schema is versioned by a top-level "schema": 1 field; the
-enumeration cap defaults to 5e6 and can be overridden with --cap or the
-THETA_TOOL_CAP environment variable.
+Exit codes: 0 success, 1 verification failure or a computation that
+rejected its data, 2 usage error.  The JSON report schema is versioned by a
+top-level "schema": 1 field; the enumeration cap defaults to 5e6 and can be
+overridden with --cap or the THETA_TOOL_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -16,8 +16,11 @@ import sys
 from typing import Any, Dict, Optional
 
 from . import nilcomp, restricted, verify, weylinv
+from .nilcomp import ComponentCountError, OmegaError
+from .restricted import RestrictionError
 from .rootsys import CapExceededError, RootSystemError
-from .satake import SatakeError, UnknownClassError, catalog_list, catalog_lookup
+from .satake import SatakeError, catalog_list, catalog_lookup
+from .weylinv import DegreeError
 
 SCHEMA_VERSION = 1
 
@@ -146,9 +149,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         rep = build_report(
             args.series, args.rank, args.label, order_cap=args.cap, prime=args.prime
         )
-    except UnknownClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (RootSystemError, SatakeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -241,14 +241,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if res.passed else 1
 
 
-def _default_cap() -> int:
-    env = os.environ.get("THETA_TOOL_CAP")
-    if env:
-        try:
-            return int(float(env))
-        except ValueError:
-            pass
-    return verify.DEFAULT_CAP
+def _cap(text: str) -> int:
+    """Type of --cap, whose default is THETA_TOOL_CAP when that is set: a
+    positive whole number, float notation such as 1e9 allowed."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not (value >= 1 and value.is_integer()):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} (from --cap or THETA_TOOL_CAP) is not a positive whole number"
+        )
+    return int(value)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -264,7 +268,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--cap", type=int, default=_default_cap(),
+        p.add_argument("--cap", type=_cap,
+                       default=os.environ.get("THETA_TOOL_CAP") or str(verify.DEFAULT_CAP),
                        help="Weyl-group enumeration cap (default 5e6)")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--prime", type=int, default=None,
@@ -297,7 +302,12 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (RestrictionError, DegreeError, OmegaError, ComponentCountError) as exc:
+        # valid input that a consistency check of the computation rejected
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

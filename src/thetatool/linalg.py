@@ -1,0 +1,120 @@
+"""Exact linear algebra over Q and over F_p.
+
+There is one Gauss-Jordan elimination per field: ``rref`` over Q, on lists
+of ``Fraction``, and ``rref_mod_p`` over F_p, on numpy ``int64`` arrays.
+Rank, solving and kernels are read off the reduced row echelon form, which
+is unique, so every result is independent of the pivoting order.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+
+class LinalgError(ValueError):
+    """A modulus outside the range where int64 elimination is exact."""
+
+
+# -- over Q --------------------------------------------------------------------
+
+
+def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form over Q of a matrix given as rows.
+
+    Returns the nonzero rows of the form and their pivot columns.
+    """
+    A = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(A[0]) if A else 0
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
+        if sel is None:
+            continue
+        A[r], A[sel] = A[sel], A[r]
+        inv = 1 / A[r][c]
+        A[r] = [x * inv for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return A[: len(pivots)], pivots
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank over Q."""
+    return len(rref(rows)[1])
+
+
+def solve(matrix: Sequence[Sequence], target: Sequence) -> Optional[List[Fraction]]:
+    """A solution x of matrix @ x = target over Q, or None when there is none.
+
+    Free variables are set to zero, so a consistent system with full column
+    rank returns its unique solution.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    R, pivots = rref([list(row) + [t] for row, t in zip(matrix, target)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(R, pivots):
+        x[c] = row[ncols]
+    return x
+
+
+# -- over F_p ------------------------------------------------------------------
+
+
+def rref_mod_p(mat, p: int) -> Tuple[np.ndarray, List[int]]:
+    """Reduced row echelon form over F_p of a 2-D integer matrix.
+
+    Returns the nonzero rows of the form (entries in [0, p)) and their pivot
+    columns.  Raises LinalgError when p >= 2**31, where int64 products of
+    two residues could overflow.
+    """
+    if p >= 2**31:  # entries stay in [0, p), so products stay below p^2 < 2**62
+        raise LinalgError(f"modulus {p} is too large for int64 elimination")
+    M = np.mod(np.asarray(mat, dtype=np.int64), p)
+    nrows, ncols = M.shape
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        nonzero = np.flatnonzero(M[r:, c])
+        if not nonzero.size:
+            continue
+        sel = r + int(nonzero[0])
+        M[[r, sel]] = M[[sel, r]]
+        M[r] = M[r] * pow(int(M[r, c]), -1, p) % p
+        factors = M[:, c].copy()
+        factors[r] = 0
+        M -= np.outer(factors, M[r])
+        M %= p
+        pivots.append(c)
+    return M[: len(pivots)], pivots
+
+
+def rank_mod_p(mat, p: int) -> int:
+    """Rank over F_p."""
+    return len(rref_mod_p(mat, p)[1])
+
+
+def kernel_mod_p(mat, p: int) -> np.ndarray:
+    """Basis of the right kernel {x : mat @ x = 0} over F_p.
+
+    One row per free column f, in increasing order: 1 at f, 0 at the other
+    free columns, and minus the reduced form's column f at the pivots.
+    """
+    R, pivots = rref_mod_p(mat, p)
+    ncols = R.shape[1]
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        basis[k, pivots] = -R[:, f] % p
+    return basis

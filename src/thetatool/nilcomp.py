@@ -23,26 +23,25 @@ the mod-4 sign condition that puts each root vector in p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from . import linalg
 from .restricted import (
     RestrictedCocharacter,
     RestrictedRootSystem,
     _pair_with_coroot_coords,
-    _solve_rational,
     case_iii_count,
     restrict,
 )
 from .rootsys import (
     FiniteAbelianGroup,
+    NonFiniteQuotientError,
     Root,
     RootSystem,
     WeylElement,
     build_root_system,
     cokernel,
     fundamental_group,
-    smith_normal_form,
 )
 from .satake import InvolutionClassEntry, SatakeInvolution
 
@@ -78,10 +77,7 @@ def omega(
     n = rs.rank
     diagram = tuple(0 if i in inv.compact else 2 for i in range(n))
     # <alpha_i, sum_j c_j alpha_j^vee> = sum_j c_j cartan[i][j]
-    sol = _solve_rational(
-        [[Fraction(rs.cartan[i][j]) for j in range(n)] for i in range(n)],
-        [Fraction(d) for d in diagram],
-    )
+    sol = linalg.solve(rs.cartan, diagram)
     if sol is None or any(f.denominator != 1 for f in sol):
         raise OmegaError("no integral cocharacter with the even diagram")
     coords = tuple(int(f) for f in sol)
@@ -175,14 +171,10 @@ def _tau_z_data(inv: SatakeInvolution) -> Tuple[int, int]:
         col[delta[j]] += 1
         col[j] -= 1
         cols.append(col)
-    mat = [[col[i] for col in cols] for i in range(n)]
-    diag = smith_normal_form(mat)
-    z_mod_tau = 1
-    for d in diag:
-        z_mod_tau *= d
-    if len(diag) < n:
+    try:
+        return z.order, cokernel(cols, n).order
+    except NonFiniteQuotientError:
         raise ComponentCountError("center quotient is not finite")
-    return z.order, z_mod_tau
 
 
 @dataclass(frozen=True)
@@ -257,7 +249,10 @@ def component_count(
     za, za_sq = z_cap_a(inv, rrs)
     z_order, z_mod_tau = _tau_z_data(inv)
     tau_z_order, rem = divmod(z_order, z_mod_tau)
-    assert rem == 0
+    if rem:
+        raise ComponentCountError(
+            f"|Z/tau(Z)| = {z_mod_tau} does not divide |Z| = {z_order}"
+        )
     notes: List[str] = []
 
     if inv.is_split:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .rootsys import CapExceededError, Root, weyl_order
+from . import linalg
+from .rootsys import CapExceededError, Root, is_odd_prime, permutation_bfs, weyl_order
 from .satake import SatakeInvolution
 
 
@@ -297,11 +298,9 @@ class RestrictedRootSystem:
         coords: Dict[Root, Tuple[int, ...]] = {}
         n = self.r0
         rank = self.inv.ambient.rank
+        pi_columns = [[self.pi[j][k] for j in range(n)] for k in range(rank)]
         for d in self.doubled:
-            sol = _solve_rational(
-                [[Fraction(self.pi[j][k]) for j in range(n)] for k in range(rank)],
-                [Fraction(x) for x in d],
-            )
+            sol = linalg.solve(pi_columns, d)
             if sol is None or any(f.denominator != 1 for f in sol):
                 raise RestrictionError(f"{d} has non-integer pi-coordinates")
             coords[d] = tuple(int(f) for f in sol)
@@ -321,7 +320,8 @@ class RestrictedRootSystem:
                     continue
                 if best is None or sum(c) > sum(best):
                     best = c
-            assert best is not None
+            if best is None:
+                raise RestrictionError(f"factor {f.type_name} has no highest root")
             out.append((f, best))
         return out
 
@@ -332,7 +332,7 @@ class RestrictedRootSystem:
         simple factor of the reduced subsystem.  The witness names the
         violating coefficient; the 3a-exclusion is re-asserted as well.
         """
-        if p <= 2:
+        if not is_odd_prime(p):
             return False, f"p = {p} is not an odd prime"
         for d in self.doubled:
             if tuple(3 * x for x in d) in self._index:
@@ -390,23 +390,7 @@ class BabyWeylGroup:
     def elements(self) -> Iterator[Tuple[Tuple[int, ...], int]]:
         """BFS enumeration (permutation, length), each element once,
         by right multiplication with the basis reflections."""
-        n = len(self.rrs.doubled)
-        ident = tuple(range(n))
-        seen = {ident}
-        level = [ident]
-        length = 0
-        while level:
-            for perm in level:
-                yield perm, length
-            nxt = set()
-            for perm in level:
-                for g in self.generators:
-                    q = tuple(perm[p] for p in g)
-                    if q not in seen:
-                        nxt.add(q)
-            seen |= nxt
-            level = sorted(nxt)
-            length += 1
+        return permutation_bfs(self.generators, len(self.rrs.doubled))
 
     def length_counts(self) -> List[int]:
         """Number of elements of each length, by direct enumeration."""
@@ -416,37 +400,6 @@ class BabyWeylGroup:
                 counts.append(0)
             counts[l] += 1
         return counts
-
-
-def _solve_rational(
-    matrix: List[List[Fraction]], target: List[Fraction]
-) -> Optional[List[Fraction]]:
-    """Solve matrix @ x = target over Q; None when inconsistent."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    A = [row[:] + [t] for row, t in zip(matrix, target)]
-    piv = []
-    r = 0
-    for c in range(cols):
-        sel = next((i for i in range(r, rows) if A[i][c] != 0), None)
-        if sel is None:
-            continue
-        A[r], A[sel] = A[sel], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, rows):
-        if A[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(piv):
-        x[c] = A[i][cols]
-    return x
 
 
 def restrict(inv: SatakeInvolution) -> RestrictedRootSystem:

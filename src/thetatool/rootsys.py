@@ -15,10 +15,11 @@ tuple), then the negative roots in the mirrored order, so that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import prod
-from typing import Iterator, Optional, Sequence, Tuple
+from math import isqrt, prod
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
+
+from . import linalg
 
 Root = Tuple[int, ...]
 
@@ -69,6 +70,11 @@ def degrees_for(series: str, rank: int) -> Tuple[int, ...]:
     if key in WEYL_DEGREES:
         return WEYL_DEGREES[key]
     raise RootSystemError(f"no degree table for {key}")
+
+
+def is_odd_prime(p: int) -> bool:
+    """Trial division; 2 and every integer below it are rejected."""
+    return p > 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def weyl_order(series: str, rank: int) -> int:
@@ -175,9 +181,8 @@ class RootSystem:
             tuple(self.cartan[i][j] * self.halflengths[j] for j in range(rank))
             for i in range(rank)
         )
-        for i in range(rank):
-            for j in range(rank):
-                assert self.form[i][j] == self.form[j][i], "form must be symmetric"
+        if any(self.form[i][j] != self.form[j][i] for i in range(rank) for j in range(i)):
+            raise RootSystemError(f"symmetrized form of {series}{rank} is not symmetric")
         self._build_roots()
 
     # -- construction -----------------------------------------------------
@@ -205,8 +210,9 @@ class RootSystem:
             _neg(v) for v in positives
         )
         self.num_positive = len(positives)
+        if set(self.roots) != seen:
+            raise RootSystemError(f"roots of {self.series}{self.rank} not closed under -1")
         self.index = {v: i for i, v in enumerate(self.roots)}
-        assert len(self.roots) == 2 * self.num_positive
         self.simple_indices = tuple(
             self.index[tuple(1 if k == i else 0 for k in range(self.rank))]
             for i in range(self.rank)
@@ -311,15 +317,20 @@ class RootSystem:
             self._simple_refl_cache[i] = self.reflection(self.simple_indices[i])
         return self._simple_refl_cache[i]
 
-    def longest_element(self) -> "WeylElement":
-        """The unique element sending every positive root to a negative one.
+    def longest_element(self, simple: Optional[Iterable[int]] = None) -> "WeylElement":
+        """The longest element of the parabolic subgroup generated by the
+        given simple indices (all of them by default): the unique element
+        of that subgroup sending each of its positive roots to a negative one.
 
-        Built greedily: while some simple root stays positive, append that
-        reflection (each step raises the length by one).
+        Built greedily: while some simple root of the subgroup stays
+        positive, append that reflection (each step raises the length by one).
         """
+        indices = range(self.rank) if simple is None else sorted(simple)
+        if any(not 0 <= i < self.rank for i in indices):
+            raise RootSystemError(f"simple indices {tuple(indices)} out of range")
         w = self.identity_element()
         while True:
-            for i in range(self.rank):
+            for i in indices:
                 if w.act_index(self.simple_indices[i]) < self.num_positive:
                     w = w * self.simple_reflection(i)
                     break
@@ -336,23 +347,36 @@ class RootSystem:
         predicted = self.weyl_order()
         if predicted > order_cap:
             raise CapExceededError(predicted, order_cap)
-        gens = [self.simple_reflection(i) for i in range(self.rank)]
-        ident = self.identity_element()
-        seen = {ident.perm}
-        level = [ident.perm]
-        length = 0
-        while level:
-            for perm in level:
-                yield WeylElement(self, perm), length
-            nxt = set()
-            for perm in level:
-                for g in gens:
-                    q = tuple(perm[p] for p in g.perm)  # w * s_i
-                    if q not in seen:
-                        nxt.add(q)
-            seen |= nxt
-            level = sorted(nxt)
-            length += 1
+        gens = [self.simple_reflection(i).perm for i in range(self.rank)]
+        for perm, length in permutation_bfs(gens, len(self.roots)):
+            yield WeylElement(self, perm), length
+
+
+def permutation_bfs(
+    gens: Sequence[Tuple[int, ...]], degree: int
+) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """Every element of the group generated by the permutations ``gens`` of
+    range(degree), once each, with its word length in the generators.
+
+    Breadth-first over right multiplication (w -> w * g) with a hash set of
+    permutations; each length level is yielded in sorted order.
+    """
+    ident = tuple(range(degree))
+    seen = {ident}
+    level = [ident]
+    length = 0
+    while level:
+        for perm in level:
+            yield perm, length
+        nxt = set()
+        for perm in level:
+            for g in gens:
+                q = tuple(perm[i] for i in g)
+                if q not in seen:
+                    nxt.add(q)
+        seen |= nxt
+        level = sorted(nxt)
+        length += 1
 
 
 @dataclass(frozen=True)
@@ -546,58 +570,19 @@ def lattice_quotient(
     n = len(gen)
     if n == 0:
         return FiniteAbelianGroup(())
-    dim = len(gen[0])
     # express each sublattice row in the generator basis (exact solve)
+    gen_columns = [list(col) for col in zip(*gen)]
     coords = []
     for row in sub:
-        coords.append(_solve_integer(gen, row, dim))
+        x = linalg.solve(gen_columns, row)
+        if x is None or any(c.denominator != 1 for c in x):
+            raise RootSystemError("sublattice row is not in the ambient lattice")
+        coords.append([int(c) for c in x])
     diag = smith_normal_form(coords) if coords else []
     rank = len(diag)
     if rank < n:
         raise NonFiniteQuotientError(n - rank)
     return FiniteAbelianGroup.from_diagonal(diag)
-
-
-def _solve_integer(basis_rows, target, dim) -> list[int]:
-    """Solve x * basis = target exactly over Q, requiring integer x."""
-    n = len(basis_rows)
-    # Gaussian elimination on the transposed system with Fractions
-    A = [[Fraction(basis_rows[i][j]) for i in range(n)] for j in range(dim)]
-    b = [Fraction(t) for t in target]
-    piv_cols = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, dim):
-            if A[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        A[row], A[sel] = A[sel], A[row]
-        b[row], b[sel] = b[sel], b[row]
-        inv = 1 / A[row][col]
-        A[row] = [a * inv for a in A[row]]
-        b[row] *= inv
-        for r in range(dim):
-            if r != row and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * p for a, p in zip(A[r], A[row])]
-                b[r] -= f * b[row]
-        piv_cols.append(col)
-        row += 1
-    x = [Fraction(0)] * n
-    for r, col in enumerate(piv_cols):
-        x[col] = b[r]
-    for r in range(row, dim):
-        if b[r] != 0:
-            raise RootSystemError("sublattice row is not in the ambient lattice")
-    out = []
-    for val in x:
-        if val.denominator != 1:
-            raise RootSystemError("sublattice row is not in the ambient lattice")
-        out.append(int(val))
-    return out
 
 
 def cokernel(columns: Sequence[Sequence[int]], ambient_rank: int) -> FiniteAbelianGroup:

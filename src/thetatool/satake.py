@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import linalg
 from .rootsys import Root, RootSystem, RootSystemError, WeylElement, build_root_system
 
 
@@ -69,7 +69,6 @@ class SatakeInvolution:
         self.central_split = central_split
         self.central_compact = central_compact
         self._theta_perm: Optional[Tuple[int, ...]] = None
-        self._wI: Optional[WeylElement] = None
 
     # -- basic derived data --------------------------------------------------
 
@@ -88,26 +87,16 @@ class SatakeInvolution:
             out[self.psi[i]] = c
         return tuple(out)
 
+    @cached_property
     def _w_I(self) -> WeylElement:
         """Longest element of the parabolic subgroup W_I."""
-        if self._wI is None:
-            rs = self.ambient
-            w = rs.identity_element()
-            while True:
-                for i in sorted(self.compact):
-                    if w.act_index(rs.simple_indices[i]) < rs.num_positive:
-                        w = w * rs.simple_reflection(i)
-                        break
-                else:
-                    break
-            self._wI = w
-        return self._wI
+        return self.ambient.longest_element(self.compact)
 
     def theta_perm(self) -> Tuple[int, ...]:
         """theta as a permutation of the ambient root list."""
         if self._theta_perm is None:
             rs = self.ambient
-            wI = self._w_I()
+            wI = self._w_I
             perm = []
             for v in rs.roots:
                 img = wI.act(self.psi_vector(v))
@@ -138,7 +127,7 @@ class SatakeInvolution:
             e = tuple(1 if k == i else 0 for k in range(n))
             t = self.theta_star(e)
             cols.append([t[k] + e[k] for k in range(n)])
-        return n - _rational_rank(cols)
+        return n - linalg.rank(cols)
 
     def out_class(self) -> Tuple[int, ...]:
         """Image of theta in the outer automorphism group, as a diagram
@@ -182,7 +171,7 @@ class SatakeInvolution:
         if not fixed <= compact_roots:
             failures.append("theta* fixes roots outside Phi_I")
         # the two expressions -w_I psi and -psi w_I must agree
-        wI = self._w_I()
+        wI = self._w_I
         for v in rs.roots:
             lhs = self.theta_star(v)
             rhs = tuple(-x for x in self.psi_vector(wI.act(v)))
@@ -205,11 +194,13 @@ class SatakeInvolution:
         dim_a = self.minus_one_rank() + self.central_split
         dim_g = rs.rank + len(rs.roots) + self.central_split + self.central_compact
         half, rem = divmod(len(rs.roots) - n_compact, 2)
-        assert rem == 0
+        if rem:
+            raise SatakeError("Phi_S minus Phi_I has an odd number of roots")
         dim_p = dim_a + half
         dim_k = dim_g - dim_p
         dim_m = (rs.rank - self.minus_one_rank()) + self.central_compact + n_compact
-        assert dim_m - dim_a == dim_k - dim_p, "centralizer dimension identity failed"
+        if dim_m - dim_a != dim_k - dim_p:
+            raise SatakeError("centralizer dimension identity failed")
         return KPDimensions(dim_g, dim_k, dim_p, dim_a, dim_m)
 
     def __repr__(self) -> str:
@@ -236,31 +227,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def _rational_rank(rows: Sequence[Sequence[int]]) -> int:
-    M = [[Fraction(x) for x in row] for row in rows]
-    if not M:
-        return 0
-    nrows, ncols = len(M), len(M[0])
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(rank, nrows):
-            if M[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        M[rank], M[sel] = M[sel], M[rank]
-        inv = 1 / M[rank][col]
-        M[rank] = [x * inv for x in M[rank]]
-        for r in range(nrows):
-            if r != rank and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[rank])]
-        rank += 1
-    return rank
 
 
 # -- catalog ------------------------------------------------------------------

@@ -125,3 +125,55 @@ def test_report_with_prime(capsys):
         capsys, "report", "G", "2", "G", "--format", "json", "--prime", "3"
     )
     assert json.loads(out)["p_good"]["good"] is False
+
+
+def test_report_composite_prime_not_good(capsys):
+    for argv in (("A", "3", "AI", "--prime", "9"), ("G", "2", "G", "--prime", "15")):
+        code, out, _ = run_cli(capsys, "report", *argv, "--format", "json")
+        assert code == 0
+        pg = json.loads(out)["p_good"]
+        assert pg["good"] is False
+        assert pg["witness"] == f"p = {pg['p']} is not an odd prime"
+
+
+def test_invalid_cap_exit_2(capsys):
+    for cap in ("-1", "0", "2.5", "lots"):
+        code, out, err = run_cli(capsys, "report", "A", "2", "AI", "--cap", cap)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+
+def test_invalid_cap_environment_exit_2(capsys, monkeypatch):
+    for value in ("lots", "-5"):
+        monkeypatch.setenv("THETA_TOOL_CAP", value)
+        for argv in (("report", "A", "2", "AI"), ("verify", "w0")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "error:" in err and "THETA_TOOL_CAP" in err
+
+
+def test_cap_environment_float_notation(capsys, monkeypatch):
+    monkeypatch.setenv("THETA_TOOL_CAP", "1e9")
+    code, out, _ = run_cli(capsys, "report", "E", "8", "EVIII", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["weyl"]["poincare"] is not None
+
+
+def test_computation_errors_exit_1(capsys, monkeypatch):
+    from thetatool import restricted
+    from thetatool.nilcomp import ComponentCountError, OmegaError
+    from thetatool.weylinv import DegreeError
+
+    for exc_type in (restricted.RestrictionError, DegreeError, OmegaError,
+                     ComponentCountError):
+        def broken(inv, exc_type=exc_type):
+            raise exc_type("injected failure")
+
+        monkeypatch.setattr(restricted, "restrict", broken)
+        for argv in (("report", "A", "2", "AI"), ("list", "A", "2")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert err == "error: injected failure\n"

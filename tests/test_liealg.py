@@ -148,6 +148,22 @@ def test_chevalley_involution_g2():
     pair.check_grading()
 
 
+def test_bracket_rows_match_bracket_vec():
+    alg = build_algebra("G", 2, 7)
+    rng = np.random.default_rng(3)
+    left = rng.integers(0, 7, size=(3, alg.dim))
+    right = rng.integers(0, 7, size=(4, alg.dim))
+    want = [alg.bracket_vec(x, y) for x in left for y in right]
+    assert np.array_equal(np.mod(alg.bracket_rows(left, right), 7), want)
+
+
+def test_grading_check_rejects_swapped_eigenspaces():
+    pair = realize_chevalley_involution(build_algebra("G", 2, 7))
+    pair.k_basis, pair.p_basis = pair.p_basis, pair.k_basis
+    with pytest.raises(LieAlgebraError, match=r"grading law \[k,k\] in k fails"):
+        pair.check_grading()
+
+
 def test_centralizer_at_zero():
     alg = build_algebra("B", 2, 5)
     pair = realize_chevalley_involution(alg)

@@ -1,0 +1,276 @@
+"""Exact linear algebra over Q and F_p, checked against the loop-based
+eliminations it replaced (kept below, verbatim in substance, as reference
+oracles) on random, low-rank, empty and zero matrices."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import List, Optional
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from thetatool import linalg
+
+PRIMES = st.sampled_from([3, 5, 7, 11, 13])
+
+
+# -- reference oracles ------------------------------------------------------------
+
+
+def ref_rank_mod_p(mat: np.ndarray, p: int) -> int:
+    M = np.mod(np.array(mat, dtype=np.int64), p)
+    rows, cols = M.shape
+    rank = 0
+    for c in range(cols):
+        piv = None
+        for r in range(rank, rows):
+            if M[r][c] % p:
+                piv = r
+                break
+        if piv is None:
+            continue
+        M[[rank, piv]] = M[[piv, rank]]
+        inv = pow(int(M[rank][c]), p - 2, p)
+        M[rank] = (M[rank] * inv) % p
+        for r in range(rows):
+            if r != rank and M[r][c]:
+                M[r] = (M[r] - M[r][c] * M[rank]) % p
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def ref_eigenspace(mat: np.ndarray, eigval: int, p: int) -> np.ndarray:
+    """Basis (rows, reduced echelon) of ker(mat - eigval) over F_p."""
+    n = mat.shape[0]
+    M = np.mod(mat - eigval * np.eye(n, dtype=np.int64), p)
+    A = M.copy()
+    pivots = []
+    rank = 0
+    for c in range(n):
+        piv = None
+        for r in range(rank, n):
+            if A[r][c] % p:
+                piv = r
+                break
+        if piv is None:
+            continue
+        A[[rank, piv]] = A[[piv, rank]]
+        inv = pow(int(A[rank][c]), p - 2, p)
+        A[rank] = (A[rank] * inv) % p
+        for r in range(n):
+            if r != rank and A[r][c]:
+                A[r] = (A[r] - A[r][c] * A[rank]) % p
+        pivots.append(c)
+        rank += 1
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k][fc] = 1
+        for r, pc in enumerate(pivots):
+            basis[k][pc] = (-A[r][fc]) % p
+    return basis
+
+
+def ref_in_row_span(basis: np.ndarray, v: np.ndarray, p: int) -> bool:
+    """Membership v in rowspan(basis) over F_p, by reduction against the RREF."""
+    rows = basis.shape[0]
+    n = basis.shape[1] if rows else 0
+    A = np.mod(np.array(basis, dtype=np.int64), p)
+    pivots = []
+    rank = 0
+    for c in range(n):
+        piv = None
+        for r in range(rank, rows):
+            if A[r][c] % p:
+                piv = r
+                break
+        if piv is None:
+            continue
+        A[[rank, piv]] = A[[piv, rank]]
+        inv = pow(int(A[rank][c]), p - 2, p)
+        A[rank] = (A[rank] * inv) % p
+        for r in range(rows):
+            if r != rank and A[r][c]:
+                A[r] = (A[r] - A[r][c] * A[rank]) % p
+        pivots.append(c)
+        rank += 1
+    w = np.mod(np.array(v, dtype=np.int64), p)
+    for r, c in enumerate(pivots):
+        if w[c]:
+            w = (w - w[c] * A[r]) % p
+    return not np.any(w)
+
+
+def ref_solve_rational(
+    matrix: List[List[Fraction]], target: List[Fraction]
+) -> Optional[List[Fraction]]:
+    """Solve matrix @ x = target over Q; None when inconsistent."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    A = [row[:] + [t] for row, t in zip(matrix, target)]
+    piv = []
+    r = 0
+    for c in range(cols):
+        sel = next((i for i in range(r, rows) if A[i][c] != 0), None)
+        if sel is None:
+            continue
+        A[r], A[sel] = A[sel], A[r]
+        inv = 1 / A[r][c]
+        A[r] = [x * inv for x in A[r]]
+        for i in range(rows):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        piv.append(c)
+        r += 1
+    for i in range(r, rows):
+        if A[i][cols] != 0:
+            return None
+    x = [Fraction(0)] * cols
+    for i, c in enumerate(piv):
+        x[c] = A[i][cols]
+    return x
+
+
+# -- strategies -------------------------------------------------------------------
+
+
+def dims(max_size=7):
+    return st.integers(0, max_size)
+
+
+@st.composite
+def int_matrices(draw, rows=None, cols=None):
+    """Random integer matrices, half of them products of thin factors so
+    that low ranks (and the zero matrix, at inner dimension 0) are common."""
+    m = draw(dims()) if rows is None else rows
+    n = draw(dims()) if cols is None else cols
+    if draw(st.booleans()):
+        return draw(arrays(np.int64, (m, n), elements=st.integers(-20, 20)))
+    k = draw(st.integers(0, 3))
+    left = draw(arrays(np.int64, (m, k), elements=st.integers(-4, 4)))
+    right = draw(arrays(np.int64, (k, n), elements=st.integers(-4, 4)))
+    return left @ right
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(dims())
+    return draw(int_matrices(rows=n, cols=n))
+
+
+# -- F_p -----------------------------------------------------------------------------
+
+
+@settings(deadline=None)
+@given(int_matrices(), PRIMES)
+def test_rank_mod_p_matches_reference(mat, p):
+    assert linalg.rank_mod_p(mat, p) == ref_rank_mod_p(mat, p)
+
+
+@settings(deadline=None)
+@given(square_matrices(), st.integers(-3, 3), PRIMES)
+def test_kernel_byte_equal_to_eigenspace(mat, eigval, p):
+    n = mat.shape[0]
+    got = linalg.kernel_mod_p(mat - eigval * np.eye(n, dtype=np.int64), p)
+    want = ref_eigenspace(mat, eigval, p)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None)
+@given(int_matrices(), PRIMES)
+def test_rank_plus_nullity(mat, p):
+    kernel = linalg.kernel_mod_p(mat, p)
+    ncols = mat.shape[1]
+    assert kernel.shape == (ncols - linalg.rank_mod_p(mat, p), ncols)
+    assert not np.any(np.mod(mat @ kernel.T, p))
+    assert linalg.rank_mod_p(kernel, p) == kernel.shape[0]
+
+
+@settings(deadline=None)
+@given(st.data(), PRIMES)
+def test_row_span_membership_by_rank(data, p):
+    basis = data.draw(int_matrices())
+    n = basis.shape[1]
+    if data.draw(st.booleans()):
+        coeffs = data.draw(arrays(np.int64, (basis.shape[0],), elements=st.integers(-9, 9)))
+        v = coeffs @ basis if basis.shape[0] else np.zeros(n, dtype=np.int64)
+    else:
+        v = data.draw(arrays(np.int64, (n,), elements=st.integers(-20, 20)))
+    by_rank = linalg.rank_mod_p(np.vstack([basis, v]), p) == linalg.rank_mod_p(basis, p)
+    assert by_rank == ref_in_row_span(basis, v, p)
+
+
+def test_rref_mod_p_shape_and_edge_cases():
+    R, pivots = linalg.rref_mod_p(np.array([[2, 4, 1], [1, 2, 0]]), 5)
+    assert pivots == [0, 2]
+    assert R.tolist() == [[1, 2, 0], [0, 0, 1]]
+    assert linalg.rank_mod_p(np.zeros((0, 4), dtype=np.int64), 7) == 0
+    assert linalg.kernel_mod_p(np.zeros((0, 3), dtype=np.int64), 7).tolist() == [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1]
+    ]
+    assert linalg.kernel_mod_p(np.zeros((4, 0), dtype=np.int64), 7).shape == (0, 0)
+    assert linalg.rank_mod_p(np.zeros((3, 3), dtype=np.int64), 3) == 0
+
+
+@pytest.mark.parametrize("p", [2**31, 2**31 + 11, 2**61 - 1])
+def test_large_modulus_rejected(p):
+    mat = np.eye(2, dtype=np.int64)
+    for call in (linalg.rref_mod_p, linalg.rank_mod_p, linalg.kernel_mod_p):
+        with pytest.raises(linalg.LinalgError):
+            call(mat, p)
+
+
+@settings(deadline=None)
+@given(arrays(np.int64, (2, 2), elements=st.integers(0, 2**31 - 2)))
+def test_largest_modulus_is_exact(mat):
+    p = 2**31 - 1  # prime; products of residues reach 2**62
+    a, b, c, d = (int(x) for x in mat.ravel())
+    want = 2 if (a * d - b * c) % p else (1 if any((a, b, c, d)) else 0)
+    assert linalg.rank_mod_p(mat, p) == want
+
+
+# -- Q -------------------------------------------------------------------------------
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_solve_over_q(data):
+    mat = data.draw(int_matrices())
+    m, n = mat.shape
+    consistent = data.draw(st.booleans())
+    if consistent:
+        x0 = data.draw(arrays(np.int64, (n,), elements=st.integers(-9, 9)))
+        target = mat @ x0 if n else np.zeros(m, dtype=np.int64)
+    else:
+        target = data.draw(arrays(np.int64, (m,), elements=st.integers(-20, 20)))
+    rows = [[int(x) for x in row] for row in mat]
+    rhs = [int(t) for t in target]
+    x = linalg.solve(rows, rhs)
+    want = ref_solve_rational(
+        [[Fraction(v) for v in row] for row in rows], [Fraction(t) for t in rhs]
+    )
+    assert x == want
+    if consistent:
+        assert x is not None
+    if x is not None and m:
+        assert len(x) == n
+        assert [sum(a * xi for a, xi in zip(row, x)) for row in rows] == rhs
+
+
+def test_solve_and_rank_edge_cases():
+    assert linalg.solve([], []) == []
+    assert linalg.solve([[], []], [0, 0]) == []
+    assert linalg.solve([[], []], [0, 1]) is None
+    assert linalg.solve([[2, 0], [0, 4]], [1, 1]) == [Fraction(1, 2), Fraction(1, 4)]
+    assert linalg.solve([[1, 1], [1, 1]], [1, 2]) is None
+    assert linalg.rank([]) == 0
+    assert linalg.rank([[0, 0], [0, 0]]) == 0
+    assert linalg.rank([[1, 2], [2, 4], [0, 1]]) == 2

@@ -278,3 +278,9 @@ def test_multiplicity_profiles_match_classification_tables():
         for _, m in rrs.multiplicity_table():
             got[m] = got.get(m, 0) + 1
         assert got == hist, (series, rank, label, got)
+
+
+def test_check_p_good_rejects_composites():
+    for series, rank, label, p in (("A", 3, "AI", 9), ("G", 2, "G", 15), ("A", 1, "AI", 1)):
+        rrs = restrict(catalog_lookup(series, rank, label).satake)
+        assert rrs.check_p_good(p) == (False, f"p = {p} is not an odd prime")
