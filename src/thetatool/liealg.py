@@ -21,17 +21,30 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .rootsys import Root, RootSystem, _neg, build_root_system, is_odd_prime
+from .rootsys import (
+    Root,
+    RootSystem,
+    _neg,
+    build_root_system,
+    good_primes_from,
+    is_odd_prime,
+)
 
 
 class LieAlgebraError(ValueError):
     """Bad prime, inconsistent constants, or a non-automorphism."""
 
 
-def good_primes_from(rs: RootSystem) -> int:
-    """Smallest good odd prime bound: p is good iff p > every highest-root
-    coefficient (and p != 2 always)."""
-    return max(rs.highest_root)
+# Largest |entry| of an integral ad matrix: |N_{a,b}| = q + 1 <= 3, Cartan
+# integers are at most 3, and a coroot has simple-coroot coefficients at
+# most 6 (the highest root of E8).
+_AD_ENTRY_BOUND = 6
+
+
+def _brackets_fit_int64(dim: int, p: int) -> bool:
+    """``bracket_vec`` of two reduced vectors sums dim^2 products of two
+    residues and an ad entry: all of them must stay below 2**63."""
+    return _AD_ENTRY_BOUND * dim * dim * (p - 1) ** 2 < 2**63
 
 
 class ModularLieAlgebra:
@@ -43,6 +56,12 @@ class ModularLieAlgebra:
     """
 
     def __init__(self, rs: RootSystem, p: int, check: bool = True):
+        dim = rs.rank + len(rs.roots)
+        if not _brackets_fit_int64(dim, p):
+            raise LieAlgebraError(
+                f"p = {p} is too large for exact int64 brackets of "
+                f"{rs.series}{rs.rank} (dimension {dim})"
+            )
         if not is_odd_prime(p):
             raise LieAlgebraError(f"p = {p} is not an odd prime")
         bound = good_primes_from(rs)
@@ -53,7 +72,7 @@ class ModularLieAlgebra:
             )
         self.rs = rs
         self.p = p
-        self.dim = rs.rank + len(rs.roots)
+        self.dim = dim
         self._nconst: Dict[Tuple[int, int], int] = {}
         self._build_constants()
         self._ad = self._adjoint_matrices()

@@ -66,6 +66,16 @@ def solve(matrix: Sequence[Sequence], target: Sequence) -> Optional[List[Fractio
     return x
 
 
+def inverse(rows: Sequence[Sequence]) -> Optional[List[List[Fraction]]]:
+    """The inverse over Q of a square matrix, or None when it is singular."""
+    n = len(rows)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    R, pivots = rref([list(row) + e for row, e in zip(rows, identity)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in R]
+
+
 # -- over F_p ------------------------------------------------------------------
 
 

@@ -3,20 +3,34 @@
 The restriction of an ambient root a to the maximal split torus is
 (a - theta(a))/2.  To stay in integer arithmetic we store the *doubled*
 restriction d(a) = a - theta(a) throughout; Cartan integers are unaffected
-by the scaling.  The reduced subsystem consists of the indivisible
-restricted roots; its type is recognized from the Cartan matrix on the
-restricted basis, and the baby Weyl group is realized as permutations of
-the restricted-root vectors generated by the basis reflections.
+by the scaling.  Every Cartan integer, reflection and membership test on
+restricted roots goes through one ``GramKernel`` over the doubled roots.
+The reduced subsystem consists of the indivisible restricted roots; its
+type is recognized from the Cartan matrix on the restricted basis, and the
+baby Weyl group is realized as permutations of the restricted-root vectors
+generated by the basis reflections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import linalg
-from .rootsys import CapExceededError, Root, is_odd_prime, permutation_bfs, weyl_order
+from .rootsys import (
+    CapExceededError,
+    GramKernel,
+    Root,
+    RootSystemError,
+    good_primes_from,
+    is_odd_prime,
+    permutation_bfs,
+    weyl_order,
+)
 from .satake import SatakeInvolution
 
 
@@ -113,9 +127,14 @@ class RestrictedRootSystem:
         self.multipliable = frozenset(
             d for d in self.doubled if tuple(2 * x for x in d) in self._index
         )
-        self._check_axioms()
+        kernel = self.gram_kernel()
+        self._check_axioms(kernel)
+        pi_idx = [self._index[d] for d in self.pi]
+        cartan, _ = kernel.cartan_rows(kernel.vectors[pi_idx])
+        self._pi_cartan = tuple(tuple(row) for row in cartan[:, pi_idx].tolist())
+        self._pi_norms = tuple(kernel.norms[pi_idx].tolist())
         self.factors: Tuple[SimpleFactor, ...] = self._classify()
-        self._pi_coords: Dict[Root, Tuple[int, ...]] = self._compute_pi_coords()
+        self._pi_coords: Dict[Root, Tuple[int, ...]] = self._compute_pi_coords(kernel)
 
     # -- setup helpers -------------------------------------------------------
 
@@ -125,9 +144,17 @@ class RestrictedRootSystem:
                 return c > 0
         return False
 
+    def gram_kernel(self) -> GramKernel:
+        """The Gram kernel of the doubled roots.  It is built afresh on each
+        call, so that memoized systems keep no arrays."""
+        return GramKernel(self.doubled, self.inv.ambient.form)
+
     def pairing(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """Cartan integer <a, b^vee> of restricted (doubled) vectors."""
-        return self.inv.ambient.pair_coroot(a, b)
+        """Cartan integer <a, b^vee> of restricted (doubled) roots."""
+        i, j = self.index_of(a), self.index_of(b)
+        kernel = self.gram_kernel()
+        cartan, _ = kernel.cartan_rows(kernel.vectors[i : i + 1])
+        return int(cartan[0, j])
 
     def index_of(self, d: Sequence[int]) -> int:
         try:
@@ -138,20 +165,33 @@ class RestrictedRootSystem:
     def is_restricted_root(self, d: Sequence[int]) -> bool:
         return tuple(d) in self._index
 
-    def _check_axioms(self) -> None:
-        """Closure under reflections, integral Cartan numbers, no 3a."""
-        for a in self.doubled:
-            for b in self.doubled:
-                c = self.pairing(a, b)  # raises if non-integral
-                img = tuple(x - c * y for x, y in zip(a, b))
-                if img not in self._index:
-                    raise RestrictionError(
-                        f"restricted roots not closed under reflection: "
-                        f"s_{b}({a}) = {img}"
-                    )
-            triple = tuple(3 * x for x in a)
-            if triple in self._index:
+    def _check_axioms(self, kernel: GramKernel) -> None:
+        """Closure under reflections, integral Cartan numbers, no 3a.
+
+        Reads the kernel's reflection table block by block.  The first
+        failure in the order (a, b), a's own 3a check after its row, is the
+        one raised: RootSystemError for a non-integral pairing,
+        RestrictionError otherwise.
+        """
+        triples = np.flatnonzero(kernel.lookup(3 * kernel.vectors) >= 0)
+        first_triple = int(triples[0]) if triples.size else len(self.doubled)
+        for start, cartan, integral, images in kernel.reflection_blocks():
+            bad = np.flatnonzero((images < 0) | ~integral)
+            i, j = divmod(int(bad[0]), cartan.shape[1]) if bad.size else (len(cartan), 0)
+            if first_triple < start + i:  # rows before the first bad one pass
+                a = self.doubled[first_triple]
                 raise RestrictionError(f"3a is a restricted root for a = {a}")
+            if not bad.size:
+                continue
+            a, b = self.doubled[start + i], self.doubled[j]
+            if not integral[i, j]:
+                raise RootSystemError(f"non-integral Cartan pairing of {a} with {b}")
+            c = int(cartan[i, j])
+            img = tuple(x - c * y for x, y in zip(a, b))
+            raise RestrictionError(
+                f"restricted roots not closed under reflection: "
+                f"s_{b}({a}) = {img}"
+            )
 
     # -- classification --------------------------------------------------------
 
@@ -169,7 +209,7 @@ class RestrictedRootSystem:
 
     def _classify(self) -> Tuple[SimpleFactor, ...]:
         n = self.r0
-        C = [[self.pairing(self.pi[i], self.pi[j]) for j in range(n)] for i in range(n)]
+        C = self._pi_cartan
         # connected components of the Coxeter graph on pi
         seen: set[int] = set()
         comps: List[List[int]] = []
@@ -199,7 +239,7 @@ class RestrictedRootSystem:
             sorted(factors, key=lambda f: (f.series, f.rank, f.basis))
         )
 
-    def _component_series(self, comp: List[int], C: List[List[int]]) -> str:
+    def _component_series(self, comp: List[int], C: Sequence[Sequence[int]]) -> str:
         k = len(comp)
         if k == 1:
             return "A"
@@ -215,7 +255,7 @@ class RestrictedRootSystem:
         if bond == 2:
             if k == 2:
                 return "B"  # B2 = C2, canonical name
-            norms = [self.inv.ambient.norm2(self.pi[comp[i]]) for i in range(k)]
+            norms = [self._pi_norms[comp[i]] for i in range(k)]
             short = min(norms)
             n_short = sum(1 for x in norms if x == short)
             if k == 4 and n_short == 2:
@@ -281,10 +321,7 @@ class RestrictedRootSystem:
         return out
 
     def cartan_matrix(self) -> List[List[int]]:
-        n = self.r0
-        return [
-            [self.pairing(self.pi[i], self.pi[j]) for j in range(n)] for i in range(n)
-        ]
+        return [list(row) for row in self._pi_cartan]
 
     def multiplicity_table(self) -> List[Tuple[Tuple[int, ...], int]]:
         """Positive restricted roots in pi-coordinates with multiplicities."""
@@ -293,18 +330,35 @@ class RestrictedRootSystem:
             out.append((self._pi_coords[d], self.multiplicity[d]))
         return out
 
-    def _compute_pi_coords(self) -> Dict[Root, Tuple[int, ...]]:
-        """Express each doubled root in the basis pi (integer coordinates)."""
-        coords: Dict[Root, Tuple[int, ...]] = {}
-        n = self.r0
-        rank = self.inv.ambient.rank
-        pi_columns = [[self.pi[j][k] for j in range(n)] for k in range(rank)]
-        for d in self.doubled:
-            sol = linalg.solve(pi_columns, d)
-            if sol is None or any(f.denominator != 1 for f in sol):
-                raise RestrictionError(f"{d} has non-integer pi-coordinates")
-            coords[d] = tuple(int(f) for f in sol)
-        return coords
+    def _compute_pi_coords(self, kernel: GramKernel) -> Dict[Root, Tuple[int, ...]]:
+        """Express each doubled root in the basis pi (integer coordinates).
+
+        With P the r0 x n matrix of pi and J the pivot columns of P, the
+        coordinates of the rows D of the doubled roots are X = D_J P_J^{-1}:
+        one exact inverse, scaled to integers by the common denominator L,
+        and one integer product, kept where L divides it and X P = D.
+        """
+        if not self.r0:
+            return {}
+        D = kernel.vectors
+        P = np.array(self.pi, dtype=np.int64).reshape(self.r0, D.shape[1])
+        _, cols = linalg.rref(self.pi)
+        inv = linalg.inverse(P[:, cols].tolist()) if len(cols) == self.r0 else None
+        if inv is None:
+            raise RestrictionError("restricted basis is linearly dependent")
+        L = lcm(*(f.denominator for row in inv for f in row))
+        A = [[int(f * L) for f in row] for row in inv]
+        a_max = max(abs(x) for row in A for x in row)
+        d_max = max(abs(x) for d in self.doubled for x in d)
+        if a_max * d_max * self.r0 >= 2**63:
+            raise RestrictionError("pi-coordinates exceed int64")
+        scaled = D[:, cols] @ np.array(A, dtype=np.int64)
+        X = scaled // L
+        bad = (scaled % L != 0).any(axis=1) | (X @ P != D).any(axis=1)
+        if bad.any():
+            d = self.doubled[int(np.flatnonzero(bad)[0])]
+            raise RestrictionError(f"{d} has non-integer pi-coordinates")
+        return dict(zip(self.doubled, map(tuple, X.tolist())))
 
     def pi_coords(self, d: Sequence[int]) -> Tuple[int, ...]:
         return self._pi_coords[tuple(d)]
@@ -329,8 +383,9 @@ class RestrictedRootSystem:
         """Is p a good prime for the restricted root system?
 
         Good means p exceeds every coefficient of the highest root of each
-        simple factor of the reduced subsystem.  The witness names the
-        violating coefficient; the 3a-exclusion is re-asserted as well.
+        simple factor of the reduced subsystem, and of the highest root of
+        the ambient system.  The witness names the violating coefficient;
+        the 3a-exclusion is re-asserted as well.
         """
         if not is_odd_prime(p):
             return False, f"p = {p} is not an odd prime"
@@ -345,18 +400,24 @@ class RestrictedRootSystem:
                     f"highest root of factor {f.type_name} has coefficient "
                     f"{worst} >= p = {p}",
                 )
+        rs = self.inv.ambient
+        worst = good_primes_from(rs)
+        if p <= worst:
+            return (
+                False,
+                f"highest root of ambient {rs.series}{rs.rank} has coefficient "
+                f"{worst} >= p = {p}",
+            )
         return True, "good"
 
     # -- baby Weyl group ----------------------------------------------------------
 
     def reflection_perm(self, d: Sequence[int]) -> Tuple[int, ...]:
         """s_d as a permutation of the restricted root list."""
-        d = tuple(d)
-        perm = []
-        for a in self.doubled:
-            c = self.pairing(a, d)
-            perm.append(self.index_of(tuple(x - c * y for x, y in zip(a, d))))
-        return tuple(perm)
+        images, integral = self.gram_kernel().reflection(self.index_of(d))
+        if not integral.all() or (images < 0).any():
+            raise RestrictionError(f"restricted roots not closed under s_{tuple(d)}")
+        return tuple(images.tolist())
 
     def baby_weyl(self, order_cap: int) -> "BabyWeylGroup":
         """The little Weyl group W_A acting on the restricted roots.

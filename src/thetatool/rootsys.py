@@ -2,7 +2,9 @@
 
 Roots are integer coordinate vectors in the simple-root basis; all pairings
 go through the (symmetrized) Cartan matrix, so there is no floating point
-anywhere.  Weyl group elements are permutations of the (finite, canonically
+anywhere.  Bulk pairings go through one integer kernel, ``GramKernel``: a
+block of rows of the Gram table V F V^T of a vector list V is one matrix
+product.  Weyl group elements are permutations of the (finite, canonically
 ordered) root list.  The module also provides Smith-normal-form arithmetic
 for integer lattice quotients, which is how fundamental groups and their
 two-torsion are computed downstream.
@@ -15,9 +17,11 @@ tuple), then the negative roots in the mirrored order, so that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt, prod
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import linalg
 
@@ -75,6 +79,12 @@ def degrees_for(series: str, rank: int) -> Tuple[int, ...]:
 def is_odd_prime(p: int) -> bool:
     """Trial division; 2 and every integer below it are rejected."""
     return p > 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def good_primes_from(rs: "RootSystem") -> int:
+    """The largest coefficient of the highest root: an odd prime p is good
+    for rs iff p exceeds it."""
+    return max(rs.highest_root)
 
 
 def weyl_order(series: str, rank: int) -> int:
@@ -151,6 +161,81 @@ def _root_halflengths(series: str, rank: int) -> Tuple[int, ...]:
     return tuple([1] * n)
 
 
+# Most integers in one block of reflection images (32 KiB of int64).
+_BLOCK_ENTRIES = 1 << 12
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of an int64 matrix: equal keys are equal rows."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+
+
+class GramKernel:
+    """Exact pairings and membership for a fixed list of integer vectors.
+
+    The vectors are the rows of an (M, n) int64 array V; F is the
+    symmetrized form.  The Gram table V F V^T is never stored: any block of
+    its rows is one product (rows F) V^T, and the Cartan integers
+    <v, v_j^vee> = 2 (v, v_j) / (v_j, v_j) are read off it with ``//`` and
+    an exact ``%`` check.  ``lookup`` finds integer vectors in the list by
+    binary search over their bytes.
+    """
+
+    def __init__(self, vectors: Sequence[Sequence[int]], form: Sequence[Sequence[int]]):
+        n = len(form)
+        self.form = np.array(form, dtype=np.int64).reshape(n, n)
+        self.vectors = np.array(vectors, dtype=np.int64).reshape(len(vectors), n)
+        self.norms = ((self.vectors @ self.form) * self.vectors).sum(axis=1)
+        self._keys = _row_keys(self.vectors)
+        self._order = np.argsort(self._keys)
+
+    def cartan_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Cartan integers <rows[a], v_b^vee> for every b, and the mask of
+        the entries where 2 (rows[a], v_b) / (v_b, v_b) is integral."""
+        num = 2 * ((rows @ self.form) @ self.vectors.T)
+        return num // self.norms, num % self.norms == 0
+
+    def lookup(self, queries: np.ndarray) -> np.ndarray:
+        """Index of each query row in the list, or -1 where it is absent."""
+        if not len(self._keys):
+            return np.full(len(queries), -1, dtype=np.int64)
+        keys = _row_keys(queries)
+        pos = np.searchsorted(self._keys, keys, sorter=self._order)
+        found = self._order[pos % len(self._keys)]
+        found[self._keys[found] != keys] = -1
+        return found
+
+    def reflection(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
+        """s_{v_j} on the list: the index of each s_{v_j}(v_i) (-1 where
+        absent), and where <v_i, v_j^vee> is integral.  The pairings are
+        column j of V F V^T."""
+        num = 2 * (self.vectors @ (self.form @ self.vectors[j]))
+        cartan = num // self.norms[j]
+        images = self.vectors - np.outer(cartan, self.vectors[j])
+        return self.lookup(images), num % self.norms[j] == 0
+
+    def reflection_blocks(
+        self,
+    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """The table of all reflections, in blocks of consecutive rows.
+
+        Yields (start, cartan, integral, images) where, for the rows
+        a = start, start + 1, ... and every b, cartan[a - start, b] is
+        <v_a, v_b^vee>, integral marks where it is an integer and
+        images[a - start, b] is the index of v_a - cartan * v_b (-1 where
+        absent).  A block holds at most _BLOCK_ENTRIES integers.
+        """
+        m, n = self.vectors.shape
+        step = max(1, _BLOCK_ENTRIES // max(1, m * n))
+        for start in range(0, m, step):
+            rows = self.vectors[start : start + step]
+            cartan, integral = self.cartan_rows(rows)
+            images = rows[:, None, :] - cartan[:, :, None] * self.vectors[None, :, :]
+            found = self.lookup(images.reshape(-1, n)).reshape(cartan.shape)
+            yield start, cartan, integral, found
+
+
 def _height(v: Root) -> int:
     return sum(v)
 
@@ -217,7 +302,11 @@ class RootSystem:
             self.index[tuple(1 if k == i else 0 for k in range(self.rank))]
             for i in range(self.rank)
         )
-        self._simple_refl_cache: dict[int, "WeylElement"] = {}
+
+    def gram_kernel(self) -> GramKernel:
+        """The Gram kernel of the root list.  It is built afresh on each
+        call, so that cached root systems keep no arrays."""
+        return GramKernel(self.roots, self.form)
 
     def _reflect_vector(self, v: Root, alpha: Root, j: int) -> Root:
         c = self.pair_coroot_simple(v, j)
@@ -294,28 +383,37 @@ class RootSystem:
     def identity_element(self) -> "WeylElement":
         return WeylElement(self, tuple(range(len(self.roots))), word=())
 
-    def reflection(self, root_index: int) -> "WeylElement":
-        """The reflection s_beta as a root permutation."""
+    def reflection(
+        self, root_index: int, kernel: Optional[GramKernel] = None
+    ) -> "WeylElement":
+        """The reflection s_beta as a root permutation; ``kernel`` is this
+        system's Gram kernel, when the caller already holds one."""
         if not 0 <= root_index < len(self.roots):
             raise RootSystemError(f"root index {root_index} out of range")
         beta = self.roots[root_index]
-        perm = []
-        for v in self.roots:
-            c = self.pair_coroot(v, beta)
-            img = tuple(v[k] - c * beta[k] for k in range(self.rank))
-            perm.append(self.index[img])
+        if kernel is None:
+            kernel = self.gram_kernel()
+        images, integral = kernel.reflection(root_index)
+        if not integral.all() or (images < 0).any():
+            raise RootSystemError(
+                f"roots of {self.series}{self.rank} not closed under s_{beta}"
+            )
+        perm = tuple(images.tolist())
         word: Optional[Tuple[int, ...]] = None
         if _height(beta) == 1:
             word = (beta.index(1),)
-        return WeylElement(self, tuple(perm), word=word)
+        return WeylElement(self, perm, word=word)
 
     def simple_reflection(self, i: int) -> "WeylElement":
         """s_{alpha_i} for a simple-root index i."""
         if not 0 <= i < self.rank:
             raise RootSystemError(f"simple index {i} out of range")
-        if i not in self._simple_refl_cache:
-            self._simple_refl_cache[i] = self.reflection(self.simple_indices[i])
-        return self._simple_refl_cache[i]
+        return self._simple_reflections[i]
+
+    @cached_property
+    def _simple_reflections(self) -> Tuple["WeylElement", ...]:
+        kernel = self.gram_kernel()
+        return tuple(self.reflection(j, kernel) for j in self.simple_indices)
 
     def longest_element(self, simple: Optional[Iterable[int]] = None) -> "WeylElement":
         """The longest element of the parabolic subgroup generated by the
@@ -325,7 +423,9 @@ class RootSystem:
         Built greedily: while some simple root of the subgroup stays
         positive, append that reflection (each step raises the length by one).
         """
-        indices = range(self.rank) if simple is None else sorted(simple)
+        if simple is None:
+            return self._longest
+        indices = sorted(simple)
         if any(not 0 <= i < self.rank for i in indices):
             raise RootSystemError(f"simple indices {tuple(indices)} out of range")
         w = self.identity_element()
@@ -337,6 +437,11 @@ class RootSystem:
             else:
                 break
         return w
+
+    @cached_property
+    def _longest(self) -> "WeylElement":
+        """The longest element w_0 of the whole Weyl group."""
+        return self.longest_element(range(self.rank))
 
     def enumerate_weyl(self, order_cap: int) -> Iterator[Tuple["WeylElement", int]]:
         """Yield every Weyl element exactly once with its length, BFS by

@@ -120,6 +120,10 @@ class SatakeInvolution:
 
     def minus_one_rank(self) -> int:
         """Dimension of the (-1)-eigenspace of theta* on the character lattice."""
+        return self._minus_one_rank
+
+    @cached_property
+    def _minus_one_rank(self) -> int:
         n = self.ambient.rank
         # columns of theta* + identity; (-1)-eigenspace dim = n - rank
         cols = []

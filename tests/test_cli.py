@@ -177,3 +177,16 @@ def test_computation_errors_exit_1(capsys, monkeypatch):
             assert code == 1
             assert out == ""
             assert err == "error: injected failure\n"
+
+
+def test_report_prime_bad_for_ambient_type(capsys):
+    code, out, _ = run_cli(
+        capsys, "report", "E", "8", "EIX", "--format", "json", "--prime", "5"
+    )
+    assert code == 0
+    assert json.loads(out)["p_good"] == {
+        "p": 5, "good": False,
+        "witness": "highest root of ambient E8 has coefficient 6 >= p = 5",
+    }
+    code, out, _ = run_cli(capsys, "report", "E", "8", "EIX", "--prime", "5")
+    assert "p = 5: NOT good (highest root of ambient E8" in out

@@ -313,3 +313,41 @@ def test_centdim_fails_outside_hypotheses():
             violated = True
             break
     assert violated, "expected a centdim violation for sl(5) over F_5"
+
+
+def _accepts(series, rank, p):
+    """False when the algebra rejects p as too large for int64 brackets."""
+    try:
+        build_algebra(series, rank, p)
+    except LieAlgebraError as exc:
+        return "int64" not in str(exc)
+    return True
+
+
+def test_prime_too_large_for_int64_brackets_rejected():
+    from thetatool.rootsys import is_odd_prime
+
+    # E8: bracket_vec sums about 3 dim^2 p^2, which passes 2**63 near 2**22
+    p = next(q for q in range(2**23 + 1, 2**24, 2) if is_odd_prime(q))
+    with pytest.raises(LieAlgebraError, match="int64"):
+        build_algebra("E", 8, p)
+    # G2: the first size rejected, found by bisection (monotone in p) ...
+    lo, hi = 3, 2**40
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _accepts("G", 2, mid) else (lo, mid)
+    assert 2**20 < hi < 2**32
+    above = next(q for q in range(hi | 1, hi + 10**4, 2) if is_odd_prime(q))
+    with pytest.raises(LieAlgebraError, match="int64"):
+        build_algebra("G", 2, above)
+    # ... and the largest prime accepted still brackets exactly
+    p = next(q for q in range(lo - (1 - lo % 2), 3, -2) if is_odd_prime(q))
+    alg = build_algebra("G", 2, p)
+    x = np.full(alg.dim, p - 1, dtype=np.int64)
+    y = np.full(alg.dim, p - 1, dtype=np.int64)
+    ad = alg._ad.tolist()
+    pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
+    exact = [
+        sum((p - 1) * ad[i][k][j] * (p - 1) for i, j in pairs) % p for k in range(alg.dim)
+    ]
+    assert alg.bracket_vec(x, y).tolist() == exact

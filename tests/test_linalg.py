@@ -274,3 +274,20 @@ def test_solve_and_rank_edge_cases():
     assert linalg.rank([]) == 0
     assert linalg.rank([[0, 0], [0, 0]]) == 0
     assert linalg.rank([[1, 2], [2, 4], [0, 1]]) == 2
+
+
+@settings(deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda n: arrays(np.int64, (n, n), elements=st.integers(-4, 4))
+))
+def test_inverse_over_q(mat):
+    rows = [[int(x) for x in row] for row in mat]
+    n = len(rows)
+    inv = linalg.inverse(rows)
+    if linalg.rank(rows) < n:
+        assert inv is None
+        return
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    assert [
+        [sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in rows
+    ] == identity

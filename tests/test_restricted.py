@@ -284,3 +284,37 @@ def test_check_p_good_rejects_composites():
     for series, rank, label, p in (("A", 3, "AI", 9), ("G", 2, "G", 15), ("A", 1, "AI", 1)):
         rrs = restrict(catalog_lookup(series, rank, label).satake)
         assert rrs.check_p_good(p) == (False, f"p = {p} is not an odd prime")
+
+
+def test_check_p_good_requires_ambient_good_prime():
+    # restricted F4 has coefficients up to 4, but 5 is bad for the ambient E8
+    rrs = restrict(catalog_lookup("E", 8, "EIX").satake)
+    assert rrs.reduced_type == "F4"
+    assert rrs.check_p_good(5) == (
+        False, "highest root of ambient E8 has coefficient 6 >= p = 5"
+    )
+    assert rrs.check_p_good(7) == (True, "good")
+    for series, rank, label, worst in (
+        ("E", 6, "EIV", 3), ("E", 7, "EVII", 4), ("F", 4, "FII", 4)
+    ):
+        rrs = restrict(catalog_lookup(series, rank, label).satake)
+        assert rrs.check_p_good(3) == (
+            False,
+            f"highest root of ambient {series}{rank} has coefficient {worst} >= p = 3",
+        )
+
+
+def test_classical_sweep_rank_9_to_12():
+    from thetatool import nilcomp, verify
+    from thetatool.satake import catalog_list
+
+    n = 0
+    for series in "ABCD":
+        for rank in range(9, 13):
+            for e in catalog_list(series, rank):
+                rrs = restrict(e.satake)
+                assert rrs.restricted_type == e.phi_a_type, (series, rank, e.label)
+                count = nilcomp.component_count(e, rrs).count
+                assert count == verify.expected_component_count(e), (series, rank, e.label)
+                n += 1
+    assert n == 140

@@ -171,3 +171,12 @@ def test_out_class():
     assert catalog_lookup("A", 3, "AIII(2,2)").satake.out_class() == (0, 1, 2)
     assert catalog_lookup("D", 4, "DI(3)").satake.out_class() == (0, 1, 3, 2)
     assert catalog_lookup("E", 6, "EIV").satake.out_class() == (5, 1, 4, 3, 2, 0)
+
+
+def test_minus_one_rank_and_w0_are_computed_once():
+    inv = catalog_lookup("E", 7, "EVII").satake
+    assert inv.minus_one_rank() == 3
+    assert "_minus_one_rank" in vars(inv)
+    rs = inv.ambient
+    assert rs.longest_element() is rs.longest_element()
+    assert rs.longest_element().perm == rs.longest_element(range(rs.rank)).perm
