@@ -150,11 +150,8 @@ class RestrictedRootSystem:
         return GramKernel(self.doubled, self.inv.ambient.form)
 
     def pairing(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """Cartan integer <a, b^vee> of restricted (doubled) roots."""
-        i, j = self.index_of(a), self.index_of(b)
-        kernel = self.gram_kernel()
-        cartan, _ = kernel.cartan_rows(kernel.vectors[i : i + 1])
-        return int(cartan[0, j])
+        """Cartan integer <a, b^vee> of restricted (doubled) vectors."""
+        return self.inv.ambient.pair_coroot(a, b)
 
     def index_of(self, d: Sequence[int]) -> int:
         try:

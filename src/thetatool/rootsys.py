@@ -383,17 +383,12 @@ class RootSystem:
     def identity_element(self) -> "WeylElement":
         return WeylElement(self, tuple(range(len(self.roots))), word=())
 
-    def reflection(
-        self, root_index: int, kernel: Optional[GramKernel] = None
-    ) -> "WeylElement":
-        """The reflection s_beta as a root permutation; ``kernel`` is this
-        system's Gram kernel, when the caller already holds one."""
+    def reflection(self, root_index: int) -> "WeylElement":
+        """The reflection s_beta as a root permutation."""
         if not 0 <= root_index < len(self.roots):
             raise RootSystemError(f"root index {root_index} out of range")
         beta = self.roots[root_index]
-        if kernel is None:
-            kernel = self.gram_kernel()
-        images, integral = kernel.reflection(root_index)
+        images, integral = self.gram_kernel().reflection(root_index)
         if not integral.all() or (images < 0).any():
             raise RootSystemError(
                 f"roots of {self.series}{self.rank} not closed under s_{beta}"
@@ -412,8 +407,7 @@ class RootSystem:
 
     @cached_property
     def _simple_reflections(self) -> Tuple["WeylElement", ...]:
-        kernel = self.gram_kernel()
-        return tuple(self.reflection(j, kernel) for j in self.simple_indices)
+        return tuple(self.reflection(j) for j in self.simple_indices)
 
     def longest_element(self, simple: Optional[Iterable[int]] = None) -> "WeylElement":
         """The longest element of the parabolic subgroup generated by the

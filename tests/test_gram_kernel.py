@@ -139,7 +139,6 @@ def test_restricted_tables_match_scalar():
         rs = e.satake.ambient
         C = [[rs.pair_coroot(a, b) for b in rrs.pi] for a in rrs.pi]
         assert rrs.cartan_matrix() == C
-        assert [[rrs.pairing(a, b) for b in rrs.pi] for a in rrs.pi] == C
         for d in rrs.pi:
             assert rrs.reflection_perm(d) == ref_reflection_perm(rrs, d)
 
