@@ -6,17 +6,23 @@ Structure-constant signs are fixed by the extraspecial-pair convention:
 for each non-simple positive root the pair (alpha, beta) with alpha minimal
 in the canonical root order gets N_{alpha,beta} = +(q+1), and every other
 constant follows from the Jacobi identity and the standard rotation rule
-N_{a,b}/(c,c) = N_{b,c}/(a,a) for a + b + c = 0.  The integral table is
-verified wholesale by checking ad[x,y] = [ad x, ad y] over Z (faithful for
-the derived Chevalley form), then reduced mod p.
+N_{a,b}/(c,c) = N_{b,c}/(a,a) for a + b + c = 0.
+
+The integral table does not depend on p, so each type has one
+``ChevalleyTable``, built and verified once and shared by every prime.  It
+holds the constants, a sparse bracket table with one row (i, k, l, c) for
+each [x_i, x_k] = c x_l, and the dense integral ``ad`` scattered from it.
+The table is verified wholesale by checking ad[x,y] = [ad x, ad y] over Z
+(faithful for the derived Chevalley form) as joins of the sparse table
+with itself, in O(dim^3) rather than the O(dim^5) of dense products.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import types
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +46,9 @@ class LieAlgebraError(ValueError):
 # most 6 (the highest root of E8).
 _AD_ENTRY_BOUND = 6
 
+# The sparse checks hold at most about this many join rows at once.
+_BLOCK_ROWS = 1 << 16
+
 
 def _brackets_fit_int64(dim: int, p: int) -> bool:
     """``bracket_vec`` of two reduced vectors sums dim^2 products of two
@@ -47,15 +56,279 @@ def _brackets_fit_int64(dim: int, p: int) -> bool:
     return _AD_ENTRY_BOUND * dim * dim * (p - 1) ** 2 < 2**63
 
 
-class ModularLieAlgebra:
-    """The derived Chevalley form of a simple type over F_p.
+# -- sparse joins ----------------------------------------------------------------
+
+
+def _join(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """All index pairs (a, b) with left[a] == right[b]; right is sorted."""
+    lo = np.searchsorted(right, left, side="left")
+    n = np.searchsorted(right, left, side="right") - lo
+    a = np.repeat(np.arange(len(left)), n)
+    b = np.arange(int(n.sum())) + np.repeat(lo - np.cumsum(n) + n, n)
+    return a, b
+
+
+def _key_ranges(cost: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Consecutive ranges of keys whose costs sum to at most _BLOCK_ROWS
+    (a single key may exceed it)."""
+    start, total = 0, 0
+    for key, c in enumerate(cost.tolist()):
+        if total + c > _BLOCK_ROWS and key > start:
+            yield start, key
+            start, total = key, 0
+        total += c
+    yield start, len(cost)
+
+
+def _first_nonzero_key(keys: np.ndarray, vals: np.ndarray, p: int = 0) -> Optional[int]:
+    """The smallest key whose values sum to nonzero (mod p when p > 0)."""
+    if not keys.size:
+        return None
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sums = np.add.reduceat(vals, starts)
+    if p:
+        sums %= p
+    bad = np.flatnonzero(sums)
+    return int(keys[starts[bad[0]]]) if bad.size else None
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# -- structure constants -----------------------------------------------------------
+
+
+def _chain_down(rs: RootSystem, beta: Root, alpha: Root) -> int:
+    """q = max { i : beta - i*alpha in Phi }."""
+    q = 0
+    cur = tuple(b - a for b, a in zip(beta, alpha))
+    while rs.is_root(cur):
+        q += 1
+        cur = tuple(c - a for c, a in zip(cur, alpha))
+    return q
+
+
+def _is_pos(rs: RootSystem, v: Root) -> bool:
+    return rs.root_index(v) < rs.num_positive
+
+
+def _N(rs: RootSystem, a: Root, b: Root, table: Dict[Tuple[Root, Root], int]) -> int:
+    """Constant N_{a,b} for arbitrary sign patterns, reduced to the
+    positive table via N_{-a,-b} = -N_{a,b} and the rotation rule
+    N_{a,b}/(c,c) = N_{b,c}/(a,a) for a + b + c = 0."""
+    s = tuple(x + y for x, y in zip(a, b))
+    if not rs.is_root(s):
+        raise LieAlgebraError("N requested for a non-root sum")
+    a_pos = _is_pos(rs, a)
+    b_pos = _is_pos(rs, b)
+    if a_pos and b_pos:
+        if (a, b) in table:
+            return table[(a, b)]
+        return -table[(b, a)]
+    if not a_pos and not b_pos:
+        return -_N(rs, _neg(a), _neg(b), table)
+    if not a_pos:  # negative first: antisymmetry
+        return -_N(rs, b, a, table)
+    # a positive, b negative
+    if not _is_pos(rs, s):
+        # flip signs twice: N(a,b) = N(-b,-a) with -b positive, sum -s > 0
+        return _N(rs, _neg(b), _neg(a), table)
+    # positive sum: N(a,b) = N(b,c) (c,c)/(a,a) with c = -s, and
+    # N(b,c) = -N(-b, s) is a positive pair summing to a
+    nbc = -_N(rs, _neg(b), s, table)
+    num = nbc * rs.norm2(s)
+    den = rs.norm2(a)
+    q, r = divmod(num, den)
+    if r:
+        raise LieAlgebraError("non-integral rotation in structure constants")
+    return q
+
+
+def _derive_constant(rs: RootSystem, alpha, beta, g_es, d_es, table) -> int:
+    """Jacobi on (e_g, e_d, e_{-beta}) determines N_{alpha,beta} from the
+    extraspecial pair (g, d) with g + d = alpha + beta."""
+    gamma_hat = tuple(a + b for a, b in zip(alpha, beta))
+    neg_beta = tuple(-x for x in beta)
+    term = 0
+    xi = tuple(d - b for d, b in zip(d_es, beta))
+    if rs.is_root(xi):
+        term += _N(rs, d_es, neg_beta, table) * _N(rs, xi, g_es, table)
+    g_minus_b = tuple(g - b for g, b in zip(g_es, beta))
+    if rs.is_root(g_minus_b):
+        term += _N(rs, neg_beta, g_es, table) * _N(rs, g_minus_b, d_es, table)
+    n_es = table[(g_es, d_es)]
+    # N_{g,d} * N_{hat,-beta} + term = 0 and
+    # N_{hat,-beta} = N_{alpha,beta} (alpha,alpha)/(hat,hat)
+    num = -term * rs.norm2(gamma_hat)
+    den = n_es * rs.norm2(alpha)
+    q, r = divmod(num, den)
+    if r:
+        raise LieAlgebraError("non-integral derived structure constant")
+    return q
+
+
+def _structure_constants(rs: RootSystem) -> Dict[Tuple[int, int], int]:
+    """N_{a,b} on root indices, for every (i, j) with roots[i] + roots[j] a
+    root.  The positive-pair table goes by increasing height of the sum,
+    extraspecial pairs seeded positive, the rest propagated through Jacobi."""
+    pos = rs.roots[: rs.num_positive]
+    order = {v: i for i, v in enumerate(pos)}  # canonical root order
+    table: Dict[Tuple[Root, Root], int] = {}
+    for gamma in pos:
+        if sum(gamma) < 2:
+            continue
+        pairs = []
+        for alpha in pos:
+            beta = tuple(g - a for g, a in zip(gamma, alpha))
+            if beta in order and order[alpha] < order[beta]:
+                pairs.append((alpha, beta))
+        pairs.sort(key=lambda ab: order[ab[0]])
+        g_es, d_es = pairs[0]
+        table[(g_es, d_es)] = _chain_down(rs, d_es, g_es) + 1
+        for alpha, beta in pairs[1:]:
+            table[(alpha, beta)] = _derive_constant(rs, alpha, beta, g_es, d_es, table)
+    nconst = {}
+    for i, a in enumerate(rs.roots):
+        for j, b in enumerate(rs.roots):
+            if rs.is_root(tuple(x + y for x, y in zip(a, b))):
+                nconst[(i, j)] = _N(rs, a, b, table)
+    return nconst
+
+
+def _bracket_entries(rs: RootSystem, nconst: Mapping[Tuple[int, int], int]) -> np.ndarray:
+    """Rows (i, k, l, c), one for each [x_i, x_k] = c x_l with c != 0.
 
     Basis order: h_1..h_n (simple coroots), then e_beta for beta in the
-    canonical root order.  All structure constants are integers; the
-    bracket reduces them mod p.
+    canonical root order; [e_a, e_{-a}] = a^vee for a positive.
+    """
+    n, npos = rs.rank, rs.num_positive
+    rows = []
+    for r, beta in enumerate(rs.roots):
+        e = n + r
+        for h in range(n):
+            c = rs.pair_coroot_simple(beta, h)
+            if c:
+                rows += [(h, e, e, c), (e, h, e, -c)]
+    for r in range(npos):
+        e, f = n + r, n + npos + r
+        for k, c in enumerate(rs.coroot_coords(rs.roots[r])):
+            if c:
+                rows += [(e, f, k, c), (f, e, k, -c)]
+    for (i, j), c in nconst.items():
+        s = tuple(x + y for x, y in zip(rs.roots[i], rs.roots[j]))
+        rows.append((n + i, n + j, n + rs.root_index(s), c))
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+class ChevalleyTable:
+    """The integral Chevalley basis of one simple type, shared by all primes.
+
+    ``entries`` is the sparse bracket table, rows (i, k, l, c) for
+    [x_i, x_k] = c x_l sorted by (i, k, l); ``ad[i][l][k] = c`` is its dense
+    scatter.  Both arrays are read-only.
     """
 
-    def __init__(self, rs: RootSystem, p: int, check: bool = True):
+    def __init__(self, rs: RootSystem, nconst: Mapping[Tuple[int, int], int],
+                 entries: np.ndarray):
+        self.rs = rs
+        self.dim = rs.rank + len(rs.roots)
+        self.nconst = types.MappingProxyType(dict(nconst))
+        entries = np.array(entries, dtype=np.int64).reshape(-1, 4)
+        self.entries = _read_only(entries[np.lexsort(entries[:, 2::-1].T)])
+        ad = np.zeros((self.dim,) * 3, dtype=np.int64)
+        i, k, l, c = self.entries.T
+        ad[i, l, k] = c
+        self.ad = _read_only(ad)
+
+    def basis_name(self, i: int) -> str:
+        if i < self.rs.rank:
+            return f"h{i + 1}"
+        return f"e{self.rs.roots[i - self.rs.rank]}"
+
+    def check_jacobi(self) -> None:
+        """ad[x_i, x_j] = [ad x_i, ad x_j] over Z for all basis pairs.
+
+        The adjoint representation of the rational Chevalley form is
+        faithful, so this is equivalent to the Jacobi identity on all basis
+        triples.  With [x_i, x_k] = T(i,k,l) x_l, entry (l, k) of
+        ad[x_i, x_j] - [ad x_i, ad x_j] is
+
+            sum_m T(i,j,m) T(m,k,l) - sum_n T(j,k,n) T(i,n,l)
+                                    + sum_n T(i,k,n) T(j,n,l),
+
+        each sum a join of the table with itself on its middle index.  Keys
+        (i, j, k, l) are summed in blocks of i, so the first block with a
+        nonzero sum holds the first failing pair (i < j, row-major).
+        """
+        dim = self.dim
+        first, second, out, coef = self.entries.T
+        by_second = np.argsort(second, kind="stable")
+        by_out = np.argsort(out, kind="stable")
+
+        def count(col):
+            return np.bincount(col, minlength=dim)
+
+        cost = np.zeros(dim, dtype=np.int64)
+        np.add.at(cost, first, count(first)[out] + count(second)[out] + count(out)[second])
+        for i0, i1 in _key_ranges(cost):
+            rows = np.arange(*np.searchsorted(first, [i0, i1]))
+            # T(i,j,m) T(m,k,l): the output of a row is the first index of b
+            a, b = _join(out[rows], first)
+            a = rows[a]
+            terms = [(first[a], second[a], second[b], out[b], coef[a] * coef[b])]
+            # T(i,k,n) T(j,n,l): the output of a row is the middle of b
+            a, b = _join(out[rows], second[by_second])
+            a, b = rows[a], by_second[b]
+            terms.append((first[a], first[b], second[a], out[b], coef[a] * coef[b]))
+            # -T(j,k,n) T(i,n,l): a row's middle is the output of a
+            b, a = _join(second[rows], out[by_out])
+            b, a = rows[b], by_out[a]
+            terms.append((first[b], first[a], second[a], out[b], -coef[a] * coef[b]))
+            keys, vals = [], []
+            for i, j, k, l, v in terms:
+                keep = i < j
+                keys.append(((i * dim + j) * dim + k)[keep] * dim + l[keep])
+                vals.append(v[keep])
+            key = _first_nonzero_key(np.concatenate(keys), np.concatenate(vals))
+            if key is not None:
+                i, j = divmod(key // (dim * dim), dim)
+                raise LieAlgebraError(
+                    f"Jacobi failure at basis pair ({self.basis_name(i)}, "
+                    f"{self.basis_name(j)})"
+                )
+
+    def check_chevalley_property(self) -> None:
+        """|N_{a,b}| = q + 1 with q the length of the a-chain below b."""
+        rs = self.rs
+        for (i, j), n in self.nconst.items():
+            a, b = rs.roots[i], rs.roots[j]
+            if abs(n) != _chain_down(rs, b, a) + 1:
+                raise LieAlgebraError(f"|N| != q+1 at ({a}, {b}): N = {n}")
+
+
+@lru_cache(maxsize=None)
+def chevalley_table(series: str, rank: int) -> ChevalleyTable:
+    """Build, verify (Jacobi and |N| = q + 1) and cache the integral table
+    of a simple type."""
+    rs = build_root_system(series, rank)
+    nconst = _structure_constants(rs)
+    table = ChevalleyTable(rs, nconst, _bracket_entries(rs, nconst))
+    table.check_jacobi()
+    table.check_chevalley_property()
+    return table
+
+
+class ModularLieAlgebra:
+    """The derived Chevalley form of a simple type over F_p: the prime and
+    the shared integral table.  The bracket reduces the integral structure
+    constants mod p.
+    """
+
+    def __init__(self, rs: RootSystem, p: int):
         dim = rs.rank + len(rs.roots)
         if not _brackets_fit_int64(dim, p):
             raise LieAlgebraError(
@@ -70,232 +343,36 @@ class ModularLieAlgebra:
                 f"p = {p} is not good for {rs.series}{rs.rank}: highest root "
                 f"has coefficient {bound}"
             )
-        self.rs = rs
         self.p = p
-        self.dim = dim
-        self._nconst: Dict[Tuple[int, int], int] = {}
-        self._build_constants()
-        self._ad = self._adjoint_matrices()
-        if check:
-            self._verify_integral_jacobi()
-            self._verify_chevalley_property()
+        self.table = chevalley_table(rs.series, rs.rank)
 
-    # -- basis bookkeeping ---------------------------------------------------
+    @property
+    def rs(self) -> RootSystem:
+        return self.table.rs
+
+    @property
+    def dim(self) -> int:
+        return self.table.dim
 
     def e_index(self, root_idx: int) -> int:
         return self.rs.rank + root_idx
 
-    def basis_name(self, i: int) -> str:
-        if i < self.rs.rank:
-            return f"h{i + 1}"
-        return f"e{self.rs.roots[i - self.rs.rank]}"
-
-    # -- structure constants ---------------------------------------------------
-
-    def _chain_down(self, beta: Root, alpha: Root) -> int:
-        """q = max { i : beta - i*alpha in Phi }."""
-        rs = self.rs
-        q = 0
-        cur = tuple(b - a for b, a in zip(beta, alpha))
-        while rs.is_root(cur):
-            q += 1
-            cur = tuple(c - a for c, a in zip(cur, alpha))
-        return q
-
-    def _build_constants(self) -> None:
-        """Positive-pair table by increasing height of the sum, extraspecial
-        pairs seeded positive, the rest propagated through Jacobi."""
-        rs = self.rs
-        pos = rs.roots[: rs.num_positive]
-        order = {v: i for i, v in enumerate(pos)}  # canonical root order
-        self._extraspecial: Dict[Root, Tuple[Root, Root]] = {}
-        table: Dict[Tuple[Root, Root], int] = {}
-
-        for gamma in pos:
-            if sum(gamma) < 2:
-                continue
-            pairs = []
-            for alpha in pos:
-                beta = tuple(g - a for g, a in zip(gamma, alpha))
-                if beta in order and order[alpha] < order[beta]:
-                    pairs.append((alpha, beta))
-            pairs.sort(key=lambda ab: order[ab[0]])
-            g_es, d_es = pairs[0]
-            self._extraspecial[gamma] = (g_es, d_es)
-            table[(g_es, d_es)] = self._chain_down(d_es, g_es) + 1
-            for alpha, beta in pairs[1:]:
-                table[(alpha, beta)] = self._derive_constant(
-                    alpha, beta, g_es, d_es, table
-                )
-        self._pos_table = table
-        # full signed table indexed by root indices: every (i, j) with
-        # roots[i] + roots[j] a root
-        for i, a in enumerate(rs.roots):
-            for j, b in enumerate(rs.roots):
-                s = tuple(x + y for x, y in zip(a, b))
-                if rs.is_root(s):
-                    self._nconst[(i, j)] = self._N(a, b, table)
-
-    def _norm2(self, v: Root) -> int:
-        return self.rs.norm2(v)
-
-    def _N(self, a: Root, b: Root, table: Dict[Tuple[Root, Root], int]) -> int:
-        """Constant N_{a,b} for arbitrary sign patterns, reduced to the
-        positive table via N_{-a,-b} = -N_{a,b} and the rotation rule
-        N_{a,b}/(c,c) = N_{b,c}/(a,a) for a + b + c = 0."""
-        s = tuple(x + y for x, y in zip(a, b))
-        if not self.rs.is_root(s):
-            raise LieAlgebraError("N requested for a non-root sum")
-        a_pos = self._is_pos(a)
-        b_pos = self._is_pos(b)
-        if a_pos and b_pos:
-            if (a, b) in table:
-                return table[(a, b)]
-            return -table[(b, a)]
-        if not a_pos and not b_pos:
-            return -self._N(_neg(a), _neg(b), table)
-        if not a_pos:  # negative first: antisymmetry
-            return -self._N(b, a, table)
-        # a positive, b negative
-        if not self._is_pos(s):
-            # flip signs twice: N(a,b) = N(-b,-a) with -b positive, sum -s > 0
-            return self._N(_neg(b), _neg(a), table)
-        # positive sum: N(a,b) = N(b,c) (c,c)/(a,a) with c = -s, and
-        # N(b,c) = -N(-b, s) is a positive pair summing to a
-        nbc = -self._N(_neg(b), s, table)
-        num = nbc * self._norm2(s)
-        den = self._norm2(a)
-        q, r = divmod(num, den)
-        if r:
-            raise LieAlgebraError("non-integral rotation in structure constants")
-        return q
-
-    def _is_pos(self, v: Root) -> bool:
-        return self.rs.root_index(v) < self.rs.num_positive
-
-    def _derive_constant(self, alpha, beta, g_es, d_es, table) -> int:
-        """Jacobi on (e_g, e_d, e_{-beta}) determines N_{alpha,beta} from the
-        extraspecial pair (g, d) with g + d = alpha + beta."""
-        rs = self.rs
-        gamma_hat = tuple(a + b for a, b in zip(alpha, beta))
-        neg_beta = tuple(-x for x in beta)
-        term = 0
-        xi = tuple(d - b for d, b in zip(d_es, beta))
-        if rs.is_root(xi):
-            term += self._N(d_es, neg_beta, table) * self._N(xi, g_es, table)
-        g_minus_b = tuple(g - b for g, b in zip(g_es, beta))
-        if rs.is_root(g_minus_b):
-            term += self._N(neg_beta, g_es, table) * self._N(g_minus_b, d_es, table)
-        n_es = table[(g_es, d_es)]
-        # N_{g,d} * N_{hat,-beta} + term = 0 and
-        # N_{hat,-beta} = N_{alpha,beta} (alpha,alpha)/(hat,hat)
-        num = -term * self._norm2(gamma_hat)
-        den = n_es * self._norm2(alpha)
-        q, r = divmod(num, den)
-        if r:
-            raise LieAlgebraError("non-integral derived structure constant")
-        return q
-
-    # -- brackets ---------------------------------------------------------------
-
-    def structure_constant(self, i: int, j: int) -> int:
-        """N_{a,b} for root indices i, j with roots[i] + roots[j] a root."""
-        return self._nconst[(i, j)]
-
-    def bracket_basis(self, i: int, j: int) -> Dict[int, int]:
-        """[x_i, x_j] on basis elements, as a sparse integer vector."""
-        rs = self.rs
-        n = rs.rank
-        out: Dict[int, int] = {}
-        if i < n and j < n:
-            return out
-        if i < n or j < n:
-            if i < n:
-                h, e = i, j
-                sign = 1
-            else:
-                h, e = j, i
-                sign = -1
-            beta = rs.roots[e - n]
-            c = sign * rs.pair_coroot_simple(beta, h)
-            if c:
-                out[e] = c
-            return out
-        a = rs.roots[i - n]
-        b = rs.roots[j - n]
-        s = tuple(x + y for x, y in zip(a, b))
-        if all(x == 0 for x in s):
-            # [e_a, e_{-a}] = a^vee in the simple-coroot basis
-            sign = 1 if i - n < rs.num_positive else -1
-            posroot = a if sign == 1 else b
-            for k, c in enumerate(rs.coroot_coords(posroot)):
-                if c:
-                    out[k] = sign * c
-            return out
-        if rs.is_root(s):
-            out[self.e_index(rs.root_index(s))] = self._nconst[(i - n, j - n)]
-        return out
-
-    def _adjoint_matrices(self) -> np.ndarray:
-        ad = np.zeros((self.dim, self.dim, self.dim), dtype=np.int64)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, c in self.bracket_basis(i, j).items():
-                    ad[i][k][j] = c
-        return ad
-
-    def ad(self, i: int) -> np.ndarray:
-        """Integer adjoint matrix of the i-th basis element."""
-        return self._ad[i]
-
     def bracket_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """[x, y] mod p for coefficient vectors."""
+        ad = self.table.ad
         out = np.zeros(self.dim, dtype=np.int64)
         for i in np.nonzero(x)[0]:
-            out += x[i] * (self._ad[i] @ y)
+            out += x[i] * (ad[i] @ y)
         return np.mod(out, self.p)
 
     def bracket_rows(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """All brackets [left[a], right[b]] of two stacks of coefficient
         vectors, as rows in (a, b) order; entries are right mod p but not
         reduced."""
-        ad_left = np.tensordot(left, self._ad, axes=(1, 0))
+        ad_left = np.tensordot(left, self.table.ad, axes=(1, 0))
         ad_left %= self.p
         # [x, y] = ad(x) @ y, for every x in left at once
         return np.matmul(right, ad_left.transpose(0, 2, 1)).reshape(-1, self.dim)
-
-    # -- verification -------------------------------------------------------------
-
-    def _verify_integral_jacobi(self) -> None:
-        """ad[x_i, x_j] = [ad x_i, ad x_j] over Z for all basis pairs.
-
-        The adjoint representation of the rational Chevalley form is
-        faithful, so this is equivalent to the Jacobi identity on all
-        basis triples.
-        """
-        for i in range(self.dim):
-            adi = self._ad[i]
-            for j in range(i + 1, self.dim):
-                adj = self._ad[j]
-                comm = adi @ adj - adj @ adi
-                lie = np.zeros_like(comm)
-                for k, c in self.bracket_basis(i, j).items():
-                    lie += c * self._ad[k]
-                if not np.array_equal(comm, lie):
-                    raise LieAlgebraError(
-                        f"Jacobi failure at basis pair ({self.basis_name(i)}, "
-                        f"{self.basis_name(j)})"
-                    )
-
-    def _verify_chevalley_property(self) -> None:
-        """|N_{a,b}| = q + 1 with q the length of the a-chain below b."""
-        rs = self.rs
-        for (i, j), n in self._nconst.items():
-            a, b = rs.roots[i], rs.roots[j]
-            if abs(n) != self._chain_down(b, a) + 1:
-                raise LieAlgebraError(
-                    f"|N| != q+1 at ({a}, {b}): N = {n}"
-                )
 
     def sample_jacobi(self, count: int, seed: int = 0) -> None:
         """Literal Jacobi checks on random basis triples mod p."""
@@ -349,24 +426,47 @@ class SymmetricPairRealization:
         if self.dim_k + self.dim_p != alg.dim:
             raise LieAlgebraError("eigenspaces do not span")
 
-    def check_automorphism(self, sample: int = 1000, seed: int = 1) -> None:
-        """dtheta[x,y] = [dtheta x, dtheta y] on sampled basis pairs."""
-        alg, p = self.alg, self.alg.p
-        rng = random.Random(seed)
-        pairs = alg.dim * alg.dim
-        todo = (
-            [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
-            if pairs <= sample
-            else [(rng.randrange(alg.dim), rng.randrange(alg.dim)) for _ in range(sample)]
-        )
-        for i, j in todo:
-            x = self.dtheta[:, i].copy()
-            y = self.dtheta[:, j].copy()
-            lhs = alg.bracket_vec(x, y)
-            ei = np.zeros(alg.dim, dtype=np.int64); ei[i] = 1
-            ej = np.zeros(alg.dim, dtype=np.int64); ej[j] = 1
-            rhs = np.mod(self.dtheta @ alg.bracket_vec(ei, ej), p)
-            if np.any(np.mod(lhs - rhs, p)):
+    def check_automorphism(self) -> None:
+        """dtheta[e_i, e_j] = [dtheta e_i, dtheta e_j] mod p on all basis pairs.
+
+        With D = dtheta and [x_a, x_b] = T(a,b,l) x_l, entry l of
+        [D e_i, D e_j] - D [e_i, e_j] is
+
+            sum_{a,b} D[a,i] D[b,j] T(a,b,l) - sum_m T(i,j,m) D[l,m],
+
+        read off the table joined with the nonzeros of D, in blocks of i.
+        The first failing pair (i, j) in row-major order is reported.
+        """
+        alg, p, dim = self.alg, self.alg.p, self.alg.dim
+        first, second, out, coef = alg.table.entries.T
+        col, row_c = np.nonzero(self.dtheta.T)  # nonzeros by column
+        d_col = self.dtheta[row_c, col]
+        row, col_r = np.nonzero(self.dtheta)  # nonzeros by row
+        d_row = self.dtheta[row, col_r]
+        per_row = np.bincount(row, minlength=dim)
+        per_col = np.bincount(col, minlength=dim)
+        fan_out = np.zeros(dim, dtype=np.int64)
+        np.add.at(fan_out, first, per_row[second])
+        cost = np.zeros(dim, dtype=np.int64)
+        np.add.at(cost, col, fan_out[row_c])
+        np.add.at(cost, first, per_col[out])
+        for i0, i1 in _key_ranges(cost):
+            # [D e_i, D e_j]: nonzero D[a,i], table row (a,b,l), nonzero D[b,j]
+            nz = np.arange(*np.searchsorted(col, [i0, i1]))
+            s, t = _join(row_c[nz], first)
+            u, v = _join(second[t], row)
+            s, t = nz[s[u]], t[u]
+            vals = [d_col[s] * coef[t] % p * d_row[v]]
+            keys = [(col[s] * dim + col_r[v]) * dim + out[t]]
+            # D [e_i, e_j]: table row (i,j,m), nonzero D[l,m]
+            rows = np.arange(*np.searchsorted(first, [i0, i1]))
+            a, u = _join(out[rows], col)
+            a = rows[a]
+            vals.append(-coef[a] * d_col[u])
+            keys.append((first[a] * dim + second[a]) * dim + row_c[u])
+            key = _first_nonzero_key(np.concatenate(keys), np.concatenate(vals), p)
+            if key is not None:
+                i, j = divmod(key // dim, dim)
                 raise LieAlgebraError(
                     f"dtheta fails to preserve brackets at pair ({i}, {j})"
                 )
@@ -389,9 +489,18 @@ class SymmetricPairRealization:
                 raise LieAlgebraError(f"grading law {name} fails")
 
     def centralizer_dims(self, x: np.ndarray) -> Tuple[int, int]:
-        """(dim z_k(x), dim z_p(x)) for x in p, by exact F_p ranks."""
+        """(dim z_k(x), dim z_p(x)) for x in p, by exact F_p ranks.
+
+        Raises LieAlgebraError when x is not a vector of length dim, or
+        not in p (dtheta x != -x mod p).
+        """
         alg, p = self.alg, self.alg.p
-        ad_x = np.mod(np.tensordot(x, alg._ad, axes=(0, 0)), p)
+        x = np.asarray(x)
+        if x.shape != (alg.dim,):
+            raise LieAlgebraError(f"x has shape {x.shape}, expected ({alg.dim},)")
+        if np.any(np.mod(self.dtheta @ x + x, p)):
+            raise LieAlgebraError("x is not in p: dtheta x != -x mod p")
+        ad_x = np.mod(np.tensordot(x, alg.table.ad, axes=(0, 0)), p)
         return (
             self.dim_k - linalg.rank_mod_p(self.k_basis @ ad_x.T, p),
             self.dim_p - linalg.rank_mod_p(self.p_basis @ ad_x.T, p),

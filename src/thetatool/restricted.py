@@ -163,23 +163,19 @@ class RestrictedRootSystem:
         return tuple(d) in self._index
 
     def _check_axioms(self, kernel: GramKernel) -> None:
-        """Closure under reflections, integral Cartan numbers, no 3a.
+        """Closure under reflections and integral Cartan numbers.
 
-        Reads the kernel's reflection table block by block.  The first
-        failure in the order (a, b), a's own 3a check after its row, is the
+        Integrality also excludes 3a: if a and 3a were both restricted roots,
+        <a, (3a)^vee> = 2/3 would fail it.  Reads the kernel's reflection
+        table block by block.  The first failure in the order (a, b) is the
         one raised: RootSystemError for a non-integral pairing,
-        RestrictionError otherwise.
+        RestrictionError for a reflection leaving the list.
         """
-        triples = np.flatnonzero(kernel.lookup(3 * kernel.vectors) >= 0)
-        first_triple = int(triples[0]) if triples.size else len(self.doubled)
         for start, cartan, integral, images in kernel.reflection_blocks():
             bad = np.flatnonzero((images < 0) | ~integral)
-            i, j = divmod(int(bad[0]), cartan.shape[1]) if bad.size else (len(cartan), 0)
-            if first_triple < start + i:  # rows before the first bad one pass
-                a = self.doubled[first_triple]
-                raise RestrictionError(f"3a is a restricted root for a = {a}")
             if not bad.size:
                 continue
+            i, j = divmod(int(bad[0]), cartan.shape[1])
             a, b = self.doubled[start + i], self.doubled[j]
             if not integral[i, j]:
                 raise RootSystemError(f"non-integral Cartan pairing of {a} with {b}")
@@ -381,14 +377,11 @@ class RestrictedRootSystem:
 
         Good means p exceeds every coefficient of the highest root of each
         simple factor of the reduced subsystem, and of the highest root of
-        the ambient system.  The witness names the violating coefficient;
-        the 3a-exclusion is re-asserted as well.
+        the ambient system.  The witness names the violating coefficient.
+        (No 3a needs excluding here: the axiom check already rejects it.)
         """
         if not is_odd_prime(p):
             return False, f"p = {p} is not an odd prime"
-        for d in self.doubled:
-            if tuple(3 * x for x in d) in self._index:
-                return False, f"3a in restricted system for a = {d}"
         for f, coeffs in self.highest_root_coefficients():
             worst = max(coeffs)
             if p <= worst:

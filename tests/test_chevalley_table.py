@@ -1,0 +1,241 @@
+"""The shared integral Chevalley table.
+
+The dense Python loops the table replaced (the dim^2 bracket scatter and the
+O(dim^5) pairwise Jacobi check) are kept here as oracles, together with a
+dense all-pairs automorphism check.  The sparse checks must agree with them,
+also on seeded corruptions, message for message.
+"""
+
+from __future__ import annotations
+
+import copy
+import random
+import time
+
+import numpy as np
+import pytest
+
+from thetatool import liealg
+from thetatool.liealg import (
+    ChevalleyTable,
+    LieAlgebraError,
+    build_algebra,
+    chevalley_table,
+    find_inner_coweight,
+    realize_chevalley_involution,
+    realize_inner,
+)
+from thetatool.satake import catalog_list
+
+RANK_UP_TO_SIX = [("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 7)] + [
+    ("C", n) for n in range(3, 7)
+] + [("D", n) for n in range(4, 7)] + [("E", 6), ("F", 4), ("G", 2)]
+
+SMALL = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4)]
+
+
+# -- oracles: the dense loops the sparse table replaced ---------------------------
+
+
+def ref_bracket_basis(rs, nconst, i, j):
+    """[x_i, x_j] on basis elements, as a sparse integer vector."""
+    n = rs.rank
+    out = {}
+    if i < n and j < n:
+        return out
+    if i < n or j < n:
+        h, e, sign = (i, j, 1) if i < n else (j, i, -1)
+        c = sign * rs.pair_coroot_simple(rs.roots[e - n], h)
+        if c:
+            out[e] = c
+        return out
+    a, b = rs.roots[i - n], rs.roots[j - n]
+    s = tuple(x + y for x, y in zip(a, b))
+    if all(x == 0 for x in s):
+        # [e_a, e_{-a}] = a^vee in the simple-coroot basis
+        sign = 1 if i - n < rs.num_positive else -1
+        posroot = a if sign == 1 else b
+        for k, c in enumerate(rs.coroot_coords(posroot)):
+            if c:
+                out[k] = sign * c
+        return out
+    if rs.is_root(s):
+        out[n + rs.root_index(s)] = nconst[(i - n, j - n)]
+    return out
+
+
+def ref_verify_integral_jacobi(table):
+    """ad[x_i, x_j] = [ad x_i, ad x_j] over Z, pair by pair, by dense
+    products; [x_i, x_j] is column j of ad x_i."""
+    ad = table.ad
+    for i in range(table.dim):
+        adi = ad[i]
+        for j in range(i + 1, table.dim):
+            adj = ad[j]
+            comm = adi @ adj - adj @ adi
+            lie = np.zeros_like(comm)
+            for k in np.flatnonzero(adi[:, j]):
+                lie += adi[k, j] * ad[k]
+            if not np.array_equal(comm, lie):
+                raise LieAlgebraError(
+                    f"Jacobi failure at basis pair ({table.basis_name(i)}, "
+                    f"{table.basis_name(j)})"
+                )
+
+
+def ref_first_automorphism_failure(pair):
+    """The first basis pair (i, j), row-major, with dtheta[e_i, e_j] !=
+    [dtheta e_i, dtheta e_j] mod p, from dense products."""
+    p, d, ad = pair.alg.p, pair.dtheta, pair.alg.table.ad
+    for i in range(pair.alg.dim):
+        lhs = (np.tensordot(d[:, i], ad, axes=(0, 0)) % p) @ d  # [D e_i, D e_j]
+        rhs = d @ ad[i]  # D [e_i, e_j]
+        bad = np.flatnonzero(((lhs - rhs) % p).any(axis=0))
+        if bad.size:
+            return i, int(bad[0])
+    return None
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except LieAlgebraError as exc:
+        return str(exc)
+    return None
+
+
+# -- the table ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("series, rank", RANK_UP_TO_SIX)
+def test_sparse_table_scatters_to_the_bracket_loop_and_passes_jacobi(series, rank):
+    table = chevalley_table(series, rank)
+    rs, dim = table.rs, table.dim
+    ad = np.zeros((dim, dim, dim), dtype=np.int64)
+    for i in range(dim):
+        for j in range(dim):
+            for k, c in ref_bracket_basis(rs, table.nconst, i, j).items():
+                ad[i][k][j] = c
+    assert np.array_equal(table.ad, ad)
+    assert len(table.entries) == np.count_nonzero(ad)
+    table.check_jacobi()
+    table.check_chevalley_property()
+
+
+@pytest.mark.parametrize("block_rows", [liealg._BLOCK_ROWS, 64])
+@pytest.mark.parametrize("series, rank", SMALL)
+def test_corrupted_tables_fail_jacobi_with_the_oracle_message(series, rank, block_rows, monkeypatch):
+    monkeypatch.setattr(liealg, "_BLOCK_ROWS", block_rows)  # 64: many blocks
+    rng = random.Random(f"{series}{rank}")
+    table = chevalley_table(series, rank)
+    assert _outcome(lambda: ref_verify_integral_jacobi(table)) is None
+    n = table.rs.rank
+    first, second, out, _ = table.entries.T
+    coroot_rows = np.flatnonzero((first >= n) & (second >= n) & (out < n))
+    for kind in ["sign", "drop", "coroot"] * 4:
+        entries = table.entries.copy()
+        if kind == "sign":
+            entries[rng.randrange(len(entries)), 3] *= -1
+        elif kind == "drop":
+            entries = np.delete(entries, rng.randrange(len(entries)), axis=0)
+        else:  # a wrong coefficient of a^vee in [e_a, e_{-a}]
+            r = rng.choice(coroot_rows.tolist())
+            entries[r, 3] += np.sign(entries[r, 3])
+        fake = ChevalleyTable(table.rs, table.nconst, entries)
+        expected = _outcome(lambda: ref_verify_integral_jacobi(fake))
+        assert expected is not None, (series, rank, kind)
+        assert _outcome(fake.check_jacobi) == expected, (series, rank, kind)
+
+
+def test_one_read_only_table_shared_across_primes():
+    algs = [build_algebra("B", 3, p) for p in (5, 7, 11)]
+    table = chevalley_table("B", 3)
+    assert all(alg.table is table for alg in algs)
+    for arr in (table.entries, table.ad):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+    with pytest.raises(TypeError):
+        table.nconst[(0, 1)] = 1
+
+
+# -- the exhaustive automorphism check ------------------------------------------------
+
+
+def _exp_ad(alg, x):
+    """exp(ad x) mod p for ad x with (ad x)^3 = 0."""
+    ad_x = np.tensordot(x, alg.table.ad, axes=(0, 0)) % alg.p
+    sq = ad_x @ ad_x % alg.p
+    assert not np.any(sq @ ad_x % alg.p)
+    half = pow(2, -1, alg.p)
+    return (np.eye(alg.dim, dtype=np.int64) + ad_x + half * sq) % alg.p
+
+
+def _flipped(pair, rng, count):
+    """Copies of pair, each with one nonzero entry of dtheta negated."""
+    rows, cols = np.nonzero(pair.dtheta)
+    for _ in range(count):
+        r = rng.randrange(len(rows))
+        bad = copy.copy(pair)
+        bad.dtheta = pair.dtheta.copy()
+        bad.dtheta[rows[r], cols[r]] = -bad.dtheta[rows[r], cols[r]] % pair.alg.p
+        yield bad
+
+
+@pytest.mark.parametrize("block_rows", [liealg._BLOCK_ROWS, 64])
+@pytest.mark.parametrize("series, rank, p", [("G", 2, 7), ("B", 3, 5), ("D", 4, 5), ("F", 4, 5)])
+def test_flipped_sign_in_dtheta_fails_at_the_oracle_pair(series, rank, p, block_rows, monkeypatch):
+    monkeypatch.setattr(liealg, "_BLOCK_ROWS", block_rows)
+    pair = realize_chevalley_involution(build_algebra(series, rank, p))
+    assert ref_first_automorphism_failure(pair) is None
+    for bad in _flipped(pair, random.Random(f"{series}{rank}"), 6):
+        i, j = ref_first_automorphism_failure(bad)
+        with pytest.raises(LieAlgebraError) as exc:
+            bad.check_automorphism()
+        assert str(exc.value) == f"dtheta fails to preserve brackets at pair ({i}, {j})"
+
+
+def test_automorphism_check_on_inner_and_conjugated_involutions():
+    alg = build_algebra("D", 4, 7)
+    for entry in catalog_list("D", 4):
+        dims = entry.satake.kp_dimensions()
+        mu = find_inner_coweight(alg, dims.k, dims.p)
+        if mu is not None:
+            pair = realize_inner(alg, mu)
+            pair.check_automorphism()
+            assert ref_first_automorphism_failure(pair) is None
+    # conjugating by exp(ad e_a) fills dtheta beyond one entry per column
+    split = realize_chevalley_involution(alg)
+    x = np.zeros(alg.dim, dtype=np.int64)
+    x[alg.e_index(0)] = 1
+    g, g_inv = _exp_ad(alg, x), _exp_ad(alg, (alg.p - x) % alg.p)
+    assert not np.any((g @ g_inv - np.eye(alg.dim, dtype=np.int64)) % alg.p)
+    pair = copy.copy(split)
+    pair.dtheta = g @ split.dtheta % alg.p @ g_inv % alg.p
+    assert np.count_nonzero(pair.dtheta) > alg.dim
+    pair.check_automorphism()
+    assert ref_first_automorphism_failure(pair) is None
+    for bad in _flipped(pair, random.Random(4), 6):
+        i, j = ref_first_automorphism_failure(bad)
+        with pytest.raises(LieAlgebraError, match=rf"at pair \({i}, {j}\)$"):
+            bad.check_automorphism()
+
+
+# -- E7 end to end (ROADMAP item 5) ----------------------------------------------------
+
+
+def test_e7_built_and_realized_with_full_checks():
+    """E7 at p = 5: the sparse Jacobi and |N| = q + 1 checks at build, the
+    exhaustive automorphism check of the split involution, and the
+    Kostant-Rallis identity on 5 samples, within 5 s."""
+    t0 = time.perf_counter()
+    alg = build_algebra("E", 7, 5)
+    pair = realize_chevalley_involution(alg)
+    split = [e for e in catalog_list("E", 7) if e.is_split][0]
+    dims = split.satake.kp_dimensions()
+    assert (pair.dim_k, pair.dim_p) == (dims.k, dims.p) == (63, 70)
+    rng = random.Random("E7/chevalley/p=5")
+    for _ in range(5):
+        zk, zp = pair.centralizer_dims(pair.random_p_element(rng))
+        assert zk - zp == pair.dim_k - pair.dim_p
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5, f"E7 took {elapsed:.1f} s"

@@ -11,6 +11,7 @@ import pytest
 
 from thetatool.liealg import (
     LieAlgebraError,
+    _chain_down,
     build_algebra,
     find_inner_coweight,
     realize_chevalley_involution,
@@ -40,7 +41,7 @@ def test_a2_simple_constant():
     alg = build_algebra("A", 2, 7)
     i1 = alg.rs.root_index((1, 0))
     i2 = alg.rs.root_index((0, 1))
-    n = alg.structure_constant(i1, i2)
+    n = alg.table.nconst[(i1, i2)]
     assert n in (1, -1)
     x = basis_vec(alg, alg.e_index(i1))
     y = basis_vec(alg, alg.e_index(i2))
@@ -49,7 +50,7 @@ def test_a2_simple_constant():
 
 def test_g2_has_chain_constant_three():
     alg = build_algebra("G", 2, 7)
-    assert any(abs(v) == 3 for v in alg._nconst.values())
+    assert any(abs(v) == 3 for v in alg.table.nconst.values())
 
 
 def test_bad_prime_rejected():
@@ -93,8 +94,8 @@ def test_chevalley_n_property():
     # |N_{a,b}| = q + 1 is asserted at build time; exercise it explicitly
     alg = build_algebra("C", 3, 5)
     rs = alg.rs
-    for (i, j), n in alg._nconst.items():
-        assert abs(n) == alg._chain_down(rs.roots[j], rs.roots[i]) + 1
+    for (i, j), n in alg.table.nconst.items():
+        assert abs(n) == _chain_down(rs, rs.roots[j], rs.roots[i]) + 1
 
 
 def test_coroot_bracket():
@@ -144,7 +145,7 @@ def test_chevalley_involution_g2():
     alg = build_algebra("G", 2, 7)
     pair = realize_chevalley_involution(alg)
     assert (pair.dim_k, pair.dim_p) == (6, 8)
-    pair.check_automorphism(sample=1000)
+    pair.check_automorphism()  # exhaustive: all 196 basis pairs
     pair.check_grading()
 
 
@@ -169,6 +170,22 @@ def test_centralizer_at_zero():
     pair = realize_chevalley_involution(alg)
     zk, zp = pair.centralizer_dims(np.zeros(alg.dim, dtype=np.int64))
     assert (zk, zp) == (pair.dim_k, pair.dim_p)
+
+
+def test_centralizer_dims_rejects_wrong_length():
+    pair = realize_chevalley_involution(build_algebra("B", 2, 5))
+    for bad in (np.zeros(pair.alg.dim + 1, dtype=np.int64), np.zeros((1, pair.alg.dim), dtype=np.int64)):
+        with pytest.raises(LieAlgebraError, match=r"x has shape .*, expected \(10,\)"):
+            pair.centralizer_dims(bad)
+
+
+def test_centralizer_dims_rejects_x_outside_p():
+    pair = realize_chevalley_involution(build_algebra("B", 2, 5))
+    x = pair.k_basis[0] + pair.p_basis[0]
+    for bad in (pair.k_basis[0], x):
+        with pytest.raises(LieAlgebraError, match="x is not in p"):
+            pair.centralizer_dims(bad)
+    pair.centralizer_dims(pair.p_basis[0])
 
 
 def test_centralizer_identity_sampled():
@@ -345,7 +362,7 @@ def test_prime_too_large_for_int64_brackets_rejected():
     alg = build_algebra("G", 2, p)
     x = np.full(alg.dim, p - 1, dtype=np.int64)
     y = np.full(alg.dim, p - 1, dtype=np.int64)
-    ad = alg._ad.tolist()
+    ad = alg.table.ad.tolist()
     pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
     exact = [
         sum((p - 1) * ad[i][k][j] * (p - 1) for i, j in pairs) % p for k in range(alg.dim)

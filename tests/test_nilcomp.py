@@ -309,7 +309,7 @@ def _nilcone_point_count(series, rank, label, p):
         if not np.any(x):
             count += 1
             continue
-        m = sum(int(x[i]) * alg._ad[i] for i in np.nonzero(x)[0]) % p
+        m = sum(int(x[i]) * alg.table.ad[i] for i in np.nonzero(x)[0]) % p
         for _ in range(6):
             m = (m @ m) % p  # ad(x)^64 = 0 iff ad(x) nilpotent at these dims
         if not np.any(m):
