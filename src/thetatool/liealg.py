@@ -276,15 +276,15 @@ class ChevalleyTable:
         np.add.at(cost, first, count(first)[out] + count(second)[out] + count(out)[second])
         for i0, i1 in _key_ranges(cost):
             rows = np.arange(*np.searchsorted(first, [i0, i1]))
-            # T(i,j,m) T(m,k,l): the output of a row is the first index of b
+            # T(i,j,m) T(m,k,l): a's output is b's first index
             a, b = _join(out[rows], first)
             a = rows[a]
             terms = [(first[a], second[a], second[b], out[b], coef[a] * coef[b])]
-            # T(i,k,n) T(j,n,l): the output of a row is the middle of b
+            # T(i,k,n) T(j,n,l): a's output is b's middle index
             a, b = _join(out[rows], second[by_second])
             a, b = rows[a], by_second[b]
             terms.append((first[a], first[b], second[a], out[b], coef[a] * coef[b]))
-            # -T(j,k,n) T(i,n,l): a row's middle is the output of a
+            # -T(j,k,n) T(i,n,l): b's middle index is a's output
             b, a = _join(second[rows], out[by_out])
             b, a = rows[b], by_out[a]
             terms.append((first[b], first[a], second[a], out[b], -coef[a] * coef[b]))
