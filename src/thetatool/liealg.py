@@ -200,11 +200,8 @@ def _structure_constants(rs: RootSystem) -> Dict[Tuple[int, int], int]:
 
 
 def _bracket_entries(rs: RootSystem, nconst: Mapping[Tuple[int, int], int]) -> np.ndarray:
-    """Rows (i, k, l, c), one for each [x_i, x_k] = c x_l with c != 0.
-
-    Basis order: h_1..h_n (simple coroots), then e_beta for beta in the
-    canonical root order; [e_a, e_{-a}] = a^vee for a positive.
-    """
+    """Rows (i, k, l, c), one for each [x_i, x_k] = c x_l with c != 0;
+    [e_a, e_{-a}] = a^vee for a positive."""
     n, npos = rs.rank, rs.num_positive
     rows = []
     for r, beta in enumerate(rs.roots):
@@ -227,9 +224,10 @@ def _bracket_entries(rs: RootSystem, nconst: Mapping[Tuple[int, int], int]) -> n
 class ChevalleyTable:
     """The integral Chevalley basis of one simple type, shared by all primes.
 
-    ``entries`` is the sparse bracket table, rows (i, k, l, c) for
-    [x_i, x_k] = c x_l sorted by (i, k, l); ``ad[i][l][k] = c`` is its dense
-    scatter.  Both arrays are read-only.
+    Basis order: h_1..h_n (simple coroots), then e_beta for beta in the
+    canonical root order.  ``entries`` is the sparse bracket table, rows
+    (i, k, l, c) for [x_i, x_k] = c x_l sorted by (i, k, l);
+    ``ad[i][l][k] = c`` is its dense scatter.  Both arrays are read-only.
     """
 
     def __init__(self, rs: RootSystem, nconst: Mapping[Tuple[int, int], int],
