@@ -10,11 +10,12 @@ N_{a,b}/(c,c) = N_{b,c}/(a,a) for a + b + c = 0.
 
 The integral table does not depend on p, so each type has one
 ``ChevalleyTable``, built and verified once and shared by every prime.  It
-holds the constants, a sparse bracket table with one row (i, k, l, c) for
-each [x_i, x_k] = c x_l, and the dense integral ``ad`` scattered from it.
-The table is verified wholesale by checking ad[x,y] = [ad x, ad y] over Z
-(faithful for the derived Chevalley form) as joins of the sparse table
-with itself, in O(dim^3) rather than the O(dim^5) of dense products.
+holds the constants and a sparse bracket table with one row (i, k, l, c) for
+each [x_i, x_k] = c x_l; the adjoint matrices mod p are scattered from the
+rows on demand, so no dim^3 array is ever built.  The table is verified
+wholesale by checking ad[x,y] = [ad x, ad y] over Z (faithful for the
+derived Chevalley form) as joins of the sparse table with itself, in
+O(dim^3) rather than the O(dim^5) of dense products.
 """
 
 from __future__ import annotations
@@ -51,8 +52,14 @@ _BLOCK_ROWS = 1 << 16
 
 
 def _brackets_fit_int64(dim: int, p: int) -> bool:
-    """``bracket_vec`` of two reduced vectors sums dim^2 products of two
-    residues and an ad entry: all of them must stay below 2**63."""
+    """Whether every int64 sum over reduced residues stays below 2**63.
+
+    The sums bounded are: one key of ``ChevalleyTable.adjoint``, at most dim
+    terms of a residue times a table entry, (p-1)*6 each; the products
+    ``k_basis @ ad_x.T`` and ``right @ ad_left^T``, dim terms of (p-1)^2
+    each; and a bracket of two reduced vectors summed over all dim^2 pairs
+    of their coordinates, 6*(p-1)^2 each.  6*dim^2*(p-1)^2 covers them all.
+    """
     return _AD_ENTRY_BOUND * dim * dim * (p - 1) ** 2 < 2**63
 
 
@@ -226,8 +233,10 @@ class ChevalleyTable:
 
     Basis order: h_1..h_n (simple coroots), then e_beta for beta in the
     canonical root order.  ``entries`` is the sparse bracket table, rows
-    (i, k, l, c) for [x_i, x_k] = c x_l sorted by (i, k, l);
-    ``ad[i][l][k] = c`` is its dense scatter.  Both arrays are read-only.
+    (i, k, l, c) for [x_i, x_k] = c x_l sorted by (i, k, l).  ``_scatter``
+    is the plan of ``adjoint``: the rows sorted by the matrix position
+    l*dim + k, as (i, c, segment starts, one position per segment).  All
+    arrays are read-only.
     """
 
     def __init__(self, rs: RootSystem, nconst: Mapping[Tuple[int, int], int],
@@ -237,10 +246,23 @@ class ChevalleyTable:
         self.nconst = types.MappingProxyType(dict(nconst))
         entries = np.array(entries, dtype=np.int64).reshape(-1, 4)
         self.entries = _read_only(entries[np.lexsort(entries[:, 2::-1].T)])
-        ad = np.zeros((self.dim,) * 3, dtype=np.int64)
         i, k, l, c = self.entries.T
-        ad[i, l, k] = c
-        self.ad = _read_only(ad)
+        pos = l * self.dim + k
+        order = np.argsort(pos, kind="stable")
+        pos = pos[order]
+        starts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
+        self._scatter = tuple(
+            _read_only(a) for a in (i[order], c[order], starts, pos[starts])
+        )
+
+    def adjoint(self, X: np.ndarray, p: int) -> np.ndarray:
+        """The stack of ad(x) mod p for the rows x of X, shape (n, dim, dim);
+        entry (l, k) of ad(x) is the x_l coefficient of [x, x_k]."""
+        X = np.mod(X, p)
+        first, coef, starts, pos = self._scatter
+        out = np.zeros((len(X), self.dim * self.dim), dtype=np.int64)
+        out[:, pos] = np.add.reduceat(X[:, first] * coef, starts, axis=1) % p
+        return out.reshape(-1, self.dim, self.dim)
 
     def basis_name(self, i: int) -> str:
         if i < self.rs.rank:
@@ -355,39 +377,13 @@ class ModularLieAlgebra:
     def e_index(self, root_idx: int) -> int:
         return self.rs.rank + root_idx
 
-    def bracket_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """[x, y] mod p for coefficient vectors."""
-        ad = self.table.ad
-        out = np.zeros(self.dim, dtype=np.int64)
-        for i in np.nonzero(x)[0]:
-            out += x[i] * (ad[i] @ y)
-        return np.mod(out, self.p)
-
     def bracket_rows(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """All brackets [left[a], right[b]] of two stacks of coefficient
         vectors, as rows in (a, b) order; entries are right mod p but not
         reduced."""
-        ad_left = np.tensordot(left, self.table.ad, axes=(1, 0))
-        ad_left %= self.p
+        ad_left = self.table.adjoint(left, self.p)
         # [x, y] = ad(x) @ y, for every x in left at once
         return np.matmul(right, ad_left.transpose(0, 2, 1)).reshape(-1, self.dim)
-
-    def sample_jacobi(self, count: int, seed: int = 0) -> None:
-        """Literal Jacobi checks on random basis triples mod p."""
-        rng = random.Random(seed)
-        n = self.dim
-        for _ in range(count):
-            i, j, k = (rng.randrange(n) for _ in range(3))
-            x = np.zeros(n, dtype=np.int64); x[i] = 1
-            y = np.zeros(n, dtype=np.int64); y[j] = 1
-            z = np.zeros(n, dtype=np.int64); z[k] = 1
-            total = (
-                self.bracket_vec(self.bracket_vec(x, y), z)
-                + self.bracket_vec(self.bracket_vec(y, z), x)
-                + self.bracket_vec(self.bracket_vec(z, x), y)
-            )
-            if np.any(np.mod(total, self.p)):
-                raise LieAlgebraError(f"Jacobi failure at triple ({i},{j},{k})")
 
 
 @lru_cache(maxsize=None)
@@ -498,7 +494,7 @@ class SymmetricPairRealization:
             raise LieAlgebraError(f"x has shape {x.shape}, expected ({alg.dim},)")
         if np.any(np.mod(self.dtheta @ x + x, p)):
             raise LieAlgebraError("x is not in p: dtheta x != -x mod p")
-        ad_x = np.mod(np.tensordot(x, alg.table.ad, axes=(0, 0)), p)
+        ad_x = alg.table.adjoint(x[None], p)[0]
         return (
             self.dim_k - linalg.rank_mod_p(self.k_basis @ ad_x.T, p),
             self.dim_p - linalg.rank_mod_p(self.p_basis @ ad_x.T, p),

@@ -149,18 +149,11 @@ class RestrictedRootSystem:
         call, so that memoized systems keep no arrays."""
         return GramKernel(self.doubled, self.inv.ambient.form)
 
-    def pairing(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """Cartan integer <a, b^vee> of restricted (doubled) vectors."""
-        return self.inv.ambient.pair_coroot(a, b)
-
     def index_of(self, d: Sequence[int]) -> int:
         try:
             return self._index[tuple(d)]
         except KeyError:
             raise RestrictionError(f"{tuple(d)} is not a restricted root")
-
-    def is_restricted_root(self, d: Sequence[int]) -> bool:
-        return tuple(d) in self._index
 
     def _check_axioms(self, kernel: GramKernel) -> None:
         """Closure under reflections and integral Cartan numbers.
@@ -352,9 +345,6 @@ class RestrictedRootSystem:
             d = self.doubled[int(np.flatnonzero(bad)[0])]
             raise RestrictionError(f"{d} has non-integer pi-coordinates")
         return dict(zip(self.doubled, map(tuple, X.tolist())))
-
-    def pi_coords(self, d: Sequence[int]) -> Tuple[int, ...]:
-        return self._pi_coords[tuple(d)]
 
     def highest_root_coefficients(self) -> List[Tuple[SimpleFactor, Tuple[int, ...]]]:
         """Per factor, the pi-coordinates of its highest reduced root."""

@@ -364,11 +364,6 @@ class RootSystem:
         return tuple(v) in self.index
 
     @property
-    def positive_roots(self) -> range:
-        """Indices of the positive roots inside ``roots``."""
-        return range(self.num_positive)
-
-    @property
     def highest_root(self) -> Root:
         return self.roots[self.num_positive - 1]
 
@@ -511,34 +506,6 @@ class WeylElement:
         npos = self.rs.num_positive
         return sum(1 for i in range(npos) if self.perm[i] >= npos)
 
-    def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm))
-
-    def matrix(self) -> Tuple[Tuple[int, ...], ...]:
-        """Integer matrix on the root lattice; column i is w(alpha_i)."""
-        cols = []
-        for i in range(self.rs.rank):
-            v = tuple(1 if k == i else 0 for k in range(self.rs.rank))
-            cols.append(self.act(v))
-        return tuple(
-            tuple(cols[j][i] for j in range(self.rs.rank)) for i in range(self.rs.rank)
-        )
-
-    def is_minus_identity(self) -> bool:
-        npos = self.rs.num_positive
-        n = len(self.perm)
-        return all(self.perm[i] == (i + npos) % n for i in range(n))
-
-    def preserves_pairing(self) -> bool:
-        """Check <w(a), w(b)^vee> = <a, b^vee> on all root pairs."""
-        rs = self.rs
-        for i, a in enumerate(rs.roots):
-            wa = rs.roots[self.perm[i]]
-            for j, b in enumerate(rs.roots):
-                wb = rs.roots[self.perm[j]]
-                if rs.pair_coroot(wa, wb) != rs.pair_coroot(a, b):
-                    return False
-        return True
 
 
 @lru_cache(maxsize=None)

@@ -7,20 +7,15 @@ generated by I.  The module also carries the embedded catalog of involution
 classes for the simple types and computes the k/p eigenspace dimensions of
 the symmetric decomposition from the Satake data alone.
 
-Catalog records live in ``catalog.txt``, one class per line:
-
-    <series> <rank> <label> I=<1-based indices|-> psi=<cycles|-> k=<name> \
-        phiA=<type> components=<int>
-
-e.g. ``E 7 EVII I=2,3,4,5 psi=- k=e6+R phiA=C3 components=2``.
+The catalog is generated: ``class_records`` lists the classes of each type
+from the families of the classification.
 """
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .rootsys import Root, RootSystem, RootSystemError, WeylElement, build_root_system
@@ -277,17 +272,6 @@ def _psi_to_cycles(psi: Sequence[int]) -> str:
     return "".join(cycles) if cycles else "-"
 
 
-def _cycles_to_psi(text: str, rank: int) -> Tuple[int, ...]:
-    psi = list(range(rank))
-    if text in ("-", ""):
-        return tuple(psi)
-    for part in text.replace(")(", ");(").split(";"):
-        nodes = [int(x) - 1 for x in part.strip("()").split(",")]
-        for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-            psi[a] = b
-    return tuple(psi)
-
-
 def _flip(n: int) -> Tuple[int, ...]:
     return tuple(n - 1 - i for i in range(n))
 
@@ -358,7 +342,7 @@ def class_records(series: str, rank: int) -> List[dict]:
             phi_a = f"BC{m}" if 2 * m < n else _canonical_type("C", m)
             rec(f"CII({m})", compact, ident,
                 f"sp({2 * m})+sp({2 * n - 2 * m})", phi_a, 1)
-    elif series == "D":
+    elif series == "D" and n >= 4:  # D3 = A3 is listed once, as A3
         for p in range(1, n + 1):
             if p <= n - 2:
                 compact = set(range(p, n))
@@ -419,37 +403,6 @@ def _entry_from_record(series: str, rank: int, r: dict) -> InvolutionClassEntry:
     )
 
 
-def render_record(series: str, rank: int, r: dict) -> str:
-    i_txt = ",".join(str(i + 1) for i in sorted(r["compact"])) or "-"
-    return (
-        f"{series} {rank} {r['label']} I={i_txt} psi={_psi_to_cycles(r['psi'])} "
-        f"k={r['k_name']} phiA={r['phi_a']} components={r['components']}"
-    )
-
-
-def parse_record(line: str) -> Tuple[str, int, dict]:
-    parts = line.split()
-    if len(parts) != 8:
-        raise SatakeError(f"malformed catalog record: {line!r}")
-    series, rank_s, label = parts[0], parts[1], parts[2]
-    rank = int(rank_s)
-    fields = {}
-    for part in parts[3:]:
-        key, _, val = part.partition("=")
-        fields[key] = val
-    compact = frozenset(
-        int(x) - 1 for x in fields["I"].split(",") if fields["I"] != "-" and x
-    )
-    return series, rank, dict(
-        label=label,
-        compact=compact,
-        psi=_cycles_to_psi(fields["psi"], rank),
-        k_name=fields["k"],
-        phi_a=fields["phiA"],
-        components=int(fields["components"]),
-    )
-
-
 MAX_CATALOG_RANK = 8
 
 
@@ -462,39 +415,10 @@ def _catalog_types() -> List[Tuple[str, int]]:
     return out
 
 
-def render_catalog() -> str:
-    lines = ["# involution classes of the simple types, rank <= 8"]
-    for series, rank in _catalog_types():
-        for r in class_records(series, rank):
-            lines.append(render_record(series, rank, r))
-    return "\n".join(lines) + "\n"
-
-
-@lru_cache(maxsize=1)
-def _load_catalog() -> Dict[Tuple[str, int], List[Tuple[str, int, dict]]]:
-    text = (
-        importlib.resources.files("thetatool").joinpath("catalog.txt").read_text()
-    )
-    table: Dict[Tuple[str, int], List[Tuple[str, int, dict]]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        series, rank, rec = parse_record(line)
-        table.setdefault((series, rank), []).append((series, rank, rec))
-    return table
-
-
 @lru_cache(maxsize=None)
 def _catalog_list_cached(series: str, rank: int) -> Tuple[InvolutionClassEntry, ...]:
     build_root_system(series, rank)  # raises on invalid type
-    if rank <= MAX_CATALOG_RANK:
-        recs = _load_catalog().get((series, rank), [])
-        entries = [_entry_from_record(s, rk, r) for s, rk, r in recs]
-    else:
-        entries = [
-            _entry_from_record(series, rank, r) for r in class_records(series, rank)
-        ]
+    entries = [_entry_from_record(series, rank, r) for r in class_records(series, rank)]
     return tuple(sorted(entries, key=lambda e: e.label))
 
 

@@ -125,10 +125,6 @@ class DegreeProfile:
     def product(self) -> int:
         return prod(self.degrees) if self.degrees else 1
 
-    @property
-    def nontrivial(self) -> Tuple[int, ...]:
-        return tuple(d for d in self.degrees if d > 1)
-
 
 def invariant_degrees(rrs: RestrictedRootSystem) -> DegreeProfile:
     """Degrees of the polynomial invariants of k[a]^{W_A}.

@@ -1,0 +1,54 @@
+"""Dense brackets for the tests: the integral ``ad`` scattered from the
+sparse Chevalley table, the bracket of two coefficient vectors read off it,
+and literal Jacobi checks on sampled basis triples.
+
+These are independent of ``ChevalleyTable.adjoint``, so the tests that use
+them check the library against a second route through the same table.
+"""
+
+from __future__ import annotations
+
+import random
+from functools import lru_cache
+
+import numpy as np
+
+from thetatool.liealg import LieAlgebraError
+
+
+@lru_cache(maxsize=4)
+def dense_ad(table) -> np.ndarray:
+    """ad[i][l][k] = c for each table row (i, k, l, c): column k of ad x_i
+    is [x_i, x_k]."""
+    ad = np.zeros((table.dim,) * 3, dtype=np.int64)
+    i, k, l, c = table.entries.T
+    ad[i, l, k] = c
+    ad.flags.writeable = False
+    return ad
+
+
+def bracket_vec(alg, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] mod p for coefficient vectors."""
+    ad = dense_ad(alg.table)
+    out = np.zeros(alg.dim, dtype=np.int64)
+    for i in np.nonzero(x)[0]:
+        out += x[i] * (ad[i] @ y)
+    return np.mod(out, alg.p)
+
+
+def sample_jacobi(alg, count: int, seed: int = 0) -> None:
+    """Literal Jacobi checks on random basis triples mod p."""
+    rng = random.Random(seed)
+    n = alg.dim
+    for _ in range(count):
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        x = np.zeros(n, dtype=np.int64); x[i] = 1
+        y = np.zeros(n, dtype=np.int64); y[j] = 1
+        z = np.zeros(n, dtype=np.int64); z[k] = 1
+        total = (
+            bracket_vec(alg, bracket_vec(alg, x, y), z)
+            + bracket_vec(alg, bracket_vec(alg, y, z), x)
+            + bracket_vec(alg, bracket_vec(alg, z, x), y)
+        )
+        if np.any(np.mod(total, alg.p)):
+            raise LieAlgebraError(f"Jacobi failure at triple ({i},{j},{k})")

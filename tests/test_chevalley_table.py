@@ -2,15 +2,21 @@
 
 The dense Python loops the table replaced (the dim^2 bracket scatter and the
 O(dim^5) pairwise Jacobi check) are kept here as oracles, together with a
-dense all-pairs automorphism check.  The sparse checks must agree with them,
-also on seeded corruptions, message for message.
+dense all-pairs automorphism check and dense products with the integral
+``ad``.  The sparse checks and ``ChevalleyTable.adjoint`` must agree with
+them, the checks also on seeded corruptions, message for message.
 """
 
 from __future__ import annotations
 
 import copy
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +32,8 @@ from thetatool.liealg import (
     realize_inner,
 )
 from thetatool.satake import catalog_list
+
+from brackets import dense_ad
 
 RANK_UP_TO_SIX = [("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 7)] + [
     ("C", n) for n in range(3, 7)
@@ -67,7 +75,7 @@ def ref_bracket_basis(rs, nconst, i, j):
 def ref_verify_integral_jacobi(table):
     """ad[x_i, x_j] = [ad x_i, ad x_j] over Z, pair by pair, by dense
     products; [x_i, x_j] is column j of ad x_i."""
-    ad = table.ad
+    ad = dense_ad(table)
     for i in range(table.dim):
         adi = ad[i]
         for j in range(i + 1, table.dim):
@@ -86,7 +94,7 @@ def ref_verify_integral_jacobi(table):
 def ref_first_automorphism_failure(pair):
     """The first basis pair (i, j), row-major, with dtheta[e_i, e_j] !=
     [dtheta e_i, dtheta e_j] mod p, from dense products."""
-    p, d, ad = pair.alg.p, pair.dtheta, pair.alg.table.ad
+    p, d, ad = pair.alg.p, pair.dtheta, dense_ad(pair.alg.table)
     for i in range(pair.alg.dim):
         lhs = (np.tensordot(d[:, i], ad, axes=(0, 0)) % p) @ d  # [D e_i, D e_j]
         rhs = d @ ad[i]  # D [e_i, e_j]
@@ -116,8 +124,20 @@ def test_sparse_table_scatters_to_the_bracket_loop_and_passes_jacobi(series, ran
         for j in range(dim):
             for k, c in ref_bracket_basis(rs, table.nconst, i, j).items():
                 ad[i][k][j] = c
-    assert np.array_equal(table.ad, ad)
+    assert np.array_equal(dense_ad(table), ad)
     assert len(table.entries) == np.count_nonzero(ad)
+    rng = np.random.default_rng(dim)
+    for p in (7, 2**31 - 1):  # the largest prime linalg accepts
+        for X in (
+            rng.integers(0, p, size=(1, dim)),  # a single x
+            rng.integers(0, p, size=(5, dim)),  # a stack
+            np.zeros((3, dim), dtype=np.int64),  # a stack of zeros
+            np.zeros((0, dim), dtype=np.int64),  # the empty stack
+            np.full((2, dim), p - 1, dtype=np.int64),  # the largest residues
+            rng.integers(0, p, size=(2, dim)) + p * (2**62 // p),  # unreduced
+        ):
+            want = np.tensordot(X % p, ad, axes=(1, 0)) % p
+            assert np.array_equal(table.adjoint(X, p), want), (p, X.shape)
     table.check_jacobi()
     table.check_chevalley_property()
 
@@ -151,7 +171,7 @@ def test_one_read_only_table_shared_across_primes():
     algs = [build_algebra("B", 3, p) for p in (5, 7, 11)]
     table = chevalley_table("B", 3)
     assert all(alg.table is table for alg in algs)
-    for arr in (table.entries, table.ad):
+    for arr in (table.entries, *table._scatter):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
     with pytest.raises(TypeError):
@@ -163,7 +183,7 @@ def test_one_read_only_table_shared_across_primes():
 
 def _exp_ad(alg, x):
     """exp(ad x) mod p for ad x with (ad x)^3 = 0."""
-    ad_x = np.tensordot(x, alg.table.ad, axes=(0, 0)) % alg.p
+    ad_x = np.tensordot(x, dense_ad(alg.table), axes=(0, 0)) % alg.p
     sq = ad_x @ ad_x % alg.p
     assert not np.any(sq @ ad_x % alg.p)
     half = pow(2, -1, alg.p)
@@ -220,7 +240,7 @@ def test_automorphism_check_on_inner_and_conjugated_involutions():
             bad.check_automorphism()
 
 
-# -- E7 end to end (ROADMAP item 5) ----------------------------------------------------
+# -- E7 and E8 end to end -------------------------------------------------------------
 
 
 def test_e7_built_and_realized_with_full_checks():
@@ -239,3 +259,40 @@ def test_e7_built_and_realized_with_full_checks():
         assert zk - zp == pair.dim_k - pair.dim_p
     elapsed = time.perf_counter() - t0
     assert elapsed < 5, f"E7 took {elapsed:.1f} s"
+
+
+# The child reads its peak RSS from VmHWM: Linux carries a process's
+# ru_maxrss over from its parent through exec, so under a large test runner
+# ru_maxrss would report the runner's own peak.
+E8_CHILD = """
+import json, random
+from thetatool.liealg import build_algebra, realize_chevalley_involution
+pair = realize_chevalley_involution(build_algebra("E", 8, 7))
+rng = random.Random("E8/chevalley/p=7")
+samples = [pair.centralizer_dims(pair.random_p_element(rng)) for _ in range(5)]
+with open("/proc/self/status") as fh:
+    peak_kb = int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+print(json.dumps({"kp": [pair.dim_k, pair.dim_p], "samples": samples, "peak_kb": peak_kb}))
+"""
+
+
+def test_e8_built_and_realized_under_60_mb():
+    """E8 at p = 7 in a fresh interpreter: the checked table, the split
+    involution with the exhaustive automorphism check, (k, p) = (120, 128)
+    and the Kostant-Rallis identity on 5 samples, all within 60 MB of peak
+    resident memory (a dense integral ad alone would be 122 MB)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    child = subprocess.run(
+        [sys.executable, "-c", E8_CHILD], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    out = json.loads(child.stdout)
+    split = [e for e in catalog_list("E", 8) if e.is_split][0]
+    dims = split.satake.kp_dimensions()
+    assert tuple(out["kp"]) == (dims.k, dims.p) == (120, 128)
+    for zk, zp in out["samples"]:
+        assert zk - zp == 120 - 128
+    assert out["peak_kb"] < 60 * 1024, f"E8 peak RSS {out['peak_kb']} KB"

@@ -16,6 +16,8 @@ from thetatool.restricted import restrict
 from thetatool.rootsys import FiniteAbelianGroup
 from thetatool.satake import all_catalog_entries, catalog_lookup
 
+from brackets import dense_ad
+
 
 def test_omega_split_all_two():
     e = catalog_lookup("F", 4, "FI")
@@ -303,13 +305,14 @@ def _nilcone_point_count(series, rank, label, p):
     else:
         mu = liealg.find_inner_coweight(alg, dims.k, dims.p)
         pair = liealg.realize_inner(alg, mu)
+    ad = dense_ad(alg.table)
     count = 0
     for coeffs in itertools.product(range(p), repeat=pair.dim_p):
         x = np.mod(np.array(coeffs, dtype=np.int64) @ pair.p_basis, p)
         if not np.any(x):
             count += 1
             continue
-        m = sum(int(x[i]) * alg.table.ad[i] for i in np.nonzero(x)[0]) % p
+        m = sum(int(x[i]) * ad[i] for i in np.nonzero(x)[0]) % p
         for _ in range(6):
             m = (m @ m) % p  # ad(x)^64 = 0 iff ad(x) nilpotent at these dims
         if not np.any(m):

@@ -3,6 +3,7 @@ baby Weyl groups, omega_alpha."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from thetatool.restricted import case_iii_count, omega_alpha, restrict
@@ -61,7 +62,7 @@ def test_no_triple_restricted_roots_catalog():
     for e in all_catalog_entries(max_rank=6):
         rrs = restrict(e.satake)
         for d in rrs.doubled:
-            assert not rrs.is_restricted_root(tuple(3 * x for x in d))
+            assert tuple(3 * x for x in d) not in rrs.multiplicity
 
 
 def test_baby_weyl_orders():
@@ -152,11 +153,20 @@ def test_split_entries_preserve_cartan_integers():
     e = catalog_lookup("B", 3, "BI(3)")
     rrs = restrict(e.satake)
     rs = e.satake.ambient
+    cartan, integral = rrs.gram_kernel().cartan_rows(np.array(rrs.doubled))
+    assert integral.all()
     for a in rs.roots[: rs.num_positive]:
         for b in rs.roots[: rs.num_positive]:
             da = tuple(2 * x for x in a)
             db = tuple(2 * x for x in b)
-            assert rrs.pairing(da, db) == rs.pair_coroot(a, b)
+            assert cartan[rrs.index_of(da), rrs.index_of(db)] == rs.pair_coroot(a, b)
+
+
+def weyl_matrix(w):
+    """Integer matrix on the root lattice; column i is w(alpha_i)."""
+    n = w.rs.rank
+    cols = [w.act(tuple(1 if k == i else 0 for k in range(n))) for i in range(n)]
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
 def _minus_one_space(inv):
@@ -219,7 +229,7 @@ def _normalizer_quotient_order(inv, cap=500):
 
     w1 = w2 = 0
     for w, _ in rs.enumerate_weyl(cap):
-        M = w.matrix()
+        M = weyl_matrix(w)
         imgs = [
             [sum(Fraction(M[i][j]) * b[j] for j in range(n)) for i in range(n)]
             for b in basis

@@ -23,6 +23,28 @@ from thetatool.rootsys import (
 )
 
 
+def is_identity(w):
+    return all(p == i for i, p in enumerate(w.perm))
+
+
+def is_minus_identity(w):
+    npos = w.rs.num_positive
+    n = len(w.perm)
+    return all(w.perm[i] == (i + npos) % n for i in range(n))
+
+
+def preserves_pairing(w):
+    """Check <w(a), w(b)^vee> = <a, b^vee> on all root pairs."""
+    rs = w.rs
+    for i, a in enumerate(rs.roots):
+        wa = rs.roots[w.perm[i]]
+        for j, b in enumerate(rs.roots):
+            wb = rs.roots[w.perm[j]]
+            if rs.pair_coroot(wa, wb) != rs.pair_coroot(a, b):
+                return False
+    return True
+
+
 def a_series_count(n):
     # independent count oracle for A_n: n(n+1) roots
     return n * (n + 1)
@@ -76,7 +98,7 @@ def test_reflection_involutive():
         rs = build_root_system(series, rank)
         for i in range(len(rs.roots)):
             s = rs.reflection(i)
-            assert (s * s).is_identity()
+            assert is_identity(s * s)
 
 
 def test_reflection_rank1_defining_case():
@@ -100,7 +122,7 @@ def test_longest_element():
     for i in range(2):
         e = tuple(1 if k == i else 0 for k in range(2))
         assert w0.act(e) == (-e[0], -e[1])
-    assert w0.is_minus_identity()
+    assert is_minus_identity(w0)
 
 
 def test_longest_element_word_length():
@@ -152,7 +174,7 @@ def test_weyl_elements_preserve_pairing():
     w = rs.identity_element()
     for _ in range(12):
         w = w * rs.simple_reflection(rng.randrange(rs.rank))
-    assert w.preserves_pairing()
+    assert preserves_pairing(w)
 
 
 @settings(max_examples=30, deadline=None)
@@ -165,7 +187,7 @@ def test_weyl_word_properties(word):
     # length never exceeds the word length and has the same parity
     assert w.length() <= len(word)
     assert (w.length() - len(word)) % 2 == 0
-    assert (w * w.inverse()).is_identity()
+    assert is_identity(w * w.inverse())
 
 
 def test_lattice_quotient_a1_weight_mod_root():

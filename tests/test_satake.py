@@ -2,19 +2,81 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+from typing import Tuple
+
 import pytest
 
 from thetatool.rootsys import build_root_system
 from thetatool.satake import (
+    SatakeError,
     SatakeInvolution,
     UnknownClassError,
+    _catalog_types,
+    _psi_to_cycles,
     all_catalog_entries,
     catalog_list,
     catalog_lookup,
     class_records,
-    parse_record,
-    render_record,
 )
+
+# The generator's output for every catalog type, one class per line:
+#
+#     <series> <rank> <label> I=<1-based indices|-> psi=<cycles|-> k=<name> \
+#         phiA=<type> components=<int>
+#
+# e.g. ``E 7 EVII I=2,3,4,5 psi=- k=e6+R phiA=C3 components=2``.
+CATALOG_FIXTURE = Path(__file__).resolve().parent / "catalog.txt"
+
+
+def _cycles_to_psi(text: str, rank: int) -> Tuple[int, ...]:
+    psi = list(range(rank))
+    if text in ("-", ""):
+        return tuple(psi)
+    for part in text.replace(")(", ");(").split(";"):
+        nodes = [int(x) - 1 for x in part.strip("()").split(",")]
+        for a, b in zip(nodes, nodes[1:] + nodes[:1]):
+            psi[a] = b
+    return tuple(psi)
+
+
+def render_record(series: str, rank: int, r: dict) -> str:
+    i_txt = ",".join(str(i + 1) for i in sorted(r["compact"])) or "-"
+    return (
+        f"{series} {rank} {r['label']} I={i_txt} psi={_psi_to_cycles(r['psi'])} "
+        f"k={r['k_name']} phiA={r['phi_a']} components={r['components']}"
+    )
+
+
+def parse_record(line: str) -> Tuple[str, int, dict]:
+    parts = line.split()
+    if len(parts) != 8:
+        raise SatakeError(f"malformed catalog record: {line!r}")
+    series, rank_s, label = parts[0], parts[1], parts[2]
+    rank = int(rank_s)
+    fields = {}
+    for part in parts[3:]:
+        key, _, val = part.partition("=")
+        fields[key] = val
+    compact = frozenset(
+        int(x) - 1 for x in fields["I"].split(",") if fields["I"] != "-" and x
+    )
+    return series, rank, dict(
+        label=label,
+        compact=compact,
+        psi=_cycles_to_psi(fields["psi"], rank),
+        k_name=fields["k"],
+        phi_a=fields["phiA"],
+        components=int(fields["components"]),
+    )
+
+
+def render_catalog() -> str:
+    lines = ["# involution classes of the simple types, rank <= 8"]
+    for series, rank in _catalog_types():
+        for r in class_records(series, rank):
+            lines.append(render_record(series, rank, r))
+    return "\n".join(lines) + "\n"
 
 
 def test_theta_star_split_is_negation():
@@ -152,11 +214,8 @@ def test_catalog_record_round_trip():
 
 
 def test_catalog_file_matches_generator():
-    # the shipped table is exactly what the family templates produce
-    from thetatool.satake import render_catalog
-    import importlib.resources
-
-    text = importlib.resources.files("thetatool").joinpath("catalog.txt").read_text()
+    # the checked fixture is exactly what the family templates produce
+    text = CATALOG_FIXTURE.read_text()
     assert text == render_catalog()
 
 

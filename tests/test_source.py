@@ -3,9 +3,25 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "thetatool"
+
+# Functions that nothing in the library calls, kept as references the tests
+# compare against.
+TEST_REFERENCES = {
+    "baby_weyl": "W_A listed element by element, the oracle of the degree and "
+                 "Poincare-polynomial tests",
+    "length_of": "BabyWeylGroup's inversion count, checked against its BFS depth",
+    "poincare_from_enumeration": "the Poincare polynomial summed over baby_weyl, "
+                                 "the oracle of poincare_polynomial",
+    "split_and_quasisplit_counts": "component counts of the split and quasi-split "
+                                   "classes against their closed formulas "
+                                   "(acceptance criterion 2)",
+    "validate": "the admissibility check of Satake data, run on every catalog "
+                "class and on hand-built data",
+}
 
 
 def test_no_bare_assert_in_library():
@@ -16,3 +32,42 @@ def test_no_bare_assert_in_library():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"bare assert in {', '.join(found)}"
+
+
+def _referenced_names(node: ast.AST) -> Counter:
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_library_function_is_used():
+    """Each function or method in the library is referenced by name outside
+    its own body, exported in ``__all__``, or a listed test reference: code
+    that only tests call belongs in ``tests/``."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    refs = sum((_referenced_names(tree) for tree in trees.values()), Counter())
+    exported = {
+        elt.value
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    defs = [
+        (fname, node)
+        for fname, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    ]
+    unused = [
+        f"{fname}:{node.lineno} {node.name}"
+        for fname, node in defs
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in exported
+        and node.name not in TEST_REFERENCES
+        and refs[node.name] == _referenced_names(node)[node.name]
+    ]
+    assert not unused, f"defined but never used in the library: {', '.join(unused)}"
+    stale = sorted(set(TEST_REFERENCES) - {node.name for _, node in defs})
+    assert not stale, f"allowlisted but not defined: {', '.join(stale)}"
