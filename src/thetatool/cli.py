@@ -200,6 +200,23 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def suite_json(res: verify.SuiteResult) -> str:
+    """The JSON text of a suite result, as ``verify --format json`` prints it."""
+    return json.dumps(
+        {
+            "schema": SCHEMA_VERSION,
+            "suite": res.suite,
+            "passed": res.passed,
+            "checks": [
+                {"name": c.name, "ok": c.ok, "detail": c.detail} for c in res.checks
+            ],
+            "skipped": res.skipped,
+        },
+        indent=2,
+        sort_keys=True,
+    )
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite not in verify.SUITE_NAMES:
         print(
@@ -210,22 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 2
     res = verify.run_suite(args.suite, seed=args.seed, order_cap=args.cap)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "suite": res.suite,
-                    "passed": res.passed,
-                    "checks": [
-                        {"name": c.name, "ok": c.ok, "detail": c.detail}
-                        for c in res.checks
-                    ],
-                    "skipped": res.skipped,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(suite_json(res))
     else:
         for c in res.checks:
             mark = "PASS" if c.ok else "FAIL"

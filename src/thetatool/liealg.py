@@ -50,6 +50,9 @@ _AD_ENTRY_BOUND = 6
 # The sparse checks hold at most about this many join rows at once.
 _BLOCK_ROWS = 1 << 16
 
+# check_grading forms the brackets of this many basis vectors at a time.
+_GRADING_BLOCK = 16
+
 
 def _brackets_fit_int64(dim: int, p: int) -> bool:
     """Whether every int64 sum over reduced residues stays below 2**63.
@@ -468,9 +471,10 @@ class SymmetricPairRealization:
     def check_grading(self) -> None:
         """[k,k] in k, [k,p] in p, [p,p] in k, exhaustively on basis pairs.
 
-        Each law is one rank test: the brackets of all basis pairs lie in
-        the target space exactly when appending them to its basis leaves
-        the rank at its dimension.
+        Each law is a membership test of the brackets in the target space,
+        whose basis is in kernel form, so no elimination runs.  The brackets
+        are formed for _GRADING_BLOCK rows of the left basis at a time, which
+        bounds the memory to that many ad matrices.
         """
         alg, p = self.alg, self.alg.p
         for left, right, target, name in (
@@ -478,9 +482,10 @@ class SymmetricPairRealization:
             (self.k_basis, self.p_basis, self.p_basis, "[k,p] in p"),
             (self.p_basis, self.p_basis, self.k_basis, "[p,p] in k"),
         ):
-            rows = np.vstack([target, alg.bracket_rows(left, right)])
-            if linalg.rank_mod_p(rows, p) != target.shape[0]:
-                raise LieAlgebraError(f"grading law {name} fails")
+            for start in range(0, len(left), _GRADING_BLOCK):
+                rows = alg.bracket_rows(left[start : start + _GRADING_BLOCK], right)
+                if not linalg.in_span_mod_p(target, rows, p):
+                    raise LieAlgebraError(f"grading law {name} fails")
 
     def centralizer_dims(self, x: np.ndarray) -> Tuple[int, int]:
         """(dim z_k(x), dim z_p(x)) for x in p, by exact F_p ranks.

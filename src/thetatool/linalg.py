@@ -3,7 +3,9 @@
 There is one Gauss-Jordan elimination per field: ``rref`` over Q, on lists
 of ``Fraction``, and ``rref_mod_p`` over F_p, on numpy ``int64`` arrays.
 Rank, solving and kernels are read off the reduced row echelon form, which
-is unique, so every result is independent of the pivoting order.
+is unique, so every result is independent of the pivoting order.  Membership
+in a span whose basis is in the form ``kernel_mod_p`` returns needs no
+elimination (``in_span_mod_p``).
 """
 
 from __future__ import annotations
@@ -85,28 +87,36 @@ def rref_mod_p(mat, p: int) -> Tuple[np.ndarray, List[int]]:
     Returns the nonzero rows of the form (entries in [0, p)) and their pivot
     columns.  Raises LinalgError when p >= 2**31, where int64 products of
     two residues could overflow.
+
+    The elimination runs on the transpose T, so that column c is the
+    contiguous row T[c].  Columns before c are already reduced, and rows r
+    and below are zero there, so each pivot only updates T[c:].
     """
     if p >= 2**31:  # entries stay in [0, p), so products stay below p^2 < 2**62
         raise LinalgError(f"modulus {p} is too large for int64 elimination")
-    M = np.mod(np.asarray(mat, dtype=np.int64), p)
-    nrows, ncols = M.shape
+    T = np.ascontiguousarray(np.mod(np.asarray(mat, dtype=np.int64), p).T)
+    ncols, nrows = T.shape
     pivots: List[int] = []
+    r = 0
     for c in range(ncols):
-        r = len(pivots)
         if r == nrows:
             break
-        nonzero = np.flatnonzero(M[r:, c])
+        rest = T[c:]
+        col = rest[0]
+        nonzero = col[r:].nonzero()[0]
         if not nonzero.size:
             continue
         sel = r + int(nonzero[0])
-        M[[r, sel]] = M[[sel, r]]
-        M[r] = M[r] * pow(int(M[r, c]), -1, p) % p
-        factors = M[:, c].copy()
-        factors[r] = 0
-        M -= np.outer(factors, M[r])
-        M %= p
+        if sel != r:
+            rest[:, [r, sel]] = rest[:, [sel, r]]
+        pivot_row = rest[:, r] * pow(int(col[r]), -1, p) % p
+        # clears column c everywhere, row r included; row r is then restored
+        rest -= pivot_row[:, None] * col
+        rest[:, r] = pivot_row
+        rest %= p
         pivots.append(c)
-    return M[: len(pivots)], pivots
+        r += 1
+    return T[:, :r].T, pivots
 
 
 def rank_mod_p(mat, p: int) -> int:
@@ -128,3 +138,30 @@ def kernel_mod_p(mat, p: int) -> np.ndarray:
         basis[k, f] = 1
         basis[k, pivots] = -R[:, f] % p
     return basis
+
+
+def in_span_mod_p(basis, rows, p: int) -> bool:
+    """Whether every row of ``rows`` lies in the row span of ``basis`` over F_p.
+
+    ``basis`` must be in the form ``kernel_mod_p`` returns: with f_k the
+    last nonzero column of row k, basis[:, f] is the identity.  A vector v
+    of the span is then (v[f] mod p) @ basis, so membership needs no
+    elimination.  Raises LinalgError for a basis not in that form, and for
+    p >= 2**31 as ``rref_mod_p`` does.
+    """
+    if p >= 2**31:
+        raise LinalgError(f"modulus {p} is too large for int64 elimination")
+    basis = np.mod(np.asarray(basis, dtype=np.int64), p)
+    residue = np.mod(np.asarray(rows, dtype=np.int64), p)
+    nbasis, ncols = basis.shape
+    # a zero row gets f = ncols - 1, where it holds 0, not 1
+    free = ncols - 1 - (basis[:, ::-1] != 0).argmax(axis=1) if basis.size else []
+    if not np.array_equal(basis[:, free], np.eye(nbasis, dtype=np.int64)):
+        raise LinalgError("basis is not in kernel form")
+    coeffs = residue[:, free]
+    # a chunk of `step` terms, each below p^2, cannot overflow int64
+    step = (2**63 - 1) // max(1, (p - 1) ** 2)
+    for k in range(0, nbasis, step):
+        residue -= coeffs[:, k : k + step] @ basis[k : k + step]
+        residue %= p
+    return not residue.any()

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from . import linalg
 from .restricted import (
     RestrictedCocharacter,
     RestrictedRootSystem,
@@ -76,9 +75,10 @@ def omega(
     rs = inv.ambient
     n = rs.rank
     diagram = tuple(0 if i in inv.compact else 2 for i in range(n))
-    # <alpha_i, sum_j c_j alpha_j^vee> = sum_j c_j cartan[i][j]
-    sol = linalg.solve(rs.cartan, diagram)
-    if sol is None or any(f.denominator != 1 for f in sol):
+    # <alpha_i, sum_j c_j alpha_j^vee> = sum_j c_j cartan[i][j], so c is
+    # cartan^-1 @ diagram
+    sol = [sum(a * d for a, d in zip(row, diagram)) for row in rs.cartan_inverse]
+    if any(f.denominator != 1 for f in sol):
         raise OmegaError("no integral cocharacter with the even diagram")
     coords = tuple(int(f) for f in sol)
     # omega must lie in the (-1)-eigenlattice: theta reverses it

@@ -17,6 +17,7 @@ tuple), then the negative roots in the mirrored order, so that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt, prod
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
@@ -302,6 +303,12 @@ class RootSystem:
             self.index[tuple(1 if k == i else 0 for k in range(self.rank))]
             for i in range(self.rank)
         )
+
+    @cached_property
+    def cartan_inverse(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """The inverse of the Cartan matrix over Q, computed once (the
+        matrix is nonsingular: its determinant is the order of Z)."""
+        return tuple(tuple(row) for row in linalg.inverse(self.cartan))
 
     def gram_kernel(self) -> GramKernel:
         """The Gram kernel of the root list.  It is built afresh on each

@@ -8,13 +8,24 @@ tests/test_acceptance.py` to see the per-criterion lines.
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import numpy as np
 
-from thetatool import liealg, nilcomp, restricted, verify
+from thetatool import cli, liealg, nilcomp, restricted, verify
 from thetatool.satake import all_catalog_entries
 
 from brackets import bracket_vec, sample_jacobi
+
+
+# `theta-tool verify grading|centdim --format json` as recorded before the
+# F_p kernel was rewritten; the suites must keep printing them byte for byte.
+FIXTURES = Path(__file__).resolve().parent
+
+
+def _matches_fixture(res: verify.SuiteResult, name: str) -> bool:
+    want = (FIXTURES / f"verify_{name}.json").read_text()
+    return cli.suite_json(res) + "\n" == want
 
 
 def _report(name: str, ok: bool, elapsed: float, budget: float, extra: str = ""):
@@ -96,13 +107,14 @@ def test_criterion_5_centdim_identity():
     """dim z_k(x) - dim z_p(x) = dim k - dim p on 100 fixed-seed random
     x in p for every realized pair over p in {5, 7, 11} (combinations with
     p dividing the fundamental-group order fall outside the nondegenerate-
-    form hypothesis and are excluded; see the A4/p=5 regression test)."""
+    form hypothesis and are excluded; see the A4/p=5 regression test).
+    The suite's JSON equals the recorded `verify centdim --format json`."""
     t0 = time.time()
     res = verify.run_centdim(seed=42, samples=100)
     n_pairs = sum(1 for c in res.checks if c.name.startswith("centdim"))
     _report(
         "criterion 5: centralizer dimension identity",
-        res.passed,
+        res.passed and _matches_fixture(res, "centdim"),
         time.time() - t0,
         60,
         f"{n_pairs} realized pairs x 100 samples",
@@ -111,12 +123,13 @@ def test_criterion_5_centdim_identity():
 
 def test_criterion_6_grading_laws():
     """[k,k] in k, [k,p] in p, [p,p] in k, exhaustively on basis pairs of
-    every realized pair."""
+    every realized pair.  The suite's JSON equals the recorded
+    `verify grading --format json`."""
     t0 = time.time()
     res = verify.run_grading()
     _report(
         "criterion 6: grading laws",
-        res.passed,
+        res.passed and _matches_fixture(res, "grading"),
         time.time() - t0,
         30,
         f"{len(res.checks)} realized pairs",

@@ -245,14 +245,15 @@ def test_automorphism_check_on_inner_and_conjugated_involutions():
 
 def test_e7_built_and_realized_with_full_checks():
     """E7 at p = 5: the sparse Jacobi and |N| = q + 1 checks at build, the
-    exhaustive automorphism check of the split involution, and the
-    Kostant-Rallis identity on 5 samples, within 5 s."""
+    exhaustive automorphism check of the split involution, the grading
+    laws, and the Kostant-Rallis identity on 5 samples, within 5 s."""
     t0 = time.perf_counter()
     alg = build_algebra("E", 7, 5)
     pair = realize_chevalley_involution(alg)
     split = [e for e in catalog_list("E", 7) if e.is_split][0]
     dims = split.satake.kp_dimensions()
     assert (pair.dim_k, pair.dim_p) == (dims.k, dims.p) == (63, 70)
+    pair.check_grading()
     rng = random.Random("E7/chevalley/p=5")
     for _ in range(5):
         zk, zp = pair.centralizer_dims(pair.random_p_element(rng))

@@ -1,11 +1,13 @@
 """Exact linear algebra over Q and F_p, checked against the loop-based
 eliminations it replaced (kept below, verbatim in substance, as reference
-oracles) on random, low-rank, empty and zero matrices."""
+oracles) on random, low-rank, empty and zero matrices.  ``rref_mod_p`` is
+also checked against its earlier row-major numpy body, which must give the
+same reduced form and pivots on every input."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from thetatool import linalg
 
 PRIMES = st.sampled_from([3, 5, 7, 11, 13])
+LARGEST_PRIME = 2**31 - 1
 
 
 # -- reference oracles ------------------------------------------------------------
@@ -43,6 +46,29 @@ def ref_rank_mod_p(mat: np.ndarray, p: int) -> int:
         if rank == rows:
             break
     return rank
+
+
+def ref_rref_mod_p(mat, p: int) -> Tuple[np.ndarray, List[int]]:
+    """The row-major Gauss-Jordan that the transposed kernel replaced."""
+    M = np.mod(np.asarray(mat, dtype=np.int64), p)
+    nrows, ncols = M.shape
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        nonzero = np.flatnonzero(M[r:, c])
+        if not nonzero.size:
+            continue
+        sel = r + int(nonzero[0])
+        M[[r, sel]] = M[[sel, r]]
+        M[r] = M[r] * pow(int(M[r, c]), -1, p) % p
+        factors = M[:, c].copy()
+        factors[r] = 0
+        M -= np.outer(factors, M[r])
+        M %= p
+        pivots.append(c)
+    return M[: len(pivots)], pivots
 
 
 def ref_eigenspace(mat: np.ndarray, eigval: int, p: int) -> np.ndarray:
@@ -165,7 +191,71 @@ def square_matrices(draw):
     return draw(int_matrices(rows=n, cols=n))
 
 
+def _mod_product(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+    """left @ right mod p in Python integers, exact for any p."""
+    prod = np.asarray(left, dtype=object) @ np.asarray(right, dtype=object)
+    return np.mod(prod, p).astype(np.int64).reshape(left.shape[0], right.shape[1])
+
+
+@st.composite
+def rref_inputs(draw):
+    """(matrix, p) pairs of every shape the kernel meets: random and
+    low-rank, zero and empty, tall (rows >> cols, like the stacks of
+    brackets) and wide, and products L @ U that reduce with no row swap."""
+    p = draw(st.one_of(PRIMES, st.just(LARGEST_PRIME)))
+    kind = draw(st.sampled_from(["random", "zero", "empty", "tall", "wide", "no_swap"]))
+    residues = st.integers(0, p - 1)
+    if kind == "random":
+        if p == LARGEST_PRIME:
+            m, n = draw(dims()), draw(dims())
+            return draw(arrays(np.int64, (m, n), elements=residues)), p
+        return draw(int_matrices()), p
+    if kind == "zero":
+        return np.zeros((draw(dims()), draw(dims())), dtype=np.int64), p
+    if kind == "empty":
+        shape = draw(st.sampled_from([(0, 0), (0, 1), (0, 5), (1, 0), (6, 0)]))
+        return np.zeros(shape, dtype=np.int64), p
+    if kind in ("tall", "wide"):
+        m, n = draw(st.integers(10, 40)), draw(st.integers(1, 6))
+        if kind == "wide":
+            m, n = n, m
+        k = draw(st.integers(0, min(m, n)))
+        left = draw(arrays(np.int64, (m, k), elements=residues))
+        right = draw(arrays(np.int64, (k, n), elements=residues))
+        return _mod_product(left, right, p), p
+    # no_swap: L unit lower triangular, U upper triangular with a unit
+    # diagonal mod p, so every pivot is already in place
+    n = draw(st.integers(1, 7))
+    lower = np.tril(draw(arrays(np.int64, (n, n), elements=residues)), -1)
+    lower += np.eye(n, dtype=np.int64)
+    upper = np.triu(draw(arrays(np.int64, (n, n), elements=residues)), 1)
+    upper += np.diag(draw(arrays(np.int64, (n,), elements=st.integers(1, p - 1))))
+    extra = draw(arrays(np.int64, (n, draw(st.integers(0, 4))), elements=residues))
+    return _mod_product(lower, np.hstack([upper, extra]), p), p
+
+
 # -- F_p -----------------------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=300)
+@given(rref_inputs())
+def test_rref_mod_p_matches_row_major_oracle(case):
+    mat, p = case
+    got, got_pivots = linalg.rref_mod_p(mat, p)
+    want, want_pivots = ref_rref_mod_p(mat, p)
+    assert got_pivots == want_pivots
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_rref_mod_p_no_swap_and_swap():
+    # pivots in place: no row moves
+    R, pivots = linalg.rref_mod_p(np.array([[1, 2, 3], [0, 1, 4], [0, 0, 2]]), 5)
+    assert pivots == [0, 1, 2] and R.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # the first pivot is in the last row, the second needs none
+    R, pivots = linalg.rref_mod_p(np.array([[0, 3, 1], [0, 0, 0], [2, 1, 1]]), 7)
+    want, want_pivots = ref_rref_mod_p(np.array([[0, 3, 1], [0, 0, 0], [2, 1, 1]]), 7)
+    assert pivots == want_pivots and np.array_equal(R, want)
 
 
 @settings(deadline=None)
@@ -208,6 +298,55 @@ def test_row_span_membership_by_rank(data, p):
     assert by_rank == ref_in_row_span(basis, v, p)
 
 
+@st.composite
+def kernel_bases(draw):
+    """(basis, p): the kernel_mod_p basis of a random or low-rank matrix."""
+    p = draw(st.one_of(PRIMES, st.just(LARGEST_PRIME)))
+    return linalg.kernel_mod_p(draw(int_matrices()), p), p
+
+
+@settings(deadline=None)
+@given(kernel_bases(), st.data())
+def test_in_span_mod_p_matches_rank_test(case, data):
+    basis, p = case
+    nbasis, n = basis.shape
+    nrows = data.draw(st.integers(0, 6))
+    coeffs = data.draw(arrays(np.int64, (nrows, nbasis), elements=st.integers(0, 50)))
+    rows = _mod_product(coeffs, basis, p) if nbasis else np.zeros((nrows, n), dtype=np.int64)
+    if nrows and data.draw(st.booleans()):
+        noise = data.draw(arrays(np.int64, (n,), elements=st.integers(-20, 20)))
+        rows[data.draw(st.integers(0, nrows - 1))] += noise
+    by_rank = linalg.rank_mod_p(np.vstack([basis, rows]), p) == nbasis
+    assert linalg.in_span_mod_p(basis, rows, p) == by_rank
+
+
+@pytest.mark.parametrize("p", [5, 13, LARGEST_PRIME])
+def test_in_span_mod_p_catches_one_corrupted_row(p):
+    rng = np.random.default_rng(p)
+    mat = rng.integers(0, 5, size=(4, 9))
+    R, pivots = linalg.rref_mod_p(mat, p)
+    basis = linalg.kernel_mod_p(mat, p)
+    rows = _mod_product(rng.integers(0, p, size=(12, basis.shape[0])), basis, p)
+    assert linalg.in_span_mod_p(basis, rows, p)
+    assert linalg.rank_mod_p(np.vstack([basis, rows]), p) == basis.shape[0]
+    # a unit vector at a pivot column is zero on every free column, so it is
+    # in the span only if it is zero
+    rows[7, pivots[-1]] += 1
+    assert not linalg.in_span_mod_p(basis, rows, p)
+    assert linalg.rank_mod_p(np.vstack([basis, rows]), p) == basis.shape[0] + 1
+
+
+@pytest.mark.parametrize("basis", [
+    [[1, 1, 0], [0, 1, 1]],  # last nonzeros at 1 and 2, but basis[:, (1, 2)] != 1
+    [[0, 0, 0]],             # a zero row has no free column
+    [[3, 2, 0]],             # its free column holds 2, not 1
+    [[1, 0], [1, 0]],        # two rows on one free column
+])
+def test_in_span_mod_p_rejects_a_basis_not_in_kernel_form(basis):
+    with pytest.raises(linalg.LinalgError, match="kernel form"):
+        linalg.in_span_mod_p(np.array(basis), np.zeros((1, len(basis[0])), dtype=np.int64), 5)
+
+
 def test_rref_mod_p_shape_and_edge_cases():
     R, pivots = linalg.rref_mod_p(np.array([[2, 4, 1], [1, 2, 0]]), 5)
     assert pivots == [0, 2]
@@ -226,6 +365,8 @@ def test_large_modulus_rejected(p):
     for call in (linalg.rref_mod_p, linalg.rank_mod_p, linalg.kernel_mod_p):
         with pytest.raises(linalg.LinalgError):
             call(mat, p)
+    with pytest.raises(linalg.LinalgError):
+        linalg.in_span_mod_p(mat, mat, p)
 
 
 @settings(deadline=None)

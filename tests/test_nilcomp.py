@@ -3,7 +3,10 @@ longest-element decompositions."""
 
 from __future__ import annotations
 
+import pytest
+
 from thetatool.nilcomp import (
+    OmegaError,
     OrthogonalDecomposition,
     WeightedDiagram,
     builtin_decompositions,
@@ -13,8 +16,8 @@ from thetatool.nilcomp import (
     z_cap_a,
 )
 from thetatool.restricted import restrict
-from thetatool.rootsys import FiniteAbelianGroup
-from thetatool.satake import all_catalog_entries, catalog_lookup
+from thetatool.rootsys import FiniteAbelianGroup, build_root_system
+from thetatool.satake import SatakeInvolution, all_catalog_entries, catalog_lookup
 
 from brackets import dense_ad
 
@@ -39,6 +42,14 @@ def test_omega_bi_m_twos():
         e = catalog_lookup("B", n, f"BI({m})")
         _, diagram = omega(e.satake, restrict(e.satake))
         assert diagram.weights == tuple([2] * m + [0] * (n - m))
+
+
+def test_omega_rejects_a_non_integral_diagram():
+    """A2 with I = {alpha_1} and psi = 1 is no catalog class: its diagram
+    (0, 2) solves to the coroot coordinates (2/3, 4/3)."""
+    inv = SatakeInvolution(build_root_system("A", 2), compact=(0,))
+    with pytest.raises(OmegaError, match="no integral cocharacter"):
+        omega(inv, restrict(inv))
 
 
 def test_omega_pairings():

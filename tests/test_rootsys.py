@@ -270,6 +270,22 @@ def test_fundamental_group_order_is_cartan_determinant():
         assert fundamental_group(rs).order == abs(det)
 
 
+def test_cartan_inverse_is_exact_and_cached():
+    """cartan @ cartan_inverse = 1 over Q, and |Z| clears every denominator
+    (the inverse is the adjugate over det = |Z|)."""
+    for series, rank in [("A", 4), ("B", 3), ("C", 5), ("D", 6), ("E", 8), ("F", 4), ("G", 2)]:
+        rs = build_root_system(series, rank)
+        inv = rs.cartan_inverse
+        assert inv is rs.cartan_inverse
+        n = rs.rank
+        assert [
+            [sum(rs.cartan[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ] == [[int(i == j) for j in range(n)] for i in range(n)]
+        order = fundamental_group(rs).order
+        assert all((x * order).denominator == 1 for row in inv for x in row)
+
+
 def _int_det(m):
     from fractions import Fraction
 
