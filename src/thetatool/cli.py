@@ -268,31 +268,36 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    options = {
+        "--cap": dict(type=_cap,
+                      default=os.environ.get("THETA_TOOL_CAP") or str(verify.DEFAULT_CAP),
+                      help="Weyl-group enumeration cap (default 5e6)"),
+        "--seed": dict(type=int, default=42),
+        "--prime": dict(type=int, default=None, help="also report goodness of this prime"),
+    }
+
+    def add_options(p, *names):
+        """--format, and the named options, which the command reads."""
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--cap", type=_cap,
-                       default=os.environ.get("THETA_TOOL_CAP") or str(verify.DEFAULT_CAP),
-                       help="Weyl-group enumeration cap (default 5e6)")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--prime", type=int, default=None,
-                       help="also report goodness of this prime")
+        for name in names:
+            p.add_argument(name, **options[name])
 
     p = sub.add_parser("report", help="full report for one involution class")
     p.add_argument("series", choices=("A", "B", "C", "D", "E", "F", "G"))
     p.add_argument("rank", type=int)
     p.add_argument("label")
-    common(p)
+    add_options(p, "--cap", "--prime")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("list", help="catalog classes for a simple type")
     p.add_argument("series", choices=("A", "B", "C", "D", "E", "F", "G"))
     p.add_argument("rank", type=int)
-    common(p)
+    add_options(p)
     p.set_defaults(func=cmd_list)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", help="|".join(verify.SUITE_NAMES))
-    common(p)
+    add_options(p, "--cap", "--seed")
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -50,16 +50,13 @@ _AD_ENTRY_BOUND = 6
 # The sparse checks hold at most about this many join rows at once.
 _BLOCK_ROWS = 1 << 16
 
-# check_grading forms the brackets of this many basis vectors at a time.
-_GRADING_BLOCK = 16
-
 
 def _brackets_fit_int64(dim: int, p: int) -> bool:
     """Whether every int64 sum over reduced residues stays below 2**63.
 
     The sums bounded are: one key of ``ChevalleyTable.adjoint``, at most dim
     terms of a residue times a table entry, (p-1)*6 each; the products
-    ``k_basis @ ad_x.T`` and ``right @ ad_left^T``, dim terms of (p-1)^2
+    ``k_basis @ ad_x.T`` and ``basis @ dtheta.T``, dim terms of (p-1)^2
     each; and a bracket of two reduced vectors summed over all dim^2 pairs
     of their coordinates, 6*(p-1)^2 each.  6*dim^2*(p-1)^2 covers them all.
     """
@@ -380,14 +377,6 @@ class ModularLieAlgebra:
     def e_index(self, root_idx: int) -> int:
         return self.rs.rank + root_idx
 
-    def bracket_rows(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """All brackets [left[a], right[b]] of two stacks of coefficient
-        vectors, as rows in (a, b) order; entries are right mod p but not
-        reduced."""
-        ad_left = self.table.adjoint(left, self.p)
-        # [x, y] = ad(x) @ y, for every x in left at once
-        return np.matmul(right, ad_left.transpose(0, 2, 1)).reshape(-1, self.dim)
-
 
 @lru_cache(maxsize=None)
 def build_algebra(series: str, rank: int, p: int) -> ModularLieAlgebra:
@@ -471,21 +460,21 @@ class SymmetricPairRealization:
     def check_grading(self) -> None:
         """[k,k] in k, [k,p] in p, [p,p] in k, exhaustively on basis pairs.
 
-        Each law is a membership test of the brackets in the target space,
-        whose basis is in kernel form, so no elimination runs.  The brackets
-        are formed for _GRADING_BLOCK rows of the left basis at a time, which
-        bounds the memory to that many ad matrices.
+        Since p is odd and dtheta is an involution, the laws hold exactly
+        when k_basis is fixed by dtheta, p_basis is negated by it, the two
+        span g, and dtheta preserves brackets: then [x, y] is an eigenvector
+        with the product of the eigenvalues of x and y.  So this reads the
+        laws off two products, one rank and ``check_automorphism``.
         """
-        alg, p = self.alg, self.alg.p
-        for left, right, target, name in (
-            (self.k_basis, self.k_basis, self.k_basis, "[k,k] in k"),
-            (self.k_basis, self.p_basis, self.p_basis, "[k,p] in p"),
-            (self.p_basis, self.p_basis, self.k_basis, "[p,p] in k"),
-        ):
-            for start in range(0, len(left), _GRADING_BLOCK):
-                rows = alg.bracket_rows(left[start : start + _GRADING_BLOCK], right)
-                if not linalg.in_span_mod_p(target, rows, p):
-                    raise LieAlgebraError(f"grading law {name} fails")
+        p = self.alg.p
+        for basis, sign, name in ((self.k_basis, 1, "k"), (self.p_basis, -1, "p")):
+            if np.any(np.mod(basis @ self.dtheta.T - sign * basis, p)):
+                raise LieAlgebraError(
+                    f"grading fails: {name} is not the {sign:+d} eigenspace of dtheta"
+                )
+        if linalg.rank_mod_p(np.vstack([self.k_basis, self.p_basis]), p) != self.alg.dim:
+            raise LieAlgebraError("grading fails: k and p do not span g")
+        self.check_automorphism()
 
     def centralizer_dims(self, x: np.ndarray) -> Tuple[int, int]:
         """(dim z_k(x), dim z_p(x)) for x in p, by exact F_p ranks.

@@ -3,9 +3,7 @@
 There is one Gauss-Jordan elimination per field: ``rref`` over Q, on lists
 of ``Fraction``, and ``rref_mod_p`` over F_p, on numpy ``int64`` arrays.
 Rank, solving and kernels are read off the reduced row echelon form, which
-is unique, so every result is independent of the pivoting order.  Membership
-in a span whose basis is in the form ``kernel_mod_p`` returns needs no
-elimination (``in_span_mod_p``).
+is unique, so every result is independent of the pivoting order.
 """
 
 from __future__ import annotations
@@ -139,29 +137,3 @@ def kernel_mod_p(mat, p: int) -> np.ndarray:
         basis[k, pivots] = -R[:, f] % p
     return basis
 
-
-def in_span_mod_p(basis, rows, p: int) -> bool:
-    """Whether every row of ``rows`` lies in the row span of ``basis`` over F_p.
-
-    ``basis`` must be in the form ``kernel_mod_p`` returns: with f_k the
-    last nonzero column of row k, basis[:, f] is the identity.  A vector v
-    of the span is then (v[f] mod p) @ basis, so membership needs no
-    elimination.  Raises LinalgError for a basis not in that form, and for
-    p >= 2**31 as ``rref_mod_p`` does.
-    """
-    if p >= 2**31:
-        raise LinalgError(f"modulus {p} is too large for int64 elimination")
-    basis = np.mod(np.asarray(basis, dtype=np.int64), p)
-    residue = np.mod(np.asarray(rows, dtype=np.int64), p)
-    nbasis, ncols = basis.shape
-    # a zero row gets f = ncols - 1, where it holds 0, not 1
-    free = ncols - 1 - (basis[:, ::-1] != 0).argmax(axis=1) if basis.size else []
-    if not np.array_equal(basis[:, free], np.eye(nbasis, dtype=np.int64)):
-        raise LinalgError("basis is not in kernel form")
-    coeffs = residue[:, free]
-    # a chunk of `step` terms, each below p^2, cannot overflow int64
-    step = (2**63 - 1) // max(1, (p - 1) ** 2)
-    for k in range(0, nbasis, step):
-        residue -= coeffs[:, k : k + step] @ basis[k : k + step]
-        residue %= p
-    return not residue.any()

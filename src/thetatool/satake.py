@@ -177,6 +177,15 @@ class SatakeInvolution:
             if lhs != rhs:
                 failures.append("-w_I(psi(a)) != -psi(w_I(a))")
                 break
+        # Araki: <alpha_j, rho_I^vee> is an integer for each white node j
+        # fixed by psi, i.e. alpha_j pairs with the positive coroots of
+        # Phi_I to an even sum
+        positive_compact = [rs.roots[i] for i in compact_roots if i < rs.num_positive]
+        for j in range(rs.rank):
+            if j not in self.compact and self.psi[j] == j:
+                alpha = rs.roots[rs.simple_indices[j]]
+                if sum(rs.pair_coroot(alpha, b) for b in positive_compact) % 2:
+                    failures.append(f"<alpha_{j + 1}, rho_I^vee> is not an integer")
         return ValidationReport(tuple(failures))
 
     # -- dimension data --------------------------------------------------------

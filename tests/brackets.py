@@ -1,6 +1,7 @@
 """Dense brackets for the tests: the integral ``ad`` scattered from the
 sparse Chevalley table, the bracket of two coefficient vectors read off it,
-and literal Jacobi checks on sampled basis triples.
+literal Jacobi checks on sampled basis triples, and the grading laws of a
+realization checked bracket by bracket.
 
 These are independent of ``ChevalleyTable.adjoint``, so the tests that use
 them check the library against a second route through the same table.
@@ -14,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from thetatool.liealg import LieAlgebraError
+from thetatool.linalg import rank_mod_p
 
 
 @lru_cache(maxsize=4)
@@ -52,3 +54,19 @@ def sample_jacobi(alg, count: int, seed: int = 0) -> None:
         )
         if np.any(np.mod(total, alg.p)):
             raise LieAlgebraError(f"Jacobi failure at triple ({i},{j},{k})")
+
+
+def grading_laws_hold(pair) -> bool:
+    """[k,k] in k, [k,p] in p and [p,p] in k on all pairs of basis vectors:
+    every bracket is formed densely, and each law holds when appending the
+    brackets to the target basis leaves its rank mod p unchanged."""
+    alg, p = pair.alg, pair.alg.p
+    ad = dense_ad(alg.table)
+    k, pp = pair.k_basis, pair.p_basis
+    for left, right, target in ((k, k, k), (k, pp, pp), (pp, pp, k)):
+        # [x, y] = ad(x) @ y, with ad(x) = sum_i x_i ad(x_i)
+        ad_left = np.tensordot(left, ad, axes=1) % p
+        brackets = (right @ ad_left.transpose(0, 2, 1)).reshape(-1, alg.dim)
+        if rank_mod_p(np.vstack([target, brackets]), p) != rank_mod_p(target, p):
+            return False
+    return True

@@ -269,6 +269,7 @@ E8_CHILD = """
 import json, random
 from thetatool.liealg import build_algebra, realize_chevalley_involution
 pair = realize_chevalley_involution(build_algebra("E", 8, 7))
+pair.check_grading()
 rng = random.Random("E8/chevalley/p=7")
 samples = [pair.centralizer_dims(pair.random_p_element(rng)) for _ in range(5)]
 with open("/proc/self/status") as fh:
@@ -279,9 +280,10 @@ print(json.dumps({"kp": [pair.dim_k, pair.dim_p], "samples": samples, "peak_kb":
 
 def test_e8_built_and_realized_under_60_mb():
     """E8 at p = 7 in a fresh interpreter: the checked table, the split
-    involution with the exhaustive automorphism check, (k, p) = (120, 128)
-    and the Kostant-Rallis identity on 5 samples, all within 60 MB of peak
-    resident memory (a dense integral ad alone would be 122 MB)."""
+    involution with the exhaustive automorphism check, the grading laws,
+    (k, p) = (120, 128) and the Kostant-Rallis identity on 5 samples, all
+    within 60 MB of peak resident memory (a dense integral ad alone would
+    be 122 MB)."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

@@ -154,6 +154,27 @@ def test_invalid_cap_environment_exit_2(capsys, monkeypatch):
             assert "error:" in err and "THETA_TOOL_CAP" in err
 
 
+def test_invalid_cap_environment_does_not_break_list(capsys, monkeypatch):
+    monkeypatch.setenv("THETA_TOOL_CAP", "abc")
+    code, out, err = run_cli(capsys, "list", "A", "2")
+    assert code == 0
+    assert "AI" in out and err == ""
+
+
+def test_options_a_command_does_not_read_exit_2(capsys):
+    for argv in (
+        ("list", "A", "2", "--cap", "10"),
+        ("list", "A", "2", "--seed", "1"),
+        ("list", "A", "2", "--prime", "4"),
+        ("report", "A", "2", "AI", "--seed", "1"),
+        ("verify", "w0", "--prime", "5"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+
 def test_cap_environment_float_notation(capsys, monkeypatch):
     monkeypatch.setenv("THETA_TOOL_CAP", "1e9")
     code, out, _ = run_cli(capsys, "report", "E", "8", "EVIII", "--format", "json")

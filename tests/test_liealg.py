@@ -11,6 +11,7 @@ import pytest
 
 from thetatool.liealg import (
     LieAlgebraError,
+    SymmetricPairRealization,
     _chain_down,
     build_algebra,
     find_inner_coweight,
@@ -19,8 +20,9 @@ from thetatool.liealg import (
 )
 from thetatool.restricted import restrict
 from thetatool.satake import catalog_list, catalog_lookup
+from thetatool.verify import realized_pairs
 
-from brackets import bracket_vec, dense_ad, sample_jacobi
+from brackets import bracket_vec, dense_ad, grading_laws_hold, sample_jacobi
 
 
 def basis_vec(alg, i):
@@ -151,20 +153,39 @@ def test_chevalley_involution_g2():
     pair.check_grading()
 
 
-def test_bracket_rows_match_bracket_vec():
-    alg = build_algebra("G", 2, 7)
-    rng = np.random.default_rng(3)
-    left = rng.integers(0, 7, size=(3, alg.dim))
-    right = rng.integers(0, 7, size=(4, alg.dim))
-    want = [bracket_vec(alg, x, y) for x in left for y in right]
-    assert np.array_equal(np.mod(alg.bracket_rows(left, right), 7), want)
-
-
 def test_grading_check_rejects_swapped_eigenspaces():
     pair = realize_chevalley_involution(build_algebra("G", 2, 7))
     pair.k_basis, pair.p_basis = pair.p_basis, pair.k_basis
-    with pytest.raises(LieAlgebraError, match=r"grading law \[k,k\] in k fails"):
+    assert not grading_laws_hold(pair)
+    with pytest.raises(LieAlgebraError, match=r"grading fails: k is not the \+1 eigenspace of dtheta"):
         pair.check_grading()
+
+
+def _passes_grading(pair) -> bool:
+    try:
+        pair.check_grading()
+    except LieAlgebraError:
+        return False
+    return True
+
+
+SMALL_PAIRS = [(name, pair) for name, _, pair in realized_pairs(max_rank=3)]
+
+
+@pytest.mark.parametrize("name, pair", SMALL_PAIRS, ids=[name for name, _ in SMALL_PAIRS])
+def test_grading_check_matches_dense_oracle(name, pair):
+    """check_grading passes exactly when every basis bracket lands in the
+    right eigenspace: both pass on the realized pair and, for an inner one,
+    both fail on each involution made by flipping one diagonal sign of its
+    dtheta (a flip at h_i or e_a breaks [e_b, e_-b] = b^vee for some b)."""
+    assert _passes_grading(pair) and grading_laws_hold(pair)
+    if not pair.kind.startswith("inner"):
+        return
+    for i in range(pair.alg.dim):
+        d = pair.dtheta.copy()
+        d[i, i] = -d[i, i]
+        bad = SymmetricPairRealization(pair.alg, d, kind="corrupted")
+        assert (_passes_grading(bad), grading_laws_hold(bad)) == (False, False), (name, i)
 
 
 def test_centralizer_at_zero():

@@ -298,55 +298,6 @@ def test_row_span_membership_by_rank(data, p):
     assert by_rank == ref_in_row_span(basis, v, p)
 
 
-@st.composite
-def kernel_bases(draw):
-    """(basis, p): the kernel_mod_p basis of a random or low-rank matrix."""
-    p = draw(st.one_of(PRIMES, st.just(LARGEST_PRIME)))
-    return linalg.kernel_mod_p(draw(int_matrices()), p), p
-
-
-@settings(deadline=None)
-@given(kernel_bases(), st.data())
-def test_in_span_mod_p_matches_rank_test(case, data):
-    basis, p = case
-    nbasis, n = basis.shape
-    nrows = data.draw(st.integers(0, 6))
-    coeffs = data.draw(arrays(np.int64, (nrows, nbasis), elements=st.integers(0, 50)))
-    rows = _mod_product(coeffs, basis, p) if nbasis else np.zeros((nrows, n), dtype=np.int64)
-    if nrows and data.draw(st.booleans()):
-        noise = data.draw(arrays(np.int64, (n,), elements=st.integers(-20, 20)))
-        rows[data.draw(st.integers(0, nrows - 1))] += noise
-    by_rank = linalg.rank_mod_p(np.vstack([basis, rows]), p) == nbasis
-    assert linalg.in_span_mod_p(basis, rows, p) == by_rank
-
-
-@pytest.mark.parametrize("p", [5, 13, LARGEST_PRIME])
-def test_in_span_mod_p_catches_one_corrupted_row(p):
-    rng = np.random.default_rng(p)
-    mat = rng.integers(0, 5, size=(4, 9))
-    R, pivots = linalg.rref_mod_p(mat, p)
-    basis = linalg.kernel_mod_p(mat, p)
-    rows = _mod_product(rng.integers(0, p, size=(12, basis.shape[0])), basis, p)
-    assert linalg.in_span_mod_p(basis, rows, p)
-    assert linalg.rank_mod_p(np.vstack([basis, rows]), p) == basis.shape[0]
-    # a unit vector at a pivot column is zero on every free column, so it is
-    # in the span only if it is zero
-    rows[7, pivots[-1]] += 1
-    assert not linalg.in_span_mod_p(basis, rows, p)
-    assert linalg.rank_mod_p(np.vstack([basis, rows]), p) == basis.shape[0] + 1
-
-
-@pytest.mark.parametrize("basis", [
-    [[1, 1, 0], [0, 1, 1]],  # last nonzeros at 1 and 2, but basis[:, (1, 2)] != 1
-    [[0, 0, 0]],             # a zero row has no free column
-    [[3, 2, 0]],             # its free column holds 2, not 1
-    [[1, 0], [1, 0]],        # two rows on one free column
-])
-def test_in_span_mod_p_rejects_a_basis_not_in_kernel_form(basis):
-    with pytest.raises(linalg.LinalgError, match="kernel form"):
-        linalg.in_span_mod_p(np.array(basis), np.zeros((1, len(basis[0])), dtype=np.int64), 5)
-
-
 def test_rref_mod_p_shape_and_edge_cases():
     R, pivots = linalg.rref_mod_p(np.array([[2, 4, 1], [1, 2, 0]]), 5)
     assert pivots == [0, 2]
@@ -365,8 +316,6 @@ def test_large_modulus_rejected(p):
     for call in (linalg.rref_mod_p, linalg.rank_mod_p, linalg.kernel_mod_p):
         with pytest.raises(linalg.LinalgError):
             call(mat, p)
-    with pytest.raises(linalg.LinalgError):
-        linalg.in_span_mod_p(mat, mat, p)
 
 
 @settings(deadline=None)

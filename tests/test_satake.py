@@ -7,7 +7,8 @@ from typing import Tuple
 
 import pytest
 
-from thetatool.rootsys import build_root_system
+from thetatool.restricted import restrict
+from thetatool.rootsys import RootSystemError, build_root_system
 from thetatool.satake import (
     SatakeError,
     SatakeInvolution,
@@ -143,6 +144,35 @@ def test_validate_psi_not_cartan():
     inv = SatakeInvolution(rs, compact=(), psi=(1, 0))  # swaps long and short
     rep = inv.validate()
     assert any("Cartan" in f for f in rep.failures)
+
+
+@pytest.mark.parametrize("series, rank", [("A", 4), ("B", 3), ("D", 4), ("E", 6), ("F", 4)])
+def test_every_validated_compact_set_restricts(series, rank):
+    """With psi = id, every compact set I that validate() accepts restricts
+    without a RootSystemError: Araki's integrality condition rejects the
+    sets whose restricted roots would pair non-integrally."""
+    rs = build_root_system(series, rank)
+    for mask in range(2**rank):
+        inv = SatakeInvolution(rs, compact=[i for i in range(rank) if mask >> i & 1])
+        if not inv.validate().ok:
+            continue
+        try:
+            restrict(inv)
+        except RootSystemError as exc:
+            pytest.fail(f"{inv} passes validate() but restrict() raised {exc}")
+
+
+@pytest.mark.parametrize("series, rank, compact, node", [
+    ("B", 3, (0, 2), 2),
+    ("D", 4, (0, 2, 3), 2),
+    ("F", 4, (1, 2), 4),
+    ("F", 4, (1, 2, 3), 1),
+])
+def test_validate_rejects_non_integral_rho_i(series, rank, compact, node):
+    """Sets that restrict without error but are not Satake diagrams: one
+    white node j has <alpha_j, rho_I^vee> in 1/2 + Z (nodes 1-based)."""
+    inv = SatakeInvolution(build_root_system(series, rank), compact=compact)
+    assert inv.validate().failures == (f"<alpha_{node}, rho_I^vee> is not an integer",)
 
 
 def test_kp_dimensions_split_g2():
