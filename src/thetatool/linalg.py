@@ -1,14 +1,17 @@
 """Exact linear algebra over Q and over F_p.
 
-There is one Gauss-Jordan elimination per field: ``rref`` over Q, on lists
-of ``Fraction``, and ``rref_mod_p`` over F_p, on numpy ``int64`` arrays.
-Rank, solving and kernels are read off the reduced row echelon form, which
-is unique, so every result is independent of the pivoting order.
+There is one Gauss-Jordan elimination per field: ``echelon`` over Q, which
+runs fraction-free over Z, and ``rref_mod_p`` over F_p, on numpy ``int64``
+arrays.  Rank, solving, inverses and kernels are read off the reduced row
+echelon form, which is unique, so every result is independent of the
+pivoting order.  Over Q only ``rref``, ``solve`` and ``inverse`` build
+``Fraction``s, and only for their results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,33 +24,57 @@ class LinalgError(ValueError):
 # -- over Q --------------------------------------------------------------------
 
 
+def _primitive(row: List[int]) -> List[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def echelon(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
+    """The reduced row echelon form over Q, fraction-free: its nonzero rows
+    and their pivot columns.  Row i is the primitive integer multiple, with
+    a positive pivot, of row i of the reduced form, so it is unique too.  A
+    row of Fractions is first scaled by the lcm of its denominators; an
+    integer row is used as it is.  Each step replaces a row R by a R - f P
+    (P the pivot row, a > 0 its pivot, f the entry of R there) and divides
+    by the gcd (Bareiss 1968 divides by the previous pivot instead).
+    """
+    A = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        A.append([x.numerator * (scale // x.denominator) for x in row])
+    ncols = len(A[0]) if A else 0
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(A):
+            break
+        sel = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if sel is None:
+            continue
+        A[r], A[sel] = A[sel], A[r]
+        P = _primitive(A[r] if A[r][c] > 0 else [-x for x in A[r]])
+        A[r] = P
+        a = P[c]
+        for i, R in enumerate(A):
+            f = R[c]
+            if f and i != r:
+                A[i] = _primitive([a * x - f * y for x, y in zip(R, P)])
+        pivots.append(c)
+    return A[: len(pivots)], pivots
+
+
 def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
     """Reduced row echelon form over Q of a matrix given as rows.
 
     Returns the nonzero rows of the form and their pivot columns.
     """
-    A = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(A[0]) if A else 0
-    pivots: List[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
-        if sel is None:
-            continue
-        A[r], A[sel] = A[sel], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(len(A)):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-    return A[: len(pivots)], pivots
+    R, pivots = echelon(rows)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(R, pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank over Q."""
-    return len(rref(rows)[1])
+    return len(echelon(rows)[1])
 
 
 def solve(matrix: Sequence[Sequence], target: Sequence) -> Optional[List[Fraction]]:
@@ -66,14 +93,24 @@ def solve(matrix: Sequence[Sequence], target: Sequence) -> Optional[List[Fractio
     return x
 
 
-def inverse(rows: Sequence[Sequence]) -> Optional[List[List[Fraction]]]:
-    """The inverse over Q of a square matrix, or None when it is singular."""
+def scaled_inverse(rows: Sequence[Sequence]) -> Optional[Tuple[List[List[int]], int]]:
+    """(L A^-1, L) for a square matrix A over Q, with L the least positive
+    integer that makes L A^-1 integral; None when A is singular.  Row i of
+    the echelon form of [A | 1] is the primitive p_i (e_i | row i of A^-1),
+    so the lcm of the denominators of that row is p_i."""
     n = len(rows)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    R, pivots = rref([list(row) + e for row, e in zip(rows, identity)])
+    R, pivots = echelon([list(row) + e for row, e in zip(rows, identity)])
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in R]
+    L = lcm(*(row[i] for i, row in enumerate(R)))
+    return [[x * (L // row[i]) for x in row[n:]] for i, row in enumerate(R)], L
+
+
+def inverse(rows: Sequence[Sequence]) -> Optional[List[List[Fraction]]]:
+    """The inverse over Q of a square matrix, or None when it is singular."""
+    scaled = scaled_inverse(rows)
+    return None if scaled is None else [[Fraction(x, scaled[1]) for x in row] for row in scaled[0]]
 
 
 # -- over F_p ------------------------------------------------------------------

@@ -76,18 +76,18 @@ def omega(
     n = rs.rank
     diagram = tuple(0 if i in inv.compact else 2 for i in range(n))
     # <alpha_i, sum_j c_j alpha_j^vee> = sum_j c_j cartan[i][j], so c is
-    # cartan^-1 @ diagram
-    sol = [sum(a * d for a, d in zip(row, diagram)) for row in rs.cartan_inverse]
-    if any(f.denominator != 1 for f in sol):
+    # cartan^-1 @ diagram, read off the scaled inverse (L cartan^-1, L)
+    scaled, L = rs.cartan_inverse
+    sol = [sum(a * d for a, d in zip(row, diagram)) for row in scaled]
+    if any(x % L for x in sol):
         raise OmegaError("no integral cocharacter with the even diagram")
-    coords = tuple(int(f) for f in sol)
+    coords = tuple(x // L for x in sol)
     # omega must lie in the (-1)-eigenlattice: theta reverses it
     timg = _theta_on_coroots(inv, coords)
     if timg != tuple(-c for c in coords):
         raise OmegaError("omega is not reversed by theta")
     pairings = []
-    for j in range(rrs.r0):
-        val = _pair_with_coroot_coords(rs, rrs.pi[j], coords)
+    for j, val in enumerate(_pair_with_coroot_coords(rs, rrs.pi, coords)):
         if val != 4:  # doubled root, so <pi, omega> = val/2 must be 2
             raise OmegaError(f"<pi_{j}, omega> = {val}/2 != 2")
         pairings.append(2)
@@ -98,19 +98,11 @@ def omega(
 
 
 def _theta_on_coroots(inv: SatakeInvolution, coords: Sequence[int]) -> Tuple[int, ...]:
-    """Action of theta on a coroot-lattice vector (dual to theta*)."""
+    """Action of theta on a coroot-lattice vector (dual to theta*): it sends
+    alpha_j^vee to theta*(alpha_j)^vee."""
     rs = inv.ambient
-    n = rs.rank
-    # theta acts on coroots by beta^vee -> theta*(beta)^vee
-    out = [0] * n
-    for j, c in enumerate(coords):
-        if not c:
-            continue
-        beta = tuple(1 if k == j else 0 for k in range(n))
-        img = rs.coroot_coords(inv.theta_star(beta))
-        for k in range(n):
-            out[k] += c * img[k]
-    return tuple(out)
+    images = [rs.coroot_coords(inv.theta_star(rs.roots[s])) for s in rs.simple_indices]
+    return tuple(sum(c * img[k] for c, img in zip(coords, images)) for k in range(rs.rank))
 
 
 # -- Z cap A and the component count -------------------------------------------

@@ -14,8 +14,7 @@ generated by the basis reflections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from collections import Counter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,18 +78,16 @@ class RestrictedRootSystem:
         rs = inv.ambient
         compact_roots = inv.compact_subsystem()
 
-        mult: Dict[Root, int] = {}
-        for i, v in enumerate(rs.roots):
-            if i in compact_roots:
-                continue
-            t = inv.theta_star(v)
-            d = tuple(x - y for x, y in zip(v, t))
-            if all(c == 0 for c in d):
-                raise RestrictionError(
-                    f"root {v} restricts to zero but is not in Phi_I"
-                )
-            mult[d] = mult.get(d, 0) + 1
-        self.multiplicity = mult
+        # doubled restrictions a - theta*(a) of the roots outside Phi_I
+        R = np.array(rs.roots, dtype=np.int64)
+        D = R - R[list(inv.theta_perm())]
+        outside = ~np.isin(np.arange(len(R)), list(compact_roots))
+        zero = np.flatnonzero(outside & ~D.any(axis=1))
+        if zero.size:
+            raise RestrictionError(
+                f"root {rs.roots[zero[0]]} restricts to zero but is not in Phi_I"
+            )
+        self.multiplicity = mult = dict(Counter(map(tuple, D[outside].tolist())))
 
         positives = sorted(
             (d for d in mult if self._is_positive(d)), key=lambda d: (sum(d), d)
@@ -105,11 +102,10 @@ class RestrictedRootSystem:
         # restricted basis: one representative per psi-orbit of white nodes
         pi: List[Root] = []
         lifts: List[int] = []
-        for i in range(rs.rank):
+        for i, s in enumerate(rs.simple_indices):
             if i in inv.compact:
                 continue
-            e = tuple(1 if k == i else 0 for k in range(rs.rank))
-            d = tuple(x - y for x, y in zip(e, inv.theta_star(e)))
+            d = tuple(D[s].tolist())
             if d not in self._index:
                 raise RestrictionError(f"basis restriction {d} is not restricted root")
             if d not in pi:
@@ -124,10 +120,9 @@ class RestrictedRootSystem:
                 f"basis size {self.r0} differs from split rank {inv.minus_one_rank()}"
             )
 
-        self.multipliable = frozenset(
-            d for d in self.doubled if tuple(2 * x for x in d) in self._index
-        )
         kernel = self.gram_kernel()
+        doubles = np.flatnonzero(kernel.lookup(2 * kernel.vectors) >= 0)
+        self.multipliable = frozenset(self.doubled[i] for i in doubles)
         self._check_axioms(kernel)
         pi_idx = [self._index[d] for d in self.pi]
         cartan, _ = kernel.cartan_rows(kernel.vectors[pi_idx])
@@ -185,10 +180,7 @@ class RestrictedRootSystem:
         """Positive indivisible restricted roots (Phi_A^* half)."""
         out = []
         for d in self.doubled[: self.num_positive]:
-            half = tuple(Fraction(x, 2) for x in d)
-            if all(f.denominator == 1 for f in half) and tuple(
-                int(f) for f in half
-            ) in self._index:
+            if not any(x % 2 for x in d) and tuple(x // 2 for x in d) in self._index:
                 continue  # divisible: d/2 is a restricted root
             out.append(d)
         return out
@@ -321,21 +313,21 @@ class RestrictedRootSystem:
 
         With P the r0 x n matrix of pi and J the pivot columns of P, the
         coordinates of the rows D of the doubled roots are X = D_J P_J^{-1}:
-        one exact inverse, scaled to integers by the common denominator L,
-        and one integer product, kept where L divides it and X P = D.
+        one exact inverse A = L P_J^{-1}, integral with its least common
+        denominator L, and one integer product, kept where L divides it and
+        X P = D.
         """
         if not self.r0:
             return {}
         D = kernel.vectors
         P = np.array(self.pi, dtype=np.int64).reshape(self.r0, D.shape[1])
-        _, cols = linalg.rref(self.pi)
-        inv = linalg.inverse(P[:, cols].tolist()) if len(cols) == self.r0 else None
-        if inv is None:
+        _, cols = linalg.echelon(self.pi)
+        inverse = linalg.scaled_inverse(P[:, cols].tolist()) if len(cols) == self.r0 else None
+        if inverse is None:
             raise RestrictionError("restricted basis is linearly dependent")
-        L = lcm(*(f.denominator for row in inv for f in row))
-        A = [[int(f * L) for f in row] for row in inv]
+        A, L = inverse
         a_max = max(abs(x) for row in A for x in row)
-        d_max = max(abs(x) for d in self.doubled for x in d)
+        d_max = int(np.abs(D).max())
         if a_max * d_max * self.r0 >= 2**63:
             raise RestrictionError("pi-coordinates exceed int64")
         scaled = D[:, cols] @ np.array(A, dtype=np.int64)
@@ -394,10 +386,10 @@ class RestrictedRootSystem:
 
     def reflection_perm(self, d: Sequence[int]) -> Tuple[int, ...]:
         """s_d as a permutation of the restricted root list."""
-        images, integral = self.gram_kernel().reflection(self.index_of(d))
+        images, integral = self.gram_kernel().reflections([self.index_of(d)])
         if not integral.all() or (images < 0).any():
             raise RestrictionError(f"restricted roots not closed under s_{tuple(d)}")
-        return tuple(images.tolist())
+        return tuple(images[0].tolist())
 
     def baby_weyl(self, order_cap: int) -> "BabyWeylGroup":
         """The little Weyl group W_A acting on the restricted roots.
@@ -464,12 +456,11 @@ class RestrictedCocharacter:
     case: Optional[str] = None  # 'i' | 'ii' | 'iii' for omega_alpha
 
 
-def _pair_with_coroot_coords(ambient, char_vec, coroot_coords) -> int:
-    """<char, cochar> with char in root coords and cochar in coroot coords."""
-    return sum(
-        coroot_coords[j] * ambient.pair_coroot_simple(char_vec, j)
-        for j in range(ambient.rank)
-    )
+def _pair_with_coroot_coords(ambient, chars, coroot_coords) -> List[int]:
+    """<char, cochar> for each char in root coords, with cochar in coroot
+    coords: chars C cochar, for C the Cartan matrix."""
+    simple = [sum(a * c for a, c in zip(row, coroot_coords)) for row in ambient.cartan]
+    return [sum(x * y for x, y in zip(char, simple)) for char in chars]
 
 
 def omega_alpha(
@@ -504,8 +495,7 @@ def omega_alpha(
             case = "iii"
             coords = tuple(2 * x for x in diff)
     pairings = []
-    for j in range(rrs.r0):
-        val = _pair_with_coroot_coords(rs, rrs.pi[j], coords)
+    for val in _pair_with_coroot_coords(rs, rrs.pi, coords):
         if val % 2:
             raise RestrictionError("odd pairing of doubled root with omega_alpha")
         pairings.append(val // 2)

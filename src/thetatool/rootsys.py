@@ -17,9 +17,8 @@ tuple), then the negative roots in the mirrored order, so that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -207,14 +206,15 @@ class GramKernel:
         found[self._keys[found] != keys] = -1
         return found
 
-    def reflection(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
-        """s_{v_j} on the list: the index of each s_{v_j}(v_i) (-1 where
-        absent), and where <v_i, v_j^vee> is integral.  The pairings are
-        column j of V F V^T."""
-        num = 2 * (self.vectors @ (self.form @ self.vectors[j]))
-        cartan = num // self.norms[j]
-        images = self.vectors - np.outer(cartan, self.vectors[j])
-        return self.lookup(images), num % self.norms[j] == 0
+    def reflections(self, js: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """s_{v_j} on the list for each j in js: row k holds the index of
+        each s_{v_j}(v_i) (-1 where absent) for j = js[k], and where
+        <v_i, v_j^vee> is integral.  The pairings are rows js of V F V^T."""
+        B = self.vectors[list(js)]
+        num = 2 * (B @ self.form @ self.vectors.T)
+        norms = self.norms[list(js), None]
+        images = self.vectors - (num // norms)[:, :, None] * B[:, None, :]
+        return self.lookup(images.reshape(-1, B.shape[1])).reshape(num.shape), num % norms == 0
 
     def reflection_blocks(
         self,
@@ -305,10 +305,12 @@ class RootSystem:
         )
 
     @cached_property
-    def cartan_inverse(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """The inverse of the Cartan matrix over Q, computed once (the
-        matrix is nonsingular: its determinant is the order of Z)."""
-        return tuple(tuple(row) for row in linalg.inverse(self.cartan))
+    def cartan_inverse(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+        """(L C^-1, L) for the Cartan matrix C, with L the least common
+        denominator of C^-1, computed once (C is nonsingular: its
+        determinant is the order of Z, which L divides)."""
+        M, L = linalg.scaled_inverse(self.cartan)
+        return tuple(map(tuple, M)), L
 
     def gram_kernel(self) -> GramKernel:
         """The Gram kernel of the root list.  It is built afresh on each
@@ -327,11 +329,7 @@ class RootSystem:
 
     def inner(self, v: Sequence[int], w: Sequence[int]) -> int:
         """(v, w) under the W-invariant symmetrized form."""
-        return sum(
-            v[i] * self.form[i][j] * w[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        return sum(x * f * y for x, row in zip(v, self.form) if x for f, y in zip(row, w) if f)
 
     def norm2(self, v: Sequence[int]) -> int:
         return self.inner(v, v)
@@ -389,17 +387,7 @@ class RootSystem:
         """The reflection s_beta as a root permutation."""
         if not 0 <= root_index < len(self.roots):
             raise RootSystemError(f"root index {root_index} out of range")
-        beta = self.roots[root_index]
-        images, integral = self.gram_kernel().reflection(root_index)
-        if not integral.all() or (images < 0).any():
-            raise RootSystemError(
-                f"roots of {self.series}{self.rank} not closed under s_{beta}"
-            )
-        perm = tuple(images.tolist())
-        word: Optional[Tuple[int, ...]] = None
-        if _height(beta) == 1:
-            word = (beta.index(1),)
-        return WeylElement(self, perm, word=word)
+        return self._reflections([root_index])[0]
 
     def simple_reflection(self, i: int) -> "WeylElement":
         """s_{alpha_i} for a simple-root index i."""
@@ -409,7 +397,21 @@ class RootSystem:
 
     @cached_property
     def _simple_reflections(self) -> Tuple["WeylElement", ...]:
-        return tuple(self.reflection(j) for j in self.simple_indices)
+        return self._reflections(self.simple_indices)
+
+    def _reflections(self, indices: Sequence[int]) -> Tuple["WeylElement", ...]:
+        """s_beta for the roots beta at the given indices, from one kernel."""
+        images, integral = self.gram_kernel().reflections(indices)
+        out = []
+        for i, perm, ok in zip(indices, images.tolist(), integral.all(axis=1)):
+            beta = self.roots[i]
+            if not ok or min(perm) < 0:
+                raise RootSystemError(
+                    f"roots of {self.series}{self.rank} not closed under s_{beta}"
+                )
+            word = (beta.index(1),) if _height(beta) == 1 else None
+            out.append(WeylElement(self, tuple(perm), word=word))
+        return tuple(out)
 
     def longest_element(self, simple: Optional[Iterable[int]] = None) -> "WeylElement":
         """The longest element of the parabolic subgroup generated by the
@@ -424,15 +426,17 @@ class RootSystem:
         indices = sorted(simple)
         if any(not 0 <= i < self.rank for i in indices):
             raise RootSystemError(f"simple indices {tuple(indices)} out of range")
-        w = self.identity_element()
+        gens = np.array([self.simple_reflection(i).perm for i in indices], dtype=np.int64)
+        simples = np.array([self.simple_indices[i] for i in indices], dtype=np.int64)
+        w = np.arange(len(self.roots))
+        word = []
         while True:
-            for i in indices:
-                if w.act_index(self.simple_indices[i]) < self.num_positive:
-                    w = w * self.simple_reflection(i)
-                    break
-            else:
-                break
-        return w
+            positive = np.flatnonzero(w[simples] < self.num_positive)
+            if not positive.size:
+                return WeylElement(self, tuple(w.tolist()), word=tuple(word))
+            k = int(positive[0])
+            w = w[gens[k]]
+            word.append(indices[k])
 
     @cached_property
     def _longest(self) -> "WeylElement":
@@ -502,9 +506,6 @@ class WeylElement:
         word = tuple(reversed(self.word)) if self.word is not None else None
         return WeylElement(self.rs, tuple(inv), word=word)
 
-    def act_index(self, i: int) -> int:
-        return self.perm[i]
-
     def act(self, v: Sequence[int]) -> Root:
         return self.rs.roots[self.perm[self.rs.root_index(v)]]
 
@@ -534,63 +535,32 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
     the rank of the matrix is the number of entries returned.
     """
     M = [list(row) for row in mat]
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
     diag = []
-    r = c = 0
-    while r < rows and c < cols:
-        # find a pivot of minimal absolute value
-        piv = None
-        for i in range(r, rows):
-            for j in range(c, cols):
-                if M[i][j] != 0 and (piv is None or abs(M[i][j]) < abs(M[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        M[r], M[i0] = M[i0], M[r]
+    while any(any(row) for row in M):
+        # an entry of least absolute value goes to the corner; reducing its
+        # row and column by it leaves remainders smaller than it, or none
+        _, i, j = min((abs(x), i, j) for i, row in enumerate(M) for j, x in enumerate(row) if x)
+        M[0], M[i] = M[i], M[0]
         for row in M:
-            row[c], row[j0] = row[j0], row[c]
-        # clear row and column; restart if a smaller remainder appears
-        while True:
-            done = True
-            for i in range(r + 1, rows):
-                if M[i][c] % M[r][c] != 0:
-                    q = M[i][c] // M[r][c]
-                    for j in range(c, cols):
-                        M[i][j] -= q * M[r][j]
-                    M[r], M[i] = M[i], M[r]
-                    done = False
-            if done:
-                break
-        for i in range(r + 1, rows):
-            q = M[i][c] // M[r][c]
-            if q:
-                for j in range(c, cols):
-                    M[i][j] -= q * M[r][j]
-        for j in range(c + 1, cols):
-            q = M[r][j] // M[r][c]
-            if q:
-                for i in range(r, rows):
-                    M[i][j] -= q * M[i][c]
-        if any(M[i][c] for i in range(r + 1, rows)) or any(
-            M[r][j] for j in range(c + 1, cols)
-        ):
-            continue
-        diag.append(abs(M[r][c]))
-        r += 1
-        c += 1
+            row[0], row[j] = row[j], row[0]
+        p = M[0][0]
+        for row in M[1:]:
+            q = row[0] // p
+            row[:] = [x - q * y for x, y in zip(row, M[0])]
+        qs = [0] + [x // p for x in M[0][1:]]
+        for row in M:
+            row[:] = [x - q * row[0] for x, q in zip(row, qs)]
+        if not any(row[0] for row in M[1:]) and not any(M[0][1:]):
+            diag.append(abs(p))
+            M = [row[1:] for row in M[1:]]
     # enforce the divisibility chain
     changed = True
     while changed:
         changed = False
         for i in range(len(diag) - 1):
             a, b = diag[i], diag[i + 1]
-            if b % a != 0:
-                from math import gcd
-
-                g = gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
+            if b % a:
+                diag[i], diag[i + 1] = gcd(a, b), lcm(a, b)
                 changed = True
     return diag
 
@@ -659,7 +629,14 @@ def lattice_quotient(
 
 
 def cokernel(columns: Sequence[Sequence[int]], ambient_rank: int) -> FiniteAbelianGroup:
-    """Z^n modulo the span of the given column vectors (must be finite)."""
+    """Z^n modulo the span of the given column vectors (must be finite).
+
+    Memoized on the columns: the inputs depend on the type alone."""
+    return _cokernel(tuple(map(tuple, columns)), ambient_rank)
+
+
+@lru_cache(maxsize=None)
+def _cokernel(columns: Tuple[Tuple[int, ...], ...], ambient_rank: int) -> FiniteAbelianGroup:
     if not columns:
         if ambient_rank:
             raise NonFiniteQuotientError(ambient_rank)

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import linalg
 from .rootsys import Root, RootSystem, RootSystemError, WeylElement, build_root_system
 
@@ -28,10 +30,14 @@ class SatakeError(ValueError):
 class UnknownClassError(SatakeError):
     def __init__(self, series: str, rank: int, label: str, available: Sequence[str]):
         self.available = tuple(available)
-        super().__init__(
-            f"no involution class '{label}' for {series}{rank}; "
-            f"available: {', '.join(available)}"
-        )
+        if self.available:
+            choices = f"available: {', '.join(available)}"
+        else:  # D3, whose classes are listed once, under A3
+            choices = (
+                f"{series}{rank} has no classes of its own: it is catalogued as "
+                f"{_canonical_type(series, rank)}"
+            )
+        super().__init__(f"no involution class '{label}' for {series}{rank}; {choices}")
 
 
 class SatakeInvolution:
@@ -75,28 +81,23 @@ class SatakeInvolution:
     def is_split(self) -> bool:
         return not self.compact and self.psi == tuple(range(self.ambient.rank))
 
-    def psi_vector(self, v: Sequence[int]) -> Root:
-        """Apply the diagram automorphism to root-lattice coordinates."""
-        out = [0] * self.ambient.rank
-        for i, c in enumerate(v):
-            out[self.psi[i]] = c
-        return tuple(out)
-
     @cached_property
     def _w_I(self) -> WeylElement:
         """Longest element of the parabolic subgroup W_I."""
         return self.ambient.longest_element(self.compact)
 
     def theta_perm(self) -> Tuple[int, ...]:
-        """theta as a permutation of the ambient root list."""
+        """theta as a permutation of the ambient root list: psi permutes the
+        columns of the root array and one Gram-kernel lookup finds the
+        images; then w_I, then the negation i -> i +- num_positive."""
         if self._theta_perm is None:
             rs = self.ambient
-            wI = self._w_I
-            perm = []
-            for v in rs.roots:
-                img = wI.act(self.psi_vector(v))
-                perm.append(rs.root_index(tuple(-x for x in img)))
-            self._theta_perm = tuple(perm)
+            kernel = rs.gram_kernel()
+            psi = kernel.lookup(kernel.vectors[:, np.argsort(self.psi)])
+            if (psi < 0).any():
+                raise RootSystemError(f"psi does not map the roots of {rs.series}{rs.rank} to roots")
+            w = np.array(self._w_I.perm)[psi]
+            self._theta_perm = tuple(((w + rs.num_positive) % len(rs.roots)).tolist())
         return self._theta_perm
 
     def theta_star(self, root: Sequence[int]) -> Root:
@@ -107,11 +108,9 @@ class SatakeInvolution:
     def compact_subsystem(self) -> FrozenSet[int]:
         """Indices of the roots of Phi_I inside the ambient root list."""
         rs = self.ambient
-        out = set()
-        for i, v in enumerate(rs.roots):
-            if all(v[j] == 0 for j in range(rs.rank) if j not in self.compact):
-                out.add(i)
-        return frozenset(out)
+        white = [j for j in range(rs.rank) if j not in self.compact]
+        R = np.array(rs.roots, dtype=np.int64)
+        return frozenset(np.flatnonzero(~R[:, white].any(axis=1)).tolist())
 
     def minus_one_rank(self) -> int:
         """Dimension of the (-1)-eigenspace of theta* on the character lattice."""
@@ -119,14 +118,15 @@ class SatakeInvolution:
 
     @cached_property
     def _minus_one_rank(self) -> int:
-        n = self.ambient.rank
+        rs = self.ambient
+        perm = self.theta_perm()
         # columns of theta* + identity; (-1)-eigenspace dim = n - rank
         cols = []
-        for i in range(n):
-            e = tuple(1 if k == i else 0 for k in range(n))
-            t = self.theta_star(e)
-            cols.append([t[k] + e[k] for k in range(n)])
-        return n - linalg.rank(cols)
+        for i, s in enumerate(rs.simple_indices):
+            col = list(rs.roots[perm[s]])
+            col[i] += 1
+            cols.append(col)
+        return rs.rank - linalg.rank(cols)
 
     def out_class(self) -> Tuple[int, ...]:
         """Image of theta in the outer automorphism group, as a diagram
@@ -146,46 +146,41 @@ class SatakeInvolution:
         """Check the Satake axioms; failures are data, not exceptions."""
         rs = self.ambient
         failures: List[str] = []
-        for i in range(rs.rank):
-            for j in range(rs.rank):
-                if rs.cartan[self.psi[i]][self.psi[j]] != rs.cartan[i][j]:
-                    failures.append("psi does not preserve the Cartan matrix")
-                    break
-            else:
-                continue
-            break
+        if any(rs.cartan[self.psi[i]][self.psi[j]] != rs.cartan[i][j]
+               for i in range(rs.rank) for j in range(rs.rank)):
+            failures.append("psi does not preserve the Cartan matrix")
         if {self.psi[i] for i in self.compact} != set(self.compact):
             failures.append("psi does not stabilize I")
         try:
-            perm = self.theta_perm()
+            perm = np.array(self.theta_perm())
         except RootSystemError:
             failures.append("psi does not map the root set to itself")
             return ValidationReport(tuple(failures))
-        if any(perm[perm[i]] != i for i in range(len(perm))):
+        ident = np.arange(len(perm))
+        if (perm[perm] != ident).any():
             failures.append("theta* is not an involution")
-        fixed = {i for i, p in enumerate(perm) if p == i}
+        fixed = set(np.flatnonzero(perm == ident).tolist())
         compact_roots = self.compact_subsystem()
         if not compact_roots <= fixed:
             failures.append("theta* does not fix Phi_I pointwise")
         if not fixed <= compact_roots:
             failures.append("theta* fixes roots outside Phi_I")
-        # the two expressions -w_I psi and -psi w_I must agree
-        wI = self._w_I
-        for v in rs.roots:
-            lhs = self.theta_star(v)
-            rhs = tuple(-x for x in self.psi_vector(wI.act(v)))
-            if lhs != rhs:
-                failures.append("-w_I(psi(a)) != -psi(w_I(a))")
-                break
+        # the two expressions -w_I psi and -psi w_I must agree, with psi
+        # read back from theta* = -w_I psi
+        wI = np.array(self._w_I.perm)
+        psi = np.argsort(wI)[(perm + rs.num_positive) % len(perm)]
+        if (wI[psi] != psi[wI]).any():
+            failures.append("-w_I(psi(a)) != -psi(w_I(a))")
         # Araki: <alpha_j, rho_I^vee> is an integer for each white node j
         # fixed by psi, i.e. alpha_j pairs with the positive coroots of
         # Phi_I to an even sum
-        positive_compact = [rs.roots[i] for i in compact_roots if i < rs.num_positive]
+        kernel = rs.gram_kernel()
+        cartan, _ = kernel.cartan_rows(kernel.vectors[list(rs.simple_indices)])
+        positive_compact = [i for i in compact_roots if i < rs.num_positive]
+        sums = cartan[:, positive_compact].sum(axis=1)
         for j in range(rs.rank):
-            if j not in self.compact and self.psi[j] == j:
-                alpha = rs.roots[rs.simple_indices[j]]
-                if sum(rs.pair_coroot(alpha, b) for b in positive_compact) % 2:
-                    failures.append(f"<alpha_{j + 1}, rho_I^vee> is not an integer")
+            if j not in self.compact and self.psi[j] == j and sums[j] % 2:
+                failures.append(f"<alpha_{j + 1}, rho_I^vee> is not an integer")
         return ValidationReport(tuple(failures))
 
     # -- dimension data --------------------------------------------------------

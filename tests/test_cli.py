@@ -42,6 +42,18 @@ def test_report_unknown_label_exit_2(capsys):
     assert "AI" in err  # lists the available labels
 
 
+def test_report_type_with_no_classes_names_its_catalog_type(capsys):
+    """D3 is catalogued as A3: the error says so instead of listing no labels."""
+    code, out, err = run_cli(capsys, "report", "D", "3", "DI(1)")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: no involution class 'DI(1)' for D3; D3 has no classes of its own: "
+        "it is catalogued as A3\n"
+    )
+    assert "available" not in err
+
+
 def test_report_invalid_type_exit_2(capsys):
     code, _, _ = run_cli(capsys, "report", "E", "5", "EV")
     assert code == 2

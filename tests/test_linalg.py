@@ -1,11 +1,13 @@
 """Exact linear algebra over Q and F_p, checked against the loop-based
 eliminations it replaced (kept below, verbatim in substance, as reference
 oracles) on random, low-rank, empty and zero matrices.  ``rref_mod_p`` is
-also checked against its earlier row-major numpy body, which must give the
-same reduced form and pivots on every input."""
+also checked against its earlier row-major numpy body, and the
+fraction-free ``echelon`` over Q against the ``Fraction`` Gauss-Jordan it
+replaced; each must give the same reduced form and pivots on every input."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -133,6 +135,47 @@ def ref_in_row_span(basis: np.ndarray, v: np.ndarray, p: int) -> bool:
     return not np.any(w)
 
 
+def ref_rref(rows) -> Tuple[List[List[Fraction]], List[int]]:
+    """The Gauss-Jordan over Fractions that the fraction-free one replaced."""
+    A = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(A[0]) if A else 0
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
+        if sel is None:
+            continue
+        A[r], A[sel] = A[sel], A[r]
+        inv = 1 / A[r][c]
+        A[r] = [x * inv for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return A[: len(pivots)], pivots
+
+
+def ref_solve(matrix, target) -> Optional[List[Fraction]]:
+    ncols = len(matrix[0]) if matrix else 0
+    R, pivots = ref_rref([list(row) + [t] for row, t in zip(matrix, target)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(R, pivots):
+        x[c] = row[ncols]
+    return x
+
+
+def ref_inverse(rows) -> Optional[List[List[Fraction]]]:
+    n = len(rows)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    R, pivots = ref_rref([list(row) + e for row, e in zip(rows, identity)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in R]
+
+
 def ref_solve_rational(
     matrix: List[List[Fraction]], target: List[Fraction]
 ) -> Optional[List[Fraction]]:
@@ -183,6 +226,34 @@ def int_matrices(draw, rows=None, cols=None):
     left = draw(arrays(np.int64, (m, k), elements=st.integers(-4, 4)))
     right = draw(arrays(np.int64, (k, n), elements=st.integers(-4, 4)))
     return left @ right
+
+
+@st.composite
+def q_matrices(draw, rows=None, cols=None):
+    """Matrices over Q as lists of rows, of int or Fraction entries:
+    random, zero, empty, tall, wide and rank-deficient (products of thin
+    factors)."""
+    kind = draw(st.sampled_from(["random", "zero", "empty", "tall", "wide", "deficient"]))
+    m = draw(dims()) if rows is None else rows
+    n = draw(dims()) if cols is None else cols
+    if kind == "empty" and rows is None:
+        m, n = draw(st.sampled_from([(0, 0), (0, 3), (1, 0), (5, 0)]))
+    if kind in ("tall", "wide") and rows is None:
+        m, n = draw(st.integers(8, 14)), draw(st.integers(1, 4))
+        if kind == "wide":
+            m, n = n, m
+    entries = st.integers(-30, 30)
+    if draw(st.booleans()):
+        entries = st.fractions(-9, 9, max_denominator=12)
+    if kind == "zero":
+        return [[0] * n for _ in range(m)]
+    if kind == "deficient":
+        k = draw(st.integers(0, max(0, min(m, n) - 1)))
+        left = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=m, max_size=m))
+        right = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+        return [[sum((row[t] * right[t][j] for t in range(k)), 0) for j in range(n)]
+                for row in left]
+    return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
 
 
 @st.composite
@@ -381,3 +452,56 @@ def test_inverse_over_q(mat):
     assert [
         [sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in rows
     ] == identity
+
+
+@settings(deadline=None, max_examples=150)
+@given(q_matrices())
+def test_q_elimination_matches_fraction_oracle(rows):
+    """rref and rank give the oracle's reduced form; echelon's rows are its
+    rows scaled to primitive integer vectors with a positive pivot."""
+    want, want_pivots = ref_rref(rows)
+    assert linalg.rref(rows) == (want, want_pivots)
+    assert linalg.rank(rows) == len(want_pivots)
+    R, pivots = linalg.echelon(rows)
+    assert pivots == want_pivots
+    for row, ref_row, c in zip(R, want, pivots):
+        assert all(type(x) is int for x in row)
+        assert row[c] > 0 and math.gcd(*row) == 1
+        assert [Fraction(x, row[c]) for x in row] == ref_row
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_q_solve_and_inverse_match_fraction_oracle(data):
+    rows = data.draw(q_matrices())
+    m = len(rows)
+    target = data.draw(st.lists(st.fractions(-9, 9, max_denominator=6) | st.integers(-9, 9),
+                                min_size=m, max_size=m))
+    assert linalg.solve(rows, target) == ref_solve(rows, target)
+    n = data.draw(dims())
+    square = data.draw(q_matrices(rows=n, cols=n))
+    want = ref_inverse(square)
+    assert linalg.inverse(square) == want
+    scaled = linalg.scaled_inverse(square)
+    if want is None:
+        assert scaled is None
+        return
+    M, L = scaled
+    assert L == math.lcm(*(x.denominator for row in want for x in row))
+    assert [[Fraction(x, L) for x in row] for row in M] == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(q_matrices())
+def test_q_rank_and_echelon_build_no_fraction(rows):
+    """Integer and Fraction input alike: rank and echelon never construct
+    a Fraction; on integer input echelon reads the ints as they are."""
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction constructed")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "Fraction", no_fraction)
+        r = linalg.rank(rows)
+        R, pivots = linalg.echelon(rows)
+    assert r == len(pivots)

@@ -3,7 +3,9 @@ lattice quotients."""
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,68 @@ def test_smith_normal_form_divisor_chain():
     assert diag == [1, 6]
 
 
+def ref_smith_normal_form(mat):
+    """The pivot-by-pivot Smith form that the corner-peeling one replaced."""
+    M = [list(row) for row in mat]
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    diag = []
+    r = c = 0
+    while r < rows and c < cols:
+        piv = None
+        for i in range(r, rows):
+            for j in range(c, cols):
+                if M[i][j] != 0 and (piv is None or abs(M[i][j]) < abs(M[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        i0, j0 = piv
+        M[r], M[i0] = M[i0], M[r]
+        for row in M:
+            row[c], row[j0] = row[j0], row[c]
+        while True:
+            done = True
+            for i in range(r + 1, rows):
+                if M[i][c] % M[r][c] != 0:
+                    q = M[i][c] // M[r][c]
+                    for j in range(c, cols):
+                        M[i][j] -= q * M[r][j]
+                    M[r], M[i] = M[i], M[r]
+                    done = False
+            if done:
+                break
+        for i in range(r + 1, rows):
+            q = M[i][c] // M[r][c]
+            for j in range(c, cols):
+                M[i][j] -= q * M[r][j]
+        for j in range(c + 1, cols):
+            q = M[r][j] // M[r][c]
+            for i in range(r, rows):
+                M[i][j] -= q * M[i][c]
+        if any(M[i][c] for i in range(r + 1, rows)) or any(M[r][j] for j in range(c + 1, cols)):
+            continue
+        diag.append(abs(M[r][c]))
+        r += 1
+        c += 1
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag) - 1):
+            a, b = diag[i], diag[i + 1]
+            if b % a != 0:
+                diag[i], diag[i + 1] = math.gcd(a, b), a * b // math.gcd(a, b)
+                changed = True
+    return diag
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 6).flatmap(lambda m: st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2, -2, 3, 4, 6, -9, 12]),
+                                min_size=n, max_size=n), min_size=m, max_size=m))))
+def test_smith_normal_form_matches_pivot_oracle(mat):
+    assert smith_normal_form(mat) == ref_smith_normal_form(mat)
+
+
 def test_fundamental_groups():
     assert fundamental_group(build_root_system("A", 3)).invariant_factors == (4,)
     assert fundamental_group(build_root_system("E", 8)).order == 1
@@ -271,24 +335,23 @@ def test_fundamental_group_order_is_cartan_determinant():
 
 
 def test_cartan_inverse_is_exact_and_cached():
-    """cartan @ cartan_inverse = 1 over Q, and |Z| clears every denominator
-    (the inverse is the adjugate over det = |Z|)."""
+    """cartan_inverse is (L cartan^-1, L): cartan @ scaled = L, L is the
+    least denominator, and |Z| is a multiple of it (the inverse is the
+    adjugate over det = |Z|)."""
     for series, rank in [("A", 4), ("B", 3), ("C", 5), ("D", 6), ("E", 8), ("F", 4), ("G", 2)]:
         rs = build_root_system(series, rank)
-        inv = rs.cartan_inverse
-        assert inv is rs.cartan_inverse
+        scaled, L = rs.cartan_inverse
+        assert rs.cartan_inverse is rs.cartan_inverse
         n = rs.rank
         assert [
-            [sum(rs.cartan[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+            [sum(rs.cartan[i][k] * scaled[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)
-        ] == [[int(i == j) for j in range(n)] for i in range(n)]
-        order = fundamental_group(rs).order
-        assert all((x * order).denominator == 1 for row in inv for x in row)
+        ] == [[L * int(i == j) for j in range(n)] for i in range(n)]
+        assert fundamental_group(rs).order % L == 0
+        assert math.lcm(*(Fraction(x, L).denominator for row in scaled for x in row)) == L
 
 
 def _int_det(m):
-    from fractions import Fraction
-
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]
     det = Fraction(1)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from pathlib import Path
-from typing import Tuple
+from typing import List, Tuple
 
 import pytest
 
@@ -112,6 +113,98 @@ def test_theta_star_rejects_non_root():
         inv.theta_star((5, 5))
 
 
+def loop_theta_perm(inv: SatakeInvolution) -> Tuple[int, ...]:
+    """theta* one root at a time, as the library once computed it: w_I as
+    a greedy product of reflection tuples, psi applied to the coordinates
+    of each root, then the image negated and looked up."""
+    rs = inv.ambient
+    w = tuple(range(len(rs.roots)))
+    while True:
+        for i in sorted(inv.compact):
+            if w[rs.simple_indices[i]] < rs.num_positive:
+                s = rs.reflection(rs.simple_indices[i]).perm
+                w = tuple(w[k] for k in s)
+                break
+        else:
+            break
+    perm = []
+    for v in rs.roots:
+        image = [0] * rs.rank
+        for i, c in enumerate(v):
+            image[inv.psi[i]] = c
+        image = rs.roots[w[rs.root_index(image)]]
+        perm.append(rs.root_index(tuple(-x for x in image)))
+    return tuple(perm)
+
+
+def test_theta_perm_matches_loop_oracle():
+    for e in all_catalog_entries():
+        assert e.satake.theta_perm() == loop_theta_perm(e.satake), (e.series, e.rank, e.label)
+
+
+def diagram_automorphisms(cartan) -> List[Tuple[int, ...]]:
+    """Every permutation sigma of the nodes with C[sigma i][sigma j] = C[i][j],
+    by extending partial maps node by node."""
+    n = len(cartan)
+    found = []
+
+    def extend(image):
+        k = len(image)
+        if k == n:
+            found.append(tuple(image))
+            return
+        for t in range(n):
+            if t not in image and all(
+                cartan[k][j] == cartan[t][image[j]] and cartan[j][k] == cartan[image[j]][t]
+                for j in range(k)
+            ):
+                extend(image + [t])
+
+    extend([])
+    return found
+
+
+def orbit_key(compact, psi, automorphisms):
+    """The least (sorted sigma(I), sigma psi sigma^-1) over the automorphisms."""
+    keys = []
+    for sigma in automorphisms:
+        conjugate = [0] * len(psi)
+        for i, j in enumerate(psi):
+            conjugate[sigma[i]] = sigma[j]
+        keys.append((tuple(sorted(sigma[i] for i in compact)), tuple(conjugate)))
+    return min(keys)
+
+
+def test_admissible_satake_data_are_the_catalog():
+    """For each catalog type of rank <= 8, the data (I, psi) with psi an
+    involutive diagram automorphism that validate() accepts are, up to
+    diagram automorphism, exactly the catalog classes and the compact form
+    (I = every node).  Each class has an orbit of its own, except that
+    triality takes D4 DIII to DI(2) (so*(8) = so(6,2))."""
+    calls = 0
+    for series, rank in _catalog_types():
+        rs = build_root_system(series, rank)
+        automorphisms = diagram_automorphisms(rs.cartan)
+        accepted = set()
+        for psi in automorphisms:
+            if any(psi[psi[i]] != i for i in range(rank)):
+                continue
+            for k in range(rank + 1):
+                for compact in combinations(range(rank), k):
+                    calls += 1
+                    if SatakeInvolution(rs, compact, psi).validate().ok:
+                        accepted.add(orbit_key(compact, psi, automorphisms))
+        classes = {}
+        for e in catalog_list(series, rank):
+            classes.setdefault(orbit_key(e.compact, e.psi, automorphisms), []).append(e.label)
+        compact_form = [key for key in accepted if len(key[0]) == rank]
+        assert len(compact_form) == 1, (series, rank)
+        assert accepted == set(classes) | set(compact_form), (series, rank)
+        shared = sorted(labels for labels in classes.values() if len(labels) > 1)
+        assert shared == ([["DI(2)", "DIII"]] if (series, rank) == ("D", 4) else [])
+    assert calls == 3590
+
+
 def test_validate_full_catalog():
     for e in all_catalog_entries():
         rep = e.satake.validate()
@@ -142,8 +235,12 @@ def test_validate_psi_not_stabilizing_i():
 def test_validate_psi_not_cartan():
     rs = build_root_system("B", 2)
     inv = SatakeInvolution(rs, compact=(), psi=(1, 0))  # swaps long and short
-    rep = inv.validate()
-    assert any("Cartan" in f for f in rep.failures)
+    assert inv.validate().failures == (
+        "psi does not preserve the Cartan matrix",
+        "psi does not map the root set to itself",
+    )
+    with pytest.raises(RootSystemError):
+        inv.theta_perm()
 
 
 @pytest.mark.parametrize("series, rank", [("A", 4), ("B", 3), ("D", 4), ("E", 6), ("F", 4)])

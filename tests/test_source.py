@@ -34,6 +34,22 @@ def test_no_bare_assert_in_library():
     assert not found, f"bare assert in {', '.join(found)}"
 
 
+def test_only_linalg_constructs_fractions():
+    """The report path is integer-only: outside ``linalg.py`` no module calls
+    ``Fraction(...)``, by name or as ``fractions.Fraction``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Fraction":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"Fraction constructed in {', '.join(found)}"
+
+
 def _referenced_names(node: ast.AST) -> Counter:
     return Counter(
         n.id if isinstance(n, ast.Name) else n.attr
