@@ -18,7 +18,7 @@ from typing import Any, Dict, Optional
 from . import nilcomp, restricted, verify, weylinv
 from .nilcomp import ComponentCountError, OmegaError
 from .restricted import RestrictionError
-from .rootsys import CapExceededError, RootSystemError
+from .rootsys import DEFAULT_CAP, CapExceededError, RootSystemError
 from .satake import SatakeError, catalog_list, catalog_lookup
 from .weylinv import DegreeError
 
@@ -29,7 +29,7 @@ def build_report(
     series: str,
     rank: int,
     label: str,
-    order_cap: int = verify.DEFAULT_CAP,
+    order_cap: int = DEFAULT_CAP,
     prime: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Assemble the full JSON-ready report for one involution class."""
@@ -270,7 +270,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     options = {
         "--cap": dict(type=_cap,
-                      default=os.environ.get("THETA_TOOL_CAP") or str(verify.DEFAULT_CAP),
+                      default=os.environ.get("THETA_TOOL_CAP") or str(DEFAULT_CAP),
                       help="Weyl-group enumeration cap (default 5e6)"),
         "--seed": dict(type=int, default=42),
         "--prime": dict(type=int, default=None, help="also report goodness of this prime"),

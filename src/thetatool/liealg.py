@@ -32,6 +32,7 @@ from .rootsys import (
     Root,
     RootSystem,
     _neg,
+    _read_only,
     build_root_system,
     good_primes_from,
     is_odd_prime,
@@ -101,11 +102,6 @@ def _first_nonzero_key(keys: np.ndarray, vals: np.ndarray, p: int = 0) -> Option
     return int(keys[starts[bad[0]]]) if bad.size else None
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 # -- structure constants -----------------------------------------------------------
 
 
@@ -147,8 +143,8 @@ def _N(rs: RootSystem, a: Root, b: Root, table: Dict[Tuple[Root, Root], int]) ->
     # positive sum: N(a,b) = N(b,c) (c,c)/(a,a) with c = -s, and
     # N(b,c) = -N(-b, s) is a positive pair summing to a
     nbc = -_N(rs, _neg(b), s, table)
-    num = nbc * rs.norm2(s)
-    den = rs.norm2(a)
+    num = nbc * int(rs.kernel.norms[rs.index[s]])
+    den = int(rs.kernel.norms[rs.index[a]])
     q, r = divmod(num, den)
     if r:
         raise LieAlgebraError("non-integral rotation in structure constants")
@@ -170,8 +166,8 @@ def _derive_constant(rs: RootSystem, alpha, beta, g_es, d_es, table) -> int:
     n_es = table[(g_es, d_es)]
     # N_{g,d} * N_{hat,-beta} + term = 0 and
     # N_{hat,-beta} = N_{alpha,beta} (alpha,alpha)/(hat,hat)
-    num = -term * rs.norm2(gamma_hat)
-    den = n_es * rs.norm2(alpha)
+    num = -term * int(rs.kernel.norms[rs.index[gamma_hat]])
+    den = n_es * int(rs.kernel.norms[rs.index[alpha]])
     q, r = divmod(num, den)
     if r:
         raise LieAlgebraError("non-integral derived structure constant")
@@ -207,25 +203,25 @@ def _structure_constants(rs: RootSystem) -> Dict[Tuple[int, int], int]:
 
 
 def _bracket_entries(rs: RootSystem, nconst: Mapping[Tuple[int, int], int]) -> np.ndarray:
-    """Rows (i, k, l, c), one for each [x_i, x_k] = c x_l with c != 0;
-    [e_a, e_{-a}] = a^vee for a positive."""
+    """Rows (i, k, l, c), one for each [x_i, x_k] = c x_l with c != 0:
+    [h_j, e_b] = <b, alpha_j^vee> e_b, [e_a, e_{-a}] = a^vee for a positive,
+    and [e_a, e_b] = N_{a,b} e_{a+b}."""
     n, npos = rs.rank, rs.num_positive
-    rows = []
-    for r, beta in enumerate(rs.roots):
-        e = n + r
-        for h in range(n):
-            c = rs.pair_coroot_simple(beta, h)
-            if c:
-                rows += [(h, e, e, c), (e, h, e, -c)]
-    for r in range(npos):
-        e, f = n + r, n + npos + r
-        for k, c in enumerate(rs.coroot_coords(rs.roots[r])):
-            if c:
-                rows += [(e, f, k, c), (f, e, k, -c)]
-    for (i, j), c in nconst.items():
-        s = tuple(x + y for x, y in zip(rs.roots[i], rs.roots[j]))
-        rows.append((n + i, n + j, n + rs.root_index(s), c))
-    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+    kernel = rs.kernel
+    simple = kernel.cartan_rows(kernel.vectors)[0][:, list(rs.simple_indices)]
+    r, h = np.nonzero(simple)
+    c, e = simple[r, h], n + r
+    q, k = np.nonzero(rs.coroots[:npos])
+    v = rs.coroots[q, k]
+    ij = np.array(list(nconst), dtype=np.int64).reshape(-1, 2)
+    l = n + kernel.lookup(kernel.vectors[ij[:, 0]] + kernel.vectors[ij[:, 1]])
+    nc = np.array(list(nconst.values()), dtype=np.int64)
+    blocks = [
+        (h, e, e, c), (e, h, e, -c),
+        (n + q, n + npos + q, k, v), (n + npos + q, n + q, k, -v),
+        (n + ij[:, 0], n + ij[:, 1], l, nc),
+    ]
+    return np.concatenate([np.stack(b, axis=1) for b in blocks])
 
 
 class ChevalleyTable:
@@ -394,13 +390,16 @@ class SymmetricPairRealization:
     """A concrete Z/2-grading g = k + p over F_p.
 
     k_basis / p_basis are integer coefficient matrices (rows = basis
-    vectors of the eigenspaces); dtheta is the defining involution matrix.
+    vectors of the eigenspaces); dtheta is the defining involution matrix,
+    read-only, so that ``check_automorphism`` can record which dtheta it
+    passed.
     """
 
     def __init__(self, alg: ModularLieAlgebra, dtheta: np.ndarray, kind: str):
         self.alg = alg
         self.kind = kind
-        self.dtheta = np.mod(dtheta, alg.p)
+        self.dtheta = _read_only(np.mod(dtheta, alg.p))
+        self._automorphism_checked: Optional[np.ndarray] = None
         p = alg.p
         eye = np.eye(alg.dim, dtype=np.int64)
         if np.any(np.mod(self.dtheta @ self.dtheta - eye, p)):
@@ -421,8 +420,12 @@ class SymmetricPairRealization:
             sum_{a,b} D[a,i] D[b,j] T(a,b,l) - sum_m T(i,j,m) D[l,m],
 
         read off the table joined with the nonzeros of D, in blocks of i.
-        The first failing pair (i, j) in row-major order is reported.
+        The first failing pair (i, j) in row-major order is reported.  A
+        pass is recorded against the dtheta array checked, so a second call
+        returns at once unless dtheta has been replaced.
         """
+        if self._automorphism_checked is self.dtheta:
+            return
         alg, p, dim = self.alg, self.alg.p, self.alg.dim
         first, second, out, coef = alg.table.entries.T
         col, row_c = np.nonzero(self.dtheta.T)  # nonzeros by column
@@ -456,6 +459,7 @@ class SymmetricPairRealization:
                 raise LieAlgebraError(
                     f"dtheta fails to preserve brackets at pair ({i}, {j})"
                 )
+        self._automorphism_checked = self.dtheta
 
     def check_grading(self) -> None:
         """[k,k] in k, [k,p] in p, [p,p] in k, exhaustively on basis pairs.

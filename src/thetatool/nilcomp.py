@@ -25,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .restricted import (
     RestrictedCocharacter,
     RestrictedRootSystem,
-    _pair_with_coroot_coords,
     case_iii_count,
     restrict,
 )
@@ -87,7 +88,7 @@ def omega(
     if timg != tuple(-c for c in coords):
         raise OmegaError("omega is not reversed by theta")
     pairings = []
-    for j, val in enumerate(_pair_with_coroot_coords(rs, rrs.pi, coords)):
+    for j, val in enumerate(rrs.pair_pi(coords)):
         if val != 4:  # doubled root, so <pi, omega> = val/2 must be 2
             raise OmegaError(f"<pi_{j}, omega> = {val}/2 != 2")
         pairings.append(2)
@@ -101,8 +102,9 @@ def _theta_on_coroots(inv: SatakeInvolution, coords: Sequence[int]) -> Tuple[int
     """Action of theta on a coroot-lattice vector (dual to theta*): it sends
     alpha_j^vee to theta*(alpha_j)^vee."""
     rs = inv.ambient
-    images = [rs.coroot_coords(inv.theta_star(rs.roots[s])) for s in rs.simple_indices]
-    return tuple(sum(c * img[k] for c, img in zip(coords, images)) for k in range(rs.rank))
+    perm = inv.theta_perm()
+    images = rs.coroots[[perm[s] for s in rs.simple_indices]]
+    return tuple((np.asarray(coords) @ images).tolist())
 
 
 # -- Z cap A and the component count -------------------------------------------
@@ -369,9 +371,11 @@ def verify_w0_decomposition(
             failures.append(f"beta_{i + 1} = {b} is not a root")
             orthogonal = False
     if orthogonal:
-        for i in range(len(dec.betas)):
-            for j in range(i + 1, len(dec.betas)):
-                if rs.pair_coroot(dec.betas[i], dec.betas[j]) != 0:
+        idx = [rs.root_index(b) for b in dec.betas]
+        cartan, _ = rs.kernel.cartan_rows(rs.kernel.vectors[idx])
+        for i in range(len(idx)):
+            for j in range(i + 1, len(idx)):
+                if cartan[i, idx[j]] != 0:
                     orthogonal = False
                     failures.append(
                         f"beta_{i + 1} and beta_{j + 1} are not orthogonal"

@@ -4,7 +4,9 @@ The restriction of an ambient root a to the maximal split torus is
 (a - theta(a))/2.  To stay in integer arithmetic we store the *doubled*
 restriction d(a) = a - theta(a) throughout; Cartan integers are unaffected
 by the scaling.  Every Cartan integer, reflection and membership test on
-restricted roots goes through one ``GramKernel`` over the doubled roots.
+restricted roots goes through the one ``GramKernel`` over the doubled roots
+that each restricted system owns; ambient pairings and coroots are read off
+the ambient root system's kernel and coroot array.
 The reduced subsystem consists of the indivisible restricted roots; its
 type is recognized from the Cartan matrix on the restricted basis, and the
 baby Weyl group is realized as permutations of the restricted-root vectors
@@ -71,6 +73,7 @@ class RestrictedRootSystem:
         pi_lifts: for each basis root, the smallest simple index lifting it.
         r: dim A (rank of the split torus, plus any central split rank).
         r0: rank of the reduced subsystem.
+        kernel: the ``GramKernel`` of ``doubled``, in the same order.
     """
 
     def __init__(self, inv: SatakeInvolution):
@@ -79,7 +82,7 @@ class RestrictedRootSystem:
         compact_roots = inv.compact_subsystem()
 
         # doubled restrictions a - theta*(a) of the roots outside Phi_I
-        R = np.array(rs.roots, dtype=np.int64)
+        R = rs.kernel.vectors
         D = R - R[list(inv.theta_perm())]
         outside = ~np.isin(np.arange(len(R)), list(compact_roots))
         zero = np.flatnonzero(outside & ~D.any(axis=1))
@@ -120,16 +123,19 @@ class RestrictedRootSystem:
                 f"basis size {self.r0} differs from split rank {inv.minus_one_rank()}"
             )
 
-        kernel = self.gram_kernel()
+        self.kernel = kernel = GramKernel(self.doubled, rs.form)
         doubles = np.flatnonzero(kernel.lookup(2 * kernel.vectors) >= 0)
         self.multipliable = frozenset(self.doubled[i] for i in doubles)
-        self._check_axioms(kernel)
+        self._check_axioms()
         pi_idx = [self._index[d] for d in self.pi]
         cartan, _ = kernel.cartan_rows(kernel.vectors[pi_idx])
         self._pi_cartan = tuple(tuple(row) for row in cartan[:, pi_idx].tolist())
+        # <pi_a, alpha_j^vee> for the simple roots alpha_j of the ambient system
+        cartan, _ = rs.kernel.cartan_rows(kernel.vectors[pi_idx])
+        self._pi_coroot_pairings = cartan[:, list(rs.simple_indices)]
         self._pi_norms = tuple(kernel.norms[pi_idx].tolist())
         self.factors: Tuple[SimpleFactor, ...] = self._classify()
-        self._pi_coords: Dict[Root, Tuple[int, ...]] = self._compute_pi_coords(kernel)
+        self._pi_coords: Dict[Root, Tuple[int, ...]] = self._compute_pi_coords()
 
     # -- setup helpers -------------------------------------------------------
 
@@ -139,10 +145,10 @@ class RestrictedRootSystem:
                 return c > 0
         return False
 
-    def gram_kernel(self) -> GramKernel:
-        """The Gram kernel of the doubled roots.  It is built afresh on each
-        call, so that memoized systems keep no arrays."""
-        return GramKernel(self.doubled, self.inv.ambient.form)
+    def pair_pi(self, coroot_coords: Sequence[int]) -> List[int]:
+        """<pi_a, cochar> for each basis root pi_a, with cochar in the
+        simple-coroot coordinates of the ambient system."""
+        return (self._pi_coroot_pairings @ np.asarray(coroot_coords)).tolist()
 
     def index_of(self, d: Sequence[int]) -> int:
         try:
@@ -150,7 +156,7 @@ class RestrictedRootSystem:
         except KeyError:
             raise RestrictionError(f"{tuple(d)} is not a restricted root")
 
-    def _check_axioms(self, kernel: GramKernel) -> None:
+    def _check_axioms(self) -> None:
         """Closure under reflections and integral Cartan numbers.
 
         Integrality also excludes 3a: if a and 3a were both restricted roots,
@@ -159,7 +165,7 @@ class RestrictedRootSystem:
         one raised: RootSystemError for a non-integral pairing,
         RestrictionError for a reflection leaving the list.
         """
-        for start, cartan, integral, images in kernel.reflection_blocks():
+        for start, cartan, integral, images in self.kernel.reflection_blocks():
             bad = np.flatnonzero((images < 0) | ~integral)
             if not bad.size:
                 continue
@@ -308,7 +314,7 @@ class RestrictedRootSystem:
             out.append((self._pi_coords[d], self.multiplicity[d]))
         return out
 
-    def _compute_pi_coords(self, kernel: GramKernel) -> Dict[Root, Tuple[int, ...]]:
+    def _compute_pi_coords(self) -> Dict[Root, Tuple[int, ...]]:
         """Express each doubled root in the basis pi (integer coordinates).
 
         With P the r0 x n matrix of pi and J the pivot columns of P, the
@@ -319,7 +325,7 @@ class RestrictedRootSystem:
         """
         if not self.r0:
             return {}
-        D = kernel.vectors
+        D = self.kernel.vectors
         P = np.array(self.pi, dtype=np.int64).reshape(self.r0, D.shape[1])
         _, cols = linalg.echelon(self.pi)
         inverse = linalg.scaled_inverse(P[:, cols].tolist()) if len(cols) == self.r0 else None
@@ -386,7 +392,7 @@ class RestrictedRootSystem:
 
     def reflection_perm(self, d: Sequence[int]) -> Tuple[int, ...]:
         """s_d as a permutation of the restricted root list."""
-        images, integral = self.gram_kernel().reflections([self.index_of(d)])
+        images, integral = self.kernel.reflections([self.index_of(d)])
         if not integral.all() or (images < 0).any():
             raise RestrictionError(f"restricted roots not closed under s_{tuple(d)}")
         return tuple(images[0].tolist())
@@ -456,13 +462,6 @@ class RestrictedCocharacter:
     case: Optional[str] = None  # 'i' | 'ii' | 'iii' for omega_alpha
 
 
-def _pair_with_coroot_coords(ambient, chars, coroot_coords) -> List[int]:
-    """<char, cochar> for each char in root coords, with cochar in coroot
-    coords: chars C cochar, for C the Cartan matrix."""
-    simple = [sum(a * c for a, c in zip(row, coroot_coords)) for row in ambient.cartan]
-    return [sum(x * y for x, y in zip(char, simple)) for char in chars]
-
-
 def omega_alpha(
     inv: SatakeInvolution, rrs: RestrictedRootSystem, basis_pos: int
 ) -> RestrictedCocharacter:
@@ -476,26 +475,22 @@ def omega_alpha(
     rs = inv.ambient
     if not 0 <= basis_pos < rrs.r0:
         raise RestrictionError(f"basis position {basis_pos} out of range")
-    beta_idx = rrs.pi_lifts[basis_pos]
-    beta = tuple(1 if k == beta_idx else 0 for k in range(rs.rank))
-    tb = inv.theta_star(beta)
-    minus_tb = tuple(-x for x in tb)
-    beta_cov = rs.coroot_coords(beta)
-    if minus_tb == beta:
+    b = rs.simple_indices[rrs.pi_lifts[basis_pos]]
+    t = inv.theta_perm()[b]  # theta*(beta)
+    if t == (b + rs.num_positive) % len(rs.roots):
         case = "i"
-        coords = beta_cov
+        coords = rs.coroots[b]
     else:
-        pair = rs.pair_coroot(beta, minus_tb)
-        tb_cov = rs.coroot_coords(tb)
-        diff = tuple(a - b for a, b in zip(beta_cov, tb_cov))
-        if pair == 0:
+        cartan, _ = rs.kernel.cartan_rows(rs.kernel.vectors[[b]])
+        diff = rs.coroots[b] - rs.coroots[t]
+        if cartan[0, t] == 0:
             case = "ii"
             coords = diff
         else:
             case = "iii"
-            coords = tuple(2 * x for x in diff)
+            coords = 2 * diff
     pairings = []
-    for val in _pair_with_coroot_coords(rs, rrs.pi, coords):
+    for val in rrs.pair_pi(coords):
         if val % 2:
             raise RestrictionError("odd pairing of doubled root with omega_alpha")
         pairings.append(val // 2)
@@ -504,7 +499,7 @@ def omega_alpha(
             f"<alpha, omega_alpha> = {pairings[basis_pos]} != 2 "
             f"(corrupted basis bookkeeping)"
         )
-    return RestrictedCocharacter(tuple(coords), tuple(pairings), case)
+    return RestrictedCocharacter(tuple(coords.tolist()), tuple(pairings), case)
 
 
 def case_iii_count(inv: SatakeInvolution, rrs: RestrictedRootSystem) -> int:

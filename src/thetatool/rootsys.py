@@ -2,12 +2,15 @@
 
 Roots are integer coordinate vectors in the simple-root basis; all pairings
 go through the (symmetrized) Cartan matrix, so there is no floating point
-anywhere.  Bulk pairings go through one integer kernel, ``GramKernel``: a
-block of rows of the Gram table V F V^T of a vector list V is one matrix
-product.  Weyl group elements are permutations of the (finite, canonically
-ordered) root list.  The module also provides Smith-normal-form arithmetic
-for integer lattice quotients, which is how fundamental groups and their
-two-torsion are computed downstream.
+anywhere.  Every bulk pairing, coroot and membership test goes through one
+integer kernel, ``GramKernel``: a block of rows of the Gram table V F V^T of
+a vector list V is one matrix product.  Each root system owns one kernel
+over its roots, built with them and kept, and one exact coroot array.  The
+tuple ``roots``, the ``index`` dict, ``root_index`` and ``is_root`` stay as
+the scalar face for per-root queries.  Weyl group elements are permutations
+of the (finite, canonically ordered) root list.  The module also provides
+Smith-normal-form arithmetic for integer lattice quotients, which is how
+fundamental groups and their two-torsion are computed downstream.
 
 Root ordering convention: positive roots sorted by (height, coordinate
 tuple), then the negative roots in the mirrored order, so that
@@ -41,6 +44,10 @@ WEYL_DEGREES = {
 
 class RootSystemError(ValueError):
     """Invalid root-system input (bad series/rank, bad index, bad lattice)."""
+
+
+# Default cap on the order of a Weyl group listed element by element.
+DEFAULT_CAP = 5 * 10**6
 
 
 class CapExceededError(RootSystemError):
@@ -165,6 +172,11 @@ def _root_halflengths(series: str, rank: int) -> Tuple[int, ...]:
 _BLOCK_ENTRIES = 1 << 12
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One opaque key per row of an int64 matrix: equal keys are equal rows."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
@@ -184,9 +196,9 @@ class GramKernel:
 
     def __init__(self, vectors: Sequence[Sequence[int]], form: Sequence[Sequence[int]]):
         n = len(form)
-        self.form = np.array(form, dtype=np.int64).reshape(n, n)
-        self.vectors = np.array(vectors, dtype=np.int64).reshape(len(vectors), n)
-        self.norms = ((self.vectors @ self.form) * self.vectors).sum(axis=1)
+        self.form = _read_only(np.array(form, dtype=np.int64).reshape(n, n))
+        self.vectors = _read_only(np.array(vectors, dtype=np.int64).reshape(len(vectors), n))
+        self.norms = _read_only(((self.vectors @ self.form) * self.vectors).sum(axis=1))
         self._keys = _row_keys(self.vectors)
         self._order = np.argsort(self._keys)
 
@@ -237,10 +249,6 @@ class GramKernel:
             yield start, cartan, integral, found
 
 
-def _height(v: Root) -> int:
-    return sum(v)
-
-
 def _neg(v: Root) -> Root:
     return tuple(-x for x in v)
 
@@ -254,6 +262,9 @@ class RootSystem:
         roots: canonical ordered tuple of roots (simple-root coordinates).
         num_positive: the first num_positive entries of ``roots`` are the
             positive roots; roots[i + num_positive] = -roots[i].
+        kernel: the ``GramKernel`` of the roots, in the same order.
+        coroots: read-only int64 array, row i the simple-coroot
+            coordinates of roots[i]^vee.
     """
 
     def __init__(self, series: str, rank: int):
@@ -261,11 +272,10 @@ class RootSystem:
         self.series = series
         self.rank = rank
         self.cartan = cartan_matrix(series, rank)
-        self.halflengths = _root_halflengths(series, rank)
+        d = _root_halflengths(series, rank)
         # Symmetrized form (alpha_i, alpha_j) = cartan[i][j] * d_j.
         self.form = tuple(
-            tuple(self.cartan[i][j] * self.halflengths[j] for j in range(rank))
-            for i in range(rank)
+            tuple(self.cartan[i][j] * d[j] for j in range(rank)) for i in range(rank)
         )
         if any(self.form[i][j] != self.form[j][i] for i in range(rank) for j in range(i)):
             raise RootSystemError(f"symmetrized form of {series}{rank} is not symmetric")
@@ -274,35 +284,40 @@ class RootSystem:
     # -- construction -----------------------------------------------------
 
     def _build_roots(self) -> None:
-        simples = [
-            tuple(1 if j == i else 0 for j in range(self.rank))
-            for i in range(self.rank)
-        ]
-        seen = set(simples)
-        frontier = list(simples)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for j in range(self.rank):
-                    w = self._reflect_vector(v, simples[j], j)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        positives = sorted(
-            (v for v in seen if _height(v) > 0), key=lambda v: (_height(v), v)
-        )
-        self.roots: Tuple[Root, ...] = tuple(positives) + tuple(
-            _neg(v) for v in positives
-        )
-        self.num_positive = len(positives)
-        if set(self.roots) != seen:
+        """The roots as the closure of the simple roots under the simple
+        reflections, grown as int64 arrays: each round reflects the rows
+        first found in the round before (``new @ C`` holds the pairings
+        <v, alpha_j^vee>), and one stable lexsort of the rows found so far
+        and the images drops repeats, keeping the first copy.  The positive
+        rows are then sorted by (height, coordinates), and the root system
+        keeps one ``GramKernel`` over the sorted list."""
+        n = self.rank
+        eye = np.eye(n, dtype=np.int64)
+        C = np.array(self.cartan, dtype=np.int64)
+        R, new = eye[:0], eye
+        while len(new):
+            rows = np.vstack([R, (new[:, None, :] - (new @ C)[:, :, None] * eye).reshape(-1, n)])
+            order = np.lexsort(rows.T[::-1])
+            rows = rows[order]
+            first = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
+            new = rows[first & (order >= len(R))]
+            R = rows[first]
+        height = R.sum(axis=1)
+        pos = R[height > 0]
+        pos = pos[np.lexsort(np.vstack([pos[:, ::-1].T, height[height > 0]]))]
+        vectors = np.vstack([pos, -pos])
+        if not np.array_equal(vectors[np.lexsort(vectors.T[::-1])], R):
             raise RootSystemError(f"roots of {self.series}{self.rank} not closed under -1")
+        self.roots: Tuple[Root, ...] = tuple(map(tuple, vectors.tolist()))
+        self.num_positive = len(pos)
         self.index = {v: i for i, v in enumerate(self.roots)}
-        self.simple_indices = tuple(
-            self.index[tuple(1 if k == i else 0 for k in range(self.rank))]
-            for i in range(self.rank)
-        )
+        self.simple_indices = tuple(self.index[v] for v in map(tuple, eye.tolist()))
+        self.kernel = GramKernel(vectors, self.form)
+        # beta^vee = sum_i b_i (alpha_i, alpha_i)/(beta, beta) alpha_i^vee
+        num = self.kernel.vectors * np.diag(self.kernel.form)
+        if (num % self.kernel.norms[:, None]).any():
+            raise RootSystemError(f"a coroot of {self.series}{self.rank} is not integral")
+        self.coroots = _read_only(num // self.kernel.norms[:, None])
 
     @cached_property
     def cartan_inverse(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
@@ -311,53 +326,6 @@ class RootSystem:
         determinant is the order of Z, which L divides)."""
         M, L = linalg.scaled_inverse(self.cartan)
         return tuple(map(tuple, M)), L
-
-    def gram_kernel(self) -> GramKernel:
-        """The Gram kernel of the root list.  It is built afresh on each
-        call, so that cached root systems keep no arrays."""
-        return GramKernel(self.roots, self.form)
-
-    def _reflect_vector(self, v: Root, alpha: Root, j: int) -> Root:
-        c = self.pair_coroot_simple(v, j)
-        return tuple(v[k] - c * alpha[k] for k in range(self.rank))
-
-    # -- pairings ----------------------------------------------------------
-
-    def pair_coroot_simple(self, v: Sequence[int], j: int) -> int:
-        """<v, alpha_j^vee> for v in root-lattice coordinates."""
-        return sum(v[i] * self.cartan[i][j] for i in range(self.rank))
-
-    def inner(self, v: Sequence[int], w: Sequence[int]) -> int:
-        """(v, w) under the W-invariant symmetrized form."""
-        return sum(x * f * y for x, row in zip(v, self.form) if x for f, y in zip(row, w) if f)
-
-    def norm2(self, v: Sequence[int]) -> int:
-        return self.inner(v, v)
-
-    def pair_coroot(self, v: Sequence[int], beta: Sequence[int]) -> int:
-        """Cartan integer <v, beta^vee> = 2(v, beta)/(beta, beta)."""
-        num = 2 * self.inner(v, beta)
-        den = self.norm2(beta)
-        q, r = divmod(num, den)
-        if r:
-            raise RootSystemError(f"non-integral Cartan pairing of {v} with {beta}")
-        return q
-
-    def coroot_coords(self, beta: Sequence[int]) -> Tuple[int, ...]:
-        """Coordinates of beta^vee in the simple-coroot basis.
-
-        beta^vee = sum_i b_i (alpha_i, alpha_i)/(beta, beta) alpha_i^vee,
-        which is integral for any root beta.
-        """
-        n2 = self.norm2(beta)
-        out = []
-        for i in range(self.rank):
-            num = beta[i] * 2 * self.halflengths[i]
-            q, r = divmod(num, n2)
-            if r:
-                raise RootSystemError(f"{beta} is not a root (coroot not integral)")
-            out.append(q)
-        return tuple(out)
 
     def root_index(self, v: Sequence[int]) -> int:
         try:
@@ -401,7 +369,7 @@ class RootSystem:
 
     def _reflections(self, indices: Sequence[int]) -> Tuple["WeylElement", ...]:
         """s_beta for the roots beta at the given indices, from one kernel."""
-        images, integral = self.gram_kernel().reflections(indices)
+        images, integral = self.kernel.reflections(indices)
         out = []
         for i, perm, ok in zip(indices, images.tolist(), integral.all(axis=1)):
             beta = self.roots[i]
@@ -409,7 +377,7 @@ class RootSystem:
                 raise RootSystemError(
                     f"roots of {self.series}{self.rank} not closed under s_{beta}"
                 )
-            word = (beta.index(1),) if _height(beta) == 1 else None
+            word = (beta.index(1),) if sum(beta) == 1 else None
             out.append(WeylElement(self, tuple(perm), word=word))
         return tuple(out)
 

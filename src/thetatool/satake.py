@@ -20,7 +20,7 @@ from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .rootsys import Root, RootSystem, RootSystemError, WeylElement, build_root_system
+from .rootsys import RootSystem, RootSystemError, WeylElement, build_root_system
 
 
 class SatakeError(ValueError):
@@ -92,7 +92,7 @@ class SatakeInvolution:
         images; then w_I, then the negation i -> i +- num_positive."""
         if self._theta_perm is None:
             rs = self.ambient
-            kernel = rs.gram_kernel()
+            kernel = rs.kernel
             psi = kernel.lookup(kernel.vectors[:, np.argsort(self.psi)])
             if (psi < 0).any():
                 raise RootSystemError(f"psi does not map the roots of {rs.series}{rs.rank} to roots")
@@ -100,17 +100,11 @@ class SatakeInvolution:
             self._theta_perm = tuple(((w + rs.num_positive) % len(rs.roots)).tolist())
         return self._theta_perm
 
-    def theta_star(self, root: Sequence[int]) -> Root:
-        """theta*(root) = -w_I(psi(root)); raises if root is not in Phi_S."""
-        rs = self.ambient
-        return rs.roots[self.theta_perm()[rs.root_index(tuple(root))]]
-
     def compact_subsystem(self) -> FrozenSet[int]:
         """Indices of the roots of Phi_I inside the ambient root list."""
         rs = self.ambient
         white = [j for j in range(rs.rank) if j not in self.compact]
-        R = np.array(rs.roots, dtype=np.int64)
-        return frozenset(np.flatnonzero(~R[:, white].any(axis=1)).tolist())
+        return frozenset(np.flatnonzero(~rs.kernel.vectors[:, white].any(axis=1)).tolist())
 
     def minus_one_rank(self) -> int:
         """Dimension of the (-1)-eigenspace of theta* on the character lattice."""
@@ -174,7 +168,7 @@ class SatakeInvolution:
         # Araki: <alpha_j, rho_I^vee> is an integer for each white node j
         # fixed by psi, i.e. alpha_j pairs with the positive coroots of
         # Phi_I to an even sum
-        kernel = rs.gram_kernel()
+        kernel = rs.kernel
         cartan, _ = kernel.cartan_rows(kernel.vectors[list(rs.simple_indices)])
         positive_compact = [i for i in compact_roots if i < rs.num_positive]
         sums = cartan[:, positive_compact].sum(axis=1)

@@ -17,10 +17,9 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import liealg, nilcomp, restricted, weylinv
-from .rootsys import CapExceededError
+from .rootsys import DEFAULT_CAP, CapExceededError
 from .satake import InvolutionClassEntry, all_catalog_entries, catalog_list
 
-DEFAULT_CAP = 5 * 10**6
 SUITE_NAMES = ("poincare", "w0", "centdim", "grading", "proposition")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import List, Sequence, Tuple
 
-from .rootsys import CapExceededError, degrees_for
+from .rootsys import DEFAULT_CAP, CapExceededError, degrees_for
 from .restricted import BabyWeylGroup, RestrictedRootSystem
 
 
@@ -145,7 +145,7 @@ def invariant_degrees(rrs: RestrictedRootSystem) -> DegreeProfile:
 
 
 def poincare_polynomial(
-    rrs: RestrictedRootSystem, order_cap: int = 5 * 10**6
+    rrs: RestrictedRootSystem, order_cap: int = DEFAULT_CAP
 ) -> IntPolynomial:
     """Exact length generating polynomial of W_A.
 

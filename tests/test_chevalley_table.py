@@ -34,6 +34,7 @@ from thetatool.liealg import (
 from thetatool.satake import catalog_list
 
 from brackets import dense_ad
+from scalar import coroot_coords, pair_coroot_simple
 
 RANK_UP_TO_SIX = [("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 7)] + [
     ("C", n) for n in range(3, 7)
@@ -53,7 +54,7 @@ def ref_bracket_basis(rs, nconst, i, j):
         return out
     if i < n or j < n:
         h, e, sign = (i, j, 1) if i < n else (j, i, -1)
-        c = sign * rs.pair_coroot_simple(rs.roots[e - n], h)
+        c = sign * pair_coroot_simple(rs, rs.roots[e - n], h)
         if c:
             out[e] = c
         return out
@@ -63,7 +64,7 @@ def ref_bracket_basis(rs, nconst, i, j):
         # [e_a, e_{-a}] = a^vee in the simple-coroot basis
         sign = 1 if i - n < rs.num_positive else -1
         posroot = a if sign == 1 else b
-        for k, c in enumerate(rs.coroot_coords(posroot)):
+        for k, c in enumerate(coroot_coords(rs, posroot)):
             if c:
                 out[k] = sign * c
         return out

@@ -6,7 +6,11 @@ raises the same error, with the same message, as the loop-based check."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -16,6 +20,8 @@ from thetatool import linalg, rootsys
 from thetatool.restricted import RestrictedRootSystem, RestrictionError, restrict
 from thetatool.rootsys import GramKernel, RootSystemError, build_root_system
 from thetatool.satake import _catalog_types, all_catalog_entries, catalog_lookup
+
+from scalar import norm2, pair_coroot
 
 TYPES = _catalog_types() + [("D", 3)]
 
@@ -35,7 +41,7 @@ def ref_reflection(rs, table, root_index: int) -> Tuple[int, ...]:
 def ref_check_axioms(rrs) -> None:
     for a in rrs.doubled:
         for b in rrs.doubled:
-            c = rrs.inv.ambient.pair_coroot(a, b)  # raises if non-integral
+            c = pair_coroot(rrs.inv.ambient, a, b)  # raises if non-integral
             img = tuple(x - c * y for x, y in zip(a, b))
             if img not in rrs._index:
                 raise RestrictionError(
@@ -50,7 +56,7 @@ def ref_check_axioms(rrs) -> None:
 def ref_reflection_perm(rrs, d: Sequence[int]) -> Tuple[int, ...]:
     perm = []
     for a in rrs.doubled:
-        c = rrs.inv.ambient.pair_coroot(a, d)
+        c = pair_coroot(rrs.inv.ambient, a, d)
         perm.append(rrs.index_of(tuple(x - c * y for x, y in zip(a, d))))
     return tuple(perm)
 
@@ -84,6 +90,7 @@ def _with_roots(rrs, vectors, pi=None) -> RestrictedRootSystem:
     fake._index = {d: i for i, d in enumerate(fake.doubled)}
     fake.pi = rrs.pi if pi is None else tuple(pi)
     fake.r0 = len(fake.pi)
+    fake.kernel = GramKernel(fake.doubled, rrs.inv.ambient.form)
     return fake
 
 
@@ -93,19 +100,19 @@ def _with_roots(rrs, vectors, pi=None) -> RestrictedRootSystem:
 @pytest.mark.parametrize("series,rank", TYPES, ids=[f"{s}{r}" for s, r in TYPES])
 def test_cartan_table_and_reflections_match_scalar(series, rank):
     rs = build_root_system(series, rank)
-    table = [[rs.pair_coroot(a, b) for b in rs.roots] for a in rs.roots]
-    kernel = rs.gram_kernel()
+    table = [[pair_coroot(rs, a, b) for b in rs.roots] for a in rs.roots]
+    kernel = rs.kernel
     cartan, integral = kernel.cartan_rows(kernel.vectors)
     assert integral.all()
     assert cartan.tolist() == table
-    assert kernel.norms.tolist() == [rs.norm2(v) for v in rs.roots]
+    assert kernel.norms.tolist() == [norm2(rs, v) for v in rs.roots]
     for j in range(len(rs.roots)):
         assert rs.reflection(j).perm == ref_reflection(rs, table, j)
 
 
 def test_kernel_lookup_and_reflection_blocks():
     rs = build_root_system("E", 8)
-    kernel = rs.gram_kernel()
+    kernel = rs.kernel
     assert kernel.lookup(kernel.vectors).tolist() == list(range(len(rs.roots)))
     zero_and_double = np.array([[0] * 8, [2] + [0] * 7, [7] * 8], dtype=np.int64)
     assert kernel.lookup(zero_and_double).tolist() == [-1, -1, -1]
@@ -130,6 +137,41 @@ def test_empty_kernel():
     assert list(kernel.reflection_blocks()) == []
 
 
+# The kernel builds of two catalog sweeps in a fresh interpreter, where no
+# cache is warm yet.
+_COUNT_BUILDS = """
+from thetatool import cli, rootsys, satake
+builds = []
+real = rootsys.GramKernel.__init__
+rootsys.GramKernel.__init__ = lambda self, *a: builds.append(1) or real(self, *a)
+counts = []
+for _ in range(2):
+    for e in satake.all_catalog_entries():
+        rep = cli.build_report(e.series, e.rank, e.label)
+    counts.append(len(builds))
+print(len(satake._catalog_types()), len(satake.all_catalog_entries()), *counts)
+"""
+
+
+def test_catalog_sweep_builds_one_kernel_per_system():
+    """A report reads the one kernel its root system owns and the one its
+    restricted system owns: a cold sweep of the catalog builds one per type
+    and one per class, and a second sweep builds none."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT_BUILDS], env=env, capture_output=True, text=True,
+        check=True, timeout=300,
+    ).stdout.split()
+    types, classes, first, second = map(int, out)
+    assert (types, classes) == (32, 135)
+    assert first == second == types + classes
+    rs = build_root_system("E", 8)
+    rrs = restrict(catalog_lookup("E", 8, "EVIII").satake)
+    assert rs.kernel is build_root_system("E", 8).kernel
+    assert rrs.kernel is restrict(catalog_lookup("E", 8, "EVIII").satake).kernel
+
+
 # -- restricted root systems ------------------------------------------------------------
 
 
@@ -137,7 +179,7 @@ def test_restricted_tables_match_scalar():
     for e in all_catalog_entries():
         rrs = restrict(e.satake)
         rs = e.satake.ambient
-        C = [[rs.pair_coroot(a, b) for b in rrs.pi] for a in rrs.pi]
+        C = [[pair_coroot(rs, a, b) for b in rrs.pi] for a in rrs.pi]
         assert rrs.cartan_matrix() == C
         for d in rrs.pi:
             assert rrs.reflection_perm(d) == ref_reflection_perm(rrs, d)
@@ -177,7 +219,7 @@ def test_corrupted_restricted_roots_raise_the_same_error():
             fake = _with_roots(rrs, vectors)
             expected = _outcome(lambda: ref_check_axioms(fake))
             assert expected is not None, (series, rank, label, kind)
-            got = _outcome(lambda: fake._check_axioms(fake.gram_kernel()))
+            got = _outcome(fake._check_axioms)
             assert got == expected, (series, rank, label, kind)
             seen.add(expected[1].split(" ")[0])
     # closure and integrality failures both occur ("3a" rows always meet
@@ -194,7 +236,7 @@ def test_corrupted_basis_raises_the_same_error():
         assert expected == (
             RestrictionError, f"{rrs.doubled[0]} has non-integer pi-coordinates"
         )
-        assert _outcome(lambda: fake._compute_pi_coords(fake.gram_kernel())) == expected
+        assert _outcome(fake._compute_pi_coords) == expected
         dependent = _with_roots(rrs, rrs.doubled, pi=list(rrs.pi) + [rrs.pi[0]])
         with pytest.raises(RestrictionError, match="linearly dependent"):
-            dependent._compute_pi_coords(dependent.gram_kernel())
+            dependent._compute_pi_coords()

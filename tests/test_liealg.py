@@ -4,11 +4,13 @@ sl2-triples."""
 
 from __future__ import annotations
 
+import copy
 import random
 
 import numpy as np
 import pytest
 
+from thetatool import liealg
 from thetatool.liealg import (
     LieAlgebraError,
     SymmetricPairRealization,
@@ -23,6 +25,7 @@ from thetatool.satake import catalog_list, catalog_lookup
 from thetatool.verify import realized_pairs
 
 from brackets import bracket_vec, dense_ad, grading_laws_hold, sample_jacobi
+from scalar import coroot_coords, pair_coroot_simple
 
 
 def basis_vec(alg, i):
@@ -110,7 +113,7 @@ def test_coroot_bracket():
         f = basis_vec(alg, alg.e_index(ridx + rs.num_positive))
         h = bracket_vec(alg, e, f)
         expected = np.zeros(alg.dim, dtype=np.int64)
-        for k, c in enumerate(rs.coroot_coords(rs.roots[ridx])):
+        for k, c in enumerate(coroot_coords(rs, rs.roots[ridx])):
             expected[k] = c % alg.p
         assert list(h) == list(expected)
 
@@ -151,6 +154,41 @@ def test_chevalley_involution_g2():
     assert (pair.dim_k, pair.dim_p) == (6, 8)
     pair.check_automorphism()  # exhaustive: all 196 basis pairs
     pair.check_grading()
+
+
+def test_automorphism_check_runs_once_per_dtheta(monkeypatch):
+    """The exhaustive check runs once per realization: the split
+    realization runs it, and check_grading then reuses that pass; an inner
+    realization runs it at its first check_grading.  dtheta is read-only,
+    and a replaced dtheta is checked afresh."""
+    alg = build_algebra("B", 3, 5)  # builds and verifies the table first
+    runs = []
+    real = liealg._key_ranges  # one call per exhaustive pass
+    monkeypatch.setattr(liealg, "_key_ranges", lambda cost: runs.append(1) or real(cost))
+    split = realize_chevalley_involution(alg)
+    assert len(runs) == 1
+    split.check_grading()
+    split.check_automorphism()
+    assert len(runs) == 1
+    with pytest.raises(ValueError):
+        split.dtheta[0, 0] = 1
+    dims = catalog_lookup("B", 3, "BI(1)").satake.kp_dimensions()
+    inner = realize_inner(alg, find_inner_coweight(alg, dims.k, dims.p))
+    assert len(runs) == 1
+    inner.check_grading()
+    inner.check_grading()
+    assert len(runs) == 2
+    bad = copy.copy(split)
+    bad.dtheta = split.dtheta.copy()
+    bad.dtheta[0, 0] = 1  # h_1 -> h_1 is not the Chevalley involution
+    with pytest.raises(LieAlgebraError, match="fails to preserve brackets"):
+        bad.check_automorphism()
+    assert len(runs) == 3
+    with pytest.raises(LieAlgebraError, match="fails to preserve brackets"):
+        bad.check_automorphism()
+    assert len(runs) == 4  # a failure is not recorded
+    split.check_automorphism()
+    assert len(runs) == 4
 
 
 def test_grading_check_rejects_swapped_eigenspaces():
@@ -233,7 +271,7 @@ def test_centralizer_regular_semisimple_split():
     for c0 in range(11):
         for c1 in range(11):
             if all(
-                (c0 * rs.pair_coroot_simple(v, 0) + c1 * rs.pair_coroot_simple(v, 1)) % 11
+                (c0 * pair_coroot_simple(rs, v, 0) + c1 * pair_coroot_simple(rs, v, 1)) % 11
                 for v in rs.roots
             ):
                 found = (c0, c1)

@@ -9,6 +9,7 @@ from thetatool.nilcomp import (
     OmegaError,
     OrthogonalDecomposition,
     WeightedDiagram,
+    _theta_on_coroots,
     builtin_decompositions,
     component_count,
     omega,
@@ -20,6 +21,18 @@ from thetatool.rootsys import FiniteAbelianGroup, build_root_system
 from thetatool.satake import SatakeInvolution, all_catalog_entries, catalog_lookup
 
 from brackets import dense_ad
+from scalar import coroot_coords, theta_star
+
+
+def test_theta_on_coroots_matches_scalar():
+    """theta sends alpha_j^vee to theta*(alpha_j)^vee, read off the coroot
+    array, on every catalog class."""
+    for e in all_catalog_entries():
+        inv = e.satake
+        rs = inv.ambient
+        for j in range(rs.rank):
+            unit = tuple(int(k == j) for k in range(rs.rank))
+            assert _theta_on_coroots(inv, unit) == coroot_coords(rs, theta_star(inv, unit))
 
 
 def test_omega_split_all_two():

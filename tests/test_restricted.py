@@ -10,6 +10,8 @@ from thetatool.restricted import case_iii_count, omega_alpha, restrict
 from thetatool.rootsys import CapExceededError
 from thetatool.satake import all_catalog_entries, catalog_lookup
 
+from scalar import coroot_coords, pair_coroot, ref_omega_alpha, theta_star
+
 
 def test_split_restriction_is_bijection():
     for series, rank, label in [("G", 2, "G"), ("B", 3, "BI(3)"), ("A", 3, "AI")]:
@@ -118,9 +120,23 @@ def test_omega_alpha_split_case_i():
         oc = omega_alpha(e.satake, rrs, j)
         assert oc.case == "i"
         # omega_alpha = beta^vee for the simple lift
-        assert oc.coords == e.satake.ambient.coroot_coords(
-            tuple(1 if k == rrs.pi_lifts[j] else 0 for k in range(3))
+        assert oc.coords == coroot_coords(
+            e.satake.ambient, tuple(1 if k == rrs.pi_lifts[j] else 0 for k in range(3))
         )
+
+
+def test_omega_alpha_matches_scalar_oracle():
+    """Cases, coordinates and pairings of every basis cocharacter of every
+    catalog class equal the scalar classification's."""
+    cases = set()
+    for e in all_catalog_entries():
+        rrs = restrict(e.satake)
+        for j in range(rrs.r0):
+            oc = omega_alpha(e.satake, rrs, j)
+            assert oc == ref_omega_alpha(e.satake, rrs, j), (e.series, e.rank, e.label, j)
+            assert all(type(x) is int for x in oc.coords + oc.pairings)
+            cases.add(oc.case)
+    assert cases == {"i", "ii", "iii"}
 
 
 def test_omega_alpha_case_iii_detected():
@@ -153,13 +169,13 @@ def test_split_entries_preserve_cartan_integers():
     e = catalog_lookup("B", 3, "BI(3)")
     rrs = restrict(e.satake)
     rs = e.satake.ambient
-    cartan, integral = rrs.gram_kernel().cartan_rows(np.array(rrs.doubled))
+    cartan, integral = rrs.kernel.cartan_rows(np.array(rrs.doubled))
     assert integral.all()
     for a in rs.roots[: rs.num_positive]:
         for b in rs.roots[: rs.num_positive]:
             da = tuple(2 * x for x in a)
             db = tuple(2 * x for x in b)
-            assert cartan[rrs.index_of(da), rrs.index_of(db)] == rs.pair_coroot(a, b)
+            assert cartan[rrs.index_of(da), rrs.index_of(db)] == pair_coroot(rs, a, b)
 
 
 def weyl_matrix(w):
@@ -178,7 +194,7 @@ def _minus_one_space(inv):
     T = [[0] * n for _ in range(n)]
     for j in range(n):
         e = tuple(1 if k == j else 0 for k in range(n))
-        img = inv.theta_star(e)
+        img = theta_star(inv, e)
         for i in range(n):
             T[i][j] = img[i]
     A = [

@@ -23,6 +23,13 @@ from thetatool.rootsys import (
     smith_normal_form,
     weyl_order,
 )
+from thetatool.satake import _catalog_types
+
+from scalar import coroot_coords, pair_coroot, ref_roots
+
+# every type of rank <= 8 (D3 included), and three larger classical ones
+RANK_UP_TO_EIGHT = _catalog_types() + [("D", 3)]
+CLOSURE_TYPES = RANK_UP_TO_EIGHT + [("A", 24), ("B", 10), ("D", 16)]
 
 
 def is_identity(w):
@@ -42,7 +49,7 @@ def preserves_pairing(w):
         wa = rs.roots[w.perm[i]]
         for j, b in enumerate(rs.roots):
             wb = rs.roots[w.perm[j]]
-            if rs.pair_coroot(wa, wb) != rs.pair_coroot(a, b):
+            if pair_coroot(rs, wa, wb) != pair_coroot(rs, a, b):
                 return False
     return True
 
@@ -66,6 +73,31 @@ def test_build_counts_match_closure_oracle():
     assert len(build_root_system("F", 4).roots) == 48
 
 
+@pytest.mark.parametrize("series,rank", CLOSURE_TYPES, ids=[f"{s}{r}" for s, r in CLOSURE_TYPES])
+def test_root_closure_matches_frontier_search(series, rank):
+    """The array closure gives the root tuple of the scalar frontier
+    search, in the same order, and its kernel holds the same rows."""
+    rs = build_root_system(series, rank)
+    assert rs.roots == ref_roots(series, rank)
+    assert rs.num_positive == len(rs.roots) // 2
+    assert rs.kernel.vectors.tolist() == [list(v) for v in rs.roots]
+    assert [rs.roots[i] for i in rs.simple_indices] == [
+        tuple(int(k == i) for k in range(rank)) for i in range(rank)
+    ]
+
+
+@pytest.mark.parametrize("series,rank", RANK_UP_TO_EIGHT, ids=[f"{s}{r}" for s, r in RANK_UP_TO_EIGHT])
+def test_coroots_match_scalar_formula(series, rank):
+    rs = build_root_system(series, rank)
+    assert rs.coroots.tolist() == [list(coroot_coords(rs, v)) for v in rs.roots]
+    assert not rs.coroots.flags.writeable and not rs.kernel.vectors.flags.writeable
+    # <beta, beta^vee> = 2: the coroot pairs with the root through the Cartan matrix
+    assert all(
+        sum(b * c * x for b, row in zip(beta, rs.cartan) for c, x in zip(row, cov)) == 2
+        for beta, cov in zip(rs.roots, rs.coroots.tolist())
+    )
+
+
 def test_rank_one_roots():
     rs = build_root_system("A", 1)
     assert set(rs.roots) == {(1,), (-1,)}
@@ -86,7 +118,7 @@ def test_closure_and_negation_invariants():
             for i in range(rs.rank):
                 assert rs.simple_reflection(i).act(v) in roots
             for w in rs.roots:
-                assert rs.pair_coroot(v, w) in range(-3, 4)
+                assert pair_coroot(rs, v, w) in range(-3, 4)
 
 
 def test_reflection_formula_a2():

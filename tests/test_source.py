@@ -87,3 +87,56 @@ def test_every_library_function_is_used():
     assert not unused, f"defined but never used in the library: {', '.join(unused)}"
     stale = sorted(set(TEST_REFERENCES) - {node.name for _, node in defs})
     assert not stale, f"allowlisted but not defined: {', '.join(stale)}"
+
+
+def _call_name(node: ast.Call):
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _calls(node: ast.AST, name: str) -> list:
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call) and _call_name(n) == name]
+
+
+def test_one_gram_kernel_per_root_system():
+    """``GramKernel(...)`` is constructed only in ``RootSystem`` and
+    ``RestrictedRootSystem``, each of which keeps the one it builds; and
+    outside ``rootsys.py`` a ``form`` is read only as an argument of that
+    construction, so no other module pairs vectors through the form itself."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owned = {
+            id(call)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name in ("RootSystem", "RestrictedRootSystem")
+            for call in _calls(cls, "GramKernel")
+        }
+        found += [
+            f"{path.name}:{call.lineno} GramKernel(" for call in _calls(tree, "GramKernel")
+            if id(call) not in owned
+        ]
+        if path.name == "rootsys.py":
+            continue
+        handed = {id(arg) for call in _calls(tree, "GramKernel") for arg in call.args}
+        found += [
+            f"{path.name}:{node.lineno} form"
+            for node in ast.walk(tree)
+            if (getattr(node, "attr", None) == "form" or getattr(node, "id", None) == "form")
+            and id(node) not in handed
+        ]
+    assert not found, f"a second pairing path: {', '.join(found)}"
+
+
+def test_no_scalar_pairing_methods():
+    """The per-vector pairings live in ``tests/scalar.py``; the library reads
+    the kernel, the coroot array and ``theta_perm`` instead."""
+    scalar = {"inner", "norm2", "pair_coroot", "pair_coroot_simple", "coroot_coords",
+              "_reflect_vector", "gram_kernel", "theta_star"}
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name in scalar
+    ]
+    assert not found, f"scalar pairing method in {', '.join(found)}"
