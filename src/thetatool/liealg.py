@@ -6,12 +6,17 @@ Structure-constant signs are fixed by the extraspecial-pair convention:
 for each non-simple positive root the pair (alpha, beta) with alpha minimal
 in the canonical root order gets N_{alpha,beta} = +(q+1), and every other
 constant follows from the Jacobi identity and the standard rotation rule
-N_{a,b}/(c,c) = N_{b,c}/(a,a) for a + b + c = 0.
+N_{a,b}/(c,c) = N_{b,c}/(a,a) for a + b + c = 0 (Carter, *Simple Groups of
+Lie Type*, 4.1-4.2).  The constants are built on index arrays: the sum and
+difference tables of the roots are one kernel lookup each, the chain
+lengths q are three steps through the difference table, and N is filled
+one height of alpha + beta at a time, every value scattered at once to the
+12 ordered pairs of its triple a + b + c = 0 and of the negated triple.
 
 The integral table does not depend on p, so each type has one
 ``ChevalleyTable``, built and verified once and shared by every prime.  It
-holds the constants and a sparse bracket table with one row (i, k, l, c) for
-each [x_i, x_k] = c x_l; the adjoint matrices mod p are scattered from the
+holds a sparse bracket table with one row (i, k, l, c) for each
+[x_i, x_k] = c x_l; the adjoint matrices mod p are scattered from the
 rows on demand, so no dim^3 array is ever built.  The table is verified
 wholesale by checking ad[x,y] = [ad x, ad y] over Z (faithful for the
 derived Chevalley form) as joins of the sparse table with itself, in
@@ -21,17 +26,14 @@ O(dim^3) rather than the O(dim^5) of dense products.
 from __future__ import annotations
 
 import random
-import types
 from functools import lru_cache
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
 from .rootsys import (
-    Root,
     RootSystem,
-    _neg,
     _read_only,
     build_root_system,
     good_primes_from,
@@ -50,6 +52,9 @@ _AD_ENTRY_BOUND = 6
 
 # The sparse checks hold at most about this many join rows at once.
 _BLOCK_ROWS = 1 << 16
+
+# find_inner_coweight pairs at most this many masks with the roots at once.
+_MASK_BLOCK = 1 << 10
 
 
 def _brackets_fit_int64(dim: int, p: int) -> bool:
@@ -105,104 +110,73 @@ def _first_nonzero_key(keys: np.ndarray, vals: np.ndarray, p: int = 0) -> Option
 # -- structure constants -----------------------------------------------------------
 
 
-def _chain_down(rs: RootSystem, beta: Root, alpha: Root) -> int:
-    """q = max { i : beta - i*alpha in Phi }."""
-    q = 0
-    cur = tuple(b - a for b, a in zip(beta, alpha))
-    while rs.is_root(cur):
-        q += 1
-        cur = tuple(c - a for c, a in zip(cur, alpha))
-    return q
+@lru_cache(maxsize=None)
+def _root_tables(rs: RootSystem) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, D, q) on root indices, read-only: S[a, b] and D[a, b] index
+    roots[a] + roots[b] and roots[b] - roots[a] (-1 where that is no root),
+    each table from one kernel lookup, and q[a, b] = max{i : b - i a in Phi}
+    by three steps through D (a root string has at most four roots)."""
+    kernel, m = rs.kernel, len(rs.roots)
+    V = kernel.vectors
+    S, D = (
+        kernel.lookup(W.reshape(-1, rs.rank)).reshape(m, m)
+        for W in (V[:, None] + V, V - V[:, None])
+    )
+    rows, cur = np.arange(m)[:, None], np.arange(m)[None, :]
+    q = np.zeros((m, m), dtype=np.int64)
+    for _ in range(3):
+        cur = np.where(cur >= 0, D[rows, cur], -1)
+        q += cur >= 0
+    return _read_only(S), _read_only(D), _read_only(q)
 
 
-def _is_pos(rs: RootSystem, v: Root) -> bool:
-    return rs.root_index(v) < rs.num_positive
+def _structure_constants(rs: RootSystem) -> np.ndarray:
+    """N[a, b] = N_{a,b} on root indices, 0 where roots[a] + roots[b] is no
+    root.  Each positive pair (x, y), x < y, with x + y a root stands for
+    the triple x + y + c = 0 and its negative; the pairs go by the height
+    of x + y, and at each height the extraspecial pair of each sum (x
+    least) is seeded with q + 1 before the rest are derived from it by
+    Jacobi, reading only lower heights.  Each value is scattered to the 12
+    ordered pairs of its triple by antisymmetry, N_{-a,-b} = -N_{a,b} and
+    N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b)."""
+    S, D, q = _root_tables(rs)
+    m, npos, norms = len(rs.roots), rs.num_positive, rs.kernel.norms
+    neg = np.r_[np.arange(npos, m), np.arange(npos)]
+    # one spare row and column of zeros: N[-1, b] reads 0 for "no root"
+    N = np.zeros((m + 1, m + 1), dtype=np.int64)
+
+    def put(a, b, n):
+        c = neg[S[a, b]]
+        bc, ca = n * norms[a], n * norms[b]
+        if (bc % norms[c]).any() or (ca % norms[c]).any():
+            raise LieAlgebraError("non-integral rotation in structure constants")
+        for i, j, v in ((a, b, n), (b, c, bc // norms[c]), (c, a, ca // norms[c])):
+            N[i, j], N[j, i], N[neg[i], neg[j]], N[neg[j], neg[i]] = v, -v, -v, v
+
+    x, y = np.nonzero(np.triu(S[:npos, :npos] >= 0, 1))
+    # stable: the pairs of each sum keep increasing x, so the first is extraspecial
+    order = np.argsort(S[x, y], kind="stable")
+    x, y = x[order], y[order]
+    z = S[x, y]
+    seed = np.diff(z, prepend=-1) != 0
+    es = np.flatnonzero(seed)[np.cumsum(seed) - 1]  # each pair's extraspecial pair
+    g, d = x[es], y[es]
+    height = rs.kernel.vectors.sum(axis=1)[z]
+    for h in range(2, sum(rs.highest_root) + 1):
+        first, at = seed & (height == h), ~seed & (height == h)
+        put(x[first], y[first], q[x[first], y[first]] + 1)
+        a, b, ga, de = x[at], y[at], g[at], d[at]
+        # Jacobi on (e_g, e_d, e_{-b}): N_{g,d} N_{z,-b} + term = 0, with
+        # N_{z,-b} = N_{a,b} (a,a)/(z,z)
+        term = N[de, neg[b]] * N[D[b, de], ga] + N[neg[b], ga] * N[D[b, ga], de]
+        num, den = -term * norms[z[at]], N[ga, de] * norms[a]
+        if (num % den).any():
+            raise LieAlgebraError("non-integral derived structure constant")
+        put(a, b, num // den)
+    return N[:m, :m]
 
 
-def _N(rs: RootSystem, a: Root, b: Root, table: Dict[Tuple[Root, Root], int]) -> int:
-    """Constant N_{a,b} for arbitrary sign patterns, reduced to the
-    positive table via N_{-a,-b} = -N_{a,b} and the rotation rule
-    N_{a,b}/(c,c) = N_{b,c}/(a,a) for a + b + c = 0."""
-    s = tuple(x + y for x, y in zip(a, b))
-    if not rs.is_root(s):
-        raise LieAlgebraError("N requested for a non-root sum")
-    a_pos = _is_pos(rs, a)
-    b_pos = _is_pos(rs, b)
-    if a_pos and b_pos:
-        if (a, b) in table:
-            return table[(a, b)]
-        return -table[(b, a)]
-    if not a_pos and not b_pos:
-        return -_N(rs, _neg(a), _neg(b), table)
-    if not a_pos:  # negative first: antisymmetry
-        return -_N(rs, b, a, table)
-    # a positive, b negative
-    if not _is_pos(rs, s):
-        # flip signs twice: N(a,b) = N(-b,-a) with -b positive, sum -s > 0
-        return _N(rs, _neg(b), _neg(a), table)
-    # positive sum: N(a,b) = N(b,c) (c,c)/(a,a) with c = -s, and
-    # N(b,c) = -N(-b, s) is a positive pair summing to a
-    nbc = -_N(rs, _neg(b), s, table)
-    num = nbc * int(rs.kernel.norms[rs.index[s]])
-    den = int(rs.kernel.norms[rs.index[a]])
-    q, r = divmod(num, den)
-    if r:
-        raise LieAlgebraError("non-integral rotation in structure constants")
-    return q
-
-
-def _derive_constant(rs: RootSystem, alpha, beta, g_es, d_es, table) -> int:
-    """Jacobi on (e_g, e_d, e_{-beta}) determines N_{alpha,beta} from the
-    extraspecial pair (g, d) with g + d = alpha + beta."""
-    gamma_hat = tuple(a + b for a, b in zip(alpha, beta))
-    neg_beta = tuple(-x for x in beta)
-    term = 0
-    xi = tuple(d - b for d, b in zip(d_es, beta))
-    if rs.is_root(xi):
-        term += _N(rs, d_es, neg_beta, table) * _N(rs, xi, g_es, table)
-    g_minus_b = tuple(g - b for g, b in zip(g_es, beta))
-    if rs.is_root(g_minus_b):
-        term += _N(rs, neg_beta, g_es, table) * _N(rs, g_minus_b, d_es, table)
-    n_es = table[(g_es, d_es)]
-    # N_{g,d} * N_{hat,-beta} + term = 0 and
-    # N_{hat,-beta} = N_{alpha,beta} (alpha,alpha)/(hat,hat)
-    num = -term * int(rs.kernel.norms[rs.index[gamma_hat]])
-    den = n_es * int(rs.kernel.norms[rs.index[alpha]])
-    q, r = divmod(num, den)
-    if r:
-        raise LieAlgebraError("non-integral derived structure constant")
-    return q
-
-
-def _structure_constants(rs: RootSystem) -> Dict[Tuple[int, int], int]:
-    """N_{a,b} on root indices, for every (i, j) with roots[i] + roots[j] a
-    root.  The positive-pair table goes by increasing height of the sum,
-    extraspecial pairs seeded positive, the rest propagated through Jacobi."""
-    pos = rs.roots[: rs.num_positive]
-    order = {v: i for i, v in enumerate(pos)}  # canonical root order
-    table: Dict[Tuple[Root, Root], int] = {}
-    for gamma in pos:
-        if sum(gamma) < 2:
-            continue
-        pairs = []
-        for alpha in pos:
-            beta = tuple(g - a for g, a in zip(gamma, alpha))
-            if beta in order and order[alpha] < order[beta]:
-                pairs.append((alpha, beta))
-        pairs.sort(key=lambda ab: order[ab[0]])
-        g_es, d_es = pairs[0]
-        table[(g_es, d_es)] = _chain_down(rs, d_es, g_es) + 1
-        for alpha, beta in pairs[1:]:
-            table[(alpha, beta)] = _derive_constant(rs, alpha, beta, g_es, d_es, table)
-    nconst = {}
-    for i, a in enumerate(rs.roots):
-        for j, b in enumerate(rs.roots):
-            if rs.is_root(tuple(x + y for x, y in zip(a, b))):
-                nconst[(i, j)] = _N(rs, a, b, table)
-    return nconst
-
-
-def _bracket_entries(rs: RootSystem, nconst: Mapping[Tuple[int, int], int]) -> np.ndarray:
+def _bracket_entries(rs: RootSystem) -> np.ndarray:
     """Rows (i, k, l, c), one for each [x_i, x_k] = c x_l with c != 0:
     [h_j, e_b] = <b, alpha_j^vee> e_b, [e_a, e_{-a}] = a^vee for a positive,
     and [e_a, e_b] = N_{a,b} e_{a+b}."""
@@ -213,13 +187,12 @@ def _bracket_entries(rs: RootSystem, nconst: Mapping[Tuple[int, int], int]) -> n
     c, e = simple[r, h], n + r
     q, k = np.nonzero(rs.coroots[:npos])
     v = rs.coroots[q, k]
-    ij = np.array(list(nconst), dtype=np.int64).reshape(-1, 2)
-    l = n + kernel.lookup(kernel.vectors[ij[:, 0]] + kernel.vectors[ij[:, 1]])
-    nc = np.array(list(nconst.values()), dtype=np.int64)
+    S = _root_tables(rs)[0]
+    a, b = np.nonzero(S >= 0)
     blocks = [
         (h, e, e, c), (e, h, e, -c),
         (n + q, n + npos + q, k, v), (n + npos + q, n + q, k, -v),
-        (n + ij[:, 0], n + ij[:, 1], l, nc),
+        (n + a, n + b, n + S[a, b], _structure_constants(rs)[a, b]),
     ]
     return np.concatenate([np.stack(b, axis=1) for b in blocks])
 
@@ -235,11 +208,9 @@ class ChevalleyTable:
     arrays are read-only.
     """
 
-    def __init__(self, rs: RootSystem, nconst: Mapping[Tuple[int, int], int],
-                 entries: np.ndarray):
+    def __init__(self, rs: RootSystem, entries: np.ndarray):
         self.rs = rs
         self.dim = rs.rank + len(rs.roots)
-        self.nconst = types.MappingProxyType(dict(nconst))
         entries = np.array(entries, dtype=np.int64).reshape(-1, 4)
         self.entries = _read_only(entries[np.lexsort(entries[:, 2::-1].T)])
         i, k, l, c = self.entries.T
@@ -318,12 +289,16 @@ class ChevalleyTable:
                 )
 
     def check_chevalley_property(self) -> None:
-        """|N_{a,b}| = q + 1 with q the length of the a-chain below b."""
-        rs = self.rs
-        for (i, j), n in self.nconst.items():
-            a, b = rs.roots[i], rs.roots[j]
-            if abs(n) != _chain_down(rs, b, a) + 1:
-                raise LieAlgebraError(f"|N| != q+1 at ({a}, {b}): N = {n}")
+        """|N_{a,b}| = q + 1 on every row [e_a, e_b] = N_{a,b} e_{a+b},
+        with q the length of the a-chain below b."""
+        rs, n = self.rs, self.rs.rank
+        a, b, _, c = (self.entries[(self.entries[:, :3] >= n).all(axis=1)] - [n, n, n, 0]).T
+        bad = np.flatnonzero(np.abs(c) != _root_tables(rs)[2][a, b] + 1)
+        if bad.size:
+            r = bad[0]
+            raise LieAlgebraError(
+                f"|N| != q+1 at ({rs.roots[a[r]]}, {rs.roots[b[r]]}): N = {c[r]}"
+            )
 
 
 @lru_cache(maxsize=None)
@@ -331,8 +306,7 @@ def chevalley_table(series: str, rank: int) -> ChevalleyTable:
     """Build, verify (Jacobi and |N| = q + 1) and cache the integral table
     of a simple type."""
     rs = build_root_system(series, rank)
-    nconst = _structure_constants(rs)
-    table = ChevalleyTable(rs, nconst, _bracket_entries(rs, nconst))
+    table = ChevalleyTable(rs, _bracket_entries(rs))
     table.check_jacobi()
     table.check_chevalley_property()
     return table
@@ -514,13 +488,8 @@ def realize_inner(alg: ModularLieAlgebra, mu: Sequence[int]) -> SymmetricPairRea
     rs = alg.rs
     if len(mu) != rs.rank:
         raise LieAlgebraError("mu must pair against each simple root")
-    d = np.zeros((alg.dim, alg.dim), dtype=np.int64)
-    for i in range(rs.rank):
-        d[i][i] = 1
-    for ridx, beta in enumerate(rs.roots):
-        sign = -1 if sum(c * m for c, m in zip(beta, mu)) % 2 else 1
-        j = alg.e_index(ridx)
-        d[j][j] = sign
+    parity = rs.kernel.vectors @ np.array(mu, dtype=np.int64) % 2
+    d = np.diag(np.r_[np.ones(rs.rank, dtype=np.int64), 1 - 2 * parity])
     return SymmetricPairRealization(alg, d, kind=f"inner mu={tuple(mu)}")
 
 
@@ -531,13 +500,10 @@ def realize_chevalley_involution(alg: ModularLieAlgebra) -> SymmetricPairRealiza
     (a failure would mean a sign bug in the constant table).
     """
     rs = alg.rs
+    roots, npos = np.arange(len(rs.roots)), rs.num_positive
     d = np.zeros((alg.dim, alg.dim), dtype=np.int64)
-    for i in range(rs.rank):
-        d[i][i] = -1
-    npos = rs.num_positive
-    for ridx in range(len(rs.roots)):
-        neg = (ridx + npos) % len(rs.roots)
-        d[alg.e_index(neg)][alg.e_index(ridx)] = -1
+    d[range(rs.rank), range(rs.rank)] = -1
+    d[alg.e_index((roots + npos) % len(roots)), alg.e_index(roots)] = -1
     pair = SymmetricPairRealization(alg, d, kind="chevalley")
     pair.check_automorphism()
     if pair.dim_k != npos or pair.dim_p != npos + rs.rank:
@@ -548,16 +514,16 @@ def realize_chevalley_involution(alg: ModularLieAlgebra) -> SymmetricPairRealiza
 def find_inner_coweight(
     alg: ModularLieAlgebra, dim_k: int, dim_p: int
 ) -> Optional[Tuple[int, ...]]:
-    """Search the 2-torsion coweights for one whose grading has the given
-    dimensions; None when no inner realization matches."""
+    """The first 2-torsion coweight, in mask order, whose grading has the
+    given dimensions; None when no inner realization matches.  The root
+    parities of a block of _MASK_BLOCK masks are one product, so every
+    type of rank <= 10 takes one."""
     rs = alg.rs
-    for mask in range(1, 2**rs.rank):
-        mu = tuple((mask >> i) & 1 for i in range(rs.rank))
-        dp = sum(
-            1
-            for beta in rs.roots
-            if sum(c * m for c, m in zip(beta, mu)) % 2
-        )
-        if dp == dim_p and alg.dim - dp == dim_k:
-            return mu
+    for start in range(1, 2**rs.rank, _MASK_BLOCK):
+        masks = np.arange(start, min(start + _MASK_BLOCK, 2**rs.rank))
+        mus = (masks[:, None] >> np.arange(rs.rank)) & 1
+        dp = (rs.kernel.vectors @ mus.T % 2).sum(axis=0)
+        hit = np.flatnonzero((dp == dim_p) & (alg.dim - dp == dim_k))
+        if hit.size:
+            return tuple(mus[hit[0]].tolist())
     return None

@@ -249,10 +249,6 @@ class GramKernel:
             yield start, cartan, integral, found
 
 
-def _neg(v: Root) -> Root:
-    return tuple(-x for x in v)
-
-
 class RootSystem:
     """Root system of a simple type, with exact integer arithmetic.
 
@@ -367,6 +363,11 @@ class RootSystem:
     def _simple_reflections(self) -> Tuple["WeylElement", ...]:
         return self._reflections(self.simple_indices)
 
+    @cached_property
+    def _simple_perms(self) -> np.ndarray:
+        """Read-only (rank, |Phi|) array, row i the permutation of s_{alpha_i}."""
+        return _read_only(np.array([s.perm for s in self._simple_reflections], dtype=np.int64))
+
     def _reflections(self, indices: Sequence[int]) -> Tuple["WeylElement", ...]:
         """s_beta for the roots beta at the given indices, from one kernel."""
         images, integral = self.kernel.reflections(indices)
@@ -394,17 +395,16 @@ class RootSystem:
         indices = sorted(simple)
         if any(not 0 <= i < self.rank for i in indices):
             raise RootSystemError(f"simple indices {tuple(indices)} out of range")
-        gens = np.array([self.simple_reflection(i).perm for i in indices], dtype=np.int64)
-        simples = np.array([self.simple_indices[i] for i in indices], dtype=np.int64)
+        simples = [self.simple_indices[i] for i in indices]
         w = np.arange(len(self.roots))
         word = []
         while True:
             positive = np.flatnonzero(w[simples] < self.num_positive)
             if not positive.size:
                 return WeylElement(self, tuple(w.tolist()), word=tuple(word))
-            k = int(positive[0])
-            w = w[gens[k]]
-            word.append(indices[k])
+            k = indices[positive[0]]
+            w = w[self._simple_perms[k]]
+            word.append(k)
 
     @cached_property
     def _longest(self) -> "WeylElement":
@@ -473,9 +473,6 @@ class WeylElement:
             inv[p] = i
         word = tuple(reversed(self.word)) if self.word is not None else None
         return WeylElement(self.rs, tuple(inv), word=word)
-
-    def act(self, v: Sequence[int]) -> Root:
-        return self.rs.roots[self.perm[self.rs.root_index(v)]]
 
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""

@@ -126,12 +126,8 @@ class SatakeInvolution:
         """Image of theta in the outer automorphism group, as a diagram
         permutation: the composite of psi with the -w_0 symmetry."""
         rs = self.ambient
-        w0 = rs.longest_element()
-        sigma0 = [0] * rs.rank
-        for i in range(rs.rank):
-            img = w0.act(tuple(1 if k == i else 0 for k in range(rs.rank)))
-            neg = tuple(-x for x in img)
-            sigma0[i] = neg.index(1)
+        w0, simple = rs.longest_element().perm, rs.simple_indices
+        sigma0 = [simple.index(w0[s] - rs.num_positive) for s in simple]
         return tuple(sigma0[self.psi[i]] for i in range(rs.rank))
 
     # -- validation -----------------------------------------------------------

@@ -1,7 +1,7 @@
 """Dense brackets for the tests: the integral ``ad`` scattered from the
-sparse Chevalley table, the bracket of two coefficient vectors read off it,
-literal Jacobi checks on sampled basis triples, and the grading laws of a
-realization checked bracket by bracket.
+sparse Chevalley table, the structure constants N_{a,b} and the bracket of
+two coefficient vectors read off it, literal Jacobi checks on sampled basis
+triples, and the grading laws of a realization checked bracket by bracket.
 
 These are independent of ``ChevalleyTable.adjoint``, so the tests that use
 them check the library against a second route through the same table.
@@ -27,6 +27,14 @@ def dense_ad(table) -> np.ndarray:
     ad[i, l, k] = c
     ad.flags.writeable = False
     return ad
+
+
+def root_constants(table) -> dict:
+    """{(a, b): N_{a,b}} on root indices, from the table rows
+    [e_a, e_b] = N_{a,b} e_{a+b}."""
+    n = table.rs.rank
+    i, k, _, c = table.entries[(table.entries[:, :3] >= n).all(axis=1)].T
+    return {(a, b): v for a, b, v in zip((i - n).tolist(), (k - n).tolist(), c.tolist())}
 
 
 def bracket_vec(alg, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -5,16 +5,22 @@ arrays (``RootSystem.kernel``, ``RootSystem.coroots``, ``theta_perm``).
 They compute each value from the Cartan matrix and the symmetrized form
 alone, one vector at a time, so the tests that use them check the arrays
 against a second route.  ``ref_roots`` is the frontier search that built
-the root list before the array closure, and ``ref_omega_alpha`` the scalar
-classification of the basis cocharacters.
+the root list before the array closure, ``ref_omega_alpha`` the scalar
+classification of the basis cocharacters, and ``ref_structure_constants``
+the recursion on root tuples that built N_{a,b} before the array build by
+height; ``act`` applies a Weyl element to one root tuple.  The ``ref_*``
+realization loops build dtheta and search the coweights root by root.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
+from thetatool.liealg import LieAlgebraError
 from thetatool.restricted import RestrictedCocharacter, RestrictionError
-from thetatool.rootsys import RootSystemError, cartan_matrix
+from thetatool.rootsys import Root, RootSystem, RootSystemError, cartan_matrix
 
 
 def inner(rs, v: Sequence[int], w: Sequence[int]) -> int:
@@ -108,3 +114,151 @@ def ref_omega_alpha(inv, rrs, basis_pos: int) -> RestrictedCocharacter:
             raise RestrictionError("odd pairing of doubled root with omega_alpha")
         pairings.append(val // 2)
     return RestrictedCocharacter(tuple(coords), tuple(pairings), case)
+
+
+def _neg(v: Root) -> Root:
+    return tuple(-x for x in v)
+
+
+def act(w, v: Sequence[int]) -> Root:
+    """The Weyl element w applied to the root v."""
+    return w.rs.roots[w.perm[w.rs.root_index(v)]]
+
+
+def _chain_down(rs: RootSystem, beta: Root, alpha: Root) -> int:
+    """q = max { i : beta - i*alpha in Phi }."""
+    q = 0
+    cur = tuple(b - a for b, a in zip(beta, alpha))
+    while rs.is_root(cur):
+        q += 1
+        cur = tuple(c - a for c, a in zip(cur, alpha))
+    return q
+
+
+def _is_pos(rs: RootSystem, v: Root) -> bool:
+    return rs.root_index(v) < rs.num_positive
+
+
+def _N(rs: RootSystem, a: Root, b: Root, table: Dict[Tuple[Root, Root], int]) -> int:
+    """Constant N_{a,b} for arbitrary sign patterns, reduced to the
+    positive table via N_{-a,-b} = -N_{a,b} and the rotation rule
+    N_{a,b}/(c,c) = N_{b,c}/(a,a) for a + b + c = 0."""
+    s = tuple(x + y for x, y in zip(a, b))
+    if not rs.is_root(s):
+        raise LieAlgebraError("N requested for a non-root sum")
+    a_pos = _is_pos(rs, a)
+    b_pos = _is_pos(rs, b)
+    if a_pos and b_pos:
+        if (a, b) in table:
+            return table[(a, b)]
+        return -table[(b, a)]
+    if not a_pos and not b_pos:
+        return -_N(rs, _neg(a), _neg(b), table)
+    if not a_pos:  # negative first: antisymmetry
+        return -_N(rs, b, a, table)
+    # a positive, b negative
+    if not _is_pos(rs, s):
+        # flip signs twice: N(a,b) = N(-b,-a) with -b positive, sum -s > 0
+        return _N(rs, _neg(b), _neg(a), table)
+    # positive sum: N(a,b) = N(b,c) (c,c)/(a,a) with c = -s, and
+    # N(b,c) = -N(-b, s) is a positive pair summing to a
+    nbc = -_N(rs, _neg(b), s, table)
+    num = nbc * int(rs.kernel.norms[rs.index[s]])
+    den = int(rs.kernel.norms[rs.index[a]])
+    q, r = divmod(num, den)
+    if r:
+        raise LieAlgebraError("non-integral rotation in structure constants")
+    return q
+
+
+def _derive_constant(rs: RootSystem, alpha, beta, g_es, d_es, table) -> int:
+    """Jacobi on (e_g, e_d, e_{-beta}) determines N_{alpha,beta} from the
+    extraspecial pair (g, d) with g + d = alpha + beta."""
+    gamma_hat = tuple(a + b for a, b in zip(alpha, beta))
+    neg_beta = tuple(-x for x in beta)
+    term = 0
+    xi = tuple(d - b for d, b in zip(d_es, beta))
+    if rs.is_root(xi):
+        term += _N(rs, d_es, neg_beta, table) * _N(rs, xi, g_es, table)
+    g_minus_b = tuple(g - b for g, b in zip(g_es, beta))
+    if rs.is_root(g_minus_b):
+        term += _N(rs, neg_beta, g_es, table) * _N(rs, g_minus_b, d_es, table)
+    n_es = table[(g_es, d_es)]
+    # N_{g,d} * N_{hat,-beta} + term = 0 and
+    # N_{hat,-beta} = N_{alpha,beta} (alpha,alpha)/(hat,hat)
+    num = -term * int(rs.kernel.norms[rs.index[gamma_hat]])
+    den = n_es * int(rs.kernel.norms[rs.index[alpha]])
+    q, r = divmod(num, den)
+    if r:
+        raise LieAlgebraError("non-integral derived structure constant")
+    return q
+
+
+def ref_structure_constants(rs: RootSystem) -> Dict[Tuple[int, int], int]:
+    """N_{a,b} on root indices, for every (i, j) with roots[i] + roots[j] a
+    root.  The positive-pair table goes by increasing height of the sum,
+    extraspecial pairs seeded positive, the rest propagated through Jacobi."""
+    pos = rs.roots[: rs.num_positive]
+    order = {v: i for i, v in enumerate(pos)}  # canonical root order
+    table: Dict[Tuple[Root, Root], int] = {}
+    for gamma in pos:
+        if sum(gamma) < 2:
+            continue
+        pairs = []
+        for alpha in pos:
+            beta = tuple(g - a for g, a in zip(gamma, alpha))
+            if beta in order and order[alpha] < order[beta]:
+                pairs.append((alpha, beta))
+        pairs.sort(key=lambda ab: order[ab[0]])
+        g_es, d_es = pairs[0]
+        table[(g_es, d_es)] = _chain_down(rs, d_es, g_es) + 1
+        for alpha, beta in pairs[1:]:
+            table[(alpha, beta)] = _derive_constant(rs, alpha, beta, g_es, d_es, table)
+    nconst = {}
+    for i, a in enumerate(rs.roots):
+        for j, b in enumerate(rs.roots):
+            if rs.is_root(tuple(x + y for x, y in zip(a, b))):
+                nconst[(i, j)] = _N(rs, a, b, table)
+    return nconst
+
+
+def ref_inner_dtheta(alg, mu: Sequence[int]) -> np.ndarray:
+    """dtheta(e_a) = (-1)^{<a, mu>} e_a, identity on h, root by root."""
+    rs = alg.rs
+    d = np.zeros((alg.dim, alg.dim), dtype=np.int64)
+    for i in range(rs.rank):
+        d[i][i] = 1
+    for ridx, beta in enumerate(rs.roots):
+        sign = -1 if sum(c * m for c, m in zip(beta, mu)) % 2 else 1
+        j = alg.e_index(ridx)
+        d[j][j] = sign
+    return d
+
+
+def ref_chevalley_dtheta(alg) -> np.ndarray:
+    """e_a -> -e_{-a}, h -> -h, root by root."""
+    rs = alg.rs
+    d = np.zeros((alg.dim, alg.dim), dtype=np.int64)
+    for i in range(rs.rank):
+        d[i][i] = -1
+    npos = rs.num_positive
+    for ridx in range(len(rs.roots)):
+        neg = (ridx + npos) % len(rs.roots)
+        d[alg.e_index(neg)][alg.e_index(ridx)] = -1
+    return d
+
+
+def ref_find_inner_coweight(alg, dim_k: int, dim_p: int) -> Optional[Tuple[int, ...]]:
+    """The first mask, in increasing order, whose grading has the given
+    dimensions, counted root by root."""
+    rs = alg.rs
+    for mask in range(1, 2**rs.rank):
+        mu = tuple((mask >> i) & 1 for i in range(rs.rank))
+        dp = sum(
+            1
+            for beta in rs.roots
+            if sum(c * m for c, m in zip(beta, mu)) % 2
+        )
+        if dp == dim_p and alg.dim - dp == dim_k:
+            return mu
+    return None

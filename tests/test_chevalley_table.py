@@ -4,7 +4,10 @@ The dense Python loops the table replaced (the dim^2 bracket scatter and the
 O(dim^5) pairwise Jacobi check) are kept here as oracles, together with a
 dense all-pairs automorphism check and dense products with the integral
 ``ad``.  The sparse checks and ``ChevalleyTable.adjoint`` must agree with
-them, the checks also on seeded corruptions, message for message.
+them, the checks also on seeded corruptions, message for message.  The
+constants come from the root-tuple recursion ``ref_structure_constants``,
+so the array build by height is checked against it on every type of rank
+at most 8.
 """
 
 from __future__ import annotations
@@ -31,16 +34,21 @@ from thetatool.liealg import (
     realize_chevalley_involution,
     realize_inner,
 )
+from thetatool.rootsys import build_root_system
 from thetatool.satake import catalog_list
 
 from brackets import dense_ad
-from scalar import coroot_coords, pair_coroot_simple
+from scalar import _chain_down, coroot_coords, pair_coroot_simple, ref_structure_constants
 
 RANK_UP_TO_SIX = [("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 7)] + [
     ("C", n) for n in range(3, 7)
 ] + [("D", n) for n in range(4, 7)] + [("E", 6), ("F", 4), ("G", 2)]
 
 SMALL = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4)]
+
+RANK_UP_TO_EIGHT = [("D", 3)] + [("A", n) for n in range(1, 9)] + [
+    (s, n) for s in "BC" for n in range(2, 9)
+] + [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 
 
 # -- oracles: the dense loops the sparse table replaced ---------------------------
@@ -71,6 +79,18 @@ def ref_bracket_basis(rs, nconst, i, j):
     if rs.is_root(s):
         out[n + rs.root_index(s)] = nconst[(i - n, j - n)]
     return out
+
+
+def ref_entries(rs, nconst):
+    """The table rows (i, k, l, c) from the bracket loop, unsorted."""
+    dim = rs.rank + len(rs.roots)
+    rows = [
+        (i, k, l, c)
+        for i in range(dim)
+        for k in range(dim)
+        for l, c in ref_bracket_basis(rs, nconst, i, k).items()
+    ]
+    return np.array(rows, dtype=np.int64)
 
 
 def ref_verify_integral_jacobi(table):
@@ -120,10 +140,11 @@ def _outcome(fn):
 def test_sparse_table_scatters_to_the_bracket_loop_and_passes_jacobi(series, rank):
     table = chevalley_table(series, rank)
     rs, dim = table.rs, table.dim
+    nconst = ref_structure_constants(rs)
     ad = np.zeros((dim, dim, dim), dtype=np.int64)
     for i in range(dim):
         for j in range(dim):
-            for k, c in ref_bracket_basis(rs, table.nconst, i, j).items():
+            for k, c in ref_bracket_basis(rs, nconst, i, j).items():
                 ad[i][k][j] = c
     assert np.array_equal(dense_ad(table), ad)
     assert len(table.entries) == np.count_nonzero(ad)
@@ -141,6 +162,54 @@ def test_sparse_table_scatters_to_the_bracket_loop_and_passes_jacobi(series, ran
             assert np.array_equal(table.adjoint(X, p), want), (p, X.shape)
     table.check_jacobi()
     table.check_chevalley_property()
+
+
+@pytest.mark.parametrize("series, rank", RANK_UP_TO_EIGHT)
+def test_array_build_matches_the_recursion_byte_for_byte(series, rank):
+    """The entries built by height equal, byte for byte, those built from
+    the root-tuple recursion, and the chain lengths q[a, b] equal the
+    recursion's on every pair of roots."""
+    table = chevalley_table(series, rank)
+    rs = table.rs
+    ref = ChevalleyTable(rs, ref_entries(rs, ref_structure_constants(rs)))
+    assert table.entries.dtype == ref.entries.dtype
+    assert table.entries.shape == ref.entries.shape
+    assert table.entries.tobytes() == ref.entries.tobytes()
+    q = liealg._root_tables(rs)[2]
+    want = [[_chain_down(rs, b, a) for b in rs.roots] for a in rs.roots]
+    assert np.array_equal(q, np.array(want, dtype=np.int64))
+
+
+@pytest.mark.parametrize("series, rank, root, norm, message", [
+    ("A", 2, (1, 1), 3, "non-integral rotation in structure constants"),
+    ("A", 3, (1, 1, 1), 1, "non-integral derived structure constant"),
+])
+def test_array_build_rejects_non_integral_constants(series, rank, root, norm, message, monkeypatch):
+    """A wrong norm of one root pair +-root makes a rotated or a derived
+    constant non-integral; the build raises instead of rounding."""
+    rs = build_root_system(series, rank)
+    norms = rs.kernel.norms.copy()
+    i = rs.root_index(root)
+    norms[[i, i + rs.num_positive]] = norm
+    monkeypatch.setattr(rs.kernel, "norms", norms)
+    with pytest.raises(LieAlgebraError, match=f"^{message}$"):
+        liealg._structure_constants(rs)
+
+
+@pytest.mark.parametrize("series, rank", SMALL)
+def test_raised_constant_fails_the_chevalley_property(series, rank):
+    """Each [e_a, e_b] coefficient raised in magnitude by one is caught by
+    ``check_chevalley_property``, with the pair and the wrong value."""
+    table = chevalley_table(series, rank)
+    rs, n = table.rs, table.rs.rank
+    for r in np.flatnonzero((table.entries[:, :3] >= n).all(axis=1)):
+        entries = table.entries.copy()
+        entries[r, 3] += np.sign(entries[r, 3])
+        i, k, _, c = entries[r]
+        a, b = rs.roots[i - n], rs.roots[k - n]
+        with pytest.raises(LieAlgebraError) as exc:
+            ChevalleyTable(rs, entries).check_chevalley_property()
+        assert str(exc.value) == f"|N| != q+1 at ({a}, {b}): N = {c}"
 
 
 @pytest.mark.parametrize("block_rows", [liealg._BLOCK_ROWS, 64])
@@ -162,7 +231,7 @@ def test_corrupted_tables_fail_jacobi_with_the_oracle_message(series, rank, bloc
         else:  # a wrong coefficient of a^vee in [e_a, e_{-a}]
             r = rng.choice(coroot_rows.tolist())
             entries[r, 3] += np.sign(entries[r, 3])
-        fake = ChevalleyTable(table.rs, table.nconst, entries)
+        fake = ChevalleyTable(table.rs, entries)
         expected = _outcome(lambda: ref_verify_integral_jacobi(fake))
         assert expected is not None, (series, rank, kind)
         assert _outcome(fake.check_jacobi) == expected, (series, rank, kind)
@@ -172,11 +241,9 @@ def test_one_read_only_table_shared_across_primes():
     algs = [build_algebra("B", 3, p) for p in (5, 7, 11)]
     table = chevalley_table("B", 3)
     assert all(alg.table is table for alg in algs)
-    for arr in (table.entries, *table._scatter):
+    for arr in (table.entries, *table._scatter, *liealg._root_tables(table.rs)):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
-    with pytest.raises(TypeError):
-        table.nconst[(0, 1)] = 1
 
 
 # -- the exhaustive automorphism check ------------------------------------------------

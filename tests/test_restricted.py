@@ -10,7 +10,7 @@ from thetatool.restricted import case_iii_count, omega_alpha, restrict
 from thetatool.rootsys import CapExceededError
 from thetatool.satake import all_catalog_entries, catalog_lookup
 
-from scalar import coroot_coords, pair_coroot, ref_omega_alpha, theta_star
+from scalar import act, coroot_coords, pair_coroot, ref_omega_alpha, theta_star
 
 
 def test_split_restriction_is_bijection():
@@ -181,7 +181,7 @@ def test_split_entries_preserve_cartan_integers():
 def weyl_matrix(w):
     """Integer matrix on the root lattice; column i is w(alpha_i)."""
     n = w.rs.rank
-    cols = [w.act(tuple(1 if k == i else 0 for k in range(n))) for i in range(n)]
+    cols = [act(w, tuple(1 if k == i else 0 for k in range(n))) for i in range(n)]
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 

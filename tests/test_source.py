@@ -129,10 +129,12 @@ def test_one_gram_kernel_per_root_system():
 
 
 def test_no_scalar_pairing_methods():
-    """The per-vector pairings live in ``tests/scalar.py``; the library reads
-    the kernel, the coroot array and ``theta_perm`` instead."""
+    """The per-vector pairings and the root-tuple structure-constant
+    recursion live in ``tests/scalar.py``; the library reads the kernel, the
+    coroot array, ``theta_perm`` and the sum and difference tables instead."""
     scalar = {"inner", "norm2", "pair_coroot", "pair_coroot_simple", "coroot_coords",
-              "_reflect_vector", "gram_kernel", "theta_star"}
+              "_reflect_vector", "gram_kernel", "theta_star", "_chain_down", "_N",
+              "_derive_constant"}
     found = [
         f"{path.name}:{node.lineno} {node.name}"
         for path in sorted(SRC.glob("*.py"))
@@ -140,3 +142,21 @@ def test_no_scalar_pairing_methods():
         if isinstance(node, ast.FunctionDef) and node.name in scalar
     ]
     assert not found, f"scalar pairing method in {', '.join(found)}"
+
+
+def test_liealg_makes_no_scalar_root_lookup():
+    """``liealg`` finds roots through kernel lookups on index arrays: it
+    calls no ``is_root``, ``root_index`` or ``act`` and reads no
+    ``rs.index[...]``."""
+    path = SRC / "liealg.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"liealg.py:{call.lineno} {name}"
+        for name in ("is_root", "root_index", "act")
+        for call in _calls(tree, name)
+    ] + [
+        f"liealg.py:{node.lineno} index[...]"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "index"
+    ]
+    assert not found, f"scalar root lookup in {', '.join(found)}"
