@@ -3,8 +3,9 @@ verification suites, in text or JSON.
 
 Exit codes: 0 success, 1 verification failure or a computation that
 rejected its data, 2 usage error.  The JSON report schema is versioned by a
-top-level "schema": 1 field; the enumeration cap defaults to 5e6 and can be
-overridden with --cap or the THETA_TOOL_CAP environment variable.
+top-level "schema": 1 field; the cap on |W_A| for the Poincare polynomial
+defaults to 5e6 and can be overridden with --cap or the THETA_TOOL_CAP
+environment variable.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def make_parser() -> argparse.ArgumentParser:
     options = {
         "--cap": dict(type=_cap,
                       default=os.environ.get("THETA_TOOL_CAP") or str(DEFAULT_CAP),
-                      help="Weyl-group enumeration cap (default 5e6)"),
+                      help="cap on |W_A| for the Poincare polynomial (default 5e6)"),
         "--seed": dict(type=int, default=42),
         "--prime": dict(type=int, default=None, help="also report goodness of this prime"),
     }

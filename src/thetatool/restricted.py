@@ -7,29 +7,28 @@ by the scaling.  Every Cartan integer, reflection and membership test on
 restricted roots goes through the one ``GramKernel`` over the doubled roots
 that each restricted system owns; ambient pairings and coroots are read off
 the ambient root system's kernel and coroot array.
-The reduced subsystem consists of the indivisible restricted roots; its
-type is recognized from the Cartan matrix on the restricted basis, and the
-baby Weyl group is realized as permutations of the restricted-root vectors
-generated by the basis reflections.
+The reduced subsystem consists of the indivisible restricted roots, kept
+as one index array read off the same lookup that finds the multipliable
+roots; its type is recognized from the Cartan matrix on the restricted
+basis.  The baby Weyl group W_A is known through that type alone (its order
+and degrees); nothing here lists its elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import Counter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
 from .rootsys import (
-    CapExceededError,
     GramKernel,
     Root,
     RootSystemError,
     good_primes_from,
     is_odd_prime,
-    permutation_bfs,
     weyl_order,
 )
 from .satake import SatakeInvolution
@@ -73,6 +72,8 @@ class RestrictedRootSystem:
         pi_lifts: for each basis root, the smallest simple index lifting it.
         r: dim A (rank of the split torus, plus any central split rank).
         r0: rank of the reduced subsystem.
+        reduced_indices: read-only int64 array, the positions in ``doubled``
+            of the positive indivisible restricted roots, ascending.
         kernel: the ``GramKernel`` of ``doubled``, in the same order.
     """
 
@@ -124,8 +125,15 @@ class RestrictedRootSystem:
             )
 
         self.kernel = kernel = GramKernel(self.doubled, rs.form)
-        doubles = np.flatnonzero(kernel.lookup(2 * kernel.vectors) >= 0)
+        # twice row i is row halves[i]: row i is multipliable, row halves[i]
+        # divisible
+        halves = kernel.lookup(2 * kernel.vectors)
+        doubles = np.flatnonzero(halves >= 0)
         self.multipliable = frozenset(self.doubled[i] for i in doubles)
+        divisible = np.zeros(len(self.doubled), dtype=bool)
+        divisible[halves[doubles]] = True
+        self.reduced_indices = np.flatnonzero(~divisible[: self.num_positive])
+        self.reduced_indices.flags.writeable = False
         self._check_axioms()
         pi_idx = [self._index[d] for d in self.pi]
         cartan, _ = kernel.cartan_rows(kernel.vectors[pi_idx])
@@ -149,12 +157,6 @@ class RestrictedRootSystem:
         """<pi_a, cochar> for each basis root pi_a, with cochar in the
         simple-coroot coordinates of the ambient system."""
         return (self._pi_coroot_pairings @ np.asarray(coroot_coords)).tolist()
-
-    def index_of(self, d: Sequence[int]) -> int:
-        try:
-            return self._index[tuple(d)]
-        except KeyError:
-            raise RestrictionError(f"{tuple(d)} is not a restricted root")
 
     def _check_axioms(self) -> None:
         """Closure under reflections and integral Cartan numbers.
@@ -184,12 +186,7 @@ class RestrictedRootSystem:
 
     def reduced_positive(self) -> List[Root]:
         """Positive indivisible restricted roots (Phi_A^* half)."""
-        out = []
-        for d in self.doubled[: self.num_positive]:
-            if not any(x % 2 for x in d) and tuple(x // 2 for x in d) in self._index:
-                continue  # divisible: d/2 is a restricted root
-            out.append(d)
-        return out
+        return [self.doubled[i] for i in self.reduced_indices.tolist()]
 
     def _classify(self) -> Tuple[SimpleFactor, ...]:
         n = self.r0
@@ -346,18 +343,13 @@ class RestrictedRootSystem:
 
     def highest_root_coefficients(self) -> List[Tuple[SimpleFactor, Tuple[int, ...]]]:
         """Per factor, the pi-coordinates of its highest reduced root."""
+        coords = [self._pi_coords[d] for d in self.reduced_positive()]
         out = []
         for f in self.factors:
-            best = None
-            for d in self.reduced_positive():
-                c = self._pi_coords[d]
-                if any(c[i] and i not in f.basis for i in range(self.r0)):
-                    continue
-                if best is None or sum(c) > sum(best):
-                    best = c
-            if best is None:
+            support = [c for c in coords if all(i in f.basis for i, x in enumerate(c) if x)]
+            if not support:
                 raise RestrictionError(f"factor {f.type_name} has no highest root")
-            out.append((f, best))
+            out.append((f, max(support, key=sum)))
         return out
 
     def check_p_good(self, p: int) -> Tuple[bool, str]:
@@ -387,58 +379,6 @@ class RestrictedRootSystem:
                 f"{worst} >= p = {p}",
             )
         return True, "good"
-
-    # -- baby Weyl group ----------------------------------------------------------
-
-    def reflection_perm(self, d: Sequence[int]) -> Tuple[int, ...]:
-        """s_d as a permutation of the restricted root list."""
-        images, integral = self.kernel.reflections([self.index_of(d)])
-        if not integral.all() or (images < 0).any():
-            raise RestrictionError(f"restricted roots not closed under s_{tuple(d)}")
-        return tuple(images[0].tolist())
-
-    def baby_weyl(self, order_cap: int) -> "BabyWeylGroup":
-        """The little Weyl group W_A acting on the restricted roots.
-
-        Raises CapExceededError when the predicted order (degree-product of
-        the classified reduced type) exceeds the cap.
-        """
-        if self.r0 < 1:
-            raise RestrictionError("trivial restricted system has no Weyl group")
-        predicted = self.weyl_order()
-        if predicted > order_cap:
-            raise CapExceededError(predicted, order_cap)
-        return BabyWeylGroup(self)
-
-
-class BabyWeylGroup:
-    """W_A as permutations of the restricted-root vectors, with lengths
-    relative to the basis pi (inversion counts on the reduced system)."""
-
-    def __init__(self, rrs: RestrictedRootSystem):
-        self.rrs = rrs
-        self.generators = [rrs.reflection_perm(d) for d in rrs.pi]
-        self.order = rrs.weyl_order()
-        reduced_pos = rrs.reduced_positive()
-        self._reduced_pos_idx = [rrs.index_of(d) for d in reduced_pos]
-
-    def length_of(self, perm: Tuple[int, ...]) -> int:
-        npos = self.rrs.num_positive
-        return sum(1 for i in self._reduced_pos_idx if perm[i] >= npos)
-
-    def elements(self) -> Iterator[Tuple[Tuple[int, ...], int]]:
-        """BFS enumeration (permutation, length), each element once,
-        by right multiplication with the basis reflections."""
-        return permutation_bfs(self.generators, len(self.rrs.doubled))
-
-    def length_counts(self) -> List[int]:
-        """Number of elements of each length, by direct enumeration."""
-        counts: List[int] = []
-        for _, l in self.elements():
-            while len(counts) <= l:
-                counts.append(0)
-            counts[l] += 1
-        return counts
 
 
 def restrict(inv: SatakeInvolution) -> RestrictedRootSystem:

@@ -46,12 +46,17 @@ class RootSystemError(ValueError):
     """Invalid root-system input (bad series/rank, bad index, bad lattice)."""
 
 
-# Default cap on the order of a Weyl group listed element by element.
+# Default cap on the order of W_A behind the report's Poincare field and the
+# tests' enumerators; nothing in the library lists the group.
 DEFAULT_CAP = 5 * 10**6
 
 
 class CapExceededError(RootSystemError):
-    """Raised when a Weyl-group enumeration would exceed the caller's cap."""
+    """Raised when a Weyl group's predicted order exceeds the caller's cap.
+
+    The cap guards the report's Poincare field (``build_report`` prints null
+    and the reason) and the enumerators of the tests; nothing in the library
+    lists the group element by element."""
 
     def __init__(self, predicted_order: int, cap: int):
         self.predicted_order = predicted_order
@@ -336,9 +341,6 @@ class RootSystem:
     def highest_root(self) -> Root:
         return self.roots[self.num_positive - 1]
 
-    def weyl_order(self) -> int:
-        return weyl_order(self.series, self.rank)
-
     def __repr__(self) -> str:
         return f"RootSystem({self.series}{self.rank}, {len(self.roots)} roots)"
 
@@ -411,46 +413,6 @@ class RootSystem:
         """The longest element w_0 of the whole Weyl group."""
         return self.longest_element(range(self.rank))
 
-    def enumerate_weyl(self, order_cap: int) -> Iterator[Tuple["WeylElement", int]]:
-        """Yield every Weyl element exactly once with its length, BFS by
-        length over right multiplication by simple reflections, with a hash
-        set of permutations.  The predicted group order is checked against
-        ``order_cap`` before any work happens.
-        """
-        predicted = self.weyl_order()
-        if predicted > order_cap:
-            raise CapExceededError(predicted, order_cap)
-        gens = [self.simple_reflection(i).perm for i in range(self.rank)]
-        for perm, length in permutation_bfs(gens, len(self.roots)):
-            yield WeylElement(self, perm), length
-
-
-def permutation_bfs(
-    gens: Sequence[Tuple[int, ...]], degree: int
-) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """Every element of the group generated by the permutations ``gens`` of
-    range(degree), once each, with its word length in the generators.
-
-    Breadth-first over right multiplication (w -> w * g) with a hash set of
-    permutations; each length level is yielded in sorted order.
-    """
-    ident = tuple(range(degree))
-    seen = {ident}
-    level = [ident]
-    length = 0
-    while level:
-        for perm in level:
-            yield perm, length
-        nxt = set()
-        for perm in level:
-            for g in gens:
-                q = tuple(perm[i] for i in g)
-                if q not in seen:
-                    nxt.add(q)
-        seen |= nxt
-        level = sorted(nxt)
-        length += 1
-
 
 @dataclass(frozen=True)
 class WeylElement:
@@ -466,13 +428,6 @@ class WeylElement:
         if self.word is not None and other.word is not None:
             word = self.word + other.word
         return WeylElement(self.rs, tuple(self.perm[p] for p in other.perm), word=word)
-
-    def inverse(self) -> "WeylElement":
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        word = tuple(reversed(self.word)) if self.word is not None else None
-        return WeylElement(self.rs, tuple(inv), word=word)
 
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""

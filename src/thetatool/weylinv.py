@@ -18,7 +18,7 @@ from math import prod
 from typing import List, Sequence, Tuple
 
 from .rootsys import DEFAULT_CAP, CapExceededError, degrees_for
-from .restricted import BabyWeylGroup, RestrictedRootSystem
+from .restricted import RestrictedRootSystem
 
 
 class DegreeError(ValueError):
@@ -189,11 +189,6 @@ def poincare_from_cartan(C: Sequence[Sequence[int]]) -> IntPolynomial:
             frontier = nxt
         result = result * IntPolynomial.from_list(counts)
     return result
-
-
-def poincare_from_enumeration(group: BabyWeylGroup) -> IntPolynomial:
-    """Length generating polynomial by brute-force element enumeration."""
-    return IntPolynomial.from_list(group.length_counts())
 
 
 def demazure_identity_check(

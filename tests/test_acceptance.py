@@ -19,7 +19,9 @@ from brackets import bracket_vec, sample_jacobi
 
 
 # `theta-tool verify grading|centdim --format json` as recorded before the
-# F_p kernel was rewritten; the suites must keep printing them byte for byte.
+# F_p kernel was rewritten, and `verify poincare|w0 --format json` as recorded
+# before the Weyl-group enumeration left the library; the suites must keep
+# printing them byte for byte.
 FIXTURES = Path(__file__).resolve().parent
 
 
@@ -75,13 +77,15 @@ def test_criterion_2_split_quasisplit_counts():
 def test_criterion_3_demazure_identity():
     """Coefficient-exact sum_w t^l(w) = prod (1-t^d_i)/(1-t) for every
     catalog entry with |W_A| <= 5e6, plus the independent degree
-    re-derivation by factoring."""
+    re-derivation by factoring.  The suite's JSON equals the recorded
+    `verify poincare --format json`."""
     t0 = time.time()
     res = verify.run_poincare(order_cap=5 * 10**6, max_rank=8)
     covered = {c.name.split(" ", 1)[1] for c in res.checks}
     _report(
         "criterion 3: Demazure identity",
-        res.passed and len(res.skipped) == 4,  # B8, C8, D8 splits and E8 split
+        # B8, C8, D8 splits and E8 split
+        res.passed and len(res.skipped) == 4 and _matches_fixture(res, "poincare"),
         time.time() - t0,
         120,
         f"{len(covered)} entries, {len(res.skipped)} over cap",
@@ -91,12 +95,13 @@ def test_criterion_3_demazure_identity():
 def test_criterion_4_w0_decompositions():
     """All built-in orthogonal decompositions of w0 pass orthogonality,
     the product identity (incl. the conjugated subregular rank-6 case),
-    and the mod-4 membership condition."""
+    and the mod-4 membership condition.  The suite's JSON equals the
+    recorded `verify w0 --format json`."""
     t0 = time.time()
     res = verify.run_w0()
     _report(
         "criterion 4: w0 decompositions",
-        res.passed and len(res.checks) >= 13,
+        res.passed and len(res.checks) >= 13 and _matches_fixture(res, "w0"),
         time.time() - t0,
         5,
         f"{len(res.checks)} fixtures",

@@ -22,6 +22,7 @@ from thetatool.rootsys import GramKernel, RootSystemError, build_root_system
 from thetatool.satake import _catalog_types, all_catalog_entries, catalog_lookup
 
 from scalar import norm2, pair_coroot
+from weylgroup import index_of, reflection_perm
 
 TYPES = _catalog_types() + [("D", 3)]
 
@@ -57,7 +58,7 @@ def ref_reflection_perm(rrs, d: Sequence[int]) -> Tuple[int, ...]:
     perm = []
     for a in rrs.doubled:
         c = pair_coroot(rrs.inv.ambient, a, d)
-        perm.append(rrs.index_of(tuple(x - c * y for x, y in zip(a, d))))
+        perm.append(index_of(rrs, tuple(x - c * y for x, y in zip(a, d))))
     return tuple(perm)
 
 
@@ -182,7 +183,7 @@ def test_restricted_tables_match_scalar():
         C = [[pair_coroot(rs, a, b) for b in rrs.pi] for a in rrs.pi]
         assert rrs.cartan_matrix() == C
         for d in rrs.pi:
-            assert rrs.reflection_perm(d) == ref_reflection_perm(rrs, d)
+            assert reflection_perm(rrs, d) == ref_reflection_perm(rrs, d)
 
 
 def test_restricted_all_reflections_and_coords_match_scalar():
@@ -190,7 +191,7 @@ def test_restricted_all_reflections_and_coords_match_scalar():
         rrs = restrict(e.satake)
         assert ref_check_axioms(rrs) is None
         for d in rrs.doubled:
-            assert rrs.reflection_perm(d) == ref_reflection_perm(rrs, d)
+            assert reflection_perm(rrs, d) == ref_reflection_perm(rrs, d)
         assert rrs._pi_coords == ref_pi_coords(rrs)
 
 

@@ -3,12 +3,15 @@ longest-element decompositions."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from thetatool.nilcomp import (
     OmegaError,
     OrthogonalDecomposition,
     WeightedDiagram,
+    _conjugate_in_type_a,
     _theta_on_coroots,
     builtin_decompositions,
     component_count,
@@ -22,6 +25,7 @@ from thetatool.satake import SatakeInvolution, all_catalog_entries, catalog_look
 
 from brackets import dense_ad
 from scalar import coroot_coords, theta_star
+from weylgroup import enumerate_weyl
 
 
 def test_theta_on_coroots_matches_scalar():
@@ -193,6 +197,55 @@ def test_w0_perturbed_fixture_fails():
     )
     rep = verify_w0_decomposition(bad2)
     assert not rep.ok
+
+
+def _conjugacy_classes(rs):
+    """Every element of W(rs), a representative of each conjugacy class and
+    the class number of each permutation: the orbits under conjugation by
+    the simple reflections, which generate the group."""
+    elements = [w for w, _ in enumerate_weyl(rs, 10**3)]
+    gens = [rs.simple_reflection(i) for i in range(rs.rank)]
+    label, reps = {}, []
+    for w in elements:
+        if w.perm in label:
+            continue
+        label[w.perm] = len(reps)
+        stack = [w]
+        while stack:
+            u = stack.pop()
+            for s in gens:
+                v = s * u * s
+                if v.perm not in label:
+                    label[v.perm] = len(reps)
+                    stack.append(v)
+        reps.append(w)
+    return elements, reps, label
+
+
+def test_type_a_class_test_matches_brute_force_classes():
+    # S_{n+1} has p(n + 1) classes: 2, 3, 5, 7, 11 for A1..A5
+    for rank, n_classes in zip(range(1, 6), (2, 3, 5, 7, 11)):
+        rs = build_root_system("A", rank)
+        elements, reps, label = _conjugacy_classes(rs)
+        assert len(reps) == n_classes
+        for w in elements:
+            for k, r in enumerate(reps):
+                assert _conjugate_in_type_a(rs, w, r) == (label[w.perm] == k), (rank, w, r)
+
+
+def test_w0_mutations_fail_the_product_without_raising():
+    # s_1 alone is a transposition, w0 of A4 a product of two
+    a4 = next(d for d in builtin_decompositions() if d.name == "A4-regular")
+    rep = verify_w0_decomposition(replace(a4, name="A4-one-root", betas=((1, 0, 0, 0),)))
+    assert not rep.ok and rep.orthogonal and rep.mod4_in_p and not rep.product_matches
+    assert rep.failures == ("product of reflections does not match the target",)
+
+    # outside type A conjugacy is not decided, so it never passes
+    b4 = next(d for d in builtin_decompositions() if d.name == "B4-regular")
+    assert verify_w0_decomposition(b4).ok
+    rep = verify_w0_decomposition(replace(b4, name="B4-up-to-conjugacy", up_to_conjugacy=True))
+    assert not rep.ok and rep.orthogonal and rep.mod4_in_p and not rep.product_matches
+    assert rep.failures == ("conjugacy is decided only in type A",)
 
 
 def test_component_report_notes_for_split_a():

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from thetatool.restricted import case_iii_count, omega_alpha, restrict
-from thetatool.rootsys import CapExceededError
+from thetatool.rootsys import CapExceededError, build_root_system
 from thetatool.satake import all_catalog_entries, catalog_lookup
 
 from scalar import act, coroot_coords, pair_coroot, ref_omega_alpha, theta_star
+from weylgroup import baby_weyl, enumerate_weyl, index_of
 
 
 def test_split_restriction_is_bijection():
@@ -69,24 +70,24 @@ def test_no_triple_restricted_roots_catalog():
 
 def test_baby_weyl_orders():
     e = catalog_lookup("A", 1, "AI")
-    W = restrict(e.satake).baby_weyl(10)
+    W = baby_weyl(restrict(e.satake), 10)
     assert W.length_counts() == [1, 1]  # lengths {0, 1}
 
     # F4-restricted: 1152 = 2*6*8*12 (degree-product oracle)
     e = catalog_lookup("E", 6, "EII")
-    W = restrict(e.satake).baby_weyl(2000)
+    W = baby_weyl(restrict(e.satake), 2000)
     assert sum(W.length_counts()) == 1152
 
     # C3-restricted: 2^3 * 3! = 48
     e = catalog_lookup("E", 7, "EVII")
-    W = restrict(e.satake).baby_weyl(100)
+    W = baby_weyl(restrict(e.satake), 100)
     assert sum(W.length_counts()) == 48
 
 
 def test_baby_weyl_length_function():
     # the handle's length function agrees with the BFS depth
     e = catalog_lookup("A", 5, "AIII(2,4)")
-    W = restrict(e.satake).baby_weyl(10**4)
+    W = baby_weyl(restrict(e.satake), 10**4)
     for perm, depth in W.elements():
         assert W.length_of(perm) == depth
 
@@ -94,7 +95,7 @@ def test_baby_weyl_length_function():
 def test_baby_weyl_cap():
     e = catalog_lookup("E", 6, "EII")
     with pytest.raises(CapExceededError) as exc:
-        restrict(e.satake).baby_weyl(100)
+        baby_weyl(restrict(e.satake), 100)
     assert exc.value.predicted_order == 1152
 
 
@@ -111,6 +112,24 @@ def test_check_p_good():
     rrs = restrict(catalog_lookup("B", 4, "BI(2)").satake)
     assert rrs.check_p_good(3) == (True, "good")
     assert rrs.check_p_good(2)[0] is False
+
+
+def test_highest_root_coefficients_match_the_reduced_type():
+    # per factor, the coefficients of the highest reduced root are those of
+    # the highest root of its type (as multisets: B_n and C_n share theirs)
+    for e in all_catalog_entries():
+        rrs = restrict(e.satake)
+        got = rrs.highest_root_coefficients()
+        assert [f for f, _ in got] == list(rrs.factors)
+        for f, coeffs in got:
+            want = build_root_system(f.series, f.rank).highest_root
+            assert sorted(c for c in coeffs if c) == sorted(want), (e.label, f)
+            assert all(coeffs[i] == 0 for i in range(rrs.r0) if i not in f.basis)
+    # p = 3 is bad for the ambient E6 too, but the restricted F4 is named first
+    rrs = restrict(catalog_lookup("E", 6, "EII").satake)
+    assert rrs.check_p_good(3) == (
+        False, "highest root of factor F4 has coefficient 4 >= p = 3"
+    )
 
 
 def test_omega_alpha_split_case_i():
@@ -175,7 +194,7 @@ def test_split_entries_preserve_cartan_integers():
         for b in rs.roots[: rs.num_positive]:
             da = tuple(2 * x for x in a)
             db = tuple(2 * x for x in b)
-            assert cartan[rrs.index_of(da), rrs.index_of(db)] == pair_coroot(rs, a, b)
+            assert cartan[index_of(rrs, da), index_of(rrs, db)] == pair_coroot(rs, a, b)
 
 
 def weyl_matrix(w):
@@ -244,7 +263,7 @@ def _normalizer_quotient_order(inv, cap=500):
         ]
 
     w1 = w2 = 0
-    for w, _ in rs.enumerate_weyl(cap):
+    for w, _ in enumerate_weyl(rs, cap):
         M = weyl_matrix(w)
         imgs = [
             [sum(Fraction(M[i][j]) * b[j] for j in range(n)) for i in range(n)]

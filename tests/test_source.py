@@ -11,11 +11,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "thetatool"
 # Functions that nothing in the library calls, kept as references the tests
 # compare against.
 TEST_REFERENCES = {
-    "baby_weyl": "W_A listed element by element, the oracle of the degree and "
-                 "Poincare-polynomial tests",
-    "length_of": "BabyWeylGroup's inversion count, checked against its BFS depth",
-    "poincare_from_enumeration": "the Poincare polynomial summed over baby_weyl, "
-                                 "the oracle of poincare_polynomial",
     "split_and_quasisplit_counts": "component counts of the split and quasi-split "
                                    "classes against their closed formulas "
                                    "(acceptance criterion 2)",
@@ -160,3 +155,19 @@ def test_liealg_makes_no_scalar_root_lookup():
         if isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "index"
     ]
     assert not found, f"scalar root lookup in {', '.join(found)}"
+
+
+def test_library_lists_no_weyl_element():
+    """The library computes the Weyl group by formula (order from the
+    degrees, Poincare polynomial by coset factorization, w_0 by the greedy
+    walk, type-A conjugacy by traces); the element-by-element enumerators
+    are test oracles and live in ``tests/weylgroup.py``."""
+    enumerators = {"permutation_bfs", "enumerate_weyl", "baby_weyl", "BabyWeylGroup",
+                   "poincare_from_enumeration", "_conjugacy_search", "reflection_perm"}
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in enumerators
+    ]
+    assert not found, f"Weyl-group enumeration in {', '.join(found)}"

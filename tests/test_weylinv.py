@@ -13,14 +13,15 @@ from thetatool.weylinv import (
     degrees_from_poincare,
     demazure_identity_check,
     invariant_degrees,
-    poincare_from_enumeration,
     poincare_polynomial,
 )
+
+from weylgroup import baby_weyl, poincare_from_enumeration
 
 
 def poincare_by_factoring(rrs):
     """Independent degree oracle: factor the enumerated length polynomial."""
-    poly = poincare_from_enumeration(rrs.baby_weyl(10**5))
+    poly = poincare_from_enumeration(baby_weyl(rrs, 10**5))
     return degrees_from_poincare(poly, rrs.r)
 
 
@@ -65,7 +66,7 @@ def test_poincare_matches_enumeration_small():
         rrs = restrict(catalog_lookup(series, rank, label).satake)
         assert (
             poincare_polynomial(rrs).coeffs
-            == poincare_from_enumeration(rrs.baby_weyl(10**4)).coeffs
+            == poincare_from_enumeration(baby_weyl(rrs, 10**4)).coeffs
         )
 
 

@@ -1,0 +1,131 @@
+"""Weyl groups listed element by element, for the tests.
+
+The library computes everything about a Weyl group by formula: the order
+from the degrees, the Poincare polynomial by coset factorization, w_0 by the
+greedy parabolic walk, and type-A conjugacy by traces.  The enumerators here
+are the brute-force oracles those formulas are checked against: a
+breadth-first walk over permutations of a root list, the ambient Weyl group
+of a root system, and the little Weyl group W_A acting on the restricted
+roots.  Each checks the predicted group order against a cap first and raises
+``CapExceededError`` above it.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, List, Sequence, Tuple
+
+from thetatool.restricted import RestrictedRootSystem, RestrictionError
+from thetatool.rootsys import CapExceededError, RootSystem, WeylElement, weyl_order
+from thetatool.weylinv import IntPolynomial
+
+
+def permutation_bfs(
+    gens: Sequence[Tuple[int, ...]], degree: int
+) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """Every element of the group generated by the permutations ``gens`` of
+    range(degree), once each, with its word length in the generators.
+
+    Breadth-first over right multiplication (w -> w * g) with a hash set of
+    permutations; each length level is yielded in sorted order.
+    """
+    ident = tuple(range(degree))
+    seen = {ident}
+    level = [ident]
+    length = 0
+    while level:
+        for perm in level:
+            yield perm, length
+        nxt = set()
+        for perm in level:
+            for g in gens:
+                q = tuple(perm[i] for i in g)
+                if q not in seen:
+                    nxt.add(q)
+        seen |= nxt
+        level = sorted(nxt)
+        length += 1
+
+
+def enumerate_weyl(rs: RootSystem, order_cap: int) -> Iterator[Tuple[WeylElement, int]]:
+    """Yield every Weyl element of rs exactly once with its length, BFS by
+    length over right multiplication by simple reflections.  The predicted
+    group order is checked against ``order_cap`` before any work happens.
+    """
+    predicted = weyl_order(rs.series, rs.rank)
+    if predicted > order_cap:
+        raise CapExceededError(predicted, order_cap)
+    gens = [rs.simple_reflection(i).perm for i in range(rs.rank)]
+    for perm, length in permutation_bfs(gens, len(rs.roots)):
+        yield WeylElement(rs, perm), length
+
+
+def inverse(w: WeylElement) -> WeylElement:
+    inv = [0] * len(w.perm)
+    for i, p in enumerate(w.perm):
+        inv[p] = i
+    word = tuple(reversed(w.word)) if w.word is not None else None
+    return WeylElement(w.rs, tuple(inv), word=word)
+
+
+def index_of(rrs: RestrictedRootSystem, d: Sequence[int]) -> int:
+    """Position of a doubled restricted root in ``rrs.doubled``."""
+    try:
+        return rrs._index[tuple(d)]
+    except KeyError:
+        raise RestrictionError(f"{tuple(d)} is not a restricted root")
+
+
+def reflection_perm(rrs: RestrictedRootSystem, d: Sequence[int]) -> Tuple[int, ...]:
+    """s_d as a permutation of the restricted root list."""
+    images, integral = rrs.kernel.reflections([index_of(rrs, d)])
+    if not integral.all() or (images < 0).any():
+        raise RestrictionError(f"restricted roots not closed under s_{tuple(d)}")
+    return tuple(images[0].tolist())
+
+
+class BabyWeylGroup:
+    """W_A as permutations of the restricted-root vectors, with lengths
+    relative to the basis pi (inversion counts on the reduced system)."""
+
+    def __init__(self, rrs: RestrictedRootSystem):
+        self.rrs = rrs
+        self.generators = [reflection_perm(rrs, d) for d in rrs.pi]
+        self.order = rrs.weyl_order()
+        self._reduced_pos_idx = rrs.reduced_indices.tolist()
+
+    def length_of(self, perm: Tuple[int, ...]) -> int:
+        npos = self.rrs.num_positive
+        return sum(1 for i in self._reduced_pos_idx if perm[i] >= npos)
+
+    def elements(self) -> Iterator[Tuple[Tuple[int, ...], int]]:
+        """BFS enumeration (permutation, length), each element once,
+        by right multiplication with the basis reflections."""
+        return permutation_bfs(self.generators, len(self.rrs.doubled))
+
+    def length_counts(self) -> List[int]:
+        """Number of elements of each length, by direct enumeration."""
+        counts: List[int] = []
+        for _, l in self.elements():
+            while len(counts) <= l:
+                counts.append(0)
+            counts[l] += 1
+        return counts
+
+
+def baby_weyl(rrs: RestrictedRootSystem, order_cap: int) -> BabyWeylGroup:
+    """The little Weyl group W_A acting on the restricted roots.
+
+    Raises CapExceededError when the predicted order (degree-product of
+    the classified reduced type) exceeds the cap.
+    """
+    if rrs.r0 < 1:
+        raise RestrictionError("trivial restricted system has no Weyl group")
+    predicted = rrs.weyl_order()
+    if predicted > order_cap:
+        raise CapExceededError(predicted, order_cap)
+    return BabyWeylGroup(rrs)
+
+
+def poincare_from_enumeration(group: BabyWeylGroup) -> IntPolynomial:
+    """Length generating polynomial by brute-force element enumeration."""
+    return IntPolynomial.from_list(group.length_counts())
