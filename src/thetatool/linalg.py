@@ -4,8 +4,10 @@ There is one Gauss-Jordan elimination per field: ``echelon`` over Q, which
 runs fraction-free over Z, and ``rref_mod_p`` over F_p, on numpy ``int64``
 arrays.  Rank, solving, inverses and kernels are read off the reduced row
 echelon form, which is unique, so every result is independent of the
-pivoting order.  Over Q only ``rref``, ``solve`` and ``inverse`` build
-``Fraction``s, and only for their results.
+pivoting order.  Over Q only ``rref`` and ``solve`` build ``Fraction``s, and
+only for their results.  The library eliminates over Q in three places
+only: ``RootSystem.cartan_inverse``, ``SatakeInvolution._minus_one_rank``
+and ``lattice_quotient``; the F_p elimination serves ``liealg``.
 """
 
 from __future__ import annotations
@@ -105,12 +107,6 @@ def scaled_inverse(rows: Sequence[Sequence]) -> Optional[Tuple[List[List[int]], 
         return None
     L = lcm(*(row[i] for i, row in enumerate(R)))
     return [[x * (L // row[i]) for x in row[n:]] for i, row in enumerate(R)], L
-
-
-def inverse(rows: Sequence[Sequence]) -> Optional[List[List[Fraction]]]:
-    """The inverse over Q of a square matrix, or None when it is singular."""
-    scaled = scaled_inverse(rows)
-    return None if scaled is None else [[Fraction(x, scaled[1]) for x in row] for row in scaled[0]]
 
 
 # -- over F_p ------------------------------------------------------------------

@@ -121,7 +121,7 @@ def z_cap_a(
     structure transfers; every i >= 1 case in the classification has
     |Z(B*)| = 2, leaving the trivial group, and anything else is refused.
     """
-    zb = _reduced_fundamental_group(rrs)
+    zb = cokernel(rrs.cartan_matrix(), rrs.r0)  # Z(B*)
     i = case_iii_count(inv, rrs)
     if i == 0:
         grp = zb
@@ -140,20 +140,13 @@ def z_cap_a(
     return grp, grp.mod_squares()
 
 
-def _reduced_fundamental_group(rrs: RestrictedRootSystem) -> FiniteAbelianGroup:
-    if rrs.r0 == 0:
-        return FiniteAbelianGroup(())
-    C = rrs.cartan_matrix()
-    cols = [[C[i][j] for i in range(rrs.r0)] for j in range(rrs.r0)]
-    return cokernel(cols, rrs.r0)
-
-
 def _tau_z_data(inv: SatakeInvolution) -> Tuple[int, int]:
     """(|Z|, |Z / tau(Z)|) where tau(z) = z^{-1} theta(z) on the center.
 
     theta acts on Z = (coweights)/(coroots) through its outer class; inner
     automorphisms act trivially.  |Z/tau(Z)| is the cokernel order of
-    [Cartan | P_delta - 1].
+    [Cartan | P_delta - 1], whose columns are the rows handed to ``cokernel``
+    (it is not symmetric under transposition, so they stay columns of C).
     """
     rs = inv.ambient
     n = rs.rank

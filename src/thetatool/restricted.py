@@ -9,26 +9,34 @@ that each restricted system owns; ambient pairings and coroots are read off
 the ambient root system's kernel and coroot array.
 The reduced subsystem consists of the indivisible restricted roots, kept
 as one index array read off the same lookup that finds the multipliable
-roots; its type is recognized from the Cartan matrix on the restricted
-basis.  The baby Weyl group W_A is known through that type alone (its order
-and degrees); nothing here lists its elements.
+roots.  Nothing here eliminates or walks a graph.  The pi-coordinates of a
+restricted root are one exact division at the lift nodes of the basis,
+where the basis matrix is diagonal.  The simple factors of the reduced
+subsystem are the classes of basis roots that share the support of some
+root.  Each factor's type is the one with its rank, its number of positive
+roots and its number of short simple roots.  The baby Weyl group W_A is
+known through those types alone (its order and degrees); nothing here
+lists its elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import linalg
 from .rootsys import (
+    SERIES,
     GramKernel,
     Root,
     RootSystemError,
+    _root_halflengths,
+    degrees_for,
     good_primes_from,
     is_odd_prime,
+    validate_type,
     weyl_order,
 )
 from .satake import SatakeInvolution
@@ -56,6 +64,17 @@ class SimpleFactor:
     @property
     def reduced_type_name(self) -> str:
         return f"{self.series}{self.rank}"
+
+
+def _shape(series: str, rank: int) -> Optional[Tuple[int, int]]:
+    """(positive roots, short simple roots) of a simple type, or None when
+    (series, rank) is not one."""
+    try:
+        validate_type(series, rank)
+    except RootSystemError:
+        return None
+    half = _root_halflengths(series, rank)
+    return sum(d - 1 for d in degrees_for(series, rank)), half.count(min(half))
 
 
 class RestrictedRootSystem:
@@ -142,8 +161,8 @@ class RestrictedRootSystem:
         cartan, _ = rs.kernel.cartan_rows(kernel.vectors[pi_idx])
         self._pi_coroot_pairings = cartan[:, list(rs.simple_indices)]
         self._pi_norms = tuple(kernel.norms[pi_idx].tolist())
+        self._pi_coords = self._compute_pi_coords()
         self.factors: Tuple[SimpleFactor, ...] = self._classify()
-        self._pi_coords: Dict[Root, Tuple[int, ...]] = self._compute_pi_coords()
 
     # -- setup helpers -------------------------------------------------------
 
@@ -189,95 +208,28 @@ class RestrictedRootSystem:
         return [self.doubled[i] for i in self.reduced_indices.tolist()]
 
     def _classify(self) -> Tuple[SimpleFactor, ...]:
-        n = self.r0
-        C = self._pi_cartan
-        # connected components of the Coxeter graph on pi
-        seen: set[int] = set()
-        comps: List[List[int]] = []
-        for s in range(n):
-            if s in seen:
-                continue
-            comp = [s]
-            seen.add(s)
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for v in range(n):
-                    if v not in seen and C[u][v] != 0 and u != v:
-                        seen.add(v)
-                        comp.append(v)
-                        stack.append(v)
-            comps.append(sorted(comp))
+        """The simple factors of the reduced system, read off the supports S
+        of the pi-coordinates of its positive roots.  A root's support is
+        connected and the highest root of a factor covers that factor, so
+        basis roots i and j lie in one factor exactly when (S^T S)[i, j].
+        Each factor is named by its rank, its number of positive roots and
+        its number of short simple roots."""
+        S = self._pi_coords[self.reduced_indices] != 0
         factors = []
-        for comp in comps:
-            series = self._component_series(comp, C)
-            non_red = any(self.pi[i] in self.multipliable for i in comp)
-            factors.append(
-                SimpleFactor(series=series, rank=len(comp), basis=tuple(comp),
-                             non_reduced=non_red)
-            )
-        return tuple(
-            sorted(factors, key=lambda f: (f.series, f.rank, f.basis))
-        )
-
-    def _component_series(self, comp: List[int], C: Sequence[Sequence[int]]) -> str:
-        k = len(comp)
-        if k == 1:
-            return "A"
-        sub = [[C[i][j] for j in comp] for i in comp]
-        bond = max(
-            sub[i][j] * sub[j][i] for i in range(k) for j in range(k) if i != j
-        )
-        degrees = [sum(1 for j in range(k) if j != i and sub[i][j] != 0) for i in range(k)]
-        if bond == 3:
-            if k != 2:
-                raise RestrictionError("G2 bond in a component of rank != 2")
-            return "G"
-        if bond == 2:
-            if k == 2:
-                return "B"  # B2 = C2, canonical name
-            norms = [self._pi_norms[comp[i]] for i in range(k)]
-            short = min(norms)
-            n_short = sum(1 for x in norms if x == short)
-            if k == 4 and n_short == 2:
-                return "F"
-            if n_short == 1:
-                return "B"
-            if n_short == k - 1:
-                return "C"
-            raise RestrictionError("unrecognized multiply-laced component")
-        # simply laced
-        if max(degrees) <= 2:
-            return "A"
-        if max(degrees) != 3 or degrees.count(3) != 1:
-            raise RestrictionError("unrecognized simply-laced component")
-        # one branch node: D or E, telling them apart by arm lengths
-        arms = sorted(self._arm_lengths(comp, sub))
-        if arms[0] == 1 and arms[1] == 1:
-            return "D"
-        if arms[0] == 1 and arms[1] == 2:
-            return "E"
-        raise RestrictionError(f"unrecognized branched diagram with arms {arms}")
-
-    def _arm_lengths(self, comp: List[int], sub: List[List[int]]) -> List[int]:
-        k = len(comp)
-        degs = [sum(1 for j in range(k) if j != i and sub[i][j] != 0) for i in range(k)]
-        center = degs.index(3)
-        arms = []
-        for nb in (j for j in range(k) if j != center and sub[center][j] != 0):
-            length = 1
-            prev, cur = center, nb
-            while True:
-                nxt = [
-                    j for j in range(k)
-                    if j not in (prev, cur) and sub[cur][j] != 0
-                ]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            arms.append(length)
-        return arms
+        for row in map(np.array, {tuple(r) for r in (S.T @ S).tolist()}):
+            basis = tuple(np.flatnonzero(row).tolist())
+            norms = [self._pi_norms[i] for i in basis]
+            shape = (int((~S[:, ~row].any(axis=1)).sum()), norms.count(min(norms, default=0)))
+            # A comes before D, so D3 is named A3; B before C, so B2 = C2 is B2
+            series = next((s for s in SERIES if _shape(s, len(basis)) == shape), None)
+            if series is None:
+                raise RestrictionError(
+                    f"factor on basis {basis} has {shape[0]} positive roots and "
+                    f"{shape[1]} short simple roots: no simple type"
+                )
+            non_red = any(self.pi[i] in self.multipliable for i in basis)
+            factors.append(SimpleFactor(series, len(basis), basis, non_red))
+        return tuple(sorted(factors, key=lambda f: (f.series, f.rank, f.basis)))
 
     # -- public type info -------------------------------------------------------
 
@@ -306,50 +258,39 @@ class RestrictedRootSystem:
 
     def multiplicity_table(self) -> List[Tuple[Tuple[int, ...], int]]:
         """Positive restricted roots in pi-coordinates with multiplicities."""
-        out = []
-        for d in self.doubled[: self.num_positive]:
-            out.append((self._pi_coords[d], self.multiplicity[d]))
-        return out
+        positives = zip(self.doubled[: self.num_positive], self._pi_coords.tolist())
+        return [(tuple(x), self.multiplicity[d]) for d, x in positives]
 
-    def _compute_pi_coords(self) -> Dict[Root, Tuple[int, ...]]:
-        """Express each doubled root in the basis pi (integer coordinates).
+    def _compute_pi_coords(self) -> np.ndarray:
+        """The pi-coordinates of the doubled roots, one row each.
 
-        With P the r0 x n matrix of pi and J the pivot columns of P, the
-        coordinates of the rows D of the doubled roots are X = D_J P_J^{-1}:
-        one exact inverse A = L P_J^{-1}, integral with its least common
-        denominator L, and one integer product, kept where L divides it and
-        X P = D.
+        theta* sends each white alpha_l to -alpha_psi(l) modulo Phi_I, so a
+        basis root vanishes at the lift node of every other basis root: with
+        P the r0 x n matrix of pi, B = P[:, pi_lifts] is diagonal with
+        entries 1 or 2.  The coordinates of the rows D of the doubled roots
+        are X = D[:, pi_lifts] // diag(B), kept where X P = D: at the lift
+        columns that says the division is exact.
         """
-        if not self.r0:
-            return {}
         D = self.kernel.vectors
+        lifts = list(self.pi_lifts)
         P = np.array(self.pi, dtype=np.int64).reshape(self.r0, D.shape[1])
-        _, cols = linalg.echelon(self.pi)
-        inverse = linalg.scaled_inverse(P[:, cols].tolist()) if len(cols) == self.r0 else None
-        if inverse is None:
+        b = np.diag(P[:, lifts])
+        if (P[:, lifts] != np.diag(b)).any() or not b.all():
             raise RestrictionError("restricted basis is linearly dependent")
-        A, L = inverse
-        a_max = max(abs(x) for row in A for x in row)
-        d_max = int(np.abs(D).max())
-        if a_max * d_max * self.r0 >= 2**63:
-            raise RestrictionError("pi-coordinates exceed int64")
-        scaled = D[:, cols] @ np.array(A, dtype=np.int64)
-        X = scaled // L
-        bad = (scaled % L != 0).any(axis=1) | (X @ P != D).any(axis=1)
+        X = D[:, lifts] // b
+        bad = (X @ P != D).any(axis=1)
         if bad.any():
             d = self.doubled[int(np.flatnonzero(bad)[0])]
             raise RestrictionError(f"{d} has non-integer pi-coordinates")
-        return dict(zip(self.doubled, map(tuple, X.tolist())))
+        return X
 
     def highest_root_coefficients(self) -> List[Tuple[SimpleFactor, Tuple[int, ...]]]:
         """Per factor, the pi-coordinates of its highest reduced root."""
-        coords = [self._pi_coords[d] for d in self.reduced_positive()]
+        X = self._pi_coords[self.reduced_indices]
         out = []
         for f in self.factors:
-            support = [c for c in coords if all(i in f.basis for i, x in enumerate(c) if x)]
-            if not support:
-                raise RestrictionError(f"factor {f.type_name} has no highest root")
-            out.append((f, max(support, key=sum)))
+            within = X[~X[:, np.isin(np.arange(self.r0), f.basis, invert=True)].any(axis=1)]
+            out.append((f, tuple(within[within.sum(axis=1).argmax()].tolist())))
         return out
 
     def check_p_good(self, p: int) -> Tuple[bool, str]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,9 +88,33 @@ def degrees_for(series: str, rank: int) -> Tuple[int, ...]:
     raise RootSystemError(f"no degree table for {key}")
 
 
+# Miller-Rabin on the first thirteen prime bases decides primality exactly
+# below this bound, the least strong pseudoprime to all of them (Sorenson
+# and Webster, Math. Comp. 86, 2017); twelve bases are fooled far below it.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_odd_prime(p: int) -> bool:
-    """Trial division; 2 and every integer below it are rejected."""
-    return p > 2 and all(p % d for d in range(2, isqrt(p) + 1))
+    """Deterministic Miller-Rabin; 2 and every integer below it are
+    rejected.  Raises RootSystemError at or above the bound where the bases
+    are proven to decide, rather than guess."""
+    if p >= _PRIME_BOUND:
+        raise RootSystemError(f"p = {p} is too large to test for primality exactly")
+    if p < 3 or p % 2 == 0 or p in _PRIME_BASES:
+        return p in _PRIME_BASES[1:]
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s d with d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
 
 
 def good_primes_from(rs: "RootSystem") -> int:
@@ -429,12 +453,6 @@ class WeylElement:
             word = self.word + other.word
         return WeylElement(self.rs, tuple(self.perm[p] for p in other.perm), word=word)
 
-    def length(self) -> int:
-        """Number of positive roots sent to negative roots."""
-        npos = self.rs.num_positive
-        return sum(1 for i in range(npos) if self.perm[i] >= npos)
-
-
 
 @lru_cache(maxsize=None)
 def build_root_system(series: str, rank: int) -> RootSystem:
@@ -548,21 +566,20 @@ def lattice_quotient(
     return FiniteAbelianGroup.from_diagonal(diag)
 
 
-def cokernel(columns: Sequence[Sequence[int]], ambient_rank: int) -> FiniteAbelianGroup:
-    """Z^n modulo the span of the given column vectors (must be finite).
+def cokernel(rows: Sequence[Sequence[int]], ambient_rank: int) -> FiniteAbelianGroup:
+    """Z^n modulo the span of the given row vectors (must be finite).
 
-    Memoized on the columns: the inputs depend on the type alone."""
-    return _cokernel(tuple(map(tuple, columns)), ambient_rank)
+    Memoized on the rows: the inputs depend on the type alone."""
+    return _cokernel(tuple(map(tuple, rows)), ambient_rank)
 
 
 @lru_cache(maxsize=None)
-def _cokernel(columns: Tuple[Tuple[int, ...], ...], ambient_rank: int) -> FiniteAbelianGroup:
-    if not columns:
+def _cokernel(rows: Tuple[Tuple[int, ...], ...], ambient_rank: int) -> FiniteAbelianGroup:
+    if not rows:
         if ambient_rank:
             raise NonFiniteQuotientError(ambient_rank)
         return FiniteAbelianGroup(())
-    mat = [[col[i] for col in columns] for i in range(ambient_rank)]
-    diag = smith_normal_form(mat)
+    diag = smith_normal_form(rows)
     if len(diag) < ambient_rank:
         raise NonFiniteQuotientError(ambient_rank - len(diag))
     return FiniteAbelianGroup.from_diagonal(diag)
@@ -572,9 +589,7 @@ def fundamental_group(rs: RootSystem) -> FiniteAbelianGroup:
     """Coweight lattice modulo coroot lattice (the center of the s.c. group).
 
     In fundamental-coweight coordinates the simple coroot alpha_j^vee is the
-    j-th column of the Cartan matrix.
+    j-th column of the Cartan matrix; the rows of C give the same quotient,
+    since C and C^T have the same Smith normal form.
     """
-    cols = [
-        [rs.cartan[i][j] for i in range(rs.rank)] for j in range(rs.rank)
-    ]
-    return cokernel(cols, rs.rank)
+    return cokernel(rs.cartan, rs.rank)

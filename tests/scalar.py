@@ -6,7 +6,9 @@ They compute each value from the Cartan matrix and the symmetrized form
 alone, one vector at a time, so the tests that use them check the arrays
 against a second route.  ``ref_roots`` is the frontier search that built
 the root list before the array closure, ``ref_omega_alpha`` the scalar
-classification of the basis cocharacters, and ``ref_structure_constants``
+classification of the basis cocharacters, ``ref_pi_coords`` the elimination
+over Q for the pi-coordinates, ``ref_factors`` the Dynkin-diagram walk that
+named the restricted factors, and ``ref_structure_constants``
 the recursion on root tuples that built N_{a,b} before the array build by
 height; ``act`` applies a Weyl element to one root tuple.  The ``ref_*``
 realization loops build dtheta and search the coweights root by root.
@@ -14,12 +16,13 @@ realization loops build dtheta and search the coweights root by root.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from thetatool.liealg import LieAlgebraError
-from thetatool.restricted import RestrictedCocharacter, RestrictionError
+from thetatool import linalg
+from thetatool.restricted import RestrictedCocharacter, RestrictionError, SimpleFactor
 from thetatool.rootsys import Root, RootSystem, RootSystemError, cartan_matrix
 
 
@@ -114,6 +117,105 @@ def ref_omega_alpha(inv, rrs, basis_pos: int) -> RestrictedCocharacter:
             raise RestrictionError("odd pairing of doubled root with omega_alpha")
         pairings.append(val // 2)
     return RestrictedCocharacter(tuple(coords), tuple(pairings), case)
+
+
+def ref_pi_coords(rrs) -> List[List[int]]:
+    """The pi-coordinates of each doubled root, read off the reduced row
+    echelon form over Q of the columns [pi | doubled]: a root lies in the
+    span of pi when its column vanishes below the first r0 rows."""
+    n = rrs.r0
+    R, pivots = linalg.rref([list(row) for row in zip(*rrs.pi, *rrs.doubled)])
+    if pivots[:n] != list(range(n)):
+        raise RestrictionError("restricted basis is linearly dependent")
+    coords = []
+    for m, d in enumerate(rrs.doubled):
+        col = [row[n + m] for row in R]
+        if any(col[n:]) or any(f.denominator != 1 for f in col):
+            raise RestrictionError(f"{d} has non-integer pi-coordinates")
+        coords.append([int(f) for f in col[:n]])
+    return coords
+
+
+def ref_factors(rrs) -> Tuple[SimpleFactor, ...]:
+    """The simple factors of the reduced system, named by walking the
+    Coxeter graph of the restricted Cartan matrix: its connected components,
+    then bonds, branch nodes and arm lengths."""
+    n = rrs.r0
+    C = rrs.cartan_matrix()
+    seen: set = set()
+    comps = []
+    for s in range(n):
+        if s in seen:
+            continue
+        comp = [s]
+        seen.add(s)
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for v in range(n):
+                if v not in seen and C[u][v] != 0 and u != v:
+                    seen.add(v)
+                    comp.append(v)
+                    stack.append(v)
+        comps.append(sorted(comp))
+    factors = []
+    for comp in comps:
+        series = _component_series(rrs, comp, C)
+        non_red = any(rrs.pi[i] in rrs.multipliable for i in comp)
+        factors.append(SimpleFactor(series, len(comp), tuple(comp), non_red))
+    return tuple(sorted(factors, key=lambda f: (f.series, f.rank, f.basis)))
+
+
+def _component_series(rrs, comp: List[int], C: List[List[int]]) -> str:
+    k = len(comp)
+    if k == 1:
+        return "A"
+    sub = [[C[i][j] for j in comp] for i in comp]
+    bond = max(sub[i][j] * sub[j][i] for i in range(k) for j in range(k) if i != j)
+    degrees = [sum(1 for j in range(k) if j != i and sub[i][j] != 0) for i in range(k)]
+    if bond == 3:
+        if k != 2:
+            raise RestrictionError("G2 bond in a component of rank != 2")
+        return "G"
+    if bond == 2:
+        if k == 2:
+            return "B"  # B2 = C2, canonical name
+        norms = [rrs._pi_norms[comp[i]] for i in range(k)]
+        n_short = norms.count(min(norms))
+        if k == 4 and n_short == 2:
+            return "F"
+        if n_short == 1:
+            return "B"
+        if n_short == k - 1:
+            return "C"
+        raise RestrictionError("unrecognized multiply-laced component")
+    if max(degrees) <= 2:
+        return "A"
+    if max(degrees) != 3 or degrees.count(3) != 1:
+        raise RestrictionError("unrecognized simply-laced component")
+    # one branch node: D or E, told apart by arm lengths
+    arms = sorted(_arm_lengths(sub, degrees.index(3)))
+    if arms[0] == 1 and arms[1] == 1:
+        return "D"
+    if arms[0] == 1 and arms[1] == 2:
+        return "E"
+    raise RestrictionError(f"unrecognized branched diagram with arms {arms}")
+
+
+def _arm_lengths(sub: List[List[int]], center: int) -> List[int]:
+    k = len(sub)
+    arms = []
+    for nb in (j for j in range(k) if j != center and sub[center][j] != 0):
+        length = 1
+        prev, cur = center, nb
+        while True:
+            nxt = [j for j in range(k) if j not in (prev, cur) and sub[cur][j] != 0]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
+    return arms
 
 
 def _neg(v: Root) -> Root:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 from thetatool.cli import build_report, main
 
@@ -146,6 +147,25 @@ def test_report_composite_prime_not_good(capsys):
         pg = json.loads(out)["p_good"]
         assert pg["good"] is False
         assert pg["witness"] == f"p = {pg['p']} is not an odd prime"
+
+
+def test_report_large_prime_is_decided_quickly(capsys):
+    """2^61 - 1 is tested by Miller-Rabin, not by 1.5e9 trial divisions."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "report", "A", "3", "AI", "--format", "json", "--prime", str(2**61 - 1)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["p_good"] == {"p": 2**61 - 1, "good": True, "witness": "good"}
+
+
+def test_report_prime_beyond_the_exact_bound_exit_2(capsys):
+    p = 3_317_044_064_679_887_385_961_981 + 2  # odd, above the Miller-Rabin bound
+    code, out, err = run_cli(capsys, "report", "A", "3", "AI", "--prime", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: p = {p} is too large to test for primality exactly\n"
 
 
 def test_invalid_cap_exit_2(capsys):

@@ -1,8 +1,9 @@
 """The Gram-matrix root kernel, checked against the scalar pairings it
 replaced: Cartan tables, ambient and restricted reflections, the restricted
-Cartan matrix and pi-coordinates equal the loop-based versions (kept below,
-verbatim in substance, as reference oracles), and corrupted restricted data
-raises the same error, with the same message, as the loop-based check."""
+Cartan matrix and pi-coordinates equal the loop-based versions (kept below
+or in ``scalar.py``, verbatim in substance, as reference oracles), and
+corrupted restricted data raises the same error, with the same message, as
+the loop-based check."""
 
 from __future__ import annotations
 
@@ -11,17 +12,17 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 import pytest
 
-from thetatool import linalg, rootsys
+from thetatool import rootsys
 from thetatool.restricted import RestrictedRootSystem, RestrictionError, restrict
 from thetatool.rootsys import GramKernel, RootSystemError, build_root_system
 from thetatool.satake import _catalog_types, all_catalog_entries, catalog_lookup
 
-from scalar import norm2, pair_coroot
+from scalar import norm2, pair_coroot, ref_pi_coords
 from weylgroup import index_of, reflection_perm
 
 TYPES = _catalog_types() + [("D", 3)]
@@ -62,19 +63,6 @@ def ref_reflection_perm(rrs, d: Sequence[int]) -> Tuple[int, ...]:
     return tuple(perm)
 
 
-def ref_pi_coords(rrs) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
-    coords = {}
-    n = rrs.r0
-    rank = rrs.inv.ambient.rank
-    pi_columns = [[rrs.pi[j][k] for j in range(n)] for k in range(rank)]
-    for d in rrs.doubled:
-        sol = linalg.solve(pi_columns, d)
-        if sol is None or any(f.denominator != 1 for f in sol):
-            raise RestrictionError(f"{d} has non-integer pi-coordinates")
-        coords[d] = tuple(int(f) for f in sol)
-    return coords
-
-
 def _outcome(check):
     try:
         return check()
@@ -82,14 +70,15 @@ def _outcome(check):
         return type(exc), str(exc)
 
 
-def _with_roots(rrs, vectors, pi=None) -> RestrictedRootSystem:
-    """A copy of rrs whose restricted roots (and basis) are replaced, with
-    nothing checked."""
+def _with_roots(rrs, vectors, pi=None, pi_lifts=None) -> RestrictedRootSystem:
+    """A copy of rrs whose restricted roots (and basis, with its lift nodes)
+    are replaced, with nothing checked."""
     fake = RestrictedRootSystem.__new__(RestrictedRootSystem)
     fake.inv = rrs.inv
     fake.doubled = tuple(tuple(v) for v in vectors)
     fake._index = {d: i for i, d in enumerate(fake.doubled)}
     fake.pi = rrs.pi if pi is None else tuple(pi)
+    fake.pi_lifts = rrs.pi_lifts if pi_lifts is None else tuple(pi_lifts)
     fake.r0 = len(fake.pi)
     fake.kernel = GramKernel(fake.doubled, rrs.inv.ambient.form)
     return fake
@@ -192,7 +181,7 @@ def test_restricted_all_reflections_and_coords_match_scalar():
         assert ref_check_axioms(rrs) is None
         for d in rrs.doubled:
             assert reflection_perm(rrs, d) == ref_reflection_perm(rrs, d)
-        assert rrs._pi_coords == ref_pi_coords(rrs)
+        assert rrs._pi_coords.tolist() == ref_pi_coords(rrs)
 
 
 def test_corrupted_restricted_roots_raise_the_same_error():
@@ -238,6 +227,8 @@ def test_corrupted_basis_raises_the_same_error():
             RestrictionError, f"{rrs.doubled[0]} has non-integer pi-coordinates"
         )
         assert _outcome(fake._compute_pi_coords) == expected
-        dependent = _with_roots(rrs, rrs.doubled, pi=list(rrs.pi) + [rrs.pi[0]])
+        dependent = _with_roots(
+            rrs, rrs.doubled, pi=rrs.pi + rrs.pi[:1], pi_lifts=rrs.pi_lifts + rrs.pi_lifts[:1]
+        )
         with pytest.raises(RestrictionError, match="linearly dependent"):
             dependent._compute_pi_coords()

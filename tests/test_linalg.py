@@ -176,6 +176,13 @@ def ref_inverse(rows) -> Optional[List[List[Fraction]]]:
     return [row[n:] for row in R]
 
 
+def inverse(rows) -> Optional[List[List[Fraction]]]:
+    """The inverse over Q of a square matrix, or None when it is singular,
+    read off ``linalg.scaled_inverse``."""
+    scaled = linalg.scaled_inverse(rows)
+    return None if scaled is None else [[Fraction(x, scaled[1]) for x in row] for row in scaled[0]]
+
+
 def ref_solve_rational(
     matrix: List[List[Fraction]], target: List[Fraction]
 ) -> Optional[List[Fraction]]:
@@ -444,7 +451,7 @@ def test_solve_and_rank_edge_cases():
 def test_inverse_over_q(mat):
     rows = [[int(x) for x in row] for row in mat]
     n = len(rows)
-    inv = linalg.inverse(rows)
+    inv = inverse(rows)
     if linalg.rank(rows) < n:
         assert inv is None
         return
@@ -481,7 +488,7 @@ def test_q_solve_and_inverse_match_fraction_oracle(data):
     n = data.draw(dims())
     square = data.draw(q_matrices(rows=n, cols=n))
     want = ref_inverse(square)
-    assert linalg.inverse(square) == want
+    assert inverse(square) == want
     scaled = linalg.scaled_inverse(square)
     if want is None:
         assert scaled is None

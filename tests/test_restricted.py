@@ -8,9 +8,23 @@ import pytest
 
 from thetatool.restricted import case_iii_count, omega_alpha, restrict
 from thetatool.rootsys import CapExceededError, build_root_system
-from thetatool.satake import all_catalog_entries, catalog_lookup
+from thetatool.satake import (
+    _catalog_types,
+    all_catalog_entries,
+    catalog_list,
+    catalog_lookup,
+)
 
-from scalar import act, coroot_coords, pair_coroot, ref_omega_alpha, theta_star
+from scalar import (
+    act,
+    coroot_coords,
+    pair_coroot,
+    ref_factors,
+    ref_omega_alpha,
+    ref_pi_coords,
+    theta_star,
+)
+from test_satake import diagram_automorphisms, satake_data
 from weylgroup import baby_weyl, enumerate_weyl, index_of
 
 
@@ -112,6 +126,26 @@ def test_check_p_good():
     rrs = restrict(catalog_lookup("B", 4, "BI(2)").satake)
     assert rrs.check_p_good(3) == (True, "good")
     assert rrs.check_p_good(2)[0] is False
+
+
+def test_factors_and_pi_coords_match_the_diagram_walk_and_q_elimination():
+    """The factors named from root supports and the pi-coordinates read by
+    one division equal the Dynkin-diagram walk and the elimination over Q:
+    on the 275 catalog classes of rank <= 12, and on every (I, psi) that
+    validate() accepts among the 3,590 on the catalog types of rank <= 8."""
+    classes = all_catalog_entries() + [
+        e for series in "ABCD" for rank in range(9, 13) for e in catalog_list(series, rank)
+    ]
+    data = [e.satake for e in classes]
+    for series, rank in _catalog_types():
+        rs = build_root_system(series, rank)
+        candidates = satake_data(rs, diagram_automorphisms(rs.cartan))
+        data += [inv for inv in candidates if inv.validate().ok]
+    assert (len(classes), len(data)) == (275, 275 + 174)
+    for inv in data:
+        rrs = restrict(inv)
+        assert rrs.factors == ref_factors(rrs), inv
+        assert rrs._pi_coords.tolist() == ref_pi_coords(rrs), inv
 
 
 def test_highest_root_coefficients_match_the_reduced_type():

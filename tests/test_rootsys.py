@@ -19,6 +19,7 @@ from thetatool.rootsys import (
     build_root_system,
     degrees_for,
     fundamental_group,
+    is_odd_prime,
     lattice_quotient,
     smith_normal_form,
     weyl_order,
@@ -26,7 +27,7 @@ from thetatool.rootsys import (
 from thetatool.satake import _catalog_types
 
 from scalar import act, coroot_coords, pair_coroot, ref_roots
-from weylgroup import enumerate_weyl, inverse
+from weylgroup import enumerate_weyl, inverse, length
 
 # every type of rank <= 8 (D3 included), and three larger classical ones
 RANK_UP_TO_EIGHT = _catalog_types() + [("D", 3)]
@@ -145,11 +146,11 @@ def test_reflection_rank1_defining_case():
 def test_longest_element():
     rs = build_root_system("A", 1)
     w0 = rs.longest_element()
-    assert w0.length() == 1
+    assert length(w0) == 1
     assert w0.perm == rs.simple_reflection(0).perm
 
     rs = build_root_system("G", 2)
-    assert rs.longest_element().length() == 6 == rs.num_positive
+    assert length(rs.longest_element()) == 6 == rs.num_positive
 
     # B2: w0 = -id, checked on both simple roots
     rs = build_root_system("B", 2)
@@ -165,14 +166,14 @@ def test_longest_element_word_length():
         rs = build_root_system(series, rank)
         w0 = rs.longest_element()
         assert w0.word is not None
-        assert len(w0.word) == w0.length() == rs.num_positive
+        assert len(w0.word) == length(w0) == rs.num_positive
 
 
 def test_enumerate_weyl_a2():
     rs = build_root_system("A", 2)
     lengths = {}
     for w, l in enumerate_weyl(rs, 100):
-        assert w.length() == l
+        assert length(w) == l
         lengths[l] = lengths.get(l, 0) + 1
     assert lengths == {0: 1, 1: 2, 2: 2, 3: 1}  # 1 + 2t + 2t^2 + t^3
 
@@ -220,8 +221,8 @@ def test_weyl_word_properties(word):
     for i in word:
         w = w * rs.simple_reflection(i)
     # length never exceeds the word length and has the same parity
-    assert w.length() <= len(word)
-    assert (w.length() - len(word)) % 2 == 0
+    assert length(w) <= len(word)
+    assert (length(w) - len(word)) % 2 == 0
     assert is_identity(w * inverse(w))
 
 
@@ -344,6 +345,47 @@ def ref_smith_normal_form(mat):
                                 min_size=n, max_size=n), min_size=m, max_size=m))))
 def test_smith_normal_form_matches_pivot_oracle(mat):
     assert smith_normal_form(mat) == ref_smith_normal_form(mat)
+
+
+def test_is_odd_prime_agrees_with_trial_division():
+    def trial(n):
+        return n > 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-3, 200_000) if is_odd_prime(n)] == [
+        n for n in range(-3, 200_000) if trial(n)
+    ]
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**r, n) == n - 1 for r in range(s))
+
+
+def test_is_odd_prime_rejects_strong_pseudoprimes():
+    # 561 is a Carmichael number; 3,215,031,751 = 151 * 751 * 28351 passes
+    # the strong test to each of the bases 2, 3, 5 and 7, and the product
+    # below to each of the twelve prime bases 2..37, which is why 41 is used
+    for psp, factors, bases in [
+        (3_215_031_751, (151, 751, 28351), (2, 3, 5, 7)),
+        (318_665_857_834_031_151_167_461, (399_165_290_221, 798_330_580_441),
+         (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    ]:
+        assert psp == math.prod(factors)
+        assert all(_strong_probable_prime(psp, a) for a in bases)
+        assert not is_odd_prime(psp)
+    assert not is_odd_prime(561)
+    assert is_odd_prime(2**61 - 1)
+
+
+def test_is_odd_prime_refuses_to_guess_above_its_bound():
+    bound = 3_317_044_064_679_887_385_961_981
+    assert is_odd_prime(bound - 2) in (True, False)
+    for p in (bound, bound + 2, 2**127 - 1):
+        with pytest.raises(RootSystemError, match="too large to test for primality exactly"):
+            is_odd_prime(p)
 
 
 def test_fundamental_groups():

@@ -166,6 +166,17 @@ def diagram_automorphisms(cartan) -> List[Tuple[int, ...]]:
     return found
 
 
+def satake_data(rs, automorphisms):
+    """Every datum (I, psi) on rs with psi one of the given diagram
+    automorphisms that is an involution, and I any set of nodes."""
+    for psi in automorphisms:
+        if any(psi[psi[i]] != i for i in range(rs.rank)):
+            continue
+        for k in range(rs.rank + 1):
+            for compact in combinations(range(rs.rank), k):
+                yield SatakeInvolution(rs, compact, psi)
+
+
 def orbit_key(compact, psi, automorphisms):
     """The least (sorted sigma(I), sigma psi sigma^-1) over the automorphisms."""
     keys = []
@@ -188,14 +199,10 @@ def test_admissible_satake_data_are_the_catalog():
         rs = build_root_system(series, rank)
         automorphisms = diagram_automorphisms(rs.cartan)
         accepted = set()
-        for psi in automorphisms:
-            if any(psi[psi[i]] != i for i in range(rank)):
-                continue
-            for k in range(rank + 1):
-                for compact in combinations(range(rank), k):
-                    calls += 1
-                    if SatakeInvolution(rs, compact, psi).validate().ok:
-                        accepted.add(orbit_key(compact, psi, automorphisms))
+        for inv in satake_data(rs, automorphisms):
+            calls += 1
+            if inv.validate().ok:
+                accepted.add(orbit_key(inv.compact, inv.psi, automorphisms))
         classes = {}
         for e in catalog_list(series, rank):
             classes.setdefault(orbit_key(e.compact, e.psi, automorphisms), []).append(e.label)

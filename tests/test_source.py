@@ -45,12 +45,37 @@ def test_only_linalg_constructs_fractions():
     assert not found, f"Fraction constructed in {', '.join(found)}"
 
 
-def _referenced_names(node: ast.AST) -> Counter:
-    return Counter(
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
-    )
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound_names(func: ast.AST) -> set:
+    """The names a function binds itself: its arguments and every name it
+    assigns, outside the functions nested in it."""
+    bound = {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _referenced_names(node: ast.AST, local: frozenset = frozenset()) -> Counter:
+    """Names and attributes used under ``node``.  A bare name bound in an
+    enclosing function is that function's local variable, not a use of a
+    library function of the same name."""
+    if isinstance(node, _SCOPES):
+        local = local | _bound_names(node)
+    names = Counter()
+    if isinstance(node, ast.Name) and node.id not in local:
+        names[node.id] += 1
+    elif isinstance(node, ast.Attribute):
+        names[node.attr] += 1
+    for child in ast.iter_child_nodes(node):
+        names.update(_referenced_names(child, local))
+    return names
 
 
 def test_every_library_function_is_used():
@@ -171,3 +196,23 @@ def test_library_lists_no_weyl_element():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in enumerators
     ]
     assert not found, f"Weyl-group enumeration in {', '.join(found)}"
+
+
+def test_restricted_layer_neither_eliminates_nor_walks_a_graph():
+    """``restricted.py`` reads pi-coordinates by one division at the lift
+    nodes and factor types from root supports: it imports no ``linalg``
+    and keeps no Dynkin-diagram walk."""
+    tree = ast.parse((SRC / "restricted.py").read_text())
+    found = [
+        f"import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "linalg" in (alias.name, getattr(node, "module", None))
+    ]
+    found += [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("_component_series", "_arm_lengths")
+    ]
+    assert not found, f"restricted.py still has {', '.join(found)}"

@@ -59,6 +59,12 @@ def enumerate_weyl(rs: RootSystem, order_cap: int) -> Iterator[Tuple[WeylElement
         yield WeylElement(rs, perm), length
 
 
+def length(w: WeylElement) -> int:
+    """Number of positive roots sent to negative roots."""
+    npos = w.rs.num_positive
+    return sum(1 for i in range(npos) if w.perm[i] >= npos)
+
+
 def inverse(w: WeylElement) -> WeylElement:
     inv = [0] * len(w.perm)
     for i, p in enumerate(w.perm):
