@@ -10,7 +10,6 @@ from .rootsys import (
     NonFiniteQuotientError,
     RootSystem,
     RootSystemError,
-    WeylElement,
     build_root_system,
     lattice_quotient,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "RootSystemError",
     "SatakeInvolution",
     "UnknownClassError",
-    "WeylElement",
     "build_root_system",
     "catalog_list",
     "catalog_lookup",

@@ -64,7 +64,7 @@ def build_report(
             "type": rrs.restricted_type,
             "reduced_type": rrs.reduced_type,
             "rank": rrs.r,
-            "reduced_rank": rrs.r0,
+            "reduced_rank": rrs.r,
             "multiplicities": [
                 {"root": list(coords), "multiplicity": m}
                 for coords, m in rrs.multiplicity_table()

@@ -89,8 +89,7 @@ class RestrictedRootSystem:
         pi: the restricted basis (doubled), one entry per psi-orbit of
             non-compact simple roots.
         pi_lifts: for each basis root, the smallest simple index lifting it.
-        r: dim A (rank of the split torus, plus any central split rank).
-        r0: rank of the reduced subsystem.
+        r: dim A, the rank of the split torus and of the reduced subsystem.
         reduced_indices: read-only int64 array, the positions in ``doubled``
             of the positive indivisible restricted roots, ascending.
         kernel: the ``GramKernel`` of ``doubled``, in the same order.
@@ -103,7 +102,7 @@ class RestrictedRootSystem:
 
         # doubled restrictions a - theta*(a) of the roots outside Phi_I
         R = rs.kernel.vectors
-        D = R - R[list(inv.theta_perm())]
+        D = R - R[inv.theta_perm()]
         outside = ~np.isin(np.arange(len(R)), list(compact_roots))
         zero = np.flatnonzero(outside & ~D.any(axis=1))
         if zero.size:
@@ -136,11 +135,10 @@ class RestrictedRootSystem:
                 lifts.append(i)
         self.pi: Tuple[Root, ...] = tuple(pi)
         self.pi_lifts: Tuple[int, ...] = tuple(lifts)
-        self.r = inv.minus_one_rank() + inv.central_split
-        self.r0 = len(pi)
-        if inv.minus_one_rank() != self.r0:
+        self.r = len(pi)
+        if inv.minus_one_rank() != self.r:
             raise RestrictionError(
-                f"basis size {self.r0} differs from split rank {inv.minus_one_rank()}"
+                f"basis size {self.r} differs from split rank {inv.minus_one_rank()}"
             )
 
         self.kernel = kernel = GramKernel(self.doubled, rs.form)
@@ -266,14 +264,14 @@ class RestrictedRootSystem:
 
         theta* sends each white alpha_l to -alpha_psi(l) modulo Phi_I, so a
         basis root vanishes at the lift node of every other basis root: with
-        P the r0 x n matrix of pi, B = P[:, pi_lifts] is diagonal with
+        P the r x n matrix of pi, B = P[:, pi_lifts] is diagonal with
         entries 1 or 2.  The coordinates of the rows D of the doubled roots
         are X = D[:, pi_lifts] // diag(B), kept where X P = D: at the lift
         columns that says the division is exact.
         """
         D = self.kernel.vectors
         lifts = list(self.pi_lifts)
-        P = np.array(self.pi, dtype=np.int64).reshape(self.r0, D.shape[1])
+        P = np.array(self.pi, dtype=np.int64).reshape(self.r, D.shape[1])
         b = np.diag(P[:, lifts])
         if (P[:, lifts] != np.diag(b)).any() or not b.all():
             raise RestrictionError("restricted basis is linearly dependent")
@@ -289,7 +287,7 @@ class RestrictedRootSystem:
         X = self._pi_coords[self.reduced_indices]
         out = []
         for f in self.factors:
-            within = X[~X[:, np.isin(np.arange(self.r0), f.basis, invert=True)].any(axis=1)]
+            within = X[~X[:, np.isin(np.arange(self.r), f.basis, invert=True)].any(axis=1)]
             out.append((f, tuple(within[within.sum(axis=1).argmax()].tolist())))
         return out
 
@@ -354,7 +352,7 @@ def omega_alpha(
     <pi[j], omega> equals the Cartan integer of the restricted basis.
     """
     rs = inv.ambient
-    if not 0 <= basis_pos < rrs.r0:
+    if not 0 <= basis_pos < rrs.r:
         raise RestrictionError(f"basis position {basis_pos} out of range")
     b = rs.simple_indices[rrs.pi_lifts[basis_pos]]
     t = inv.theta_perm()[b]  # theta*(beta)
@@ -387,7 +385,7 @@ def case_iii_count(inv: SatakeInvolution, rrs: RestrictedRootSystem) -> int:
     """Number of basis roots of type (iii); at most one per simple factor."""
     count = 0
     per_factor = {f: 0 for f in rrs.factors}
-    for j in range(rrs.r0):
+    for j in range(rrs.r):
         oc = omega_alpha(inv, rrs, j)
         if oc.case == "iii":
             count += 1

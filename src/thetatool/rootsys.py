@@ -7,8 +7,9 @@ integer kernel, ``GramKernel``: a block of rows of the Gram table V F V^T of
 a vector list V is one matrix product.  Each root system owns one kernel
 over its roots, built with them and kept, and one exact coroot array.  The
 tuple ``roots``, the ``index`` dict, ``root_index`` and ``is_root`` stay as
-the scalar face for per-root queries.  Weyl group elements are permutations
-of the (finite, canonically ordered) root list.  The module also provides
+the scalar face for per-root queries.  A Weyl group element is a read-only
+int64 permutation w of the (finite, canonically ordered) root list, sending
+roots[i] to roots[w[i]]; the product x y is x[y].  The module also provides
 Smith-normal-form arithmetic for integer lattice quotients, which is how
 fundamental groups and their two-torsion are computed downstream.
 
@@ -19,7 +20,7 @@ tuple), then the negative roots in the mirrored order, so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
@@ -370,51 +371,31 @@ class RootSystem:
 
     # -- Weyl elements ------------------------------------------------------
 
-    def identity_element(self) -> "WeylElement":
-        return WeylElement(self, tuple(range(len(self.roots))), word=())
-
-    def reflection(self, root_index: int) -> "WeylElement":
-        """The reflection s_beta as a root permutation."""
-        if not 0 <= root_index < len(self.roots):
-            raise RootSystemError(f"root index {root_index} out of range")
-        return self._reflections([root_index])[0]
-
-    def simple_reflection(self, i: int) -> "WeylElement":
-        """s_{alpha_i} for a simple-root index i."""
-        if not 0 <= i < self.rank:
-            raise RootSystemError(f"simple index {i} out of range")
-        return self._simple_reflections[i]
-
-    @cached_property
-    def _simple_reflections(self) -> Tuple["WeylElement", ...]:
-        return self._reflections(self.simple_indices)
-
-    @cached_property
-    def _simple_perms(self) -> np.ndarray:
-        """Read-only (rank, |Phi|) array, row i the permutation of s_{alpha_i}."""
-        return _read_only(np.array([s.perm for s in self._simple_reflections], dtype=np.int64))
-
-    def _reflections(self, indices: Sequence[int]) -> Tuple["WeylElement", ...]:
-        """s_beta for the roots beta at the given indices, from one kernel."""
+    def reflections(self, indices: Sequence[int]) -> np.ndarray:
+        """Read-only (k, |Phi|) array, row k the permutation of s_beta for
+        beta = roots[indices[k]], from one kernel call."""
+        if any(not 0 <= i < len(self.roots) for i in indices):
+            raise RootSystemError(f"root indices {tuple(indices)} out of range")
         images, integral = self.kernel.reflections(indices)
-        out = []
-        for i, perm, ok in zip(indices, images.tolist(), integral.all(axis=1)):
-            beta = self.roots[i]
-            if not ok or min(perm) < 0:
-                raise RootSystemError(
-                    f"roots of {self.series}{self.rank} not closed under s_{beta}"
-                )
-            word = (beta.index(1),) if sum(beta) == 1 else None
-            out.append(WeylElement(self, tuple(perm), word=word))
-        return tuple(out)
+        bad = np.flatnonzero(~integral.all(axis=1) | (images < 0).any(axis=1))
+        if bad.size:
+            beta = self.roots[indices[bad[0]]]
+            raise RootSystemError(f"roots of {self.series}{self.rank} not closed under s_{beta}")
+        return _read_only(images)
 
-    def longest_element(self, simple: Optional[Iterable[int]] = None) -> "WeylElement":
+    @cached_property
+    def simple_reflections(self) -> np.ndarray:
+        """Read-only (rank, |Phi|) array, row i the permutation of s_{alpha_i}."""
+        return self.reflections(self.simple_indices)
+
+    def longest_element(self, simple: Optional[Iterable[int]] = None) -> np.ndarray:
         """The longest element of the parabolic subgroup generated by the
         given simple indices (all of them by default): the unique element
         of that subgroup sending each of its positive roots to a negative one.
 
         Built greedily: while some simple root of the subgroup stays
-        positive, append that reflection (each step raises the length by one).
+        positive, multiply by that reflection (each step raises the length
+        by one).
         """
         if simple is None:
             return self._longest
@@ -422,36 +403,17 @@ class RootSystem:
         if any(not 0 <= i < self.rank for i in indices):
             raise RootSystemError(f"simple indices {tuple(indices)} out of range")
         simples = [self.simple_indices[i] for i in indices]
-        w = np.arange(len(self.roots))
-        word = []
+        w = np.arange(len(self.roots), dtype=np.int64)
         while True:
             positive = np.flatnonzero(w[simples] < self.num_positive)
             if not positive.size:
-                return WeylElement(self, tuple(w.tolist()), word=tuple(word))
-            k = indices[positive[0]]
-            w = w[self._simple_perms[k]]
-            word.append(k)
+                return _read_only(w)
+            w = w[self.simple_reflections[indices[positive[0]]]]
 
     @cached_property
-    def _longest(self) -> "WeylElement":
+    def _longest(self) -> np.ndarray:
         """The longest element w_0 of the whole Weyl group."""
         return self.longest_element(range(self.rank))
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """A Weyl group element as a permutation of the ambient root list."""
-
-    rs: RootSystem = field(repr=False, compare=False)
-    perm: Tuple[int, ...]
-    word: Optional[Tuple[int, ...]] = field(default=None, compare=False)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        """(self * other)(v) = self(other(v))."""
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
-        return WeylElement(self.rs, tuple(self.perm[p] for p in other.perm), word=word)
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .rootsys import RootSystem, RootSystemError, WeylElement, build_root_system
+from .rootsys import RootSystem, RootSystemError, _read_only, build_root_system
 
 
 class SatakeError(ValueError):
@@ -44,9 +44,8 @@ class SatakeInvolution:
     """Satake datum (I, psi) on an ambient root system.
 
     ``compact`` is a frozenset of 0-based simple indices; ``psi`` a tuple
-    permutation of 0..rank-1.  Optional central torus ranks extend the
-    ambient reductive group by a split / theta-fixed central part (they only
-    shift dimension counts).
+    permutation of 0..rank-1.  The ambient group is simple, so it has no
+    central torus.
     """
 
     def __init__(
@@ -54,8 +53,6 @@ class SatakeInvolution:
         ambient: RootSystem,
         compact: Sequence[int] = (),
         psi: Optional[Sequence[int]] = None,
-        central_split: int = 0,
-        central_compact: int = 0,
     ):
         self.ambient = ambient
         self.compact: FrozenSet[int] = frozenset(compact)
@@ -67,9 +64,6 @@ class SatakeInvolution:
         for i in self.compact:
             if not 0 <= i < ambient.rank:
                 raise SatakeError(f"compact index {i} out of range")
-        self.central_split = central_split
-        self.central_compact = central_compact
-        self._theta_perm: Optional[Tuple[int, ...]] = None
 
     # -- basic derived data --------------------------------------------------
 
@@ -82,23 +76,26 @@ class SatakeInvolution:
         return not self.compact and self.psi == tuple(range(self.ambient.rank))
 
     @cached_property
-    def _w_I(self) -> WeylElement:
+    def _w_I(self) -> np.ndarray:
         """Longest element of the parabolic subgroup W_I."""
         return self.ambient.longest_element(self.compact)
 
-    def theta_perm(self) -> Tuple[int, ...]:
-        """theta as a permutation of the ambient root list: psi permutes the
-        columns of the root array and one Gram-kernel lookup finds the
-        images; then w_I, then the negation i -> i +- num_positive."""
-        if self._theta_perm is None:
-            rs = self.ambient
-            kernel = rs.kernel
-            psi = kernel.lookup(kernel.vectors[:, np.argsort(self.psi)])
-            if (psi < 0).any():
-                raise RootSystemError(f"psi does not map the roots of {rs.series}{rs.rank} to roots")
-            w = np.array(self._w_I.perm)[psi]
-            self._theta_perm = tuple(((w + rs.num_positive) % len(rs.roots)).tolist())
+    def theta_perm(self) -> np.ndarray:
+        """theta as a read-only int64 permutation of the ambient root list,
+        computed once."""
         return self._theta_perm
+
+    @cached_property
+    def _theta_perm(self) -> np.ndarray:
+        """psi permutes the columns of the root array and one Gram-kernel
+        lookup finds the images; then w_I, then the negation
+        i -> i +- num_positive."""
+        rs = self.ambient
+        kernel = rs.kernel
+        psi = kernel.lookup(kernel.vectors[:, np.argsort(self.psi)])
+        if (psi < 0).any():
+            raise RootSystemError(f"psi does not map the roots of {rs.series}{rs.rank} to roots")
+        return _read_only((self._w_I[psi] + rs.num_positive) % len(rs.roots))
 
     def compact_subsystem(self) -> FrozenSet[int]:
         """Indices of the roots of Phi_I inside the ambient root list."""
@@ -113,20 +110,15 @@ class SatakeInvolution:
     @cached_property
     def _minus_one_rank(self) -> int:
         rs = self.ambient
-        perm = self.theta_perm()
-        # columns of theta* + identity; (-1)-eigenspace dim = n - rank
-        cols = []
-        for i, s in enumerate(rs.simple_indices):
-            col = list(rs.roots[perm[s]])
-            col[i] += 1
-            cols.append(col)
-        return rs.rank - linalg.rank(cols)
+        # rows of theta* + identity; (-1)-eigenspace dim = n - rank
+        rows = rs.kernel.vectors[self.theta_perm()[list(rs.simple_indices)]]
+        return rs.rank - linalg.rank((rows + np.eye(rs.rank, dtype=np.int64)).tolist())
 
     def out_class(self) -> Tuple[int, ...]:
         """Image of theta in the outer automorphism group, as a diagram
         permutation: the composite of psi with the -w_0 symmetry."""
         rs = self.ambient
-        w0, simple = rs.longest_element().perm, rs.simple_indices
+        w0, simple = rs.longest_element(), rs.simple_indices
         sigma0 = [simple.index(w0[s] - rs.num_positive) for s in simple]
         return tuple(sigma0[self.psi[i]] for i in range(rs.rank))
 
@@ -142,7 +134,7 @@ class SatakeInvolution:
         if {self.psi[i] for i in self.compact} != set(self.compact):
             failures.append("psi does not stabilize I")
         try:
-            perm = np.array(self.theta_perm())
+            perm = self.theta_perm()
         except RootSystemError:
             failures.append("psi does not map the root set to itself")
             return ValidationReport(tuple(failures))
@@ -157,7 +149,7 @@ class SatakeInvolution:
             failures.append("theta* fixes roots outside Phi_I")
         # the two expressions -w_I psi and -psi w_I must agree, with psi
         # read back from theta* = -w_I psi
-        wI = np.array(self._w_I.perm)
+        wI = self._w_I
         psi = np.argsort(wI)[(perm + rs.num_positive) % len(perm)]
         if (wI[psi] != psi[wI]).any():
             failures.append("-w_I(psi(a)) != -psi(w_I(a))")
@@ -184,14 +176,14 @@ class SatakeInvolution:
         """
         rs = self.ambient
         n_compact = len(self.compact_subsystem())
-        dim_a = self.minus_one_rank() + self.central_split
-        dim_g = rs.rank + len(rs.roots) + self.central_split + self.central_compact
+        dim_a = self.minus_one_rank()
+        dim_g = rs.rank + len(rs.roots)
         half, rem = divmod(len(rs.roots) - n_compact, 2)
         if rem:
             raise SatakeError("Phi_S minus Phi_I has an odd number of roots")
         dim_p = dim_a + half
         dim_k = dim_g - dim_p
-        dim_m = (rs.rank - self.minus_one_rank()) + self.central_compact + n_compact
+        dim_m = (rs.rank - dim_a) + n_compact
         if dim_m - dim_a != dim_k - dim_p:
             raise SatakeError("centralizer dimension identity failed")
         return KPDimensions(dim_g, dim_k, dim_p, dim_a, dim_m)

@@ -1,8 +1,8 @@
 """Invariant degrees of the baby Weyl group and the length generating
 polynomial.
 
-The degrees come from the per-type table (with one degree 1 for every
-central split dimension beyond the reduced rank); the Poincare polynomial
+The degrees come from the per-type table of each simple factor of the
+reduced restricted system; the Poincare polynomial
 is computed exactly by the parabolic-coset factorization
 P_W(t) = prod_k P_{W_k / W_{k-1}}(t), each factor being a breadth-first
 walk on a dominant-weight orbit, so even the 2.9-million-element restricted
@@ -117,7 +117,7 @@ class IntPolynomial:
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    """Multiset of the r invariant degrees; r - r0 of them equal 1."""
+    """Multiset of the r invariant degrees, one per basis root."""
 
     degrees: Tuple[int, ...]
 
@@ -129,10 +129,9 @@ class DegreeProfile:
 def invariant_degrees(rrs: RestrictedRootSystem) -> DegreeProfile:
     """Degrees of the polynomial invariants of k[a]^{W_A}.
 
-    Type lookup on each simple factor of the reduced subsystem, plus one
-    degree 1 per excess dimension of the split torus (r - r0 of them).
+    Type lookup on each simple factor of the reduced subsystem.
     """
-    degs: List[int] = [1] * (rrs.r - rrs.r0)
+    degs: List[int] = []
     for f in rrs.factors:
         try:
             degs.extend(degrees_for(f.series, f.rank))

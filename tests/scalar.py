@@ -122,8 +122,8 @@ def ref_omega_alpha(inv, rrs, basis_pos: int) -> RestrictedCocharacter:
 def ref_pi_coords(rrs) -> List[List[int]]:
     """The pi-coordinates of each doubled root, read off the reduced row
     echelon form over Q of the columns [pi | doubled]: a root lies in the
-    span of pi when its column vanishes below the first r0 rows."""
-    n = rrs.r0
+    span of pi when its column vanishes below the first r rows."""
+    n = rrs.r
     R, pivots = linalg.rref([list(row) for row in zip(*rrs.pi, *rrs.doubled)])
     if pivots[:n] != list(range(n)):
         raise RestrictionError("restricted basis is linearly dependent")
@@ -140,7 +140,7 @@ def ref_factors(rrs) -> Tuple[SimpleFactor, ...]:
     """The simple factors of the reduced system, named by walking the
     Coxeter graph of the restricted Cartan matrix: its connected components,
     then bonds, branch nodes and arm lengths."""
-    n = rrs.r0
+    n = rrs.r
     C = rrs.cartan_matrix()
     seen: set = set()
     comps = []

@@ -79,7 +79,7 @@ def _with_roots(rrs, vectors, pi=None, pi_lifts=None) -> RestrictedRootSystem:
     fake._index = {d: i for i, d in enumerate(fake.doubled)}
     fake.pi = rrs.pi if pi is None else tuple(pi)
     fake.pi_lifts = rrs.pi_lifts if pi_lifts is None else tuple(pi_lifts)
-    fake.r0 = len(fake.pi)
+    fake.r = len(fake.pi)
     fake.kernel = GramKernel(fake.doubled, rrs.inv.ambient.form)
     return fake
 
@@ -96,8 +96,10 @@ def test_cartan_table_and_reflections_match_scalar(series, rank):
     assert integral.all()
     assert cartan.tolist() == table
     assert kernel.norms.tolist() == [norm2(rs, v) for v in rs.roots]
+    perms = rs.reflections(range(len(rs.roots)))
+    assert not perms.flags.writeable and perms.dtype == np.int64
     for j in range(len(rs.roots)):
-        assert rs.reflection(j).perm == ref_reflection(rs, table, j)
+        assert tuple(perms[j].tolist()) == ref_reflection(rs, table, j)
 
 
 def test_kernel_lookup_and_reflection_blocks():
@@ -107,7 +109,7 @@ def test_kernel_lookup_and_reflection_blocks():
     zero_and_double = np.array([[0] * 8, [2] + [0] * 7, [7] * 8], dtype=np.int64)
     assert kernel.lookup(zero_and_double).tolist() == [-1, -1, -1]
     # the blocks cover the full reflection table, row by row, in order
-    perms = [rs.reflection(b).perm for b in range(len(rs.roots))]
+    perms = rs.reflections(range(len(rs.roots))).tolist()
     rows = 0
     for start, cartan, integral, images in kernel.reflection_blocks():
         assert start == rows

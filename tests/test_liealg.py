@@ -355,7 +355,7 @@ def test_commutation_relations_split_triples():
         C = rrs.cartan_matrix()
         npos = rs.num_positive
         triples = []
-        for j in range(rrs.r0):
+        for j in range(rrs.r):
             lift = rrs.pi_lifts[j]
             ridx = rs.simple_indices[lift]
             H = basis_vec(alg, lift)

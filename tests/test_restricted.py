@@ -66,7 +66,7 @@ def test_catalog_phi_a_types():
     for e in all_catalog_entries():
         rrs = restrict(e.satake)
         assert rrs.restricted_type == e.phi_a_type, (e.series, e.rank, e.label)
-        assert rrs.r == rrs.r0  # simple ambient groups: no central torus
+        assert rrs.r == len(rrs.pi) == e.satake.minus_one_rank()
 
 
 def test_quasi_split_outer_d_odd_reduced_type():
@@ -158,7 +158,7 @@ def test_highest_root_coefficients_match_the_reduced_type():
         for f, coeffs in got:
             want = build_root_system(f.series, f.rank).highest_root
             assert sorted(c for c in coeffs if c) == sorted(want), (e.label, f)
-            assert all(coeffs[i] == 0 for i in range(rrs.r0) if i not in f.basis)
+            assert all(coeffs[i] == 0 for i in range(rrs.r) if i not in f.basis)
     # p = 3 is bad for the ambient E6 too, but the restricted F4 is named first
     rrs = restrict(catalog_lookup("E", 6, "EII").satake)
     assert rrs.check_p_good(3) == (
@@ -169,7 +169,7 @@ def test_highest_root_coefficients_match_the_reduced_type():
 def test_omega_alpha_split_case_i():
     e = catalog_lookup("C", 3, "CI")
     rrs = restrict(e.satake)
-    for j in range(rrs.r0):
+    for j in range(rrs.r):
         oc = omega_alpha(e.satake, rrs, j)
         assert oc.case == "i"
         # omega_alpha = beta^vee for the simple lift
@@ -184,7 +184,7 @@ def test_omega_alpha_matches_scalar_oracle():
     cases = set()
     for e in all_catalog_entries():
         rrs = restrict(e.satake)
-        for j in range(rrs.r0):
+        for j in range(rrs.r):
             oc = omega_alpha(e.satake, rrs, j)
             assert oc == ref_omega_alpha(e.satake, rrs, j), (e.series, e.rank, e.label, j)
             assert all(type(x) is int for x in oc.coords + oc.pairings)
@@ -195,7 +195,7 @@ def test_omega_alpha_matches_scalar_oracle():
 def test_omega_alpha_case_iii_detected():
     e = catalog_lookup("A", 4, "AIII(2,3)")
     rrs = restrict(e.satake)
-    cases = [omega_alpha(e.satake, rrs, j).case for j in range(rrs.r0)]
+    cases = [omega_alpha(e.satake, rrs, j).case for j in range(rrs.r)]
     assert "iii" in cases
 
 
@@ -203,10 +203,10 @@ def test_omega_alpha_pairings_are_cartan_integers():
     for e in all_catalog_entries(max_rank=5):
         rrs = restrict(e.satake)
         C = rrs.cartan_matrix()
-        for j in range(rrs.r0):
+        for j in range(rrs.r):
             oc = omega_alpha(e.satake, rrs, j)
             assert oc.pairings[j] == 2
-            for b in range(rrs.r0):
+            for b in range(rrs.r):
                 assert oc.pairings[b] == C[b][j]
 
 

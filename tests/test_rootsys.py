@@ -1,5 +1,5 @@
-"""Root-system engine: enumeration counts, reflections, Weyl elements,
-lattice quotients."""
+"""Root-system engine: enumeration counts, reflections, Weyl elements as
+root permutations, lattice quotients."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from thetatool.rootsys import (
 from thetatool.satake import _catalog_types
 
 from scalar import act, coroot_coords, pair_coroot, ref_roots
-from weylgroup import enumerate_weyl, inverse, length
+from weylgroup import element, enumerate_weyl, identity, inverse, length, reflection, simple_reflection
 
 # every type of rank <= 8 (D3 included), and three larger classical ones
 RANK_UP_TO_EIGHT = _catalog_types() + [("D", 3)]
@@ -118,14 +119,14 @@ def test_closure_and_negation_invariants():
         for v in rs.roots:
             assert tuple(-x for x in v) in roots
             for i in range(rs.rank):
-                assert act(rs.simple_reflection(i), v) in roots
+                assert act(simple_reflection(rs, i), v) in roots
             for w in rs.roots:
                 assert pair_coroot(rs, v, w) in range(-3, 4)
 
 
 def test_reflection_formula_a2():
     rs = build_root_system("A", 2)
-    s1 = rs.simple_reflection(0)
+    s1 = simple_reflection(rs, 0)
     assert act(s1, (0, 1)) == (1, 1)  # s_{a1}(a2) = a1 + a2
 
 
@@ -133,28 +134,35 @@ def test_reflection_involutive():
     for series, rank in [("A", 2), ("B", 2), ("G", 2)]:
         rs = build_root_system(series, rank)
         for i in range(len(rs.roots)):
-            s = rs.reflection(i)
+            s = reflection(rs, i)
             assert is_identity(s * s)
+
+
+def test_reflections_reject_out_of_range_indices():
+    rs = build_root_system("A", 2)
+    for bad in ([len(rs.roots)], [-1], [0, 99]):
+        with pytest.raises(RootSystemError, match="out of range"):
+            rs.reflections(bad)
 
 
 def test_reflection_rank1_defining_case():
     rs = build_root_system("A", 1)
-    s = rs.simple_reflection(0)
+    s = simple_reflection(rs, 0)
     assert act(s, (1,)) == (-1,)
 
 
 def test_longest_element():
     rs = build_root_system("A", 1)
-    w0 = rs.longest_element()
+    w0 = element(rs, rs.longest_element())
     assert length(w0) == 1
-    assert w0.perm == rs.simple_reflection(0).perm
+    assert w0 == simple_reflection(rs, 0)
 
     rs = build_root_system("G", 2)
-    assert length(rs.longest_element()) == 6 == rs.num_positive
+    assert length(element(rs, rs.longest_element())) == 6 == rs.num_positive
 
     # B2: w0 = -id, checked on both simple roots
     rs = build_root_system("B", 2)
-    w0 = rs.longest_element()
+    w0 = element(rs, rs.longest_element())
     for i in range(2):
         e = tuple(1 if k == i else 0 for k in range(2))
         assert act(w0, e) == (-e[0], -e[1])
@@ -165,8 +173,8 @@ def test_longest_element_word_length():
     for series, rank in [("A", 3), ("C", 3), ("D", 4)]:
         rs = build_root_system(series, rank)
         w0 = rs.longest_element()
-        assert w0.word is not None
-        assert len(w0.word) == length(w0) == rs.num_positive
+        assert w0.dtype == np.int64 and not w0.flags.writeable
+        assert length(element(rs, w0)) == rs.num_positive
 
 
 def test_enumerate_weyl_a2():
@@ -207,9 +215,9 @@ def test_enumerate_weyl_cap():
 def test_weyl_elements_preserve_pairing():
     rs = build_root_system("B", 2)
     rng = random.Random(7)
-    w = rs.identity_element()
+    w = identity(rs)
     for _ in range(12):
-        w = w * rs.simple_reflection(rng.randrange(rs.rank))
+        w = w * simple_reflection(rs, rng.randrange(rs.rank))
     assert preserves_pairing(w)
 
 
@@ -217,9 +225,9 @@ def test_weyl_elements_preserve_pairing():
 @given(st.lists(st.integers(min_value=0, max_value=2), min_size=0, max_size=10))
 def test_weyl_word_properties(word):
     rs = build_root_system("B", 3)
-    w = rs.identity_element()
+    w = identity(rs)
     for i in word:
-        w = w * rs.simple_reflection(i)
+        w = w * simple_reflection(rs, i)
     # length never exceeds the word length and has the same parity
     assert length(w) <= len(word)
     assert (length(w) - len(word)) % 2 == 0

@@ -6,6 +6,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import List, Tuple
 
+import numpy as np
 import pytest
 
 from thetatool.restricted import restrict
@@ -23,6 +24,7 @@ from thetatool.satake import (
 )
 
 from scalar import theta_star
+from weylgroup import reflection
 
 # The generator's output for every catalog type, one class per line:
 #
@@ -124,7 +126,7 @@ def loop_theta_perm(inv: SatakeInvolution) -> Tuple[int, ...]:
     while True:
         for i in sorted(inv.compact):
             if w[rs.simple_indices[i]] < rs.num_positive:
-                s = rs.reflection(rs.simple_indices[i]).perm
+                s = reflection(rs, rs.simple_indices[i]).perm
                 w = tuple(w[k] for k in s)
                 break
         else:
@@ -141,7 +143,7 @@ def loop_theta_perm(inv: SatakeInvolution) -> Tuple[int, ...]:
 
 def test_theta_perm_matches_loop_oracle():
     for e in all_catalog_entries():
-        assert e.satake.theta_perm() == loop_theta_perm(e.satake), (e.series, e.rank, e.label)
+        assert tuple(e.satake.theta_perm().tolist()) == loop_theta_perm(e.satake), (e.series, e.rank, e.label)
 
 
 def diagram_automorphisms(cartan) -> List[Tuple[int, ...]]:
@@ -374,4 +376,4 @@ def test_minus_one_rank_and_w0_are_computed_once():
     assert "_minus_one_rank" in vars(inv)
     rs = inv.ambient
     assert rs.longest_element() is rs.longest_element()
-    assert rs.longest_element().perm == rs.longest_element(range(rs.rank)).perm
+    assert np.array_equal(rs.longest_element(), rs.longest_element(range(rs.rank)))

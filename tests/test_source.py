@@ -6,14 +6,13 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "thetatool"
 
 # Functions that nothing in the library calls, kept as references the tests
 # compare against.
 TEST_REFERENCES = {
-    "split_and_quasisplit_counts": "component counts of the split and quasi-split "
-                                   "classes against their closed formulas "
-                                   "(acceptance criterion 2)",
     "validate": "the admissibility check of Satake data, run on every catalog "
                 "class and on hand-built data",
 }
@@ -216,3 +215,31 @@ def test_restricted_layer_neither_eliminates_nor_walks_a_graph():
         if isinstance(node, ast.FunctionDef) and node.name in ("_component_series", "_arm_lengths")
     ]
     assert not found, f"restricted.py still has {', '.join(found)}"
+
+
+def test_weyl_elements_are_root_index_arrays():
+    """A Weyl element in the library is a read-only int64 permutation of
+    the root list: no element class, no per-element constructors, no export
+    of one, and no central-torus knob beside it."""
+    removed = {"WeylElement", "identity_element", "reflection", "simple_reflection",
+               "_simple_perms"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        found += [
+            f"{path.name}:{node.lineno} {node.name}"
+            for node in ast.walk(ast.parse(text, filename=str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in removed
+        ]
+        found += [f"{path.name} central_split"] if "central_split" in text else []
+    assert not found, f"Weyl element objects in {', '.join(found)}"
+
+    import thetatool
+    from thetatool.satake import catalog_lookup
+
+    assert "WeylElement" not in thetatool.__all__
+    inv = catalog_lookup("E", 6, "EIII").satake
+    rs = inv.ambient
+    for w in (inv.theta_perm(), rs.longest_element(), rs.longest_element(inv.compact)):
+        assert isinstance(w, np.ndarray) and w.dtype == np.int64 and not w.flags.writeable
+        assert sorted(w.tolist()) == list(range(len(rs.roots)))

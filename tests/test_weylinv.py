@@ -38,7 +38,7 @@ def test_degrees_a1():
 
 def test_degrees_evii_c3_by_factoring():
     rrs = restrict(catalog_lookup("E", 7, "EVII").satake)
-    assert rrs.r == rrs.r0 == 3
+    assert rrs.r == len(rrs.pi) == 3
     assert invariant_degrees(rrs).degrees == (2, 4, 6)
     assert poincare_by_factoring(rrs) == (2, 4, 6)
 

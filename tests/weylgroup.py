@@ -8,15 +8,48 @@ breadth-first walk over permutations of a root list, the ambient Weyl group
 of a root system, and the little Weyl group W_A acting on the restricted
 roots.  Each checks the predicted group order against a cap first and raises
 ``CapExceededError`` above it.
+
+The library keeps a Weyl element as an int64 root permutation; ``Element``
+is the tests' hashable tuple form of one, with its root system.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
 
 from thetatool.restricted import RestrictedRootSystem, RestrictionError
-from thetatool.rootsys import CapExceededError, RootSystem, WeylElement, weyl_order
+from thetatool.rootsys import CapExceededError, RootSystem, weyl_order
 from thetatool.weylinv import IntPolynomial
+
+
+@dataclass(frozen=True)
+class Element:
+    """A Weyl element as a tuple permutation of the root list of ``rs``."""
+
+    rs: RootSystem = field(repr=False, compare=False)
+    perm: Tuple[int, ...]
+
+    def __mul__(self, other: "Element") -> "Element":
+        """(self * other)(v) = self(other(v))."""
+        return Element(self.rs, tuple(self.perm[p] for p in other.perm))
+
+
+def element(rs: RootSystem, perm: Sequence[int]) -> Element:
+    """The tests' form of a library permutation (an int64 array)."""
+    return Element(rs, tuple(int(p) for p in perm))
+
+
+def identity(rs: RootSystem) -> Element:
+    return Element(rs, tuple(range(len(rs.roots))))
+
+
+def reflection(rs: RootSystem, root_index: int) -> Element:
+    return element(rs, rs.reflections([root_index])[0])
+
+
+def simple_reflection(rs: RootSystem, i: int) -> Element:
+    return element(rs, rs.simple_reflections[i])
 
 
 def permutation_bfs(
@@ -46,7 +79,7 @@ def permutation_bfs(
         length += 1
 
 
-def enumerate_weyl(rs: RootSystem, order_cap: int) -> Iterator[Tuple[WeylElement, int]]:
+def enumerate_weyl(rs: RootSystem, order_cap: int) -> Iterator[Tuple[Element, int]]:
     """Yield every Weyl element of rs exactly once with its length, BFS by
     length over right multiplication by simple reflections.  The predicted
     group order is checked against ``order_cap`` before any work happens.
@@ -54,23 +87,22 @@ def enumerate_weyl(rs: RootSystem, order_cap: int) -> Iterator[Tuple[WeylElement
     predicted = weyl_order(rs.series, rs.rank)
     if predicted > order_cap:
         raise CapExceededError(predicted, order_cap)
-    gens = [rs.simple_reflection(i).perm for i in range(rs.rank)]
+    gens = [tuple(g) for g in rs.simple_reflections.tolist()]
     for perm, length in permutation_bfs(gens, len(rs.roots)):
-        yield WeylElement(rs, perm), length
+        yield Element(rs, perm), length
 
 
-def length(w: WeylElement) -> int:
+def length(w: Element) -> int:
     """Number of positive roots sent to negative roots."""
     npos = w.rs.num_positive
     return sum(1 for i in range(npos) if w.perm[i] >= npos)
 
 
-def inverse(w: WeylElement) -> WeylElement:
+def inverse(w: Element) -> Element:
     inv = [0] * len(w.perm)
     for i, p in enumerate(w.perm):
         inv[p] = i
-    word = tuple(reversed(w.word)) if w.word is not None else None
-    return WeylElement(w.rs, tuple(inv), word=word)
+    return Element(w.rs, tuple(inv))
 
 
 def index_of(rrs: RestrictedRootSystem, d: Sequence[int]) -> int:
@@ -124,7 +156,7 @@ def baby_weyl(rrs: RestrictedRootSystem, order_cap: int) -> BabyWeylGroup:
     Raises CapExceededError when the predicted order (degree-product of
     the classified reduced type) exceeds the cap.
     """
-    if rrs.r0 < 1:
+    if rrs.r < 1:
         raise RestrictionError("trivial restricted system has no Weyl group")
     predicted = rrs.weyl_order()
     if predicted > order_cap:
