@@ -117,7 +117,7 @@ def _root_tables(rs: RootSystem) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     each table from one kernel lookup, and q[a, b] = max{i : b - i a in Phi}
     by three steps through D (a root string has at most four roots)."""
     kernel, m = rs.kernel, len(rs.roots)
-    V = kernel.vectors
+    V = rs.roots
     S, D = (
         kernel.lookup(W.reshape(-1, rs.rank)).reshape(m, m)
         for W in (V[:, None] + V, V - V[:, None])
@@ -161,7 +161,7 @@ def _structure_constants(rs: RootSystem) -> np.ndarray:
     seed = np.diff(z, prepend=-1) != 0
     es = np.flatnonzero(seed)[np.cumsum(seed) - 1]  # each pair's extraspecial pair
     g, d = x[es], y[es]
-    height = rs.kernel.vectors.sum(axis=1)[z]
+    height = rs.roots.sum(axis=1)[z]
     for h in range(2, sum(rs.highest_root) + 1):
         first, at = seed & (height == h), ~seed & (height == h)
         put(x[first], y[first], q[x[first], y[first]] + 1)
@@ -181,8 +181,7 @@ def _bracket_entries(rs: RootSystem) -> np.ndarray:
     [h_j, e_b] = <b, alpha_j^vee> e_b, [e_a, e_{-a}] = a^vee for a positive,
     and [e_a, e_b] = N_{a,b} e_{a+b}."""
     n, npos = rs.rank, rs.num_positive
-    kernel = rs.kernel
-    simple = kernel.cartan_rows(kernel.vectors)[0][:, list(rs.simple_indices)]
+    simple = rs.kernel.cartan_rows(rs.roots)[0][:, list(rs.simple_indices)]
     r, h = np.nonzero(simple)
     c, e = simple[r, h], n + r
     q, k = np.nonzero(rs.coroots[:npos])
@@ -234,7 +233,7 @@ class ChevalleyTable:
     def basis_name(self, i: int) -> str:
         if i < self.rs.rank:
             return f"h{i + 1}"
-        return f"e{self.rs.roots[i - self.rs.rank]}"
+        return f"e{tuple(self.rs.roots[i - self.rs.rank].tolist())}"
 
     def check_jacobi(self) -> None:
         """ad[x_i, x_j] = [ad x_i, ad x_j] over Z for all basis pairs.
@@ -296,9 +295,8 @@ class ChevalleyTable:
         bad = np.flatnonzero(np.abs(c) != _root_tables(rs)[2][a, b] + 1)
         if bad.size:
             r = bad[0]
-            raise LieAlgebraError(
-                f"|N| != q+1 at ({rs.roots[a[r]]}, {rs.roots[b[r]]}): N = {c[r]}"
-            )
+            x, y = (tuple(rs.roots[k].tolist()) for k in (a[r], b[r]))
+            raise LieAlgebraError(f"|N| != q+1 at ({x}, {y}): N = {c[r]}")
 
 
 @lru_cache(maxsize=None)
@@ -488,7 +486,7 @@ def realize_inner(alg: ModularLieAlgebra, mu: Sequence[int]) -> SymmetricPairRea
     rs = alg.rs
     if len(mu) != rs.rank:
         raise LieAlgebraError("mu must pair against each simple root")
-    parity = rs.kernel.vectors @ np.array(mu, dtype=np.int64) % 2
+    parity = rs.roots @ np.array(mu, dtype=np.int64) % 2
     d = np.diag(np.r_[np.ones(rs.rank, dtype=np.int64), 1 - 2 * parity])
     return SymmetricPairRealization(alg, d, kind=f"inner mu={tuple(mu)}")
 
@@ -522,7 +520,7 @@ def find_inner_coweight(
     for start in range(1, 2**rs.rank, _MASK_BLOCK):
         masks = np.arange(start, min(start + _MASK_BLOCK, 2**rs.rank))
         mus = (masks[:, None] >> np.arange(rs.rank)) & 1
-        dp = (rs.kernel.vectors @ mus.T % 2).sum(axis=0)
+        dp = (rs.roots @ mus.T % 2).sum(axis=0)
         hit = np.flatnonzero((dp == dim_p) & (alg.dim - dp == dim_k))
         if hit.size:
             return tuple(mus[hit[0]].tolist())

@@ -36,8 +36,8 @@ from .restricted import (
 from .rootsys import (
     FiniteAbelianGroup,
     NonFiniteQuotientError,
-    Root,
     RootSystem,
+    RootSystemError,
     build_root_system,
     cokernel,
     fundamental_group,
@@ -58,9 +58,6 @@ class WeightedDiagram:
     """Weights on the simple roots in Bourbaki order (0/2 for omega)."""
 
     weights: Tuple[int, ...]
-
-    def __str__(self) -> str:
-        return " ".join(str(w) for w in self.weights)
 
 
 def omega(
@@ -315,10 +312,10 @@ class OrthogonalDecomposition:
     name: str
     series: str
     rank: int
-    betas: Tuple[Root, ...]
+    betas: Tuple[Tuple[int, ...], ...]
     lambda_diagram: WeightedDiagram
     target_simple_twists: Tuple[int, ...] = ()  # w0 * product of these s_i
-    conjugator: Optional[Root] = None
+    conjugator: Optional[Tuple[int, ...]] = None
     up_to_conjugacy: bool = False
 
     def root_system(self) -> RootSystem:
@@ -338,6 +335,15 @@ class DecompositionReport:
         return self.orthogonal and self.product_matches and self.mod4_in_p
 
 
+def _root_indices(rs: RootSystem, vectors: Sequence[Sequence[int]]) -> np.ndarray:
+    """The index of each vector in the root list, -1 for no root.  The
+    lookup reads int64 rows of width rank, so a vector of another length or
+    with a non-integral entry (int64 truncates 1.5 to 1) is sent to 0."""
+    ok = [len(v) == rs.rank and all(c == int(c) for c in v) for v in vectors]
+    rows = [v if k else (0,) * rs.rank for v, k in zip(vectors, ok)]
+    return rs.kernel.lookup(np.array(rows, dtype=np.int64).reshape(-1, rs.rank))
+
+
 def verify_w0_decomposition(
     dec: OrthogonalDecomposition, rs: Optional[RootSystem] = None
 ) -> DecompositionReport:
@@ -351,16 +357,11 @@ def verify_w0_decomposition(
     """
     if rs is None:
         rs = dec.root_system()
-    failures: List[str] = []
-
-    orthogonal = True
-    for i, b in enumerate(dec.betas):
-        if not rs.is_root(b):
-            failures.append(f"beta_{i + 1} = {b} is not a root")
-            orthogonal = False
+    idx = _root_indices(rs, dec.betas)
+    failures = [f"beta_{i + 1} = {dec.betas[i]} is not a root" for i in np.flatnonzero(idx < 0)]
+    orthogonal = not failures
     if orthogonal:
-        idx = [rs.root_index(b) for b in dec.betas]
-        cartan, _ = rs.kernel.cartan_rows(rs.kernel.vectors[idx])
+        cartan, _ = rs.kernel.cartan_rows(rs.roots[idx])
         for i in range(len(idx)):
             for j in range(i + 1, len(idx)):
                 if cartan[i, idx[j]] != 0:
@@ -380,7 +381,12 @@ def verify_w0_decomposition(
         for i in dec.target_simple_twists:
             target = target[rs.simple_reflections[i]]
         if dec.conjugator is not None:
-            s = rs.reflections([rs.root_index(dec.conjugator)])[0]
+            c = _root_indices(rs, [dec.conjugator])[0]
+            if c < 0:
+                raise RootSystemError(
+                    f"{tuple(dec.conjugator)} is not a root of {rs.series}{rs.rank}"
+                )
+            s = rs.reflections([c])[0]
             product_matches = np.array_equal(s[prod[s]], target)
         elif dec.up_to_conjugacy and rs.series != "A":
             reason = "conjugacy is decided only in type A"
@@ -420,14 +426,14 @@ def _conjugate_in_type_a(rs: RootSystem, x: np.ndarray, y: np.ndarray) -> bool:
     int64 products are exact.
     """
     simple = list(rs.simple_indices)
-    mx, my = (rs.kernel.vectors[w[simple]] for w in (x, y))
+    mx, my = (rs.roots[w[simple]] for w in (x, y))
     return all(
         np.trace(np.linalg.matrix_power(mx, k)) == np.trace(np.linalg.matrix_power(my, k))
         for k in range(1, rs.rank + 1)
     )
 
 
-def _simple(rank: int, i: int) -> Root:
+def _simple(rank: int, i: int) -> Tuple[int, ...]:
     return tuple(1 if k == i else 0 for k in range(rank))
 
 

@@ -22,7 +22,6 @@ lists its elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,8 +29,8 @@ import numpy as np
 from .rootsys import (
     SERIES,
     GramKernel,
-    Root,
     RootSystemError,
+    _read_only,
     _root_halflengths,
     degrees_for,
     good_primes_from,
@@ -82,93 +81,87 @@ class RestrictedRootSystem:
 
     Attributes:
         inv: the defining Satake involution.
-        doubled: ordered tuple of distinct doubled restrictions a - theta(a)
-            (positive ones first, mirrored negatives after).
-        multiplicity: dict doubled-vector -> number of ambient roots
-            restricting to it.
-        pi: the restricted basis (doubled), one entry per psi-orbit of
-            non-compact simple roots.
+        doubled: ``kernel.vectors``, the distinct doubled restrictions
+            a - theta(a) as int64 rows: the positive ones by (height,
+            coordinates), then their negatives in the mirrored order.
+        multiplicity: int64 array aligned with ``doubled``, the number of
+            ambient roots restricting to each row.
+        multipliable: boolean mask over ``doubled``, the rows whose double
+            is also a restricted root.
+        pi: (r, n) int64 array, the restricted basis (doubled), one row per
+            psi-orbit of non-compact simple roots.
         pi_lifts: for each basis root, the smallest simple index lifting it.
         r: dim A, the rank of the split torus and of the reduced subsystem.
         reduced_indices: read-only int64 array, the positions in ``doubled``
             of the positive indivisible restricted roots, ascending.
-        kernel: the ``GramKernel`` of ``doubled``, in the same order.
+        kernel: the ``GramKernel`` of ``doubled``.
     """
 
     def __init__(self, inv: SatakeInvolution):
         self.inv = inv
         rs = inv.ambient
-        compact_roots = inv.compact_subsystem()
 
         # doubled restrictions a - theta*(a) of the roots outside Phi_I
-        R = rs.kernel.vectors
+        R = rs.roots
         D = R - R[inv.theta_perm()]
-        outside = ~np.isin(np.arange(len(R)), list(compact_roots))
-        zero = np.flatnonzero(outside & ~D.any(axis=1))
-        if zero.size:
-            raise RestrictionError(
-                f"root {rs.roots[zero[0]]} restricts to zero but is not in Phi_I"
-            )
-        self.multiplicity = mult = dict(Counter(map(tuple, D[outside].tolist())))
-
-        positives = sorted(
-            (d for d in mult if self._is_positive(d)), key=lambda d: (sum(d), d)
-        )
-        negatives = [tuple(-x for x in d) for d in positives]
-        if set(negatives) != set(mult) - set(positives):
+        outside = ~inv.compact_roots
+        zero = R[outside & ~D.any(axis=1)]
+        if len(zero):
+            d = tuple(zero[0].tolist())
+            raise RestrictionError(f"root {d} restricts to zero but is not in Phi_I")
+        # the distinct rows by (height, coordinates) and their counts: one
+        # lexsort, then the run starts ([: 0] drops the leading True when
+        # there is no row)
+        rows = D[outside]
+        rows = rows[np.lexsort(np.vstack([rows[:, ::-1].T, rows.sum(axis=1)]))]
+        starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])[: len(rows)]
+        distinct, counts = rows[starts], np.diff(np.r_[starts, len(rows)])
+        # a row is positive when its first nonzero coordinate is: on data
+        # validate() rejects, the sign of the height can disagree
+        lead = distinct[np.arange(len(distinct)), (distinct != 0).argmax(axis=1)]
+        pos = distinct[lead > 0]
+        self.kernel = kernel = GramKernel(np.vstack([pos, -pos]), rs.form)
+        self.doubled = kernel.vectors
+        self.num_positive = len(pos)
+        where = kernel.lookup(distinct)
+        if len(distinct) != len(self.doubled) or (where < 0).any():
             raise RestrictionError("restricted roots are not closed under negation")
-        self.doubled: Tuple[Root, ...] = tuple(positives) + tuple(negatives)
-        self.num_positive = len(positives)
-        self._index = {d: i for i, d in enumerate(self.doubled)}
+        self.multiplicity = _read_only(counts[np.argsort(where)])
 
         # restricted basis: one representative per psi-orbit of white nodes
-        pi: List[Root] = []
-        lifts: List[int] = []
-        for i, s in enumerate(rs.simple_indices):
-            if i in inv.compact:
-                continue
-            d = tuple(D[s].tolist())
-            if d not in self._index:
-                raise RestrictionError(f"basis restriction {d} is not restricted root")
-            if d not in pi:
-                pi.append(d)
-                lifts.append(i)
-        self.pi: Tuple[Root, ...] = tuple(pi)
-        self.pi_lifts: Tuple[int, ...] = tuple(lifts)
-        self.r = len(pi)
+        white = [i for i in range(rs.rank) if i not in inv.compact]
+        B = D[[rs.simple_indices[i] for i in white]]
+        found = kernel.lookup(B)
+        if (found < 0).any():
+            d = tuple(B[found < 0][0].tolist())
+            raise RestrictionError(f"basis restriction {d} is not restricted root")
+        seen = found.tolist()
+        firsts = [k for k, f in enumerate(seen) if f not in seen[:k]]
+        pi_idx = found[firsts]
+        self.pi = _read_only(self.doubled[pi_idx])
+        self.pi_lifts: Tuple[int, ...] = tuple(white[k] for k in firsts)
+        self.r = len(pi_idx)
         if inv.minus_one_rank() != self.r:
             raise RestrictionError(
                 f"basis size {self.r} differs from split rank {inv.minus_one_rank()}"
             )
 
-        self.kernel = kernel = GramKernel(self.doubled, rs.form)
-        # twice row i is row halves[i]: row i is multipliable, row halves[i]
-        # divisible
+        # twice row i is row halves[i]: i is multipliable, halves[i] divisible
         halves = kernel.lookup(2 * kernel.vectors)
-        doubles = np.flatnonzero(halves >= 0)
-        self.multipliable = frozenset(self.doubled[i] for i in doubles)
-        divisible = np.zeros(len(self.doubled), dtype=bool)
-        divisible[halves[doubles]] = True
-        self.reduced_indices = np.flatnonzero(~divisible[: self.num_positive])
-        self.reduced_indices.flags.writeable = False
+        self.multipliable = _read_only(halves >= 0)
+        divisible = np.bincount(halves[self.multipliable], minlength=len(halves)) > 0
+        self.reduced_indices = _read_only(np.flatnonzero(~divisible[: self.num_positive]))
         self._check_axioms()
-        pi_idx = [self._index[d] for d in self.pi]
-        cartan, _ = kernel.cartan_rows(kernel.vectors[pi_idx])
+        cartan, _ = kernel.cartan_rows(self.pi)
         self._pi_cartan = tuple(tuple(row) for row in cartan[:, pi_idx].tolist())
         # <pi_a, alpha_j^vee> for the simple roots alpha_j of the ambient system
-        cartan, _ = rs.kernel.cartan_rows(kernel.vectors[pi_idx])
+        cartan, _ = rs.kernel.cartan_rows(self.pi)
         self._pi_coroot_pairings = cartan[:, list(rs.simple_indices)]
         self._pi_norms = tuple(kernel.norms[pi_idx].tolist())
         self._pi_coords = self._compute_pi_coords()
-        self.factors: Tuple[SimpleFactor, ...] = self._classify()
+        self.factors: Tuple[SimpleFactor, ...] = self._classify(self.multipliable[pi_idx])
 
     # -- setup helpers -------------------------------------------------------
-
-    def _is_positive(self, d: Root) -> bool:
-        for c in d:
-            if c:
-                return c > 0
-        return False
 
     def pair_pi(self, coroot_coords: Sequence[int]) -> List[int]:
         """<pi_a, cochar> for each basis root pi_a, with cochar in the
@@ -189,7 +182,7 @@ class RestrictedRootSystem:
             if not bad.size:
                 continue
             i, j = divmod(int(bad[0]), cartan.shape[1])
-            a, b = self.doubled[start + i], self.doubled[j]
+            a, b = (tuple(self.doubled[k].tolist()) for k in (start + i, j))
             if not integral[i, j]:
                 raise RootSystemError(f"non-integral Cartan pairing of {a} with {b}")
             c = int(cartan[i, j])
@@ -201,17 +194,14 @@ class RestrictedRootSystem:
 
     # -- classification --------------------------------------------------------
 
-    def reduced_positive(self) -> List[Root]:
-        """Positive indivisible restricted roots (Phi_A^* half)."""
-        return [self.doubled[i] for i in self.reduced_indices.tolist()]
-
-    def _classify(self) -> Tuple[SimpleFactor, ...]:
+    def _classify(self, pi_multipliable: np.ndarray) -> Tuple[SimpleFactor, ...]:
         """The simple factors of the reduced system, read off the supports S
         of the pi-coordinates of its positive roots.  A root's support is
         connected and the highest root of a factor covers that factor, so
         basis roots i and j lie in one factor exactly when (S^T S)[i, j].
         Each factor is named by its rank, its number of positive roots and
-        its number of short simple roots."""
+        its number of short simple roots; it is non-reduced when one of its
+        basis roots is multipliable."""
         S = self._pi_coords[self.reduced_indices] != 0
         factors = []
         for row in map(np.array, {tuple(r) for r in (S.T @ S).tolist()}):
@@ -225,7 +215,7 @@ class RestrictedRootSystem:
                     f"factor on basis {basis} has {shape[0]} positive roots and "
                     f"{shape[1]} short simple roots: no simple type"
                 )
-            non_red = any(self.pi[i] in self.multipliable for i in basis)
+            non_red = any(pi_multipliable[i] for i in basis)
             factors.append(SimpleFactor(series, len(basis), basis, non_red))
         return tuple(sorted(factors, key=lambda f: (f.series, f.rank, f.basis)))
 
@@ -256,8 +246,9 @@ class RestrictedRootSystem:
 
     def multiplicity_table(self) -> List[Tuple[Tuple[int, ...], int]]:
         """Positive restricted roots in pi-coordinates with multiplicities."""
-        positives = zip(self.doubled[: self.num_positive], self._pi_coords.tolist())
-        return [(tuple(x), self.multiplicity[d]) for d, x in positives]
+        n = self.num_positive
+        rows = zip(self._pi_coords[:n].tolist(), self.multiplicity[:n].tolist())
+        return [(tuple(x), m) for x, m in rows]
 
     def _compute_pi_coords(self) -> np.ndarray:
         """The pi-coordinates of the doubled roots, one row each.
@@ -271,14 +262,14 @@ class RestrictedRootSystem:
         """
         D = self.kernel.vectors
         lifts = list(self.pi_lifts)
-        P = np.array(self.pi, dtype=np.int64).reshape(self.r, D.shape[1])
+        P = self.pi
         b = np.diag(P[:, lifts])
         if (P[:, lifts] != np.diag(b)).any() or not b.all():
             raise RestrictionError("restricted basis is linearly dependent")
         X = D[:, lifts] // b
         bad = (X @ P != D).any(axis=1)
         if bad.any():
-            d = self.doubled[int(np.flatnonzero(bad)[0])]
+            d = tuple(self.doubled[np.flatnonzero(bad)[0]].tolist())
             raise RestrictionError(f"{d} has non-integer pi-coordinates")
         return X
 
@@ -360,7 +351,7 @@ def omega_alpha(
         case = "i"
         coords = rs.coroots[b]
     else:
-        cartan, _ = rs.kernel.cartan_rows(rs.kernel.vectors[[b]])
+        cartan, _ = rs.kernel.cartan_rows(rs.roots[[b]])
         diff = rs.coroots[b] - rs.coroots[t]
         if cartan[0, t] == 0:
             case = "ii"

@@ -6,10 +6,10 @@ anywhere.  Every bulk pairing, coroot and membership test goes through one
 integer kernel, ``GramKernel``: a block of rows of the Gram table V F V^T of
 a vector list V is one matrix product.  Each root system owns one kernel
 over its roots, built with them and kept, and one exact coroot array.  The
-tuple ``roots``, the ``index`` dict, ``root_index`` and ``is_root`` stay as
-the scalar face for per-root queries.  A Weyl group element is a read-only
-int64 permutation w of the (finite, canonically ordered) root list, sending
-roots[i] to roots[w[i]]; the product x y is x[y].  The module also provides
+root list is the kernel's read-only int64 array, and ``kernel.lookup`` finds
+roots in it.  A Weyl group element is a read-only int64 permutation w of
+the (finite, canonically ordered) root list, sending roots[i] to
+roots[w[i]]; the product x y is x[y].  The module also provides
 Smith-normal-form arithmetic for integer lattice quotients, which is how
 fundamental groups and their two-torsion are computed downstream.
 
@@ -28,8 +28,6 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-
-Root = Tuple[int, ...]
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -121,7 +119,7 @@ def is_odd_prime(p: int) -> bool:
 def good_primes_from(rs: "RootSystem") -> int:
     """The largest coefficient of the highest root: an odd prime p is good
     for rs iff p exceeds it."""
-    return max(rs.highest_root)
+    return int(rs.highest_root.max())
 
 
 def weyl_order(series: str, rank: int) -> int:
@@ -285,10 +283,10 @@ class RootSystem:
     Attributes:
         series, rank: the simple type.
         cartan: Cartan matrix, cartan[i][j] = <alpha_i, alpha_j^vee>.
-        roots: canonical ordered tuple of roots (simple-root coordinates).
-        num_positive: the first num_positive entries of ``roots`` are the
+        roots: ``kernel.vectors``, the roots as int64 rows in canonical order.
+        num_positive: the first num_positive rows of ``roots`` are the
             positive roots; roots[i + num_positive] = -roots[i].
-        kernel: the ``GramKernel`` of the roots, in the same order.
+        kernel: the ``GramKernel`` of the roots.
         coroots: read-only int64 array, row i the simple-coroot
             coordinates of roots[i]^vee.
     """
@@ -334,13 +332,12 @@ class RootSystem:
         vectors = np.vstack([pos, -pos])
         if not np.array_equal(vectors[np.lexsort(vectors.T[::-1])], R):
             raise RootSystemError(f"roots of {self.series}{self.rank} not closed under -1")
-        self.roots: Tuple[Root, ...] = tuple(map(tuple, vectors.tolist()))
-        self.num_positive = len(pos)
-        self.index = {v: i for i, v in enumerate(self.roots)}
-        self.simple_indices = tuple(self.index[v] for v in map(tuple, eye.tolist()))
         self.kernel = GramKernel(vectors, self.form)
+        self.roots = self.kernel.vectors
+        self.num_positive = len(pos)
+        self.simple_indices = tuple(self.kernel.lookup(eye).tolist())
         # beta^vee = sum_i b_i (alpha_i, alpha_i)/(beta, beta) alpha_i^vee
-        num = self.kernel.vectors * np.diag(self.kernel.form)
+        num = self.roots * np.diag(self.kernel.form)
         if (num % self.kernel.norms[:, None]).any():
             raise RootSystemError(f"a coroot of {self.series}{self.rank} is not integral")
         self.coroots = _read_only(num // self.kernel.norms[:, None])
@@ -353,17 +350,8 @@ class RootSystem:
         M, L = linalg.scaled_inverse(self.cartan)
         return tuple(map(tuple, M)), L
 
-    def root_index(self, v: Sequence[int]) -> int:
-        try:
-            return self.index[tuple(v)]
-        except KeyError:
-            raise RootSystemError(f"{tuple(v)} is not a root of {self.series}{self.rank}")
-
-    def is_root(self, v: Sequence[int]) -> bool:
-        return tuple(v) in self.index
-
     @property
-    def highest_root(self) -> Root:
+    def highest_root(self) -> np.ndarray:
         return self.roots[self.num_positive - 1]
 
     def __repr__(self) -> str:
@@ -379,7 +367,7 @@ class RootSystem:
         images, integral = self.kernel.reflections(indices)
         bad = np.flatnonzero(~integral.all(axis=1) | (images < 0).any(axis=1))
         if bad.size:
-            beta = self.roots[indices[bad[0]]]
+            beta = tuple(self.roots[indices[bad[0]]].tolist())
             raise RootSystemError(f"roots of {self.series}{self.rank} not closed under s_{beta}")
         return _read_only(images)
 
@@ -492,11 +480,6 @@ class FiniteAbelianGroup:
     @classmethod
     def from_diagonal(cls, diag: Sequence[int]) -> "FiniteAbelianGroup":
         return cls(tuple(sorted(d for d in diag if d > 1)))
-
-    def __str__(self) -> str:
-        if not self.invariant_factors:
-            return "1"
-        return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
 def lattice_quotient(

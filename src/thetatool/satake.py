@@ -91,17 +91,16 @@ class SatakeInvolution:
         lookup finds the images; then w_I, then the negation
         i -> i +- num_positive."""
         rs = self.ambient
-        kernel = rs.kernel
-        psi = kernel.lookup(kernel.vectors[:, np.argsort(self.psi)])
+        psi = rs.kernel.lookup(rs.roots[:, np.argsort(self.psi)])
         if (psi < 0).any():
             raise RootSystemError(f"psi does not map the roots of {rs.series}{rs.rank} to roots")
         return _read_only((self._w_I[psi] + rs.num_positive) % len(rs.roots))
 
-    def compact_subsystem(self) -> FrozenSet[int]:
-        """Indices of the roots of Phi_I inside the ambient root list."""
-        rs = self.ambient
-        white = [j for j in range(rs.rank) if j not in self.compact]
-        return frozenset(np.flatnonzero(~rs.kernel.vectors[:, white].any(axis=1)).tolist())
+    @cached_property
+    def compact_roots(self) -> np.ndarray:
+        """Read-only boolean mask of Phi_I, the roots supported on I."""
+        white = [j for j in range(self.ambient.rank) if j not in self.compact]
+        return _read_only(~self.ambient.roots[:, white].any(axis=1))
 
     def minus_one_rank(self) -> int:
         """Dimension of the (-1)-eigenspace of theta* on the character lattice."""
@@ -111,7 +110,7 @@ class SatakeInvolution:
     def _minus_one_rank(self) -> int:
         rs = self.ambient
         # rows of theta* + identity; (-1)-eigenspace dim = n - rank
-        rows = rs.kernel.vectors[self.theta_perm()[list(rs.simple_indices)]]
+        rows = rs.roots[self.theta_perm()[list(rs.simple_indices)]]
         return rs.rank - linalg.rank((rows + np.eye(rs.rank, dtype=np.int64)).tolist())
 
     def out_class(self) -> Tuple[int, ...]:
@@ -141,11 +140,10 @@ class SatakeInvolution:
         ident = np.arange(len(perm))
         if (perm[perm] != ident).any():
             failures.append("theta* is not an involution")
-        fixed = set(np.flatnonzero(perm == ident).tolist())
-        compact_roots = self.compact_subsystem()
-        if not compact_roots <= fixed:
+        fixed, compact = perm == ident, self.compact_roots
+        if (compact & ~fixed).any():
             failures.append("theta* does not fix Phi_I pointwise")
-        if not fixed <= compact_roots:
+        if (fixed & ~compact).any():
             failures.append("theta* fixes roots outside Phi_I")
         # the two expressions -w_I psi and -psi w_I must agree, with psi
         # read back from theta* = -w_I psi
@@ -156,10 +154,8 @@ class SatakeInvolution:
         # Araki: <alpha_j, rho_I^vee> is an integer for each white node j
         # fixed by psi, i.e. alpha_j pairs with the positive coroots of
         # Phi_I to an even sum
-        kernel = rs.kernel
-        cartan, _ = kernel.cartan_rows(kernel.vectors[list(rs.simple_indices)])
-        positive_compact = [i for i in compact_roots if i < rs.num_positive]
-        sums = cartan[:, positive_compact].sum(axis=1)
+        cartan, _ = rs.kernel.cartan_rows(rs.roots[list(rs.simple_indices)])
+        sums = cartan[:, : rs.num_positive][:, compact[: rs.num_positive]].sum(axis=1)
         for j in range(rs.rank):
             if j not in self.compact and self.psi[j] == j and sums[j] % 2:
                 failures.append(f"<alpha_{j + 1}, rho_I^vee> is not an integer")
@@ -175,7 +171,7 @@ class SatakeInvolution:
         dim m - dim a = dim k - dim p is asserted.
         """
         rs = self.ambient
-        n_compact = len(self.compact_subsystem())
+        n_compact = int(self.compact_roots.sum())
         dim_a = self.minus_one_rank()
         dim_g = rs.rank + len(rs.roots)
         half, rem = divmod(len(rs.roots) - n_compact, 2)

@@ -150,7 +150,7 @@ def run_poincare(order_cap: int = DEFAULT_CAP, max_rank: int = 8) -> SuiteResult
             f"factored {rederived}, table {profile.degrees}",
         )
         # degree of the polynomial = number of positive reduced roots
-        n_pos_reduced = len(rrs.reduced_positive())
+        n_pos_reduced = len(rrs.reduced_indices)
         res.add(
             f"top-length {_entry_key(e)}",
             poly.degree == n_pos_reduced,

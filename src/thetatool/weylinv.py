@@ -96,9 +96,6 @@ class IntPolynomial:
             raise DegreeError("division leaves a remainder")
         return IntPolynomial.from_list(out)
 
-    def __call__(self, t: int) -> int:
-        return sum(a * t**i for i, a in enumerate(self.coeffs))
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

@@ -12,10 +12,16 @@ named the restricted factors, and ``ref_structure_constants``
 the recursion on root tuples that built N_{a,b} before the array build by
 height; ``act`` applies a Weyl element to one root tuple.  The ``ref_*``
 realization loops build dtheta and search the coweights root by root.
+
+The library keeps each root list as one int64 array; ``root_tuples``,
+``root_index`` and ``is_root`` (by a dict over the tuples) and
+``doubled_tuples``, ``doubled_index`` and ``multiplicities`` give the tests
+the tuple face of those arrays.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,7 +29,52 @@ import numpy as np
 from thetatool.liealg import LieAlgebraError
 from thetatool import linalg
 from thetatool.restricted import RestrictedCocharacter, RestrictionError, SimpleFactor
-from thetatool.rootsys import Root, RootSystem, RootSystemError, cartan_matrix
+from thetatool.rootsys import RootSystem, RootSystemError, cartan_matrix
+
+Root = Tuple[int, ...]
+
+
+def tuples(rows: np.ndarray) -> Tuple[Root, ...]:
+    """The rows of an int64 array as tuples of ints."""
+    return tuple(map(tuple, rows.tolist()))
+
+
+@lru_cache(maxsize=None)
+def root_tuples(rs: RootSystem) -> Tuple[Root, ...]:
+    """The root list of rs as tuples, in its order."""
+    return tuples(rs.roots)
+
+
+@lru_cache(maxsize=None)
+def _root_dict(rs: RootSystem) -> Dict[Root, int]:
+    return {v: i for i, v in enumerate(root_tuples(rs))}
+
+
+def root_index(rs: RootSystem, v: Sequence[int]) -> int:
+    """The position of the root v, by a dict over the root tuples."""
+    try:
+        return _root_dict(rs)[tuple(v)]
+    except KeyError:
+        raise RootSystemError(f"{tuple(v)} is not a root of {rs.series}{rs.rank}")
+
+
+def is_root(rs: RootSystem, v: Sequence[int]) -> bool:
+    return tuple(v) in _root_dict(rs)
+
+
+def doubled_tuples(rrs) -> Tuple[Root, ...]:
+    """The doubled restricted roots as tuples, in their order."""
+    return tuples(rrs.doubled)
+
+
+def doubled_index(rrs) -> Dict[Root, int]:
+    """The position of each doubled restricted root, keyed by its tuple."""
+    return {d: i for i, d in enumerate(doubled_tuples(rrs))}
+
+
+def multiplicities(rrs) -> Dict[Root, int]:
+    """The multiplicity of each doubled restricted root, keyed by its tuple."""
+    return dict(zip(doubled_tuples(rrs), rrs.multiplicity.tolist()))
 
 
 def inner(rs, v: Sequence[int], w: Sequence[int]) -> int:
@@ -64,7 +115,7 @@ def coroot_coords(rs, beta: Sequence[int]) -> Tuple[int, ...]:
 def theta_star(inv, root: Sequence[int]) -> Tuple[int, ...]:
     """theta*(root) = -w_I(psi(root)); raises if root is not a root."""
     rs = inv.ambient
-    return rs.roots[inv.theta_perm()[rs.root_index(tuple(root))]]
+    return root_tuples(rs)[inv.theta_perm()[root_index(rs, root)]]
 
 
 def ref_roots(series: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
@@ -111,7 +162,7 @@ def ref_omega_alpha(inv, rrs, basis_pos: int) -> RestrictedCocharacter:
             case, coords = "iii", tuple(2 * x for x in diff)
     simple = [sum(a * c for a, c in zip(row, coords)) for row in rs.cartan]
     pairings = []
-    for d in rrs.pi:
+    for d in tuples(rrs.pi):
         val = sum(x * y for x, y in zip(d, simple))
         if val % 2:
             raise RestrictionError("odd pairing of doubled root with omega_alpha")
@@ -124,11 +175,12 @@ def ref_pi_coords(rrs) -> List[List[int]]:
     echelon form over Q of the columns [pi | doubled]: a root lies in the
     span of pi when its column vanishes below the first r rows."""
     n = rrs.r
-    R, pivots = linalg.rref([list(row) for row in zip(*rrs.pi, *rrs.doubled)])
+    doubled = doubled_tuples(rrs)
+    R, pivots = linalg.rref([list(row) for row in zip(*tuples(rrs.pi), *doubled)])
     if pivots[:n] != list(range(n)):
         raise RestrictionError("restricted basis is linearly dependent")
     coords = []
-    for m, d in enumerate(rrs.doubled):
+    for m, d in enumerate(doubled):
         col = [row[n + m] for row in R]
         if any(col[n:]) or any(f.denominator != 1 for f in col):
             raise RestrictionError(f"{d} has non-integer pi-coordinates")
@@ -158,10 +210,11 @@ def ref_factors(rrs) -> Tuple[SimpleFactor, ...]:
                     comp.append(v)
                     stack.append(v)
         comps.append(sorted(comp))
+    doubled, pi = set(doubled_tuples(rrs)), tuples(rrs.pi)
     factors = []
     for comp in comps:
         series = _component_series(rrs, comp, C)
-        non_red = any(rrs.pi[i] in rrs.multipliable for i in comp)
+        non_red = any(tuple(2 * x for x in pi[i]) in doubled for i in comp)
         factors.append(SimpleFactor(series, len(comp), tuple(comp), non_red))
     return tuple(sorted(factors, key=lambda f: (f.series, f.rank, f.basis)))
 
@@ -224,21 +277,21 @@ def _neg(v: Root) -> Root:
 
 def act(w, v: Sequence[int]) -> Root:
     """The Weyl element w applied to the root v."""
-    return w.rs.roots[w.perm[w.rs.root_index(v)]]
+    return root_tuples(w.rs)[w.perm[root_index(w.rs, v)]]
 
 
 def _chain_down(rs: RootSystem, beta: Root, alpha: Root) -> int:
     """q = max { i : beta - i*alpha in Phi }."""
     q = 0
     cur = tuple(b - a for b, a in zip(beta, alpha))
-    while rs.is_root(cur):
+    while is_root(rs, cur):
         q += 1
         cur = tuple(c - a for c, a in zip(cur, alpha))
     return q
 
 
 def _is_pos(rs: RootSystem, v: Root) -> bool:
-    return rs.root_index(v) < rs.num_positive
+    return root_index(rs, v) < rs.num_positive
 
 
 def _N(rs: RootSystem, a: Root, b: Root, table: Dict[Tuple[Root, Root], int]) -> int:
@@ -246,7 +299,7 @@ def _N(rs: RootSystem, a: Root, b: Root, table: Dict[Tuple[Root, Root], int]) ->
     positive table via N_{-a,-b} = -N_{a,b} and the rotation rule
     N_{a,b}/(c,c) = N_{b,c}/(a,a) for a + b + c = 0."""
     s = tuple(x + y for x, y in zip(a, b))
-    if not rs.is_root(s):
+    if not is_root(rs, s):
         raise LieAlgebraError("N requested for a non-root sum")
     a_pos = _is_pos(rs, a)
     b_pos = _is_pos(rs, b)
@@ -265,8 +318,8 @@ def _N(rs: RootSystem, a: Root, b: Root, table: Dict[Tuple[Root, Root], int]) ->
     # positive sum: N(a,b) = N(b,c) (c,c)/(a,a) with c = -s, and
     # N(b,c) = -N(-b, s) is a positive pair summing to a
     nbc = -_N(rs, _neg(b), s, table)
-    num = nbc * int(rs.kernel.norms[rs.index[s]])
-    den = int(rs.kernel.norms[rs.index[a]])
+    num = nbc * int(rs.kernel.norms[_root_dict(rs)[s]])
+    den = int(rs.kernel.norms[_root_dict(rs)[a]])
     q, r = divmod(num, den)
     if r:
         raise LieAlgebraError("non-integral rotation in structure constants")
@@ -280,16 +333,16 @@ def _derive_constant(rs: RootSystem, alpha, beta, g_es, d_es, table) -> int:
     neg_beta = tuple(-x for x in beta)
     term = 0
     xi = tuple(d - b for d, b in zip(d_es, beta))
-    if rs.is_root(xi):
+    if is_root(rs, xi):
         term += _N(rs, d_es, neg_beta, table) * _N(rs, xi, g_es, table)
     g_minus_b = tuple(g - b for g, b in zip(g_es, beta))
-    if rs.is_root(g_minus_b):
+    if is_root(rs, g_minus_b):
         term += _N(rs, neg_beta, g_es, table) * _N(rs, g_minus_b, d_es, table)
     n_es = table[(g_es, d_es)]
     # N_{g,d} * N_{hat,-beta} + term = 0 and
     # N_{hat,-beta} = N_{alpha,beta} (alpha,alpha)/(hat,hat)
-    num = -term * int(rs.kernel.norms[rs.index[gamma_hat]])
-    den = n_es * int(rs.kernel.norms[rs.index[alpha]])
+    num = -term * int(rs.kernel.norms[_root_dict(rs)[gamma_hat]])
+    den = n_es * int(rs.kernel.norms[_root_dict(rs)[alpha]])
     q, r = divmod(num, den)
     if r:
         raise LieAlgebraError("non-integral derived structure constant")
@@ -300,7 +353,8 @@ def ref_structure_constants(rs: RootSystem) -> Dict[Tuple[int, int], int]:
     """N_{a,b} on root indices, for every (i, j) with roots[i] + roots[j] a
     root.  The positive-pair table goes by increasing height of the sum,
     extraspecial pairs seeded positive, the rest propagated through Jacobi."""
-    pos = rs.roots[: rs.num_positive]
+    roots = root_tuples(rs)
+    pos = roots[: rs.num_positive]
     order = {v: i for i, v in enumerate(pos)}  # canonical root order
     table: Dict[Tuple[Root, Root], int] = {}
     for gamma in pos:
@@ -317,9 +371,9 @@ def ref_structure_constants(rs: RootSystem) -> Dict[Tuple[int, int], int]:
         for alpha, beta in pairs[1:]:
             table[(alpha, beta)] = _derive_constant(rs, alpha, beta, g_es, d_es, table)
     nconst = {}
-    for i, a in enumerate(rs.roots):
-        for j, b in enumerate(rs.roots):
-            if rs.is_root(tuple(x + y for x, y in zip(a, b))):
+    for i, a in enumerate(roots):
+        for j, b in enumerate(roots):
+            if is_root(rs, tuple(x + y for x, y in zip(a, b))):
                 nconst[(i, j)] = _N(rs, a, b, table)
     return nconst
 
@@ -330,7 +384,7 @@ def ref_inner_dtheta(alg, mu: Sequence[int]) -> np.ndarray:
     d = np.zeros((alg.dim, alg.dim), dtype=np.int64)
     for i in range(rs.rank):
         d[i][i] = 1
-    for ridx, beta in enumerate(rs.roots):
+    for ridx, beta in enumerate(root_tuples(rs)):
         sign = -1 if sum(c * m for c, m in zip(beta, mu)) % 2 else 1
         j = alg.e_index(ridx)
         d[j][j] = sign
@@ -358,7 +412,7 @@ def ref_find_inner_coweight(alg, dim_k: int, dim_p: int) -> Optional[Tuple[int, 
         mu = tuple((mask >> i) & 1 for i in range(rs.rank))
         dp = sum(
             1
-            for beta in rs.roots
+            for beta in root_tuples(rs)
             if sum(c * m for c, m in zip(beta, mu)) % 2
         )
         if dp == dim_p and alg.dim - dp == dim_k:

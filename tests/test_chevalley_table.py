@@ -38,7 +38,15 @@ from thetatool.rootsys import build_root_system
 from thetatool.satake import catalog_list
 
 from brackets import dense_ad
-from scalar import _chain_down, coroot_coords, pair_coroot_simple, ref_structure_constants
+from scalar import (
+    _chain_down,
+    coroot_coords,
+    is_root,
+    pair_coroot_simple,
+    ref_structure_constants,
+    root_index,
+    root_tuples,
+)
 
 RANK_UP_TO_SIX = [("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 7)] + [
     ("C", n) for n in range(3, 7)
@@ -62,11 +70,11 @@ def ref_bracket_basis(rs, nconst, i, j):
         return out
     if i < n or j < n:
         h, e, sign = (i, j, 1) if i < n else (j, i, -1)
-        c = sign * pair_coroot_simple(rs, rs.roots[e - n], h)
+        c = sign * pair_coroot_simple(rs, root_tuples(rs)[e - n], h)
         if c:
             out[e] = c
         return out
-    a, b = rs.roots[i - n], rs.roots[j - n]
+    a, b = root_tuples(rs)[i - n], root_tuples(rs)[j - n]
     s = tuple(x + y for x, y in zip(a, b))
     if all(x == 0 for x in s):
         # [e_a, e_{-a}] = a^vee in the simple-coroot basis
@@ -76,8 +84,8 @@ def ref_bracket_basis(rs, nconst, i, j):
             if c:
                 out[k] = sign * c
         return out
-    if rs.is_root(s):
-        out[n + rs.root_index(s)] = nconst[(i - n, j - n)]
+    if is_root(rs, s):
+        out[n + root_index(rs, s)] = nconst[(i - n, j - n)]
     return out
 
 
@@ -176,7 +184,7 @@ def test_array_build_matches_the_recursion_byte_for_byte(series, rank):
     assert table.entries.shape == ref.entries.shape
     assert table.entries.tobytes() == ref.entries.tobytes()
     q = liealg._root_tables(rs)[2]
-    want = [[_chain_down(rs, b, a) for b in rs.roots] for a in rs.roots]
+    want = [[_chain_down(rs, b, a) for b in root_tuples(rs)] for a in root_tuples(rs)]
     assert np.array_equal(q, np.array(want, dtype=np.int64))
 
 
@@ -189,7 +197,7 @@ def test_array_build_rejects_non_integral_constants(series, rank, root, norm, me
     constant non-integral; the build raises instead of rounding."""
     rs = build_root_system(series, rank)
     norms = rs.kernel.norms.copy()
-    i = rs.root_index(root)
+    i = root_index(rs, root)
     norms[[i, i + rs.num_positive]] = norm
     monkeypatch.setattr(rs.kernel, "norms", norms)
     with pytest.raises(LieAlgebraError, match=f"^{message}$"):
@@ -206,7 +214,7 @@ def test_raised_constant_fails_the_chevalley_property(series, rank):
         entries = table.entries.copy()
         entries[r, 3] += np.sign(entries[r, 3])
         i, k, _, c = entries[r]
-        a, b = rs.roots[i - n], rs.roots[k - n]
+        a, b = root_tuples(rs)[i - n], root_tuples(rs)[k - n]
         with pytest.raises(LieAlgebraError) as exc:
             ChevalleyTable(rs, entries).check_chevalley_property()
         assert str(exc.value) == f"|N| != q+1 at ({a}, {b}): N = {c}"

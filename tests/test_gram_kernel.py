@@ -22,7 +22,16 @@ from thetatool.restricted import RestrictedRootSystem, RestrictionError, restric
 from thetatool.rootsys import GramKernel, RootSystemError, build_root_system
 from thetatool.satake import _catalog_types, all_catalog_entries, catalog_lookup
 
-from scalar import norm2, pair_coroot, ref_pi_coords
+from scalar import (
+    doubled_index,
+    doubled_tuples,
+    norm2,
+    pair_coroot,
+    ref_pi_coords,
+    root_index,
+    root_tuples,
+    tuples,
+)
 from weylgroup import index_of, reflection_perm
 
 TYPES = _catalog_types() + [("D", 3)]
@@ -31,33 +40,35 @@ TYPES = _catalog_types() + [("D", 3)]
 # -- reference oracles ------------------------------------------------------------
 
 
-def ref_reflection(rs, table, root_index: int) -> Tuple[int, ...]:
-    beta = rs.roots[root_index]
+def ref_reflection(rs, table, j: int) -> Tuple[int, ...]:
+    roots = root_tuples(rs)
+    beta = roots[j]
     perm = []
-    for i, v in enumerate(rs.roots):
-        c = table[i][root_index]
-        perm.append(rs.index[tuple(v[k] - c * beta[k] for k in range(rs.rank))])
+    for i, v in enumerate(roots):
+        c = table[i][j]
+        perm.append(root_index(rs, tuple(v[k] - c * beta[k] for k in range(rs.rank))))
     return tuple(perm)
 
 
 def ref_check_axioms(rrs) -> None:
-    for a in rrs.doubled:
-        for b in rrs.doubled:
+    index = doubled_index(rrs)
+    for a in index:
+        for b in index:
             c = pair_coroot(rrs.inv.ambient, a, b)  # raises if non-integral
             img = tuple(x - c * y for x, y in zip(a, b))
-            if img not in rrs._index:
+            if img not in index:
                 raise RestrictionError(
                     f"restricted roots not closed under reflection: "
                     f"s_{b}({a}) = {img}"
                 )
         triple = tuple(3 * x for x in a)
-        if triple in rrs._index:
+        if triple in index:
             raise RestrictionError(f"3a is a restricted root for a = {a}")
 
 
 def ref_reflection_perm(rrs, d: Sequence[int]) -> Tuple[int, ...]:
     perm = []
-    for a in rrs.doubled:
+    for a in doubled_tuples(rrs):
         c = pair_coroot(rrs.inv.ambient, a, d)
         perm.append(index_of(rrs, tuple(x - c * y for x, y in zip(a, d))))
     return tuple(perm)
@@ -75,12 +86,11 @@ def _with_roots(rrs, vectors, pi=None, pi_lifts=None) -> RestrictedRootSystem:
     are replaced, with nothing checked."""
     fake = RestrictedRootSystem.__new__(RestrictedRootSystem)
     fake.inv = rrs.inv
-    fake.doubled = tuple(tuple(v) for v in vectors)
-    fake._index = {d: i for i, d in enumerate(fake.doubled)}
-    fake.pi = rrs.pi if pi is None else tuple(pi)
+    fake.kernel = GramKernel(vectors, rrs.inv.ambient.form)
+    fake.doubled = fake.kernel.vectors
+    fake.pi = rrs.pi if pi is None else np.array(pi, dtype=np.int64)
     fake.pi_lifts = rrs.pi_lifts if pi_lifts is None else tuple(pi_lifts)
     fake.r = len(fake.pi)
-    fake.kernel = GramKernel(fake.doubled, rrs.inv.ambient.form)
     return fake
 
 
@@ -90,12 +100,13 @@ def _with_roots(rrs, vectors, pi=None, pi_lifts=None) -> RestrictedRootSystem:
 @pytest.mark.parametrize("series,rank", TYPES, ids=[f"{s}{r}" for s, r in TYPES])
 def test_cartan_table_and_reflections_match_scalar(series, rank):
     rs = build_root_system(series, rank)
-    table = [[pair_coroot(rs, a, b) for b in rs.roots] for a in rs.roots]
+    roots = root_tuples(rs)
+    table = [[pair_coroot(rs, a, b) for b in roots] for a in roots]
     kernel = rs.kernel
     cartan, integral = kernel.cartan_rows(kernel.vectors)
     assert integral.all()
     assert cartan.tolist() == table
-    assert kernel.norms.tolist() == [norm2(rs, v) for v in rs.roots]
+    assert kernel.norms.tolist() == [norm2(rs, v) for v in roots]
     perms = rs.reflections(range(len(rs.roots)))
     assert not perms.flags.writeable and perms.dtype == np.int64
     for j in range(len(rs.roots)):
@@ -171,9 +182,10 @@ def test_restricted_tables_match_scalar():
     for e in all_catalog_entries():
         rrs = restrict(e.satake)
         rs = e.satake.ambient
-        C = [[pair_coroot(rs, a, b) for b in rrs.pi] for a in rrs.pi]
+        pi = tuples(rrs.pi)
+        C = [[pair_coroot(rs, a, b) for b in pi] for a in pi]
         assert rrs.cartan_matrix() == C
-        for d in rrs.pi:
+        for d in pi:
             assert reflection_perm(rrs, d) == ref_reflection_perm(rrs, d)
 
 
@@ -181,7 +193,7 @@ def test_restricted_all_reflections_and_coords_match_scalar():
     for e in all_catalog_entries(max_rank=5):
         rrs = restrict(e.satake)
         assert ref_check_axioms(rrs) is None
-        for d in rrs.doubled:
+        for d in doubled_tuples(rrs):
             assert reflection_perm(rrs, d) == ref_reflection_perm(rrs, d)
         assert rrs._pi_coords.tolist() == ref_pi_coords(rrs)
 
@@ -194,7 +206,7 @@ def test_corrupted_restricted_roots_raise_the_same_error():
         ("D", 5, "DIII"), ("E", 6, "EII"), ("F", 4, "FII"), ("G", 2, "G"),
     ]:
         rrs = restrict(catalog_lookup(series, rank, label).satake)
-        roots = list(rrs.doubled)
+        roots = list(doubled_tuples(rrs))
         for _ in range(12):
             vectors = list(roots)
             kind = rng.choice(["drop", "triple", "stray"])
@@ -222,15 +234,16 @@ def test_corrupted_restricted_roots_raise_the_same_error():
 def test_corrupted_basis_raises_the_same_error():
     for series, rank, label in [("A", 3, "AI"), ("D", 5, "DIII"), ("E", 7, "EVII")]:
         rrs = restrict(catalog_lookup(series, rank, label).satake)
-        doubled_pi = [tuple(2 * x for x in d) for d in rrs.pi]
+        doubled_pi = [tuple(2 * x for x in d) for d in tuples(rrs.pi)]
         fake = _with_roots(rrs, rrs.doubled, pi=doubled_pi)
         expected = _outcome(lambda: ref_pi_coords(fake))
         assert expected == (
-            RestrictionError, f"{rrs.doubled[0]} has non-integer pi-coordinates"
+            RestrictionError, f"{doubled_tuples(rrs)[0]} has non-integer pi-coordinates"
         )
         assert _outcome(fake._compute_pi_coords) == expected
+        pi = tuples(rrs.pi)
         dependent = _with_roots(
-            rrs, rrs.doubled, pi=rrs.pi + rrs.pi[:1], pi_lifts=rrs.pi_lifts + rrs.pi_lifts[:1]
+            rrs, rrs.doubled, pi=pi + pi[:1], pi_lifts=rrs.pi_lifts + rrs.pi_lifts[:1]
         )
         with pytest.raises(RestrictionError, match="linearly dependent"):
             dependent._compute_pi_coords()

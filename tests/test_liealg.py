@@ -31,6 +31,8 @@ from scalar import (
     ref_chevalley_dtheta,
     ref_find_inner_coweight,
     ref_inner_dtheta,
+    root_index,
+    root_tuples,
 )
 
 
@@ -52,8 +54,8 @@ def test_sl2_relations():
 
 def test_a2_simple_constant():
     alg = build_algebra("A", 2, 7)
-    i1 = alg.rs.root_index((1, 0))
-    i2 = alg.rs.root_index((0, 1))
+    i1 = root_index(alg.rs, (1, 0))
+    i2 = root_index(alg.rs, (0, 1))
     n = root_constants(alg.table)[(i1, i2)]
     assert n in (1, -1)
     x = basis_vec(alg, alg.e_index(i1))
@@ -108,7 +110,7 @@ def test_chevalley_n_property():
     alg = build_algebra("C", 3, 5)
     rs = alg.rs
     for (i, j), n in root_constants(alg.table).items():
-        assert abs(n) == _chain_down(rs, rs.roots[j], rs.roots[i]) + 1
+        assert abs(n) == _chain_down(rs, root_tuples(rs)[j], root_tuples(rs)[i]) + 1
 
 
 def test_coroot_bracket():
@@ -119,7 +121,7 @@ def test_coroot_bracket():
         f = basis_vec(alg, alg.e_index(ridx + rs.num_positive))
         h = bracket_vec(alg, e, f)
         expected = np.zeros(alg.dim, dtype=np.int64)
-        for k, c in enumerate(coroot_coords(rs, rs.roots[ridx])):
+        for k, c in enumerate(coroot_coords(rs, root_tuples(rs)[ridx])):
             expected[k] = c % alg.p
         assert list(h) == list(expected)
 
@@ -307,7 +309,7 @@ def test_centralizer_regular_semisimple_split():
         for c1 in range(11):
             if all(
                 (c0 * pair_coroot_simple(rs, v, 0) + c1 * pair_coroot_simple(rs, v, 1)) % 11
-                for v in rs.roots
+                for v in root_tuples(rs)
             ):
                 found = (c0, c1)
                 break

@@ -21,7 +21,7 @@ from thetatool.nilcomp import (
     z_cap_a,
 )
 from thetatool.restricted import restrict
-from thetatool.rootsys import FiniteAbelianGroup, build_root_system
+from thetatool.rootsys import FiniteAbelianGroup, RootSystemError, build_root_system
 from thetatool.satake import SatakeInvolution, all_catalog_entries, catalog_lookup
 
 from brackets import dense_ad
@@ -248,6 +248,28 @@ def test_w0_mutations_fail_the_product_without_raising():
     rep = verify_w0_decomposition(replace(b4, name="B4-up-to-conjugacy", up_to_conjugacy=True))
     assert not rep.ok and rep.orthogonal and rep.mod4_in_p and not rep.product_matches
     assert rep.failures == ("conjugacy is decided only in type A",)
+
+
+@pytest.mark.parametrize("beta", [(1, 0, 0), (1.5, 0, 0, 0), (1, 0, 1, 0), (1, 0, 0, 0, 0)])
+def test_w0_malformed_or_non_root_beta_fails_without_raising(beta):
+    """A beta of the wrong length, with a non-integral entry, or off the
+    root list is a failure of the report, found before any kernel lookup
+    could truncate or reject its row."""
+    a4 = next(d for d in builtin_decompositions() if d.name == "A4-regular")
+    rep = verify_w0_decomposition(replace(a4, betas=(beta,) + a4.betas[1:]))
+    assert not rep.ok and not rep.orthogonal and not rep.product_matches
+    assert rep.failures[0] == f"beta_1 = {beta} is not a root"
+    # an integral float names the same root as its int
+    assert verify_w0_decomposition(replace(a4, betas=((1.0, 0, 0, 0),) + a4.betas[1:])).ok
+
+
+@pytest.mark.parametrize("conjugator", [(2, 0, 0, 0, 0, 0), (1, 0), (0.5, 0, 0, 0, 0, 0)])
+def test_w0_non_root_conjugator_raises(conjugator):
+    e6 = next(d for d in builtin_decompositions() if d.name == "E6-subregular")
+    assert verify_w0_decomposition(e6).ok
+    with pytest.raises(RootSystemError) as exc:
+        verify_w0_decomposition(replace(e6, conjugator=conjugator))
+    assert str(exc.value) == f"{conjugator} is not a root of E6"
 
 
 def test_component_report_notes_for_split_a():

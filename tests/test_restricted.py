@@ -18,11 +18,15 @@ from thetatool.satake import (
 from scalar import (
     act,
     coroot_coords,
+    doubled_tuples,
+    multiplicities,
     pair_coroot,
     ref_factors,
     ref_omega_alpha,
     ref_pi_coords,
+    root_tuples,
     theta_star,
+    tuples,
 )
 from test_satake import diagram_automorphisms, satake_data
 from weylgroup import baby_weyl, enumerate_weyl, index_of
@@ -33,11 +37,12 @@ def test_split_restriction_is_bijection():
         e = catalog_lookup(series, rank, label)
         rrs = restrict(e.satake)
         rs = e.satake.ambient
-        assert all(m == 1 for m in rrs.multiplicity.values())
+        mult = multiplicities(rrs)
+        assert all(m == 1 for m in mult.values())
         assert len(rrs.doubled) == len(rs.roots)
         # doubled restriction of a is 2a; Cartan integers agree
-        for v in rs.roots:
-            assert tuple(2 * x for x in v) in rrs.multiplicity
+        for v in root_tuples(rs):
+            assert tuple(2 * x for x in v) in mult
         assert rrs.restricted_type == e.phi_a_type
 
 
@@ -57,8 +62,8 @@ def test_e7_class_with_k_e6_gives_c3():
 def test_multiplicity_sum_over_catalog():
     for e in all_catalog_entries():
         rrs = restrict(e.satake)
-        total = sum(rrs.multiplicity.values())
-        expected = len(e.satake.ambient.roots) - len(e.satake.compact_subsystem())
+        total = sum(multiplicities(rrs).values())
+        expected = len(e.satake.ambient.roots) - np.count_nonzero(e.satake.compact_roots)
         assert total == expected, (e.series, e.rank, e.label)
 
 
@@ -78,8 +83,9 @@ def test_quasi_split_outer_d_odd_reduced_type():
 def test_no_triple_restricted_roots_catalog():
     for e in all_catalog_entries(max_rank=6):
         rrs = restrict(e.satake)
-        for d in rrs.doubled:
-            assert tuple(3 * x for x in d) not in rrs.multiplicity
+        mult = multiplicities(rrs)
+        for d in mult:
+            assert tuple(3 * x for x in d) not in mult
 
 
 def test_baby_weyl_orders():
@@ -214,7 +220,8 @@ def test_case_iii_at_most_one_per_factor():
     for e in all_catalog_entries(max_rank=6):
         rrs = restrict(e.satake)
         count = case_iii_count(e.satake, rrs)  # raises if a factor has two
-        n_mult = sum(1 for d in rrs.pi if d in rrs.multipliable)
+        multipliable = {d for d, m in zip(doubled_tuples(rrs), rrs.multipliable) if m}
+        n_mult = sum(1 for d in tuples(rrs.pi) if d in multipliable)
         assert count == n_mult
 
 
@@ -224,8 +231,8 @@ def test_split_entries_preserve_cartan_integers():
     rs = e.satake.ambient
     cartan, integral = rrs.kernel.cartan_rows(np.array(rrs.doubled))
     assert integral.all()
-    for a in rs.roots[: rs.num_positive]:
-        for b in rs.roots[: rs.num_positive]:
+    for a in root_tuples(rs)[: rs.num_positive]:
+        for b in root_tuples(rs)[: rs.num_positive]:
             da = tuple(2 * x for x in a)
             db = tuple(2 * x for x in b)
             assert cartan[index_of(rrs, da), index_of(rrs, db)] == pair_coroot(rs, a, b)

@@ -27,7 +27,7 @@ from thetatool.rootsys import (
 )
 from thetatool.satake import _catalog_types
 
-from scalar import act, coroot_coords, pair_coroot, ref_roots
+from scalar import act, coroot_coords, pair_coroot, ref_roots, root_tuples
 from weylgroup import element, enumerate_weyl, identity, inverse, length, reflection, simple_reflection
 
 # every type of rank <= 8 (D3 included), and three larger classical ones
@@ -47,11 +47,11 @@ def is_minus_identity(w):
 
 def preserves_pairing(w):
     """Check <w(a), w(b)^vee> = <a, b^vee> on all root pairs."""
-    rs = w.rs
-    for i, a in enumerate(rs.roots):
-        wa = rs.roots[w.perm[i]]
-        for j, b in enumerate(rs.roots):
-            wb = rs.roots[w.perm[j]]
+    rs, roots = w.rs, root_tuples(w.rs)
+    for i, a in enumerate(roots):
+        wa = roots[w.perm[i]]
+        for j, b in enumerate(roots):
+            wb = roots[w.perm[j]]
             if pair_coroot(rs, wa, wb) != pair_coroot(rs, a, b):
                 return False
     return True
@@ -81,10 +81,10 @@ def test_root_closure_matches_frontier_search(series, rank):
     """The array closure gives the root tuple of the scalar frontier
     search, in the same order, and its kernel holds the same rows."""
     rs = build_root_system(series, rank)
-    assert rs.roots == ref_roots(series, rank)
+    assert root_tuples(rs) == ref_roots(series, rank)
     assert rs.num_positive == len(rs.roots) // 2
-    assert rs.kernel.vectors.tolist() == [list(v) for v in rs.roots]
-    assert [rs.roots[i] for i in rs.simple_indices] == [
+    assert rs.kernel.vectors.tolist() == [list(v) for v in ref_roots(series, rank)]
+    assert [root_tuples(rs)[i] for i in rs.simple_indices] == [
         tuple(int(k == i) for k in range(rank)) for i in range(rank)
     ]
 
@@ -103,7 +103,7 @@ def test_coroots_match_scalar_formula(series, rank):
 
 def test_rank_one_roots():
     rs = build_root_system("A", 1)
-    assert set(rs.roots) == {(1,), (-1,)}
+    assert set(root_tuples(rs)) == {(1,), (-1,)}
 
 
 def test_invalid_type_rejected():
@@ -115,12 +115,12 @@ def test_invalid_type_rejected():
 def test_closure_and_negation_invariants():
     for series, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]:
         rs = build_root_system(series, rank)
-        roots = set(rs.roots)
-        for v in rs.roots:
+        roots = set(root_tuples(rs))
+        for v in root_tuples(rs):
             assert tuple(-x for x in v) in roots
             for i in range(rs.rank):
                 assert act(simple_reflection(rs, i), v) in roots
-            for w in rs.roots:
+            for w in root_tuples(rs):
                 assert pair_coroot(rs, v, w) in range(-3, 4)
 
 

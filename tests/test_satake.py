@@ -23,7 +23,7 @@ from thetatool.satake import (
     class_records,
 )
 
-from scalar import theta_star
+from scalar import root_index, root_tuples, theta_star
 from weylgroup import reflection
 
 # The generator's output for every catalog type, one class per line:
@@ -87,7 +87,7 @@ def render_catalog() -> str:
 
 def test_theta_star_split_is_negation():
     inv = catalog_lookup("C", 3, "CI").satake
-    for v in inv.ambient.roots:
+    for v in root_tuples(inv.ambient):
         assert theta_star(inv, v) == tuple(-x for x in v)
 
 
@@ -95,8 +95,8 @@ def test_theta_star_fixes_compact_roots():
     entry = catalog_lookup("E", 7, "EVII")
     inv = entry.satake
     rs = inv.ambient
-    for i in inv.compact_subsystem():
-        v = rs.roots[i]
+    for i in np.flatnonzero(inv.compact_roots):
+        v = root_tuples(rs)[i]
         assert theta_star(inv, v) == v
 
 
@@ -132,12 +132,12 @@ def loop_theta_perm(inv: SatakeInvolution) -> Tuple[int, ...]:
         else:
             break
     perm = []
-    for v in rs.roots:
+    for v in root_tuples(rs):
         image = [0] * rs.rank
         for i, c in enumerate(v):
             image[inv.psi[i]] = c
-        image = rs.roots[w[rs.root_index(image)]]
-        perm.append(rs.root_index(tuple(-x for x in image)))
+        image = root_tuples(rs)[w[root_index(rs, image)]]
+        perm.append(root_index(rs, tuple(-x for x in image)))
     return tuple(perm)
 
 

@@ -163,22 +163,54 @@ def test_no_scalar_pairing_methods():
     assert not found, f"scalar pairing method in {', '.join(found)}"
 
 
-def test_liealg_makes_no_scalar_root_lookup():
-    """``liealg`` finds roots through kernel lookups on index arrays: it
-    calls no ``is_root``, ``root_index`` or ``act`` and reads no
-    ``rs.index[...]``."""
-    path = SRC / "liealg.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    found = [
-        f"liealg.py:{call.lineno} {name}"
-        for name in ("is_root", "root_index", "act")
-        for call in _calls(tree, name)
-    ] + [
-        f"liealg.py:{node.lineno} index[...]"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "index"
-    ]
-    assert not found, f"scalar root lookup in {', '.join(found)}"
+def test_root_lists_are_int64_arrays_only():
+    """Each root list is one read-only int64 array, the rows of its
+    ``GramKernel``, and each root set a boolean mask over it; roots are
+    found by ``kernel.lookup``.  No module calls ``is_root``,
+    ``root_index`` or ``act``, reads or stores an ``index`` or ``_index``
+    dict, defines ``compact_subsystem``, ``reduced_positive`` or
+    ``_is_positive``, or counts rows with a ``Counter``."""
+    calls = {"is_root", "root_index", "act"}
+    defs = calls | {"compact_subsystem", "reduced_positive", "_is_positive"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Call) and _call_name(node) in calls:
+                found.append(f"{where} {_call_name(node)}()")
+            elif isinstance(node, ast.FunctionDef) and node.name in defs:
+                found.append(f"{where} def {node.name}")
+            elif isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) in (
+                "index", "_index"
+            ):
+                found.append(f"{where} {node.value.attr}[...]")
+            elif isinstance(node, ast.Attribute) and (
+                node.attr in ("_index", "compact_subsystem", "reduced_positive", "Counter")
+                or (node.attr == "index" and isinstance(node.ctx, ast.Store))
+            ):
+                found.append(f"{where} .{node.attr}")
+            elif isinstance(node, ast.Name) and node.id == "Counter":
+                found.append(f"{where} Counter")
+            elif isinstance(node, ast.alias) and node.name == "Counter":
+                found.append(f"{path.name} import Counter")
+    assert not found, f"a scalar copy of a root list in {', '.join(found)}"
+
+    from thetatool.restricted import restrict
+    from thetatool.satake import catalog_lookup
+
+    inv = catalog_lookup("E", 6, "EIII").satake  # BC2: some roots are multipliable
+    rs, rrs = inv.ambient, restrict(inv)
+    assert rs.roots is rs.kernel.vectors and rrs.doubled is rrs.kernel.vectors
+    for rows in (rs.roots, rrs.doubled, rrs.pi, rrs.multiplicity, rrs.multipliable,
+                 inv.compact_roots):
+        assert not rows.flags.writeable
+    assert rs.roots.dtype == rrs.doubled.dtype == rrs.pi.dtype == np.int64
+    assert rrs.multiplicity.dtype == np.int64 and rrs.multiplicity.shape == (len(rrs.doubled),)
+    assert rrs.multipliable.dtype == bool and rrs.multipliable.shape == (len(rrs.doubled),)
+    assert rrs.multipliable.any()
+    assert inv.compact_roots.dtype == bool and inv.compact_roots.shape == (len(rs.roots),)
+    assert inv.compact_roots is inv.compact_roots
+    assert rrs.pi.shape == (rrs.r, rs.rank)
 
 
 def test_library_lists_no_weyl_element():

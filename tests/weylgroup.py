@@ -22,6 +22,8 @@ from thetatool.restricted import RestrictedRootSystem, RestrictionError
 from thetatool.rootsys import CapExceededError, RootSystem, weyl_order
 from thetatool.weylinv import IntPolynomial
 
+from scalar import doubled_index, tuples
+
 
 @dataclass(frozen=True)
 class Element:
@@ -106,15 +108,16 @@ def inverse(w: Element) -> Element:
 
 
 def index_of(rrs: RestrictedRootSystem, d: Sequence[int]) -> int:
-    """Position of a doubled restricted root in ``rrs.doubled``."""
+    """Position of a doubled restricted root in ``rrs.doubled``, by a dict
+    over the doubled tuples."""
     try:
-        return rrs._index[tuple(d)]
+        return doubled_index(rrs)[tuple(d)]
     except KeyError:
         raise RestrictionError(f"{tuple(d)} is not a restricted root")
 
 
 def reflection_perm(rrs: RestrictedRootSystem, d: Sequence[int]) -> Tuple[int, ...]:
-    """s_d as a permutation of the restricted root list."""
+    """s_d as a permutation of the restricted root list, for d a tuple."""
     images, integral = rrs.kernel.reflections([index_of(rrs, d)])
     if not integral.all() or (images < 0).any():
         raise RestrictionError(f"restricted roots not closed under s_{tuple(d)}")
@@ -127,7 +130,7 @@ class BabyWeylGroup:
 
     def __init__(self, rrs: RestrictedRootSystem):
         self.rrs = rrs
-        self.generators = [reflection_perm(rrs, d) for d in rrs.pi]
+        self.generators = [reflection_perm(rrs, d) for d in tuples(rrs.pi)]
         self.order = rrs.weyl_order()
         self._reduced_pos_idx = rrs.reduced_indices.tolist()
 
