@@ -11,7 +11,6 @@ from .rootsys import (
     RootSystem,
     RootSystemError,
     build_root_system,
-    lattice_quotient,
 )
 from .satake import (
     InvolutionClassEntry,
@@ -44,7 +43,6 @@ __all__ = [
     "catalog_lookup",
     "component_count",
     "invariant_degrees",
-    "lattice_quotient",
     "omega",
     "poincare_polynomial",
     "restrict",

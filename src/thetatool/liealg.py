@@ -181,7 +181,7 @@ def _bracket_entries(rs: RootSystem) -> np.ndarray:
     [h_j, e_b] = <b, alpha_j^vee> e_b, [e_a, e_{-a}] = a^vee for a positive,
     and [e_a, e_b] = N_{a,b} e_{a+b}."""
     n, npos = rs.rank, rs.num_positive
-    simple = rs.kernel.cartan_rows(rs.roots)[0][:, list(rs.simple_indices)]
+    simple = rs.kernel.cartan_rows(rs.roots)[0][:, rs.simple_indices]
     r, h = np.nonzero(simple)
     c, e = simple[r, h], n + r
     q, k = np.nonzero(rs.coroots[:npos])

@@ -2,17 +2,16 @@
 
 There is one Gauss-Jordan elimination per field: ``echelon`` over Q, which
 runs fraction-free over Z, and ``rref_mod_p`` over F_p, on numpy ``int64``
-arrays.  Rank, solving, inverses and kernels are read off the reduced row
-echelon form, which is unique, so every result is independent of the
-pivoting order.  Over Q only ``rref`` and ``solve`` build ``Fraction``s, and
-only for their results.  The library eliminates over Q in three places
-only: ``RootSystem.cartan_inverse``, ``SatakeInvolution._minus_one_rank``
-and ``lattice_quotient``; the F_p elimination serves ``liealg``.
+arrays.  Both run on integers alone.  Rank, inverses and kernels are read
+off the reduced row echelon form, which is unique, so every result is
+independent of the pivoting order.  The library eliminates over Q in two
+places only, ``RootSystem.cartan_inverse`` and
+``SatakeInvolution._minus_one_rank``; the F_p elimination serves
+``liealg``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -35,7 +34,7 @@ def echelon(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
     """The reduced row echelon form over Q, fraction-free: its nonzero rows
     and their pivot columns.  Row i is the primitive integer multiple, with
     a positive pivot, of row i of the reduced form, so it is unique too.  A
-    row of Fractions is first scaled by the lcm of its denominators; an
+    row of rationals is first scaled by the lcm of its denominators; an
     integer row is used as it is.  Each step replaces a row R by a R - f P
     (P the pivot row, a > 0 its pivot, f the entry of R there) and divides
     by the gcd (Bareiss 1968 divides by the previous pivot instead).
@@ -65,34 +64,9 @@ def echelon(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
     return A[: len(pivots)], pivots
 
 
-def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form over Q of a matrix given as rows.
-
-    Returns the nonzero rows of the form and their pivot columns.
-    """
-    R, pivots = echelon(rows)
-    return [[Fraction(x, row[c]) for x in row] for row, c in zip(R, pivots)], pivots
-
-
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank over Q."""
     return len(echelon(rows)[1])
-
-
-def solve(matrix: Sequence[Sequence], target: Sequence) -> Optional[List[Fraction]]:
-    """A solution x of matrix @ x = target over Q, or None when there is none.
-
-    Free variables are set to zero, so a consistent system with full column
-    rank returns its unique solution.
-    """
-    ncols = len(matrix[0]) if matrix else 0
-    R, pivots = rref([list(row) + [t] for row, t in zip(matrix, target)])
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, c in zip(R, pivots):
-        x[c] = row[ncols]
-    return x
 
 
 def scaled_inverse(rows: Sequence[Sequence]) -> Optional[Tuple[List[List[int]], int]]:

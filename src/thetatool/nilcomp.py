@@ -98,7 +98,7 @@ def _theta_on_coroots(inv: SatakeInvolution, coords: Sequence[int]) -> Tuple[int
     """Action of theta on a coroot-lattice vector (dual to theta*): it sends
     alpha_j^vee to theta*(alpha_j)^vee."""
     rs = inv.ambient
-    images = rs.coroots[inv.theta_perm()[list(rs.simple_indices)]]
+    images = rs.coroots[inv.theta_perm()[rs.simple_indices]]
     return tuple((np.asarray(coords) @ images).tolist())
 
 
@@ -425,8 +425,7 @@ def _conjugate_in_type_a(rs: RootSystem, x: np.ndarray, y: np.ndarray) -> bool:
     simple-root coordinates; every power is again a Weyl element, so the
     int64 products are exact.
     """
-    simple = list(rs.simple_indices)
-    mx, my = (rs.roots[w[simple]] for w in (x, y))
+    mx, my = (rs.roots[w[rs.simple_indices]] for w in (x, y))
     return all(
         np.trace(np.linalg.matrix_power(mx, k)) == np.trace(np.linalg.matrix_power(my, k))
         for k in range(1, rs.rank + 1)

@@ -40,6 +40,9 @@ from .rootsys import (
 )
 from .satake import SatakeInvolution
 
+# Most integers in one block of reflection images (32 KiB of int64).
+_BLOCK_ENTRIES = 1 << 12
+
 
 class RestrictionError(ValueError):
     """Inconsistent restricted-root data (corrupted Satake input)."""
@@ -130,7 +133,7 @@ class RestrictedRootSystem:
 
         # restricted basis: one representative per psi-orbit of white nodes
         white = [i for i in range(rs.rank) if i not in inv.compact]
-        B = D[[rs.simple_indices[i] for i in white]]
+        B = D[rs.simple_indices[white]]
         found = kernel.lookup(B)
         if (found < 0).any():
             d = tuple(B[found < 0][0].tolist())
@@ -156,7 +159,7 @@ class RestrictedRootSystem:
         self._pi_cartan = tuple(tuple(row) for row in cartan[:, pi_idx].tolist())
         # <pi_a, alpha_j^vee> for the simple roots alpha_j of the ambient system
         cartan, _ = rs.kernel.cartan_rows(self.pi)
-        self._pi_coroot_pairings = cartan[:, list(rs.simple_indices)]
+        self._pi_coroot_pairings = cartan[:, rs.simple_indices]
         self._pi_norms = tuple(kernel.norms[pi_idx].tolist())
         self._pi_coords = self._compute_pi_coords()
         self.factors: Tuple[SimpleFactor, ...] = self._classify(self.multipliable[pi_idx])
@@ -173,24 +176,29 @@ class RestrictedRootSystem:
 
         Integrality also excludes 3a: if a and 3a were both restricted roots,
         <a, (3a)^vee> = 2/3 would fail it.  Reads the kernel's reflection
-        table block by block.  The first failure in the order (a, b) is the
-        one raised: RootSystemError for a non-integral pairing,
-        RestrictionError for a reflection leaving the list.
+        table in blocks of reflections s_b.  The first failure in the order
+        (a, b) is the one raised: RootSystemError for a non-integral
+        pairing, RestrictionError for a reflection leaving the list.
         """
-        for start, cartan, integral, images in self.kernel.reflection_blocks():
-            bad = np.flatnonzero((images < 0) | ~integral)
-            if not bad.size:
-                continue
-            i, j = divmod(int(bad[0]), cartan.shape[1])
-            a, b = (tuple(self.doubled[k].tolist()) for k in (start + i, j))
-            if not integral[i, j]:
-                raise RootSystemError(f"non-integral Cartan pairing of {a} with {b}")
-            c = int(cartan[i, j])
-            img = tuple(x - c * y for x, y in zip(a, b))
-            raise RestrictionError(
-                f"restricted roots not closed under reflection: "
-                f"s_{b}({a}) = {img}"
-            )
+        m, n = self.doubled.shape
+        step = max(1, _BLOCK_ENTRIES // max(1, m * n))
+        bad = np.empty((m, m), dtype=bool)  # bad[a, b]: s_b(a) fails
+        for start in range(0, m, step):
+            images, integral = self.kernel.reflections(np.arange(start, min(start + step, m)))
+            bad[:, start : start + step] = ((images < 0) | ~integral).T
+        fails = np.flatnonzero(bad)
+        if not fails.size:
+            return
+        i, j = divmod(int(fails[0]), m)
+        cartan, integral = self.kernel.cartan_rows(self.doubled[[i]])
+        a, b = (tuple(self.doubled[k].tolist()) for k in (i, j))
+        if not integral[0, j]:
+            raise RootSystemError(f"non-integral Cartan pairing of {a} with {b}")
+        c = int(cartan[0, j])
+        img = tuple(x - c * y for x, y in zip(a, b))
+        raise RestrictionError(
+            f"restricted roots not closed under reflection: s_{b}({a}) = {img}"
+        )
 
     # -- classification --------------------------------------------------------
 

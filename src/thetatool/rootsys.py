@@ -9,7 +9,11 @@ over its roots, built with them and kept, and one exact coroot array.  The
 root list is the kernel's read-only int64 array, and ``kernel.lookup`` finds
 roots in it.  A Weyl group element is a read-only int64 permutation w of
 the (finite, canonically ordered) root list, sending roots[i] to
-roots[w[i]]; the product x y is x[y].  The module also provides
+roots[w[i]]; the product x y is x[y].
+
+The one Weyl orbit walk of the package, ``orbit_levels``, runs on Python
+tuples: the roots are built with it, and ``weylinv`` walks the parabolic
+coset orbits of its Poincare polynomial with it.  The module also provides
 Smith-normal-form arithmetic for integer lattice quotients, which is how
 fundamental groups and their two-torsion are computed downstream.
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -196,10 +200,6 @@ def _root_halflengths(series: str, rank: int) -> Tuple[int, ...]:
     return tuple([1] * n)
 
 
-# Most integers in one block of reflection images (32 KiB of int64).
-_BLOCK_ENTRIES = 1 << 12
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -250,31 +250,45 @@ class GramKernel:
         """s_{v_j} on the list for each j in js: row k holds the index of
         each s_{v_j}(v_i) (-1 where absent) for j = js[k], and where
         <v_i, v_j^vee> is integral.  The pairings are rows js of V F V^T."""
-        B = self.vectors[list(js)]
+        js = np.asarray(js, dtype=np.int64)
+        B = self.vectors[js]
         num = 2 * (B @ self.form @ self.vectors.T)
-        norms = self.norms[list(js), None]
-        images = self.vectors - (num // norms)[:, :, None] * B[:, None, :]
-        return self.lookup(images.reshape(-1, B.shape[1])).reshape(num.shape), num % norms == 0
+        norms = self.norms[js, None]
+        # s_{v_j} fixes v_i where the pairing is 0: only the others are looked up
+        c = num // norms
+        k, i = np.nonzero(c)
+        found = np.tile(np.arange(len(self.vectors)), (len(js), 1))
+        found[k, i] = self.lookup(self.vectors[i] - c[k, i, None] * B[k])
+        return found, num % norms == 0
 
-    def reflection_blocks(
-        self,
-    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        """The table of all reflections, in blocks of consecutive rows.
 
-        Yields (start, cartan, integral, images) where, for the rows
-        a = start, start + 1, ... and every b, cartan[a - start, b] is
-        <v_a, v_b^vee>, integral marks where it is an integer and
-        images[a - start, b] is the index of v_a - cartan * v_b (-1 where
-        absent).  A block holds at most _BLOCK_ENTRIES integers.
-        """
-        m, n = self.vectors.shape
-        step = max(1, _BLOCK_ENTRIES // max(1, m * n))
-        for start in range(0, m, step):
-            rows = self.vectors[start : start + step]
-            cartan, integral = self.cartan_rows(rows)
-            images = rows[:, None, :] - cartan[:, :, None] * self.vectors[None, :, :]
-            found = self.lookup(images.reshape(-1, n)).reshape(cartan.shape)
-            yield start, cartan, integral, found
+def orbit_levels(
+    level: Sequence[Tuple[int, ...]], steps: Sequence[Tuple[int, ...]]
+) -> List[List[Tuple[int, ...]]]:
+    """Breadth-first walk from the vectors of ``level`` under the simple
+    reflections s_j(x) = x - <x, alpha_j^vee> alpha_j.
+
+    A vector carries its pairings <x, alpha_j^vee> in its last len(steps)
+    entries, and steps[j] is alpha_j in the same layout, so x moves to
+    x - c steps[j] wherever its pairing c with alpha_j^vee is positive.
+    Returns the levels: the given one, then the vectors first reached from
+    each level, every vector listed once.
+    """
+    n = len(steps)
+    seen = set(level)
+    levels = [list(level)]
+    while True:
+        nxt = []
+        for x in levels[-1]:
+            for c, step in zip(x[len(x) - n :], steps):
+                if c > 0:
+                    y = tuple(a - c * b for a, b in zip(x, step))
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+        if not nxt:
+            return levels
+        levels.append(nxt)
 
 
 class RootSystem:
@@ -286,6 +300,7 @@ class RootSystem:
         roots: ``kernel.vectors``, the roots as int64 rows in canonical order.
         num_positive: the first num_positive rows of ``roots`` are the
             positive roots; roots[i + num_positive] = -roots[i].
+        simple_indices: read-only int64 array, entry i the row of alpha_i.
         kernel: the ``GramKernel`` of the roots.
         coroots: read-only int64 array, row i the simple-coroot
             coordinates of roots[i]^vee.
@@ -308,34 +323,23 @@ class RootSystem:
     # -- construction -----------------------------------------------------
 
     def _build_roots(self) -> None:
-        """The roots as the closure of the simple roots under the simple
-        reflections, grown as int64 arrays: each round reflects the rows
-        first found in the round before (``new @ C`` holds the pairings
-        <v, alpha_j^vee>), and one stable lexsort of the rows found so far
-        and the images drops repeats, keeping the first copy.  The positive
-        rows are then sorted by (height, coordinates), and the root system
-        keeps one ``GramKernel`` over the sorted list."""
+        """The roots from one orbit walk.  Each vector is a root's
+        coordinates followed by its pairings <v, alpha_j^vee>, and the walk
+        starts at the negative simple roots: every step lowers the height,
+        and the walk finds all negative roots.  Their negatives, the
+        positive roots, are sorted by (height, coordinates), and the root
+        system keeps one ``GramKernel`` over the sorted list."""
         n = self.rank
-        eye = np.eye(n, dtype=np.int64)
-        C = np.array(self.cartan, dtype=np.int64)
-        R, new = eye[:0], eye
-        while len(new):
-            rows = np.vstack([R, (new[:, None, :] - (new @ C)[:, :, None] * eye).reshape(-1, n)])
-            order = np.lexsort(rows.T[::-1])
-            rows = rows[order]
-            first = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
-            new = rows[first & (order >= len(R))]
-            R = rows[first]
-        height = R.sum(axis=1)
-        pos = R[height > 0]
-        pos = pos[np.lexsort(np.vstack([pos[:, ::-1].T, height[height > 0]]))]
+        steps = [tuple(int(i == j) for i in range(n)) + self.cartan[j] for j in range(n)]
+        levels = orbit_levels([tuple(-x for x in step) for step in steps], steps)
+        pos = sorted((tuple(-x for x in v[:n]) for level in levels for v in level),
+                     key=lambda v: (sum(v), v))
+        pos = np.array(pos, dtype=np.int64)
         vectors = np.vstack([pos, -pos])
-        if not np.array_equal(vectors[np.lexsort(vectors.T[::-1])], R):
-            raise RootSystemError(f"roots of {self.series}{self.rank} not closed under -1")
         self.kernel = GramKernel(vectors, self.form)
         self.roots = self.kernel.vectors
         self.num_positive = len(pos)
-        self.simple_indices = tuple(self.kernel.lookup(eye).tolist())
+        self.simple_indices = _read_only(self.kernel.lookup(np.eye(n, dtype=np.int64)))
         # beta^vee = sum_i b_i (alpha_i, alpha_i)/(beta, beta) alpha_i^vee
         num = self.roots * np.diag(self.kernel.form)
         if (num % self.kernel.norms[:, None]).any():
@@ -390,7 +394,7 @@ class RootSystem:
         indices = sorted(simple)
         if any(not 0 <= i < self.rank for i in indices):
             raise RootSystemError(f"simple indices {tuple(indices)} out of range")
-        simples = [self.simple_indices[i] for i in indices]
+        simples = self.simple_indices[indices]
         w = np.arange(len(self.roots), dtype=np.int64)
         while True:
             positive = np.flatnonzero(w[simples] < self.num_positive)
@@ -480,35 +484,6 @@ class FiniteAbelianGroup:
     @classmethod
     def from_diagonal(cls, diag: Sequence[int]) -> "FiniteAbelianGroup":
         return cls(tuple(sorted(d for d in diag if d > 1)))
-
-
-def lattice_quotient(
-    generators: Sequence[Sequence[int]], sublattice: Sequence[Sequence[int]]
-) -> FiniteAbelianGroup:
-    """Quotient of the lattice spanned by ``generators`` by ``sublattice``.
-
-    Rows of ``generators`` are a basis of the ambient lattice L; rows of
-    ``sublattice`` must lie in L.  Raises NonFiniteQuotientError when the
-    sublattice has lower rank (the error reports the free rank).
-    """
-    gen = [list(r) for r in generators]
-    sub = [list(r) for r in sublattice]
-    n = len(gen)
-    if n == 0:
-        return FiniteAbelianGroup(())
-    # express each sublattice row in the generator basis (exact solve)
-    gen_columns = [list(col) for col in zip(*gen)]
-    coords = []
-    for row in sub:
-        x = linalg.solve(gen_columns, row)
-        if x is None or any(c.denominator != 1 for c in x):
-            raise RootSystemError("sublattice row is not in the ambient lattice")
-        coords.append([int(c) for c in x])
-    diag = smith_normal_form(coords) if coords else []
-    rank = len(diag)
-    if rank < n:
-        raise NonFiniteQuotientError(n - rank)
-    return FiniteAbelianGroup.from_diagonal(diag)
 
 
 def cokernel(rows: Sequence[Sequence[int]], ambient_rank: int) -> FiniteAbelianGroup:

@@ -110,7 +110,7 @@ class SatakeInvolution:
     def _minus_one_rank(self) -> int:
         rs = self.ambient
         # rows of theta* + identity; (-1)-eigenspace dim = n - rank
-        rows = rs.roots[self.theta_perm()[list(rs.simple_indices)]]
+        rows = rs.roots[self.theta_perm()[rs.simple_indices]]
         return rs.rank - linalg.rank((rows + np.eye(rs.rank, dtype=np.int64)).tolist())
 
     def out_class(self) -> Tuple[int, ...]:
@@ -118,8 +118,9 @@ class SatakeInvolution:
         permutation: the composite of psi with the -w_0 symmetry."""
         rs = self.ambient
         w0, simple = rs.longest_element(), rs.simple_indices
-        sigma0 = [simple.index(w0[s] - rs.num_positive) for s in simple]
-        return tuple(sigma0[self.psi[i]] for i in range(rs.rank))
+        # the simple roots are the first rank rows, so argsort inverts simple
+        sigma0 = np.argsort(simple)[w0[simple] - rs.num_positive]
+        return tuple(sigma0[list(self.psi)].tolist())
 
     # -- validation -----------------------------------------------------------
 
@@ -154,7 +155,7 @@ class SatakeInvolution:
         # Araki: <alpha_j, rho_I^vee> is an integer for each white node j
         # fixed by psi, i.e. alpha_j pairs with the positive coroots of
         # Phi_I to an even sum
-        cartan, _ = rs.kernel.cartan_rows(rs.roots[list(rs.simple_indices)])
+        cartan, _ = rs.kernel.cartan_rows(rs.roots[rs.simple_indices])
         sums = cartan[:, : rs.num_positive][:, compact[: rs.num_positive]].sum(axis=1)
         for j in range(rs.rank):
             if j not in self.compact and self.psi[j] == j and sums[j] % 2:

@@ -17,8 +17,8 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import liealg, nilcomp, restricted, weylinv
-from .rootsys import DEFAULT_CAP, CapExceededError
-from .satake import InvolutionClassEntry, all_catalog_entries, catalog_list
+from .rootsys import DEFAULT_CAP, CapExceededError, build_root_system, fundamental_group
+from .satake import InvolutionClassEntry, _catalog_types, all_catalog_entries, catalog_list
 
 SUITE_NAMES = ("poincare", "w0", "centdim", "grading", "proposition")
 
@@ -178,17 +178,7 @@ REALIZATION_MAX_RANK = 4
 
 
 def _realizable_types(max_rank: int = REALIZATION_MAX_RANK) -> List[Tuple[str, int]]:
-    out = []
-    for series, rank in (
-        [("A", r) for r in range(1, max_rank + 1)]
-        + [("B", r) for r in range(2, max_rank + 1)]
-        + [("C", r) for r in range(2, max_rank + 1)]
-        + [("D", 4)]
-        + [("F", 4), ("G", 2)]
-    ):
-        if rank <= max_rank:
-            out.append((series, rank))
-    return out
+    return [t for t in _catalog_types() if t[1] <= max_rank]
 
 
 def _usable_primes(series: str, rank: int, primes: Sequence[int]) -> List[int]:
@@ -200,8 +190,6 @@ def _usable_primes(series: str, rank: int, primes: Sequence[int]) -> List[int]:
     identity provably fails on special elements; those pairs are outside
     the standing hypotheses and are excluded here.
     """
-    from .rootsys import build_root_system, fundamental_group
-
     z = fundamental_group(build_root_system(series, rank)).order
     return [p for p in primes if z % p != 0]
 

@@ -4,9 +4,10 @@ polynomial.
 The degrees come from the per-type table of each simple factor of the
 reduced restricted system; the Poincare polynomial
 is computed exactly by the parabolic-coset factorization
-P_W(t) = prod_k P_{W_k / W_{k-1}}(t), each factor being a breadth-first
-walk on a dominant-weight orbit, so even the 2.9-million-element restricted
-E7 group costs only a few thousand vector operations.  The identity
+P_W(t) = prod_k P_{W_k / W_{k-1}}(t), each factor being the level sizes of
+``rootsys.orbit_levels`` on a dominant-weight orbit, the walk that also
+builds the roots, so even the 2.9-million-element restricted E7 group costs
+only a few thousand vector operations.  The identity
 sum_w t^{l(w)} = prod_i (1 - t^{d_i})/(1 - t) is then checked coefficient
 by coefficient.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import List, Sequence, Tuple
 
-from .rootsys import DEFAULT_CAP, CapExceededError, degrees_for
+from .rootsys import DEFAULT_CAP, CapExceededError, degrees_for, orbit_levels
 from .restricted import RestrictedRootSystem
 
 
@@ -160,30 +161,15 @@ def poincare_from_cartan(C: Sequence[Sequence[int]]) -> IntPolynomial:
     """Length generating polynomial of the Weyl group of a Cartan matrix.
 
     For each k the quotient W_{1..k} / W_{1..k-1} is walked as the orbit of
-    a weight with pairing vector (0,...,0,1); each step away from the
-    dominant chamber raises the minimal coset length by one.
+    a weight with pairing vector (0,...,0,1), in which alpha_j is row j of
+    C; each step away from the dominant chamber raises the minimal coset
+    length by one, so level l of the walk holds the cosets of length l.
     """
-    n = len(C)
     result = IntPolynomial.one()
-    for k in range(1, n + 1):
-        start = tuple(0 if i < k - 1 else 1 for i in range(k))
-        depth = {start: 0}
-        frontier = [start]
-        counts = [1]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for j in range(k):
-                    if u[j] <= 0:
-                        continue
-                    v = tuple(u[i] - u[j] * C[j][i] for i in range(k))
-                    if v not in depth:
-                        depth[v] = depth[u] + 1
-                        nxt.append(v)
-            if nxt:
-                counts.append(len(nxt))
-            frontier = nxt
-        result = result * IntPolynomial.from_list(counts)
+    for k in range(1, len(C) + 1):
+        steps = [tuple(row[:k]) for row in C[:k]]
+        levels = orbit_levels([(0,) * (k - 1) + (1,)], steps)
+        result = result * IntPolynomial.from_list([len(level) for level in levels])
     return result
 
 

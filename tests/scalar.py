@@ -7,7 +7,9 @@ alone, one vector at a time, so the tests that use them check the arrays
 against a second route.  ``ref_roots`` is the frontier search that built
 the root list before the array closure, ``ref_omega_alpha`` the scalar
 classification of the basis cocharacters, ``ref_pi_coords`` the elimination
-over Q for the pi-coordinates, ``ref_factors`` the Dynkin-diagram walk that
+over Q for the pi-coordinates (by ``ref_rref``, the Gauss-Jordan over
+``Fraction``s that the library's fraction-free ``echelon`` replaced),
+``ref_factors`` the Dynkin-diagram walk that
 named the restricted factors, and ``ref_structure_constants``
 the recursion on root tuples that built N_{a,b} before the array build by
 height; ``act`` applies a Weyl element to one root tuple.  The ``ref_*``
@@ -21,13 +23,13 @@ the tuple face of those arrays.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from thetatool.liealg import LieAlgebraError
-from thetatool import linalg
 from thetatool.restricted import RestrictedCocharacter, RestrictionError, SimpleFactor
 from thetatool.rootsys import RootSystem, RootSystemError, cartan_matrix
 
@@ -170,13 +172,34 @@ def ref_omega_alpha(inv, rrs, basis_pos: int) -> RestrictedCocharacter:
     return RestrictedCocharacter(tuple(coords), tuple(pairings), case)
 
 
+def ref_rref(rows) -> Tuple[List[List[Fraction]], List[int]]:
+    """The Gauss-Jordan over Fractions that the fraction-free one replaced."""
+    A = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(A[0]) if A else 0
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
+        if sel is None:
+            continue
+        A[r], A[sel] = A[sel], A[r]
+        inv = 1 / A[r][c]
+        A[r] = [x * inv for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return A[: len(pivots)], pivots
+
+
 def ref_pi_coords(rrs) -> List[List[int]]:
     """The pi-coordinates of each doubled root, read off the reduced row
     echelon form over Q of the columns [pi | doubled]: a root lies in the
     span of pi when its column vanishes below the first r rows."""
     n = rrs.r
     doubled = doubled_tuples(rrs)
-    R, pivots = linalg.rref([list(row) for row in zip(*tuples(rrs.pi), *doubled)])
+    R, pivots = ref_rref([list(row) for row in zip(*tuples(rrs.pi), *doubled)])
     if pivots[:n] != list(range(n)):
         raise RestrictionError("restricted basis is linearly dependent")
     coords = []

@@ -17,7 +17,7 @@ from typing import Sequence, Tuple
 import numpy as np
 import pytest
 
-from thetatool import rootsys
+from thetatool import restricted
 from thetatool.restricted import RestrictedRootSystem, RestrictionError, restrict
 from thetatool.rootsys import GramKernel, RootSystemError, build_root_system
 from thetatool.satake import _catalog_types, all_catalog_entries, catalog_lookup
@@ -119,25 +119,25 @@ def test_kernel_lookup_and_reflection_blocks():
     assert kernel.lookup(kernel.vectors).tolist() == list(range(len(rs.roots)))
     zero_and_double = np.array([[0] * 8, [2] + [0] * 7, [7] * 8], dtype=np.int64)
     assert kernel.lookup(zero_and_double).tolist() == [-1, -1, -1]
-    # the blocks cover the full reflection table, row by row, in order
+    # blocks of consecutive reflections, as the restricted axiom check
+    # reads them, tile the full reflection table in order
     perms = rs.reflections(range(len(rs.roots))).tolist()
-    rows = 0
-    for start, cartan, integral, images in kernel.reflection_blocks():
-        assert start == rows
-        assert cartan.size * rs.rank <= rootsys._BLOCK_ENTRIES
+    step = restricted._BLOCK_ENTRIES // (len(rs.roots) * rs.rank)
+    rows = []
+    for start in range(0, len(rs.roots), step):
+        images, integral = kernel.reflections(np.arange(start, min(start + step, len(rs.roots))))
+        assert images.size * rs.rank <= restricted._BLOCK_ENTRIES
         assert integral.all() and (images >= 0).all()
-        for i in range(len(cartan)):
-            a = start + i
-            assert images[i].tolist() == [perm[a] for perm in perms]
-        rows += len(cartan)
-    assert rows == len(rs.roots)
+        rows += images.tolist()
+    assert rows == perms
 
 
 def test_empty_kernel():
     kernel = GramKernel([], ((2, -1), (-1, 2)))
     assert kernel.vectors.shape == (0, 2)
     assert kernel.lookup(np.array([[1, 0]], dtype=np.int64)).tolist() == [-1]
-    assert list(kernel.reflection_blocks()) == []
+    images, integral = kernel.reflections(np.arange(0))
+    assert images.shape == integral.shape == (0, 0)
 
 
 # The kernel builds of two catalog sweeps in a fresh interpreter, where no

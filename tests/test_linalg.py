@@ -3,7 +3,8 @@ eliminations it replaced (kept below, verbatim in substance, as reference
 oracles) on random, low-rank, empty and zero matrices.  ``rref_mod_p`` is
 also checked against its earlier row-major numpy body, and the
 fraction-free ``echelon`` over Q against the ``Fraction`` Gauss-Jordan it
-replaced; each must give the same reduced form and pivots on every input."""
+replaced (``scalar.ref_rref``); each must give the same reduced form and
+pivots on every input."""
 
 from __future__ import annotations
 
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from thetatool import linalg
+
+from scalar import ref_rref
 
 PRIMES = st.sampled_from([3, 5, 7, 11, 13])
 LARGEST_PRIME = 2**31 - 1
@@ -135,38 +138,6 @@ def ref_in_row_span(basis: np.ndarray, v: np.ndarray, p: int) -> bool:
     return not np.any(w)
 
 
-def ref_rref(rows) -> Tuple[List[List[Fraction]], List[int]]:
-    """The Gauss-Jordan over Fractions that the fraction-free one replaced."""
-    A = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(A[0]) if A else 0
-    pivots: List[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
-        if sel is None:
-            continue
-        A[r], A[sel] = A[sel], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(len(A)):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-    return A[: len(pivots)], pivots
-
-
-def ref_solve(matrix, target) -> Optional[List[Fraction]]:
-    ncols = len(matrix[0]) if matrix else 0
-    R, pivots = ref_rref([list(row) + [t] for row, t in zip(matrix, target)])
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, c in zip(R, pivots):
-        x[c] = row[ncols]
-    return x
-
-
 def ref_inverse(rows) -> Optional[List[List[Fraction]]]:
     n = len(rows)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -181,37 +152,6 @@ def inverse(rows) -> Optional[List[List[Fraction]]]:
     read off ``linalg.scaled_inverse``."""
     scaled = linalg.scaled_inverse(rows)
     return None if scaled is None else [[Fraction(x, scaled[1]) for x in row] for row in scaled[0]]
-
-
-def ref_solve_rational(
-    matrix: List[List[Fraction]], target: List[Fraction]
-) -> Optional[List[Fraction]]:
-    """Solve matrix @ x = target over Q; None when inconsistent."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    A = [row[:] + [t] for row, t in zip(matrix, target)]
-    piv = []
-    r = 0
-    for c in range(cols):
-        sel = next((i for i in range(r, rows) if A[i][c] != 0), None)
-        if sel is None:
-            continue
-        A[r], A[sel] = A[sel], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, rows):
-        if A[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(piv):
-        x[c] = A[i][cols]
-    return x
 
 
 # -- strategies -------------------------------------------------------------------
@@ -408,37 +348,7 @@ def test_largest_modulus_is_exact(mat):
 # -- Q -------------------------------------------------------------------------------
 
 
-@settings(deadline=None)
-@given(st.data())
-def test_solve_over_q(data):
-    mat = data.draw(int_matrices())
-    m, n = mat.shape
-    consistent = data.draw(st.booleans())
-    if consistent:
-        x0 = data.draw(arrays(np.int64, (n,), elements=st.integers(-9, 9)))
-        target = mat @ x0 if n else np.zeros(m, dtype=np.int64)
-    else:
-        target = data.draw(arrays(np.int64, (m,), elements=st.integers(-20, 20)))
-    rows = [[int(x) for x in row] for row in mat]
-    rhs = [int(t) for t in target]
-    x = linalg.solve(rows, rhs)
-    want = ref_solve_rational(
-        [[Fraction(v) for v in row] for row in rows], [Fraction(t) for t in rhs]
-    )
-    assert x == want
-    if consistent:
-        assert x is not None
-    if x is not None and m:
-        assert len(x) == n
-        assert [sum(a * xi for a, xi in zip(row, x)) for row in rows] == rhs
-
-
-def test_solve_and_rank_edge_cases():
-    assert linalg.solve([], []) == []
-    assert linalg.solve([[], []], [0, 0]) == []
-    assert linalg.solve([[], []], [0, 1]) is None
-    assert linalg.solve([[2, 0], [0, 4]], [1, 1]) == [Fraction(1, 2), Fraction(1, 4)]
-    assert linalg.solve([[1, 1], [1, 1]], [1, 2]) is None
+def test_rank_edge_cases():
     assert linalg.rank([]) == 0
     assert linalg.rank([[0, 0], [0, 0]]) == 0
     assert linalg.rank([[1, 2], [2, 4], [0, 1]]) == 2
@@ -464,10 +374,9 @@ def test_inverse_over_q(mat):
 @settings(deadline=None, max_examples=150)
 @given(q_matrices())
 def test_q_elimination_matches_fraction_oracle(rows):
-    """rref and rank give the oracle's reduced form; echelon's rows are its
-    rows scaled to primitive integer vectors with a positive pivot."""
+    """rank is the oracle's; echelon's rows are the oracle's reduced rows
+    scaled to primitive integer vectors with a positive pivot."""
     want, want_pivots = ref_rref(rows)
-    assert linalg.rref(rows) == (want, want_pivots)
     assert linalg.rank(rows) == len(want_pivots)
     R, pivots = linalg.echelon(rows)
     assert pivots == want_pivots
@@ -479,12 +388,7 @@ def test_q_elimination_matches_fraction_oracle(rows):
 
 @settings(deadline=None, max_examples=60)
 @given(st.data())
-def test_q_solve_and_inverse_match_fraction_oracle(data):
-    rows = data.draw(q_matrices())
-    m = len(rows)
-    target = data.draw(st.lists(st.fractions(-9, 9, max_denominator=6) | st.integers(-9, 9),
-                                min_size=m, max_size=m))
-    assert linalg.solve(rows, target) == ref_solve(rows, target)
+def test_q_inverse_matches_fraction_oracle(data):
     n = data.draw(dims())
     square = data.draw(q_matrices(rows=n, cols=n))
     want = ref_inverse(square)
@@ -508,7 +412,7 @@ def test_q_rank_and_echelon_build_no_fraction(rows):
         raise AssertionError("Fraction constructed")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "Fraction", no_fraction)
+        mp.setattr(Fraction, "__new__", no_fraction)
         r = linalg.rank(rows)
         R, pivots = linalg.echelon(rows)
     assert r == len(pivots)

@@ -18,10 +18,10 @@ from thetatool.rootsys import (
     NonFiniteQuotientError,
     RootSystemError,
     build_root_system,
+    cokernel,
     degrees_for,
     fundamental_group,
     is_odd_prime,
-    lattice_quotient,
     smith_normal_form,
     weyl_order,
 )
@@ -78,8 +78,8 @@ def test_build_counts_match_closure_oracle():
 
 @pytest.mark.parametrize("series,rank", CLOSURE_TYPES, ids=[f"{s}{r}" for s, r in CLOSURE_TYPES])
 def test_root_closure_matches_frontier_search(series, rank):
-    """The array closure gives the root tuple of the scalar frontier
-    search, in the same order, and its kernel holds the same rows."""
+    """The orbit walk gives the root tuple of the scalar frontier search,
+    in the same order, and its kernel holds the same rows."""
     rs = build_root_system(series, rank)
     assert root_tuples(rs) == ref_roots(series, rank)
     assert rs.num_positive == len(rs.roots) // 2
@@ -236,32 +236,29 @@ def test_weyl_word_properties(word):
 
 def test_lattice_quotient_a1_weight_mod_root():
     # P(A1)/Q(A1): in P-coordinates Q is generated by 2; det oracle = 2
-    assert lattice_quotient([[1]], [[2]]) == FiniteAbelianGroup((2,))
+    assert cokernel([[2]], 1) == FiniteAbelianGroup((2,))
 
 
 def test_lattice_quotient_trivial():
-    assert lattice_quotient([[1, 0], [0, 1]], [[1, 0], [0, 1]]).order == 1
+    assert cokernel([[1, 0], [0, 1]], 2).order == 1
+    assert cokernel([], 0).order == 1
 
 
 def test_lattice_quotient_d4():
-    # coweights mod coroots of D4 = (Z/2)^2; matches the 4-component count
-    # for the split involution of D_{2n}
+    # coweights mod coroots of D4 = (Z/2)^2, spanned by the columns of the
+    # Cartan matrix; matches the 4-component count for the split
+    # involution of D_{2n}
     rs = build_root_system("D", 4)
-    cols = [[rs.cartan[i][j] for j in range(4)] for i in range(4)]
-    grp = lattice_quotient([[1 if i == j else 0 for j in range(4)] for i in range(4)], cols)
+    grp = cokernel(list(zip(*rs.cartan)), 4)
     assert grp == FiniteAbelianGroup((2, 2))
     assert fundamental_group(rs) == grp
 
 
 def test_lattice_quotient_free_rank_error():
-    with pytest.raises(NonFiniteQuotientError) as exc:
-        lattice_quotient([[1, 0], [0, 1]], [[3, 0]])
-    assert exc.value.free_rank == 1
-
-
-def test_lattice_quotient_rejects_outside_vector():
-    with pytest.raises(RootSystemError):
-        lattice_quotient([[2, 0], [0, 2]], [[1, 0], [0, 2]])
+    for rows, n, free_rank in (([[3, 0]], 2, 1), ([], 2, 2)):
+        with pytest.raises(NonFiniteQuotientError) as exc:
+            cokernel(rows, n)
+        assert exc.value.free_rank == free_rank
 
 
 @settings(max_examples=25, deadline=None)
@@ -281,7 +278,7 @@ def test_lattice_quotient_order_is_det_ratio(diag, seed):
             for k in range(n):
                 U[i][k] += c * U[j][k]
     sub = [[diag[i] * U[i][k] for k in range(n)] for i in range(n)]
-    grp = lattice_quotient([[1 if i == j else 0 for j in range(n)] for i in range(n)], sub)
+    grp = cokernel(sub, n)
     expected = 1
     for d in diag:
         expected *= d

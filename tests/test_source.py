@@ -29,19 +29,25 @@ def test_no_bare_assert_in_library():
 
 
 def test_only_linalg_constructs_fractions():
-    """The report path is integer-only: outside ``linalg.py`` no module calls
-    ``Fraction(...)``, by name or as ``fractions.Fraction``."""
+    """The library is integer-only, ``linalg`` included: no module imports
+    ``fractions`` or names ``Fraction``, by name, as an attribute or in an
+    import."""
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "linalg.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "Fraction":
-                    found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"Fraction constructed in {', '.join(found)}"
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if {"fractions", "Fraction"} & set(names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"fractions used in {', '.join(found)}"
 
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
