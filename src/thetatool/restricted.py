@@ -6,7 +6,9 @@ restriction d(a) = a - theta(a) throughout; Cartan integers are unaffected
 by the scaling.  Every Cartan integer, reflection and membership test on
 restricted roots goes through the one ``GramKernel`` over the doubled roots
 that each restricted system owns; ambient pairings and coroots are read off
-the ambient root system's kernel and coroot array.
+the ambient root system's kernel and coroot array.  The root-system axioms
+of the restricted roots are certified from the reflections in the basis;
+only data that fail the certificate are checked pair by pair.
 The reduced subsystem consists of the indivisible restricted roots, kept
 as one index array read off the same lookup that finds the multipliable
 roots.  Nothing here eliminates or walks a graph.  The pi-coordinates of a
@@ -22,6 +24,7 @@ lists its elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -175,10 +178,60 @@ class RestrictedRootSystem:
         """Closure under reflections and integral Cartan numbers.
 
         Integrality also excludes 3a: if a and 3a were both restricted roots,
-        <a, (3a)^vee> = 2/3 would fail it.  Reads the kernel's reflection
-        table in blocks of reflections s_b.  The first failure in the order
-        (a, b) is the one raised: RootSystemError for a non-integral
-        pairing, RestrictionError for a reflection leaving the list.
+        <a, (3a)^vee> = 2/3 would fail it.  A certificate read off the basis
+        Pi decides the question first; only when it fails does the full
+        scan ``_scan_axioms`` run, so every error is the one that scan
+        raises.  With X the pi-coordinates of the rows (``_pi_division``)
+        and js the rows of Pi plus each 2 pi_i in the list, the certificate
+        holds when
+          1. every pi_i is a row, P[:, pi_lifts] is diagonal with no zero on
+             its diagonal, and no row is zero;
+          2. every row is an integral combination of Pi (X P = D), and its
+             nonzero pi-coordinates share one sign;
+          3. a row with exactly one nonzero pi-coordinate has it in
+             {1, 2, -1, -2};
+          4. for each pi in Pi, s_pi maps every row into the list;
+          5. <v, pi^vee> is an integer for every row v and every pi in js.
+        One ``kernel.reflections`` call, on at most 2r rows, reads 4 and 5.
+
+        Proof that the certificate implies the axioms (the descent by
+        height: Humphreys, *Introduction to Lie Algebras*, 10.3 Thm (c);
+        Bourbaki, *Lie* VI 1.5-1.6).  Take a positive row beta with two or
+        more nonzero coordinates.  The form is positive definite, so
+        (beta, beta) = sum_j x_j (beta, pi_j) > 0 gives a j with x_j > 0
+        and, by 5, <beta, pi_j^vee> >= 1.  By 4, s_j beta is a row; it
+        keeps a positive coordinate, so by 2 it is a positive row of lower
+        height.  By 3 the descent ends at pi_j or 2 pi_j; likewise a
+        negative row climbs to -pi_j or -2 pi_j, which s_j sends to pi_j or
+        2 pi_j.  So W = <s_pi>, which permutes the list by 4, takes every
+        row b to c pi_j with c in {1, 2}, and c pi_j is then in js.  For
+        b = w(c pi_j), s_b = w s_{c pi_j} w^-1 keeps the list, and
+        <a, b^vee> = <w^-1 a, (c pi_j)^vee> is an integer by 5.  So no
+        pair (a, b) fails.
+        """
+        if not self._certified():
+            self._scan_axioms()
+
+    def _certified(self) -> bool:
+        """Conditions 1-5 of ``_check_axioms``."""
+        division = self._pi_division
+        r = len(self.pi)
+        found = self.kernel.lookup(np.vstack([self.pi, 2 * self.pi]))
+        if division is None or (found[:r] < 0).any():
+            return False
+        X, bad = division
+        nonzero = (X != 0).sum(axis=1)
+        mixed = np.abs(X.sum(axis=1)) != np.abs(X).sum(axis=1)
+        if bad.any() or not nonzero.all() or mixed.any() or (np.abs(X[nonzero == 1]) > 2).any():
+            return False
+        images, integral = self.kernel.reflections(found[found >= 0])
+        return bool((images[:r] >= 0).all() and integral.all())
+
+    def _scan_axioms(self) -> None:
+        """Every pair (a, b) of rows: reads the kernel's reflection table in
+        blocks of reflections s_b.  The first failure in the order (a, b) is
+        the one raised: RootSystemError for a non-integral pairing,
+        RestrictionError for a reflection leaving the list.
         """
         m, n = self.doubled.shape
         step = max(1, _BLOCK_ENTRIES // max(1, m * n))
@@ -258,14 +311,17 @@ class RestrictedRootSystem:
         rows = zip(self._pi_coords[:n].tolist(), self.multiplicity[:n].tolist())
         return [(tuple(x), m) for x, m in rows]
 
-    def _compute_pi_coords(self) -> np.ndarray:
-        """The pi-coordinates of the doubled roots, one row each.
+    @cached_property
+    def _pi_division(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The pi-coordinates of the doubled roots, one row each, and the
+        mask of the rows they do not give back; None when the basis is not
+        diagonal at its lift nodes.
 
         theta* sends each white alpha_l to -alpha_psi(l) modulo Phi_I, so a
         basis root vanishes at the lift node of every other basis root: with
         P the r x n matrix of pi, B = P[:, pi_lifts] is diagonal with
         entries 1 or 2.  The coordinates of the rows D of the doubled roots
-        are X = D[:, pi_lifts] // diag(B), kept where X P = D: at the lift
+        are X = D[:, pi_lifts] // diag(B), good where X P = D: at the lift
         columns that says the division is exact.
         """
         D = self.kernel.vectors
@@ -273,9 +329,17 @@ class RestrictedRootSystem:
         P = self.pi
         b = np.diag(P[:, lifts])
         if (P[:, lifts] != np.diag(b)).any() or not b.all():
-            raise RestrictionError("restricted basis is linearly dependent")
+            return None
         X = D[:, lifts] // b
-        bad = (X @ P != D).any(axis=1)
+        return X, (X @ P != D).any(axis=1)
+
+    def _compute_pi_coords(self) -> np.ndarray:
+        """The pi-coordinates of ``_pi_division``, or the error that says
+        why they do not exist."""
+        division = self._pi_division
+        if division is None:
+            raise RestrictionError("restricted basis is linearly dependent")
+        X, bad = division
         if bad.any():
             d = tuple(self.doubled[np.flatnonzero(bad)[0]].tolist())
             raise RestrictionError(f"{d} has non-integer pi-coordinates")

@@ -239,10 +239,13 @@ def test_criterion_8_structural_invariants():
     for series, rank in [("F", 4), ("D", 5), ("E", 6)]:
         sample_jacobi(liealg.build_algebra(series, rank, 7), 10**4, seed=8)
 
-    # restricted-root axioms fire inside the constructor: closure under
-    # reflections, integral Cartan numbers, no 3a; re-run over the catalog
+    # restricted-root axioms: closure under reflections and integral Cartan
+    # numbers (which exclude 3a).  The constructor certifies them from the
+    # basis reflections; the full scan over every pair (a, b) re-checks
+    # them here independently of that certificate
     for e in all_catalog_entries():
         rrs = restricted.restrict(e.satake)
+        rrs._scan_axioms()
         rep = nilcomp.component_count(e, rrs)
         if rep.z_cap_a_mod_sq.order % rep.count != 0:
             ok = False

@@ -3,7 +3,8 @@ replaced: Cartan tables, ambient and restricted reflections, the restricted
 Cartan matrix and pi-coordinates equal the loop-based versions (kept below
 or in ``scalar.py``, verbatim in substance, as reference oracles), and
 corrupted restricted data raises the same error, with the same message, as
-the loop-based check."""
+the loop-based check.  The basis certificate of the restricted axiom check
+holds on the catalog, and only where the loop-based check passes."""
 
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from scalar import (
     root_tuples,
     tuples,
 )
+from test_satake import diagram_automorphisms, satake_data
 from weylgroup import index_of, reflection_perm
 
 TYPES = _catalog_types() + [("D", 3)]
@@ -223,12 +225,75 @@ def test_corrupted_restricted_roots_raise_the_same_error():
             fake = _with_roots(rrs, vectors)
             expected = _outcome(lambda: ref_check_axioms(fake))
             assert expected is not None, (series, rank, label, kind)
+            assert not fake._certified(), (series, rank, label, kind)
             got = _outcome(fake._check_axioms)
             assert got == expected, (series, rank, label, kind)
             seen.add(expected[1].split(" ")[0])
     # closure and integrality failures both occur ("3a" rows always meet
     # the non-integral pairing <a, (3a)^vee> = 2/3 first)
     assert {"restricted", "non-integral"} <= seen
+
+
+def test_certificate_holds_on_the_catalog_without_the_scan(monkeypatch):
+    """Every catalog class is certified from its basis: the m x m scan never
+    runs, and the axiom check reflects in at most 2r rows."""
+    scans, rows = [], {}
+    monkeypatch.setattr(RestrictedRootSystem, "_scan_axioms", lambda self: scans.append(self))
+    real = GramKernel.reflections
+
+    def reflections(kernel, js):
+        rows[id(kernel)] = rows.get(id(kernel), 0) + len(js)
+        return real(kernel, js)
+
+    monkeypatch.setattr(GramKernel, "reflections", reflections)
+    entries = all_catalog_entries()
+    for e in entries:
+        rrs = RestrictedRootSystem(e.satake)
+        assert rrs.r <= rows.pop(id(rrs.kernel)) <= 2 * rrs.r, (e.series, e.rank, e.label)
+    assert len(entries) == 135 and scans == []
+
+
+def test_certificate_is_sound_on_every_enumerated_datum(monkeypatch):
+    """Wherever the certificate holds, the loop-based oracle passes: on the
+    (I, psi) of the catalog types of rank <= 8 that reach the axiom check.
+    (The corrupted lists above are all refused.)"""
+    certified, refused = [], []
+    real = RestrictedRootSystem._certified
+
+    def certify(rrs):
+        ok = real(rrs)
+        (certified if ok else refused).append(rrs)
+        return ok
+
+    monkeypatch.setattr(RestrictedRootSystem, "_certified", certify)
+    for series, rank in _catalog_types():
+        rs = build_root_system(series, rank)
+        for inv in satake_data(rs, diagram_automorphisms(rs.cartan)):
+            _outcome(lambda: RestrictedRootSystem(inv))
+    assert (len(certified) + len(refused), len(certified)) == (1165, 237)
+    for rrs in certified:
+        assert ref_check_axioms(rrs) is None, rrs.inv
+
+
+@pytest.mark.parametrize(
+    "series,rank,label", [("B", 3, "BI(2)"), ("A", 3, "AI"), ("C", 3, "CI"), ("G", 2, "G")]
+)
+def test_certificate_needs_the_single_coordinate_bound(series, rank, label):
+    """Phi together with 3 Phi meets every condition but the third: it is
+    closed under the basis reflections and pairs integrally with the basis
+    coroots, yet <a, (3b)^vee> is not an integer.  The certificate refuses it
+    and the scan raises the oracle's error."""
+    rrs = restrict(catalog_lookup(series, rank, label).satake)
+    fake = _with_roots(rrs, np.vstack([rrs.doubled, 3 * rrs.doubled]))
+    js = fake.kernel.lookup(np.vstack([fake.pi, 2 * fake.pi]))
+    images, integral = fake.kernel.reflections(js[js >= 0])
+    assert (images >= 0).all() and integral.all()
+    assert not fake._pi_division[1].any()
+    assert not fake._certified()
+    expected = _outcome(lambda: ref_check_axioms(fake))
+    assert expected[0] is RootSystemError
+    assert expected[1].startswith("non-integral Cartan pairing")
+    assert _outcome(fake._check_axioms) == expected
 
 
 def test_corrupted_basis_raises_the_same_error():
