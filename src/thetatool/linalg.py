@@ -4,9 +4,8 @@ There is one Gauss-Jordan elimination per field: ``echelon`` over Q, which
 runs fraction-free over Z, and ``rref_mod_p`` over F_p, on numpy ``int64``
 arrays.  Both run on integers alone.  Rank, inverses and kernels are read
 off the reduced row echelon form, which is unique, so every result is
-independent of the pivoting order.  The library eliminates over Q in two
-places only, ``RootSystem.cartan_inverse`` and
-``SatakeInvolution._minus_one_rank``; the F_p elimination serves
+independent of the pivoting order.  The library eliminates over Q in one
+place only, ``RootSystem.cartan_inverse``; the F_p elimination serves
 ``liealg``.
 """
 
@@ -62,11 +61,6 @@ def echelon(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
                 A[i] = _primitive([a * x - f * y for x, y in zip(R, P)])
         pivots.append(c)
     return A[: len(pivots)], pivots
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over Q."""
-    return len(echelon(rows)[1])
 
 
 def scaled_inverse(rows: Sequence[Sequence]) -> Optional[Tuple[List[List[int]], int]]:

@@ -6,19 +6,20 @@ restriction d(a) = a - theta(a) throughout; Cartan integers are unaffected
 by the scaling.  Every Cartan integer, reflection and membership test on
 restricted roots goes through the one ``GramKernel`` over the doubled roots
 that each restricted system owns; ambient pairings and coroots are read off
-the ambient root system's kernel and coroot array.  The root-system axioms
-of the restricted roots are certified from the reflections in the basis;
-only data that fail the certificate are checked pair by pair.
-The reduced subsystem consists of the indivisible restricted roots, kept
-as one index array read off the same lookup that finds the multipliable
-roots.  Nothing here eliminates or walks a graph.  The pi-coordinates of a
-restricted root are one exact division at the lift nodes of the basis,
-where the basis matrix is diagonal.  The simple factors of the reduced
-subsystem are the classes of basis roots that share the support of some
-root.  Each factor's type is the one with its rank, its number of positive
-roots and its number of short simple roots.  The baby Weyl group W_A is
-known through those types alone (its order and degrees); nothing here
-lists its elements.
+the ambient root system's kernel and coroot array.  Only admissible Satake
+data are restricted: the constructor calls ``SatakeInvolution.admit``
+first, which raises ``SatakeError`` otherwise.  The root-system axioms of
+the restricted roots are then certified from the reflections in the basis;
+a refusal is an internal fault.  The reduced subsystem consists of the
+indivisible restricted roots, kept as one index array read off the same
+lookup that finds the multipliable roots.  Nothing here eliminates or
+walks a graph.  The pi-coordinates of a restricted root are one exact
+division at the lift nodes of the basis, where the basis matrix is
+diagonal.  The simple factors of the reduced subsystem are the classes of
+basis roots that share the support of some root.  Each factor's type is
+the one with its rank, its number of positive roots and its number of
+short simple roots.  The baby Weyl group W_A is known through those types
+alone (its order and degrees); nothing here lists its elements.
 """
 
 from __future__ import annotations
@@ -43,12 +44,9 @@ from .rootsys import (
 )
 from .satake import SatakeInvolution
 
-# Most integers in one block of reflection images (32 KiB of int64).
-_BLOCK_ENTRIES = 1 << 12
-
 
 class RestrictionError(ValueError):
-    """Inconsistent restricted-root data (corrupted Satake input)."""
+    """Restricted-root data that an internal cross-check refuses."""
 
 
 @dataclass(frozen=True)
@@ -104,46 +102,35 @@ class RestrictedRootSystem:
     """
 
     def __init__(self, inv: SatakeInvolution):
+        inv.admit()
         self.inv = inv
         rs = inv.ambient
 
-        # doubled restrictions a - theta*(a) of the roots outside Phi_I
+        # doubled restrictions a - theta*(a) of the roots outside Phi_I,
+        # none of them zero since theta* fixes no root outside Phi_I
         R = rs.roots
         D = R - R[inv.theta_perm()]
-        outside = ~inv.compact_roots
-        zero = R[outside & ~D.any(axis=1)]
-        if len(zero):
-            d = tuple(zero[0].tolist())
-            raise RestrictionError(f"root {d} restricts to zero but is not in Phi_I")
         # the distinct rows by (height, coordinates) and their counts: one
         # lexsort, then the run starts ([: 0] drops the leading True when
         # there is no row)
-        rows = D[outside]
+        rows = D[~inv.compact_roots]
         rows = rows[np.lexsort(np.vstack([rows[:, ::-1].T, rows.sum(axis=1)]))]
         starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])[: len(rows)]
         distinct, counts = rows[starts], np.diff(np.r_[starts, len(rows)])
-        # a row is positive when its first nonzero coordinate is: on data
-        # validate() rejects, the sign of the height can disagree
+        # a row is positive when its first nonzero coordinate is
         lead = distinct[np.arange(len(distinct)), (distinct != 0).argmax(axis=1)]
         pos = distinct[lead > 0]
         self.kernel = kernel = GramKernel(np.vstack([pos, -pos]), rs.form)
         self.doubled = kernel.vectors
         self.num_positive = len(pos)
-        where = kernel.lookup(distinct)
-        if len(distinct) != len(self.doubled) or (where < 0).any():
-            raise RestrictionError("restricted roots are not closed under negation")
-        self.multiplicity = _read_only(counts[np.argsort(where)])
+        self.multiplicity = _read_only(counts[np.argsort(kernel.lookup(distinct))])
 
-        # restricted basis: one representative per psi-orbit of white nodes
+        # restricted basis: one representative per psi-orbit of white nodes,
+        # each a restricted root since white simple roots lie outside Phi_I
         white = [i for i in range(rs.rank) if i not in inv.compact]
-        B = D[rs.simple_indices[white]]
-        found = kernel.lookup(B)
-        if (found < 0).any():
-            d = tuple(B[found < 0][0].tolist())
-            raise RestrictionError(f"basis restriction {d} is not restricted root")
-        seen = found.tolist()
+        seen = kernel.lookup(D[rs.simple_indices[white]]).tolist()
         firsts = [k for k, f in enumerate(seen) if f not in seen[:k]]
-        pi_idx = found[firsts]
+        pi_idx = [seen[k] for k in firsts]
         self.pi = _read_only(self.doubled[pi_idx])
         self.pi_lifts: Tuple[int, ...] = tuple(white[k] for k in firsts)
         self.r = len(pi_idx)
@@ -158,13 +145,13 @@ class RestrictedRootSystem:
         divisible = np.bincount(halves[self.multipliable], minlength=len(halves)) > 0
         self.reduced_indices = _read_only(np.flatnonzero(~divisible[: self.num_positive]))
         self._check_axioms()
+        self._pi_coords = self._pi_division[0]
         cartan, _ = kernel.cartan_rows(self.pi)
         self._pi_cartan = tuple(tuple(row) for row in cartan[:, pi_idx].tolist())
         # <pi_a, alpha_j^vee> for the simple roots alpha_j of the ambient system
         cartan, _ = rs.kernel.cartan_rows(self.pi)
         self._pi_coroot_pairings = cartan[:, rs.simple_indices]
         self._pi_norms = tuple(kernel.norms[pi_idx].tolist())
-        self._pi_coords = self._compute_pi_coords()
         self.factors: Tuple[SimpleFactor, ...] = self._classify(self.multipliable[pi_idx])
 
     # -- setup helpers -------------------------------------------------------
@@ -175,15 +162,13 @@ class RestrictedRootSystem:
         return (self._pi_coroot_pairings @ np.asarray(coroot_coords)).tolist()
 
     def _check_axioms(self) -> None:
-        """Closure under reflections and integral Cartan numbers.
+        """Closure under reflections and integral Cartan numbers, certified
+        from the basis Pi.
 
         Integrality also excludes 3a: if a and 3a were both restricted roots,
-        <a, (3a)^vee> = 2/3 would fail it.  A certificate read off the basis
-        Pi decides the question first; only when it fails does the full
-        scan ``_scan_axioms`` run, so every error is the one that scan
-        raises.  With X the pi-coordinates of the rows (``_pi_division``)
-        and js the rows of Pi plus each 2 pi_i in the list, the certificate
-        holds when
+        <a, (3a)^vee> = 2/3 would fail it.  With X the pi-coordinates of the
+        rows (``_pi_division``) and js the rows of Pi plus each 2 pi_i in the
+        list, the certificate holds when
           1. every pi_i is a row, P[:, pi_lifts] is diagonal with no zero on
              its diagonal, and no row is zero;
           2. every row is an integral combination of Pi (X P = D), and its
@@ -193,6 +178,9 @@ class RestrictedRootSystem:
           4. for each pi in Pi, s_pi maps every row into the list;
           5. <v, pi^vee> is an integer for every row v and every pi in js.
         One ``kernel.reflections`` call, on at most 2r rows, reads 4 and 5.
+        The restricted roots of an involution form a root system, so on
+        admissible data the certificate holds; a refusal is an internal
+        fault, raised as RestrictionError naming the first failed condition.
 
         Proof that the certificate implies the axioms (the descent by
         height: Humphreys, *Introduction to Lie Algebras*, 10.3 Thm (c);
@@ -209,49 +197,34 @@ class RestrictedRootSystem:
         <a, b^vee> = <w^-1 a, (c pi_j)^vee> is an integer by 5.  So no
         pair (a, b) fails.
         """
-        if not self._certified():
-            self._scan_axioms()
+        failure = self._certificate_failure()
+        if failure is not None:
+            raise RestrictionError(f"restricted-root axioms not certified: {failure}")
 
-    def _certified(self) -> bool:
-        """Conditions 1-5 of ``_check_axioms``."""
-        division = self._pi_division
+    def _certificate_failure(self) -> Optional[str]:
+        """The first of conditions 1-5 of ``_check_axioms`` that fails, or
+        None when all hold."""
         r = len(self.pi)
         found = self.kernel.lookup(np.vstack([self.pi, 2 * self.pi]))
-        if division is None or (found[:r] < 0).any():
-            return False
-        X, bad = division
-        nonzero = (X != 0).sum(axis=1)
-        mixed = np.abs(X.sum(axis=1)) != np.abs(X).sum(axis=1)
-        if bad.any() or not nonzero.all() or mixed.any() or (np.abs(X[nonzero == 1]) > 2).any():
-            return False
+        if (found[:r] < 0).any():
+            return "condition 1, a basis root is not a row"
+        if self._pi_division is None:
+            return "condition 1, the basis is not diagonal at its lift nodes"
+        if not self.doubled.any(axis=1).all():
+            return "condition 1, a row is zero"
+        X, bad = self._pi_division
+        if bad.any():
+            return "condition 2, a row is not an integral combination of the basis"
+        if (np.abs(X.sum(axis=1)) != np.abs(X).sum(axis=1)).any():
+            return "condition 2, a row has pi-coordinates of both signs"
+        if (np.abs(X[(X != 0).sum(axis=1) == 1]) > 2).any():
+            return "condition 3, a row is c pi_i with |c| > 2"
         images, integral = self.kernel.reflections(found[found >= 0])
-        return bool((images[:r] >= 0).all() and integral.all())
-
-    def _scan_axioms(self) -> None:
-        """Every pair (a, b) of rows: reads the kernel's reflection table in
-        blocks of reflections s_b.  The first failure in the order (a, b) is
-        the one raised: RootSystemError for a non-integral pairing,
-        RestrictionError for a reflection leaving the list.
-        """
-        m, n = self.doubled.shape
-        step = max(1, _BLOCK_ENTRIES // max(1, m * n))
-        bad = np.empty((m, m), dtype=bool)  # bad[a, b]: s_b(a) fails
-        for start in range(0, m, step):
-            images, integral = self.kernel.reflections(np.arange(start, min(start + step, m)))
-            bad[:, start : start + step] = ((images < 0) | ~integral).T
-        fails = np.flatnonzero(bad)
-        if not fails.size:
-            return
-        i, j = divmod(int(fails[0]), m)
-        cartan, integral = self.kernel.cartan_rows(self.doubled[[i]])
-        a, b = (tuple(self.doubled[k].tolist()) for k in (i, j))
-        if not integral[0, j]:
-            raise RootSystemError(f"non-integral Cartan pairing of {a} with {b}")
-        c = int(cartan[0, j])
-        img = tuple(x - c * y for x, y in zip(a, b))
-        raise RestrictionError(
-            f"restricted roots not closed under reflection: s_{b}({a}) = {img}"
-        )
+        if (images[:r] < 0).any():
+            return "condition 4, a basis reflection leaves the list"
+        if not integral.all():
+            return "condition 5, a row pairs non-integrally with a basis coroot"
+        return None
 
     # -- classification --------------------------------------------------------
 
@@ -333,18 +306,6 @@ class RestrictedRootSystem:
         X = D[:, lifts] // b
         return X, (X @ P != D).any(axis=1)
 
-    def _compute_pi_coords(self) -> np.ndarray:
-        """The pi-coordinates of ``_pi_division``, or the error that says
-        why they do not exist."""
-        division = self._pi_division
-        if division is None:
-            raise RestrictionError("restricted basis is linearly dependent")
-        X, bad = division
-        if bad.any():
-            d = tuple(self.doubled[np.flatnonzero(bad)[0]].tolist())
-            raise RestrictionError(f"{d} has non-integer pi-coordinates")
-        return X
-
     def highest_root_coefficients(self) -> List[Tuple[SimpleFactor, Tuple[int, ...]]]:
         """Per factor, the pi-coordinates of its highest reduced root."""
         X = self._pi_coords[self.reduced_indices]
@@ -384,7 +345,8 @@ class RestrictedRootSystem:
 
 
 def restrict(inv: SatakeInvolution) -> RestrictedRootSystem:
-    """Compute the restricted root system of a validated involution.
+    """Compute the restricted root system of an involution; raises
+    SatakeError when its Satake datum is not admissible.
 
     The result is memoized on the involution (everything is immutable)."""
     cached = getattr(inv, "_restricted_cache", None)

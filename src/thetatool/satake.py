@@ -7,6 +7,12 @@ generated by I.  The module also carries the embedded catalog of involution
 classes for the simple types and computes the k/p eigenspace dimensions of
 the symmetric decomposition from the Satake data alone.
 
+A datum must be admissible before anything is computed from it: ``validate``
+runs Araki's conditions, and ``admit`` turns its first failure into a
+``SatakeError``.  ``minus_one_rank`` (hence ``kp_dimensions``) and
+``restricted.restrict`` call ``admit`` first, so every later layer sees an
+involution theta*, and the split rank is read off its trace.
+
 The catalog is generated: ``class_records`` lists the classes of each type
 from the families of the classification.
 """
@@ -19,7 +25,6 @@ from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import linalg
 from .rootsys import RootSystem, RootSystemError, _read_only, build_root_system
 
 
@@ -59,6 +64,7 @@ class SatakeInvolution:
         self.psi: Tuple[int, ...] = (
             tuple(psi) if psi is not None else tuple(range(ambient.rank))
         )
+        self._admitted = False
         if sorted(self.psi) != list(range(ambient.rank)):
             raise SatakeError("psi is not a permutation of the simple indices")
         for i in self.compact:
@@ -103,15 +109,18 @@ class SatakeInvolution:
         return _read_only(~self.ambient.roots[:, white].any(axis=1))
 
     def minus_one_rank(self) -> int:
-        """Dimension of the (-1)-eigenspace of theta* on the character lattice."""
+        """Dimension of the (-1)-eigenspace of theta* on the character
+        lattice, for an admissible datum."""
+        self.admit()
         return self._minus_one_rank
 
     @cached_property
     def _minus_one_rank(self) -> int:
+        """theta* is an involution, with eigenvalues +-1, so its trace is
+        n - 2a; row j of the matrix is theta*(alpha_j)."""
         rs = self.ambient
-        # rows of theta* + identity; (-1)-eigenspace dim = n - rank
         rows = rs.roots[self.theta_perm()[rs.simple_indices]]
-        return rs.rank - linalg.rank((rows + np.eye(rs.rank, dtype=np.int64)).tolist())
+        return (rs.rank - int(np.trace(rows))) // 2
 
     def out_class(self) -> Tuple[int, ...]:
         """Image of theta in the outer automorphism group, as a diagram
@@ -162,27 +171,36 @@ class SatakeInvolution:
                 failures.append(f"<alpha_{j + 1}, rho_I^vee> is not an integer")
         return ValidationReport(tuple(failures))
 
+    def admit(self) -> None:
+        """Raise SatakeError, naming the datum and the first failure of
+        ``validate``, unless the datum is admissible.  A datum that passes
+        is validated once."""
+        if not self._admitted:
+            failures = self.validate().failures
+            if failures:
+                raise SatakeError(f"{self!r} is not admissible: {failures[0]}")
+            self._admitted = True
+
     # -- dimension data --------------------------------------------------------
 
     def kp_dimensions(self) -> "KPDimensions":
         """Dimensions (g, k, p, a, m) of the symmetric decomposition.
 
-        dim p = dim a + (|Phi_S| - |Phi_I|)/2 and dim m counts the
-        centralizer of a inside k; the defining identity
-        dim m - dim a = dim k - dim p is asserted.
+        dim p = dim a + (|Phi| - |Phi_I|)/2 and dim m = (n - dim a) + |Phi_I|
+        counts the centralizer of a inside k.  Both identities hold for
+        every (I, psi) by arithmetic:
+          - Phi and Phi_I are both closed under negation, so |Phi| - |Phi_I|
+            is even;
+          - dim m - dim a = n - 2a + |Phi_I| = dim k - dim p.
+        Raises SatakeError for a datum that is not admissible.
         """
         rs = self.ambient
-        n_compact = int(self.compact_roots.sum())
         dim_a = self.minus_one_rank()
+        n_compact = int(self.compact_roots.sum())
         dim_g = rs.rank + len(rs.roots)
-        half, rem = divmod(len(rs.roots) - n_compact, 2)
-        if rem:
-            raise SatakeError("Phi_S minus Phi_I has an odd number of roots")
-        dim_p = dim_a + half
+        dim_p = dim_a + (len(rs.roots) - n_compact) // 2
         dim_k = dim_g - dim_p
         dim_m = (rs.rank - dim_a) + n_compact
-        if dim_m - dim_a != dim_k - dim_p:
-            raise SatakeError("centralizer dimension identity failed")
         return KPDimensions(dim_g, dim_k, dim_p, dim_a, dim_m)
 
     def __repr__(self) -> str:

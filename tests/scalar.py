@@ -10,7 +10,8 @@ classification of the basis cocharacters, ``ref_pi_coords`` the elimination
 over Q for the pi-coordinates (by ``ref_rref``, the Gauss-Jordan over
 ``Fraction``s that the library's fraction-free ``echelon`` replaced),
 ``ref_factors`` the Dynkin-diagram walk that
-named the restricted factors, and ``ref_structure_constants``
+named the restricted factors, ``ref_minus_one_rank`` the split rank as
+n - rank(theta* + 1) over Q, and ``ref_structure_constants``
 the recursion on root tuples that built N_{a,b} before the array build by
 height; ``act`` applies a Weyl element to one root tuple.  The ``ref_*``
 realization loops build dtheta and search the coweights root by root.
@@ -29,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from thetatool import linalg
 from thetatool.liealg import LieAlgebraError
 from thetatool.restricted import RestrictedCocharacter, RestrictionError, SimpleFactor
 from thetatool.rootsys import RootSystem, RootSystemError, cartan_matrix
@@ -118,6 +120,17 @@ def theta_star(inv, root: Sequence[int]) -> Tuple[int, ...]:
     """theta*(root) = -w_I(psi(root)); raises if root is not a root."""
     rs = inv.ambient
     return root_tuples(rs)[inv.theta_perm()[root_index(rs, root)]]
+
+
+def ref_minus_one_rank(inv) -> int:
+    """The dimension of the (-1)-eigenspace of theta*, n - rank(theta* + 1)
+    by ``linalg.echelon``.  Unlike (n - tr theta*)/2 it needs no
+    involution, so it is defined on every (I, psi) whose theta* permutes
+    the roots."""
+    n = inv.ambient.rank
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rows = [[x + y for x, y in zip(theta_star(inv, e), e)] for e in unit]
+    return n - len(linalg.echelon(rows)[1])
 
 
 def ref_roots(series: str, rank: int) -> Tuple[Tuple[int, ...], ...]:

@@ -16,6 +16,7 @@ from thetatool import cli, liealg, nilcomp, restricted, verify
 from thetatool.satake import all_catalog_entries
 
 from brackets import bracket_vec, sample_jacobi
+from test_gram_kernel import scan_axioms
 
 
 # `theta-tool verify grading|centdim --format json` as recorded before the
@@ -44,7 +45,7 @@ def test_criterion_1_proposition_table():
     """Every catalog class reproduces the non-irreducibility table exactly:
     count 2 on the listed classes, 4 for split D_{2n}, 1 elsewhere."""
     t0 = time.time()
-    res = verify.run_proposition(max_rank=8)
+    res = verify.run_proposition()
     counts_4 = 0
     for e in all_catalog_entries():
         rep = nilcomp.component_count(e)
@@ -122,7 +123,7 @@ def test_criterion_3_demazure_identity():
     re-derivation by factoring.  The suite's JSON equals the recorded
     `verify poincare --format json`."""
     t0 = time.time()
-    res = verify.run_poincare(order_cap=5 * 10**6, max_rank=8)
+    res = verify.run_poincare(order_cap=5 * 10**6)
     covered = {c.name.split(" ", 1)[1] for c in res.checks}
     _report(
         "criterion 3: Demazure identity",
@@ -157,7 +158,7 @@ def test_criterion_5_centdim_identity():
     form hypothesis and are excluded; see the A4/p=5 regression test).
     The suite's JSON equals the recorded `verify centdim --format json`."""
     t0 = time.time()
-    res = verify.run_centdim(seed=42, samples=100)
+    res = verify.run_centdim(seed=42)
     n_pairs = sum(1 for c in res.checks if c.name.startswith("centdim"))
     _report(
         "criterion 5: centralizer dimension identity",
@@ -245,7 +246,7 @@ def test_criterion_8_structural_invariants():
     # them here independently of that certificate
     for e in all_catalog_entries():
         rrs = restricted.restrict(e.satake)
-        rrs._scan_axioms()
+        scan_axioms(rrs)
         rep = nilcomp.component_count(e, rrs)
         if rep.z_cap_a_mod_sq.order % rep.count != 0:
             ok = False

@@ -1,10 +1,12 @@
 """The Gram-matrix root kernel, checked against the scalar pairings it
 replaced: Cartan tables, ambient and restricted reflections, the restricted
 Cartan matrix and pi-coordinates equal the loop-based versions (kept below
-or in ``scalar.py``, verbatim in substance, as reference oracles), and
-corrupted restricted data raises the same error, with the same message, as
-the loop-based check.  The basis certificate of the restricted axiom check
-holds on the catalog, and only where the loop-based check passes."""
+or in ``scalar.py``, verbatim in substance, as reference oracles).  The
+basis certificate of the restricted axiom check holds on the catalog, and
+only where the loop-based check passes.  On corrupted restricted data the
+certificate refuses, the library raises ``RestrictionError``, and the
+vectorized pair-by-pair scan ``scan_axioms`` (an oracle kept here) raises
+the same error, with the same message, as the loop-based check."""
 
 from __future__ import annotations
 
@@ -18,16 +20,21 @@ from typing import Sequence, Tuple
 import numpy as np
 import pytest
 
-from thetatool import restricted
 from thetatool.restricted import RestrictedRootSystem, RestrictionError, restrict
 from thetatool.rootsys import GramKernel, RootSystemError, build_root_system
-from thetatool.satake import _catalog_types, all_catalog_entries, catalog_lookup
+from thetatool.satake import (
+    SatakeInvolution,
+    _catalog_types,
+    all_catalog_entries,
+    catalog_lookup,
+)
 
 from scalar import (
     doubled_index,
     doubled_tuples,
     norm2,
     pair_coroot,
+    ref_minus_one_rank,
     ref_pi_coords,
     root_index,
     root_tuples,
@@ -66,6 +73,36 @@ def ref_check_axioms(rrs) -> None:
         triple = tuple(3 * x for x in a)
         if triple in index:
             raise RestrictionError(f"3a is a restricted root for a = {a}")
+
+
+# Most integers in one block of reflection images (32 KiB of int64).
+BLOCK_ENTRIES = 1 << 12
+
+
+def scan_axioms(rrs) -> None:
+    """Every pair (a, b) of restricted roots, vectorized: reads the kernel's
+    reflection table in blocks of reflections s_b.  The first failure in
+    the order (a, b) is the one raised: RootSystemError for a non-integral
+    pairing, RestrictionError for a reflection leaving the list."""
+    m, n = rrs.doubled.shape
+    step = max(1, BLOCK_ENTRIES // max(1, m * n))
+    bad = np.empty((m, m), dtype=bool)  # bad[a, b]: s_b(a) fails
+    for start in range(0, m, step):
+        images, integral = rrs.kernel.reflections(np.arange(start, min(start + step, m)))
+        bad[:, start : start + step] = ((images < 0) | ~integral).T
+    fails = np.flatnonzero(bad)
+    if not fails.size:
+        return
+    i, j = divmod(int(fails[0]), m)
+    cartan, integral = rrs.kernel.cartan_rows(rrs.doubled[[i]])
+    a, b = (tuple(rrs.doubled[k].tolist()) for k in (i, j))
+    if not integral[0, j]:
+        raise RootSystemError(f"non-integral Cartan pairing of {a} with {b}")
+    c = int(cartan[0, j])
+    img = tuple(x - c * y for x, y in zip(a, b))
+    raise RestrictionError(
+        f"restricted roots not closed under reflection: s_{b}({a}) = {img}"
+    )
 
 
 def ref_reflection_perm(rrs, d: Sequence[int]) -> Tuple[int, ...]:
@@ -121,14 +158,14 @@ def test_kernel_lookup_and_reflection_blocks():
     assert kernel.lookup(kernel.vectors).tolist() == list(range(len(rs.roots)))
     zero_and_double = np.array([[0] * 8, [2] + [0] * 7, [7] * 8], dtype=np.int64)
     assert kernel.lookup(zero_and_double).tolist() == [-1, -1, -1]
-    # blocks of consecutive reflections, as the restricted axiom check
-    # reads them, tile the full reflection table in order
+    # blocks of consecutive reflections, as ``scan_axioms`` reads them,
+    # tile the full reflection table in order
     perms = rs.reflections(range(len(rs.roots))).tolist()
-    step = restricted._BLOCK_ENTRIES // (len(rs.roots) * rs.rank)
+    step = BLOCK_ENTRIES // (len(rs.roots) * rs.rank)
     rows = []
     for start in range(0, len(rs.roots), step):
         images, integral = kernel.reflections(np.arange(start, min(start + step, len(rs.roots))))
-        assert images.size * rs.rank <= restricted._BLOCK_ENTRIES
+        assert images.size * rs.rank <= BLOCK_ENTRIES
         assert integral.all() and (images >= 0).all()
         rows += images.tolist()
     assert rows == perms
@@ -200,6 +237,16 @@ def test_restricted_all_reflections_and_coords_match_scalar():
         assert rrs._pi_coords.tolist() == ref_pi_coords(rrs)
 
 
+def _refused(fake) -> None:
+    """The certificate refuses fake, and the axiom check raises the
+    RestrictionError that names the condition it failed."""
+    failure = fake._certificate_failure()
+    assert failure is not None
+    with pytest.raises(RestrictionError) as exc:
+        fake._check_axioms()
+    assert str(exc.value) == f"restricted-root axioms not certified: {failure}"
+
+
 def test_corrupted_restricted_roots_raise_the_same_error():
     rng = random.Random(3)
     seen = set()
@@ -225,9 +272,8 @@ def test_corrupted_restricted_roots_raise_the_same_error():
             fake = _with_roots(rrs, vectors)
             expected = _outcome(lambda: ref_check_axioms(fake))
             assert expected is not None, (series, rank, label, kind)
-            assert not fake._certified(), (series, rank, label, kind)
-            got = _outcome(fake._check_axioms)
-            assert got == expected, (series, rank, label, kind)
+            assert _outcome(lambda: scan_axioms(fake)) == expected, (series, rank, label, kind)
+            _refused(fake)
             seen.add(expected[1].split(" ")[0])
     # closure and integrality failures both occur ("3a" rows always meet
     # the non-integral pairing <a, (3a)^vee> = 2/3 first)
@@ -235,10 +281,9 @@ def test_corrupted_restricted_roots_raise_the_same_error():
 
 
 def test_certificate_holds_on_the_catalog_without_the_scan(monkeypatch):
-    """Every catalog class is certified from its basis: the m x m scan never
-    runs, and the axiom check reflects in at most 2r rows."""
-    scans, rows = [], {}
-    monkeypatch.setattr(RestrictedRootSystem, "_scan_axioms", lambda self: scans.append(self))
+    """Every catalog class is certified from its basis: the axiom check
+    reflects in at most 2r rows, and no pair-by-pair scan runs."""
+    rows = {}
     real = GramKernel.reflections
 
     def reflections(kernel, js):
@@ -250,22 +295,27 @@ def test_certificate_holds_on_the_catalog_without_the_scan(monkeypatch):
     for e in entries:
         rrs = RestrictedRootSystem(e.satake)
         assert rrs.r <= rows.pop(id(rrs.kernel)) <= 2 * rrs.r, (e.series, e.rank, e.label)
-    assert len(entries) == 135 and scans == []
+    assert len(entries) == 135
 
 
 def test_certificate_is_sound_on_every_enumerated_datum(monkeypatch):
     """Wherever the certificate holds, the loop-based oracle passes: on the
-    (I, psi) of the catalog types of rank <= 8 that reach the axiom check.
-    (The corrupted lists above are all refused.)"""
+    (I, psi) of the catalog types of rank <= 8 that reach the axiom check
+    with the admission gate patched out.  Without the gate theta* need not
+    be an involution, so the split rank of the cross-check before the axiom
+    check is the one over Q, ``ref_minus_one_rank``.  (The corrupted lists
+    above are all refused.)"""
     certified, refused = [], []
-    real = RestrictedRootSystem._certified
+    real = RestrictedRootSystem._certificate_failure
 
     def certify(rrs):
-        ok = real(rrs)
-        (certified if ok else refused).append(rrs)
-        return ok
+        failure = real(rrs)
+        (certified if failure is None else refused).append(rrs)
+        return failure
 
-    monkeypatch.setattr(RestrictedRootSystem, "_certified", certify)
+    monkeypatch.setattr(SatakeInvolution, "admit", lambda inv: None)
+    monkeypatch.setattr(SatakeInvolution, "minus_one_rank", ref_minus_one_rank)
+    monkeypatch.setattr(RestrictedRootSystem, "_certificate_failure", certify)
     for series, rank in _catalog_types():
         rs = build_root_system(series, rank)
         for inv in satake_data(rs, diagram_automorphisms(rs.cartan)):
@@ -282,33 +332,36 @@ def test_certificate_needs_the_single_coordinate_bound(series, rank, label):
     """Phi together with 3 Phi meets every condition but the third: it is
     closed under the basis reflections and pairs integrally with the basis
     coroots, yet <a, (3b)^vee> is not an integer.  The certificate refuses it
-    and the scan raises the oracle's error."""
+    on condition 3, and the scan raises the oracle's error."""
     rrs = restrict(catalog_lookup(series, rank, label).satake)
     fake = _with_roots(rrs, np.vstack([rrs.doubled, 3 * rrs.doubled]))
     js = fake.kernel.lookup(np.vstack([fake.pi, 2 * fake.pi]))
     images, integral = fake.kernel.reflections(js[js >= 0])
     assert (images >= 0).all() and integral.all()
     assert not fake._pi_division[1].any()
-    assert not fake._certified()
+    assert fake._certificate_failure().startswith("condition 3,")
+    _refused(fake)
     expected = _outcome(lambda: ref_check_axioms(fake))
     assert expected[0] is RootSystemError
     assert expected[1].startswith("non-integral Cartan pairing")
-    assert _outcome(fake._check_axioms) == expected
+    assert _outcome(lambda: scan_axioms(fake)) == expected
 
 
 def test_corrupted_basis_raises_the_same_error():
+    """A basis replaced by its double, or made dependent by repeating a
+    root: the elimination over Q fails, and the certificate refuses."""
     for series, rank, label in [("A", 3, "AI"), ("D", 5, "DIII"), ("E", 7, "EVII")]:
         rrs = restrict(catalog_lookup(series, rank, label).satake)
         doubled_pi = [tuple(2 * x for x in d) for d in tuples(rrs.pi)]
         fake = _with_roots(rrs, rrs.doubled, pi=doubled_pi)
-        expected = _outcome(lambda: ref_pi_coords(fake))
-        assert expected == (
+        assert _outcome(lambda: ref_pi_coords(fake)) == (
             RestrictionError, f"{doubled_tuples(rrs)[0]} has non-integer pi-coordinates"
         )
-        assert _outcome(fake._compute_pi_coords) == expected
+        _refused(fake)
         pi = tuples(rrs.pi)
         dependent = _with_roots(
             rrs, rrs.doubled, pi=pi + pi[:1], pi_lifts=rrs.pi_lifts + rrs.pi_lifts[:1]
         )
         with pytest.raises(RestrictionError, match="linearly dependent"):
-            dependent._compute_pi_coords()
+            ref_pi_coords(dependent)
+        _refused(dependent)

@@ -63,11 +63,13 @@ def test_omega_bi_m_twos():
 
 
 def test_omega_rejects_a_non_integral_diagram():
-    """A2 with I = {alpha_1} and psi = 1 is no catalog class: its diagram
-    (0, 2) solves to the coroot coordinates (2/3, 4/3)."""
+    """A2 with I = {alpha_1} and psi = 1 is no Satake datum, so it has no
+    restricted system; omega's integrality check runs before it reads one.
+    The diagram (0, 2) solves to the coroot coordinates (2/3, 4/3)."""
     inv = SatakeInvolution(build_root_system("A", 2), compact=(0,))
+    assert not inv.validate().ok
     with pytest.raises(OmegaError, match="no integral cocharacter"):
-        omega(inv, restrict(inv))
+        omega(inv, None)
 
 
 def test_omega_pairings():

@@ -3,12 +3,16 @@ baby Weyl groups, omega_alpha."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from thetatool.restricted import case_iii_count, omega_alpha, restrict
 from thetatool.rootsys import CapExceededError, build_root_system
 from thetatool.satake import (
+    SatakeError,
+    SatakeInvolution,
     _catalog_types,
     all_catalog_entries,
     catalog_list,
@@ -22,6 +26,7 @@ from scalar import (
     multiplicities,
     pair_coroot,
     ref_factors,
+    ref_minus_one_rank,
     ref_omega_alpha,
     ref_pi_coords,
     root_tuples,
@@ -30,6 +35,68 @@ from scalar import (
 )
 from test_satake import diagram_automorphisms, satake_data
 from weylgroup import baby_weyl, enumerate_weyl, index_of
+
+
+@lru_cache(maxsize=None)
+def enumerated_data():
+    """The 3,590 (I, psi) of the catalog types of rank <= 8, with psi an
+    involutive diagram automorphism and I any set of nodes."""
+    data = []
+    for series, rank in _catalog_types():
+        rs = build_root_system(series, rank)
+        data += satake_data(rs, diagram_automorphisms(rs.cartan))
+    return tuple(data)
+
+
+def test_restrict_admits_exactly_the_validated_data():
+    """restrict() succeeds exactly on the (I, psi) that validate() accepts.
+    Each of the 3,416 others raises the admission gate's SatakeError, which
+    names the datum and validate()'s first failure, from restrict() and
+    from kp_dimensions() alike."""
+    rejected = 0
+    for inv in enumerated_data():
+        failures = inv.validate().failures
+        if not failures:
+            restrict(inv)
+            continue
+        rejected += 1
+        for compute in (restrict, SatakeInvolution.kp_dimensions):
+            with pytest.raises(SatakeError) as exc:
+                compute(inv)
+            assert str(exc.value) == f"{inv!r} is not admissible: {failures[0]}"
+    assert (len(enumerated_data()), rejected) == (3590, 3416)
+
+
+def test_datum_failing_only_araki_is_refused(monkeypatch):
+    """B2 with I = {alpha_1} fails only Araki's condition: <alpha_2,
+    rho_I^vee> = 1/2.  Its restriction passes every internal check, so only
+    the gate refuses it: with the gate patched out it restricts.  No
+    restricted system, split rank or (k, p) dimensions are computed for it."""
+    inv = SatakeInvolution(build_root_system("B", 2), compact=(0,))
+    assert inv.validate().failures == ("<alpha_2, rho_I^vee> is not an integer",)
+    message = "SatakeInvolution(B2, I={1}, psi=-) is not admissible: " + inv.validate().failures[0]
+    for compute in (restrict, SatakeInvolution.minus_one_rank, SatakeInvolution.kp_dimensions):
+        with pytest.raises(SatakeError) as exc:
+            compute(inv)
+        assert str(exc.value) == message
+    monkeypatch.setattr(SatakeInvolution, "admit", lambda self: None)
+    assert restrict(inv).r == inv.minus_one_rank() == 1
+
+
+def test_admissible_data_are_certified_and_split_rank_is_the_trace():
+    """Every admissible datum -- the 174 enumerated ones and the catalog
+    classes, A/B/C/D of ranks 9-16 included -- restricts with the basis
+    certificate holding, and its split rank (n - tr theta*)/2 equals
+    n - rank(theta* + 1) over Q."""
+    classes = all_catalog_entries() + [
+        e for series in "ABCD" for rank in range(9, 17) for e in catalog_list(series, rank)
+    ]
+    admissible = [inv for inv in enumerated_data() if inv.validate().ok]
+    assert (len(classes), len(admissible)) == (463, 174)
+    for inv in admissible + [e.satake for e in classes]:
+        rrs = restrict(inv)
+        assert rrs._certificate_failure() is None, inv
+        assert inv.minus_one_rank() == ref_minus_one_rank(inv) == rrs.r, inv
 
 
 def test_split_restriction_is_bijection():
@@ -143,10 +210,7 @@ def test_factors_and_pi_coords_match_the_diagram_walk_and_q_elimination():
         e for series in "ABCD" for rank in range(9, 13) for e in catalog_list(series, rank)
     ]
     data = [e.satake for e in classes]
-    for series, rank in _catalog_types():
-        rs = build_root_system(series, rank)
-        candidates = satake_data(rs, diagram_automorphisms(rs.cartan))
-        data += [inv for inv in candidates if inv.validate().ok]
+    data += [inv for inv in enumerated_data() if inv.validate().ok]
     assert (len(classes), len(data)) == (275, 275 + 174)
     for inv in data:
         rrs = restrict(inv)

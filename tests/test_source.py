@@ -10,13 +10,6 @@ import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "thetatool"
 
-# Functions that nothing in the library calls, kept as references the tests
-# compare against.
-TEST_REFERENCES = {
-    "validate": "the admissibility check of Satake data, run on every catalog "
-                "class and on hand-built data",
-}
-
 
 def test_no_bare_assert_in_library():
     """`assert` vanishes under `python -O`; checks must raise typed errors."""
@@ -85,8 +78,8 @@ def _referenced_names(node: ast.AST, local: frozenset = frozenset()) -> Counter:
 
 def test_every_library_function_is_used():
     """Each function or method in the library is referenced by name outside
-    its own body, exported in ``__all__``, or a listed test reference: code
-    that only tests call belongs in ``tests/``."""
+    its own body or exported in ``__all__``: code that only tests call
+    belongs in ``tests/``."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
     refs = sum((_referenced_names(tree) for tree in trees.values()), Counter())
     exported = {
@@ -106,12 +99,9 @@ def test_every_library_function_is_used():
         for fname, node in defs
         if not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in exported
-        and node.name not in TEST_REFERENCES
         and refs[node.name] == _referenced_names(node)[node.name]
     ]
     assert not unused, f"defined but never used in the library: {', '.join(unused)}"
-    stale = sorted(set(TEST_REFERENCES) - {node.name for _, node in defs})
-    assert not stale, f"allowlisted but not defined: {', '.join(stale)}"
 
 
 def _call_name(node: ast.Call):
@@ -121,6 +111,41 @@ def _call_name(node: ast.Call):
 
 def _calls(node: ast.AST, name: str) -> list:
     return [n for n in ast.walk(node) if isinstance(n, ast.Call) and _call_name(n) == name]
+
+
+def test_only_cartan_inverse_eliminates_over_q():
+    """Over Q the library eliminates in one place: ``RootSystem.cartan_inverse``
+    calls ``linalg.scaled_inverse``, and nothing else calls it or
+    ``echelon``.  ``linalg`` defines no ``rank``, and ``satake``, which reads
+    the split rank off the trace of theta*, does not import ``linalg``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(call)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and (path.name, node.name) in (("rootsys.py", "cartan_inverse"),
+                                           ("linalg.py", "scaled_inverse"))
+            for call in ast.walk(node)
+        }
+        for name in ("echelon", "scaled_inverse", "rank"):
+            found += [f"{path.name}:{call.lineno} {name}()" for call in _calls(tree, name)
+                      if id(call) not in allowed]
+        found += [
+            f"{path.name}:{node.lineno} def rank"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "rank"
+        ]
+        if path.name == "satake.py":
+            found += [
+                f"satake.py:{node.lineno} import linalg"
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and any("linalg" in (alias.name, getattr(node, "module", None))
+                        for alias in node.names)
+            ]
+    assert not found, f"a second elimination over Q: {', '.join(found)}"
 
 
 def test_one_gram_kernel_per_root_system():
