@@ -21,6 +21,10 @@ rows on demand, so no dim^3 array is ever built.  The table is verified
 wholesale by checking ad[x,y] = [ad x, ad y] over Z (faithful for the
 derived Chevalley form) as joins of the sparse table with itself, in
 O(dim^3) rather than the O(dim^5) of dense products.
+
+A realization dtheta is a signed permutation of the Chevalley basis: k
+and p are read off its orbits and the automorphism check relabels the
+bracket table, so only ``centralizer_dims`` eliminates over F_p.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ class LieAlgebraError(ValueError):
 # most 6 (the highest root of E8).
 _AD_ENTRY_BOUND = 6
 
-# The sparse checks hold at most about this many join rows at once.
+# The Jacobi check holds at most about this many join rows at once.
 _BLOCK_ROWS = 1 << 16
 
 # find_inner_coweight pairs at most this many masks with the roots at once.
@@ -62,9 +66,9 @@ def _brackets_fit_int64(dim: int, p: int) -> bool:
 
     The sums bounded are: one key of ``ChevalleyTable.adjoint``, at most dim
     terms of a residue times a table entry, (p-1)*6 each; the products
-    ``k_basis @ ad_x.T`` and ``basis @ dtheta.T``, dim terms of (p-1)^2
-    each; and a bracket of two reduced vectors summed over all dim^2 pairs
-    of their coordinates, 6*(p-1)^2 each.  6*dim^2*(p-1)^2 covers them all.
+    ``k_basis @ ad_x.T``, dim terms of (p-1)^2 each; and a bracket of two
+    reduced vectors summed over all dim^2 pairs of their coordinates,
+    6*(p-1)^2 each.  6*dim^2*(p-1)^2 covers them all.
     """
     return _AD_ENTRY_BOUND * dim * dim * (p - 1) ** 2 < 2**63
 
@@ -361,77 +365,63 @@ def build_algebra(series: str, rank: int, p: int) -> ModularLieAlgebra:
 class SymmetricPairRealization:
     """A concrete Z/2-grading g = k + p over F_p.
 
-    k_basis / p_basis are integer coefficient matrices (rows = basis
-    vectors of the eigenspaces); dtheta is the defining involution matrix,
-    read-only, so that ``check_automorphism`` can record which dtheta it
-    passed.
+    dtheta(x_i) = sign[i] x_{perm[i]}, so dtheta x = sign * x[perm]; perm
+    and sign are read-only int64 arrays.  k_basis / p_basis are integer
+    coefficient matrices (rows = basis vectors of the eigenspaces, residues
+    mod p), one row per orbit of perm, ordered by its larger index j: a
+    fixed point j gives e_j, to k when sign[j] = +1 and to p otherwise; a
+    2-cycle i < j gives e_j + s e_i to k and e_j - s e_i to p, s = sign[j].
+    These are the reduced echelon kernels of dtheta -+ 1, with no
+    elimination.
     """
 
-    def __init__(self, alg: ModularLieAlgebra, dtheta: np.ndarray, kind: str):
+    def __init__(self, alg: ModularLieAlgebra, perm, sign, kind: str):
         self.alg = alg
         self.kind = kind
-        self.dtheta = _read_only(np.mod(dtheta, alg.p))
-        self._automorphism_checked: Optional[np.ndarray] = None
-        p = alg.p
-        eye = np.eye(alg.dim, dtype=np.int64)
-        if np.any(np.mod(self.dtheta @ self.dtheta - eye, p)):
+        dim = alg.dim
+        perm = np.asarray(perm, dtype=np.int64)
+        sign = np.asarray(sign, dtype=np.int64)
+        # dtheta^2 = 1: perm an involution, sign +-1 and constant on its orbits
+        if not (
+            perm.shape == sign.shape == (dim,)
+            and ((perm >= 0) & (perm < dim)).all()
+            and np.array_equal(perm[perm], np.arange(dim))
+            and (np.abs(sign) == 1).all()
+            and np.array_equal(sign[perm], sign)
+        ):
             raise LieAlgebraError("dtheta is not an involution")
-        self.k_basis = linalg.kernel_mod_p(self.dtheta - eye, p)
-        self.p_basis = linalg.kernel_mod_p(self.dtheta + eye, p)
+        self.perm, self.sign = _read_only(perm), _read_only(sign)
+        self.k_basis, self.p_basis = self._eigenbasis(1), self._eigenbasis(-1)
         self.dim_k = self.k_basis.shape[0]
         self.dim_p = self.p_basis.shape[0]
-        if self.dim_k + self.dim_p != alg.dim:
-            raise LieAlgebraError("eigenspaces do not span")
+
+    def _eigenbasis(self, eig: int) -> np.ndarray:
+        perm, sign = self.perm, self.sign
+        j = np.flatnonzero(perm <= np.arange(len(perm)))
+        j = j[(perm[j] != j) | (sign[j] == eig)]
+        basis = np.zeros((len(j), len(perm)), dtype=np.int64)
+        basis[np.arange(len(j)), j] = 1
+        pair = np.flatnonzero(perm[j] != j)
+        basis[pair, perm[j[pair]]] = eig * sign[j[pair]] % self.alg.p
+        return basis
 
     def check_automorphism(self) -> None:
-        """dtheta[e_i, e_j] = [dtheta e_i, dtheta e_j] mod p on all basis pairs.
+        """dtheta[x_i, x_k] = [dtheta x_i, dtheta x_k] mod p on all basis pairs.
 
-        With D = dtheta and [x_a, x_b] = T(a,b,l) x_l, entry l of
-        [D e_i, D e_j] - D [e_i, e_j] is
-
-            sum_{a,b} D[a,i] D[b,j] T(a,b,l) - sum_m T(i,j,m) D[l,m],
-
-        read off the table joined with the nonzeros of D, in blocks of i.
-        The first failing pair (i, j) in row-major order is reported.  A
-        pass is recorded against the dtheta array checked, so a second call
-        returns at once unless dtheta has been replaced.
+        With sigma = perm, s = sign and [x_i, x_k] = T(i,k,l) x_l, that is
+        s_i s_k s_l T(sigma i, sigma k, sigma l) = T(i,k,l) for all (i, k, l):
+        the table rows and their relabelled copies, valued -s_i s_k s_l c at
+        key (sigma i, sigma k, sigma l), are summed per key.  The first
+        failing pair (i, k) in row-major order is reported.
         """
-        if self._automorphism_checked is self.dtheta:
-            return
-        alg, p, dim = self.alg, self.alg.p, self.alg.dim
-        first, second, out, coef = alg.table.entries.T
-        col, row_c = np.nonzero(self.dtheta.T)  # nonzeros by column
-        d_col = self.dtheta[row_c, col]
-        row, col_r = np.nonzero(self.dtheta)  # nonzeros by row
-        d_row = self.dtheta[row, col_r]
-        per_row = np.bincount(row, minlength=dim)
-        per_col = np.bincount(col, minlength=dim)
-        fan_out = np.zeros(dim, dtype=np.int64)
-        np.add.at(fan_out, first, per_row[second])
-        cost = np.zeros(dim, dtype=np.int64)
-        np.add.at(cost, col, fan_out[row_c])
-        np.add.at(cost, first, per_col[out])
-        for i0, i1 in _key_ranges(cost):
-            # [D e_i, D e_j]: nonzero D[a,i], table row (a,b,l), nonzero D[b,j]
-            nz = np.arange(*np.searchsorted(col, [i0, i1]))
-            s, t = _join(row_c[nz], first)
-            u, v = _join(second[t], row)
-            s, t = nz[s[u]], t[u]
-            vals = [d_col[s] * coef[t] % p * d_row[v]]
-            keys = [(col[s] * dim + col_r[v]) * dim + out[t]]
-            # D [e_i, e_j]: table row (i,j,m), nonzero D[l,m]
-            rows = np.arange(*np.searchsorted(first, [i0, i1]))
-            a, u = _join(out[rows], col)
-            a = rows[a]
-            vals.append(-coef[a] * d_col[u])
-            keys.append((first[a] * dim + second[a]) * dim + row_c[u])
-            key = _first_nonzero_key(np.concatenate(keys), np.concatenate(vals), p)
-            if key is not None:
-                i, j = divmod(key // dim, dim)
-                raise LieAlgebraError(
-                    f"dtheta fails to preserve brackets at pair ({i}, {j})"
-                )
-        self._automorphism_checked = self.dtheta
+        dim, perm, s = self.alg.dim, self.perm, self.sign
+        i, k, l, c = self.alg.table.entries.T
+        keys = np.r_[(i * dim + k) * dim + l, (perm[i] * dim + perm[k]) * dim + perm[l]]
+        vals = np.r_[c, -s[i] * s[k] * s[l] * c]
+        key = _first_nonzero_key(keys, vals, self.alg.p)
+        if key is not None:
+            i, j = divmod(key // dim, dim)
+            raise LieAlgebraError(f"dtheta fails to preserve brackets at pair ({i}, {j})")
 
     def check_grading(self) -> None:
         """[k,k] in k, [k,p] in p, [p,p] in k, exhaustively on basis pairs.
@@ -439,17 +429,18 @@ class SymmetricPairRealization:
         Since p is odd and dtheta is an involution, the laws hold exactly
         when k_basis is fixed by dtheta, p_basis is negated by it, the two
         span g, and dtheta preserves brackets: then [x, y] is an eigenvector
-        with the product of the eigenvalues of x and y.  So this reads the
-        laws off two products, one rank and ``check_automorphism``.
+        with the product of the eigenvalues of x and y.  The span holds by
+        construction: each orbit gives as many rows as it has elements, a
+        fixed point e_j and a 2-cycle e_j + s e_i and e_j - s e_i, which
+        span e_i and e_j since 2 is invertible mod p.  So this reads the
+        laws off two gathers and ``check_automorphism``.
         """
         p = self.alg.p
-        for basis, sign, name in ((self.k_basis, 1, "k"), (self.p_basis, -1, "p")):
-            if np.any(np.mod(basis @ self.dtheta.T - sign * basis, p)):
+        for basis, eig, name in ((self.k_basis, 1, "k"), (self.p_basis, -1, "p")):
+            if np.any((self.sign * basis[:, self.perm] - eig * basis) % p):
                 raise LieAlgebraError(
-                    f"grading fails: {name} is not the {sign:+d} eigenspace of dtheta"
+                    f"grading fails: {name} is not the {eig:+d} eigenspace of dtheta"
                 )
-        if linalg.rank_mod_p(np.vstack([self.k_basis, self.p_basis]), p) != self.alg.dim:
-            raise LieAlgebraError("grading fails: k and p do not span g")
         self.check_automorphism()
 
     def centralizer_dims(self, x: np.ndarray) -> Tuple[int, int]:
@@ -462,7 +453,7 @@ class SymmetricPairRealization:
         x = np.asarray(x)
         if x.shape != (alg.dim,):
             raise LieAlgebraError(f"x has shape {x.shape}, expected ({alg.dim},)")
-        if np.any(np.mod(self.dtheta @ x + x, p)):
+        if np.any((self.sign * x[self.perm] + x) % p):
             raise LieAlgebraError("x is not in p: dtheta x != -x mod p")
         ad_x = alg.table.adjoint(x[None], p)[0]
         return (
@@ -487,8 +478,10 @@ def realize_inner(alg: ModularLieAlgebra, mu: Sequence[int]) -> SymmetricPairRea
     if len(mu) != rs.rank:
         raise LieAlgebraError("mu must pair against each simple root")
     parity = rs.roots @ np.array(mu, dtype=np.int64) % 2
-    d = np.diag(np.r_[np.ones(rs.rank, dtype=np.int64), 1 - 2 * parity])
-    return SymmetricPairRealization(alg, d, kind=f"inner mu={tuple(mu)}")
+    sign = np.r_[np.ones(rs.rank, dtype=np.int64), 1 - 2 * parity]
+    return SymmetricPairRealization(
+        alg, np.arange(alg.dim), sign, kind=f"inner mu={tuple(mu)}"
+    )
 
 
 def realize_chevalley_involution(alg: ModularLieAlgebra) -> SymmetricPairRealization:
@@ -499,10 +492,9 @@ def realize_chevalley_involution(alg: ModularLieAlgebra) -> SymmetricPairRealiza
     """
     rs = alg.rs
     roots, npos = np.arange(len(rs.roots)), rs.num_positive
-    d = np.zeros((alg.dim, alg.dim), dtype=np.int64)
-    d[range(rs.rank), range(rs.rank)] = -1
-    d[alg.e_index((roots + npos) % len(roots)), alg.e_index(roots)] = -1
-    pair = SymmetricPairRealization(alg, d, kind="chevalley")
+    perm = np.r_[np.arange(rs.rank), alg.e_index((roots + npos) % len(roots))]
+    sign = -np.ones(alg.dim, dtype=np.int64)
+    pair = SymmetricPairRealization(alg, perm, sign, kind="chevalley")
     pair.check_automorphism()
     if pair.dim_k != npos or pair.dim_p != npos + rs.rank:
         raise LieAlgebraError("split realization has wrong eigenspace dimensions")

@@ -2,11 +2,11 @@
 
 There is one Gauss-Jordan elimination per field: ``echelon`` over Q, which
 runs fraction-free over Z, and ``rref_mod_p`` over F_p, on numpy ``int64``
-arrays.  Both run on integers alone.  Rank, inverses and kernels are read
-off the reduced row echelon form, which is unique, so every result is
-independent of the pivoting order.  The library eliminates over Q in one
-place only, ``RootSystem.cartan_inverse``; the F_p elimination serves
-``liealg``.
+arrays.  Both run on integers alone.  Ranks and inverses are read off the
+reduced row echelon form, which is unique, so every result is independent
+of the pivoting order.  The library eliminates over Q in one place only,
+``RootSystem.cartan_inverse``, and over F_p in one place only, the ranks of
+``SymmetricPairRealization.centralizer_dims``.
 """
 
 from __future__ import annotations
@@ -121,20 +121,3 @@ def rref_mod_p(mat, p: int) -> Tuple[np.ndarray, List[int]]:
 def rank_mod_p(mat, p: int) -> int:
     """Rank over F_p."""
     return len(rref_mod_p(mat, p)[1])
-
-
-def kernel_mod_p(mat, p: int) -> np.ndarray:
-    """Basis of the right kernel {x : mat @ x = 0} over F_p.
-
-    One row per free column f, in increasing order: 1 at f, 0 at the other
-    free columns, and minus the reduced form's column f at the pivots.
-    """
-    R, pivots = rref_mod_p(mat, p)
-    ncols = R.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        basis[k, pivots] = -R[:, f] % p
-    return basis
-

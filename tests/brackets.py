@@ -1,10 +1,13 @@
 """Dense brackets for the tests: the integral ``ad`` scattered from the
 sparse Chevalley table, the structure constants N_{a,b} and the bracket of
 two coefficient vectors read off it, literal Jacobi checks on sampled basis
-triples, and the grading laws of a realization checked bracket by bracket.
+triples, the dense matrix of a realization's dtheta, the kernel over F_p
+that is the oracle for its eigenspaces, and the grading laws of a
+realization checked bracket by bracket.
 
-These are independent of ``ChevalleyTable.adjoint``, so the tests that use
-them check the library against a second route through the same table.
+These are independent of ``ChevalleyTable.adjoint`` and of the signed
+permutation a realization holds, so the tests that use them check the
+library against a second route through the same table.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from thetatool.liealg import LieAlgebraError
-from thetatool.linalg import rank_mod_p
+from thetatool.linalg import rank_mod_p, rref_mod_p
 
 
 @lru_cache(maxsize=4)
@@ -64,13 +67,43 @@ def sample_jacobi(alg, count: int, seed: int = 0) -> None:
             raise LieAlgebraError(f"Jacobi failure at triple ({i},{j},{k})")
 
 
+def dense_dtheta(pair) -> np.ndarray:
+    """The dim x dim matrix of dtheta: column i is sign[i] e_{perm[i]}."""
+    d = np.zeros((pair.alg.dim,) * 2, dtype=np.int64)
+    d[pair.perm, np.arange(pair.alg.dim)] = pair.sign
+    return d
+
+
+def kernel_mod_p(mat, p: int) -> np.ndarray:
+    """Basis of the right kernel {x : mat @ x = 0} over F_p.
+
+    One row per free column f, in increasing order: 1 at f, 0 at the other
+    free columns, and minus the reduced form's column f at the pivots.
+    """
+    R, pivots = rref_mod_p(mat, p)
+    ncols = R.shape[1]
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        basis[k, pivots] = -R[:, f] % p
+    return basis
+
+
 def grading_laws_hold(pair) -> bool:
-    """[k,k] in k, [k,p] in p and [p,p] in k on all pairs of basis vectors:
+    """k_basis and p_basis are the +1 and -1 eigenspaces of the dense
+    dtheta (each row fixed or negated, together of rank dim mod p), and
+    [k,k] in k, [k,p] in p and [p,p] in k on all pairs of basis vectors:
     every bracket is formed densely, and each law holds when appending the
     brackets to the target basis leaves its rank mod p unchanged."""
     alg, p = pair.alg, pair.alg.p
     ad = dense_ad(alg.table)
     k, pp = pair.k_basis, pair.p_basis
+    d = dense_dtheta(pair)
+    if np.any((k @ d.T - k) % p) or np.any((pp @ d.T + pp) % p):
+        return False
+    if rank_mod_p(np.vstack([k, pp]), p) != alg.dim:
+        return False
     for left, right, target in ((k, k, k), (k, pp, pp), (pp, pp, k)):
         # [x, y] = ad(x) @ y, with ad(x) = sum_i x_i ad(x_i)
         ad_left = np.tensordot(left, ad, axes=1) % p

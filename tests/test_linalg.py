@@ -4,7 +4,9 @@ oracles) on random, low-rank, empty and zero matrices.  ``rref_mod_p`` is
 also checked against its earlier row-major numpy body, and the
 fraction-free ``echelon`` over Q against the ``Fraction`` Gauss-Jordan it
 replaced (``scalar.ref_rref``); each must give the same reduced form and
-pivots on every input."""
+pivots on every input.  ``brackets.kernel_mod_p``, the oracle for the
+eigenspaces of a realization (the library reads them off the orbits of
+dtheta), is checked here against the loop-based eigenspace it replaced."""
 
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 
 from thetatool import linalg
 
+from brackets import kernel_mod_p
 from scalar import ref_rref
 
 PRIMES = st.sampled_from([3, 5, 7, 11, 13])
@@ -286,7 +289,7 @@ def test_rank_mod_p_matches_reference(mat, p):
 @given(square_matrices(), st.integers(-3, 3), PRIMES)
 def test_kernel_byte_equal_to_eigenspace(mat, eigval, p):
     n = mat.shape[0]
-    got = linalg.kernel_mod_p(mat - eigval * np.eye(n, dtype=np.int64), p)
+    got = kernel_mod_p(mat - eigval * np.eye(n, dtype=np.int64), p)
     want = ref_eigenspace(mat, eigval, p)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -295,7 +298,7 @@ def test_kernel_byte_equal_to_eigenspace(mat, eigval, p):
 @settings(deadline=None)
 @given(int_matrices(), PRIMES)
 def test_rank_plus_nullity(mat, p):
-    kernel = linalg.kernel_mod_p(mat, p)
+    kernel = kernel_mod_p(mat, p)
     ncols = mat.shape[1]
     assert kernel.shape == (ncols - linalg.rank_mod_p(mat, p), ncols)
     assert not np.any(np.mod(mat @ kernel.T, p))
@@ -321,17 +324,17 @@ def test_rref_mod_p_shape_and_edge_cases():
     assert pivots == [0, 2]
     assert R.tolist() == [[1, 2, 0], [0, 0, 1]]
     assert linalg.rank_mod_p(np.zeros((0, 4), dtype=np.int64), 7) == 0
-    assert linalg.kernel_mod_p(np.zeros((0, 3), dtype=np.int64), 7).tolist() == [
+    assert kernel_mod_p(np.zeros((0, 3), dtype=np.int64), 7).tolist() == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]
     ]
-    assert linalg.kernel_mod_p(np.zeros((4, 0), dtype=np.int64), 7).shape == (0, 0)
+    assert kernel_mod_p(np.zeros((4, 0), dtype=np.int64), 7).shape == (0, 0)
     assert linalg.rank_mod_p(np.zeros((3, 3), dtype=np.int64), 3) == 0
 
 
 @pytest.mark.parametrize("p", [2**31, 2**31 + 11, 2**61 - 1])
 def test_large_modulus_rejected(p):
     mat = np.eye(2, dtype=np.int64)
-    for call in (linalg.rref_mod_p, linalg.rank_mod_p, linalg.kernel_mod_p):
+    for call in (linalg.rref_mod_p, linalg.rank_mod_p, kernel_mod_p):
         with pytest.raises(linalg.LinalgError):
             call(mat, p)
 

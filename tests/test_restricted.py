@@ -83,6 +83,20 @@ def test_datum_failing_only_araki_is_refused(monkeypatch):
     assert restrict(inv).r == inv.minus_one_rank() == 1
 
 
+def test_constructor_gate_refuses_before_theta_perm():
+    """A3 with psi = (1 2) does not preserve the Cartan matrix.  The
+    constructor's own gate refuses it with validate()'s first failure;
+    without that gate theta_perm() would raise first, a RootSystemError
+    about roots, before minus_one_rank() reached its own gate."""
+    inv = SatakeInvolution(build_root_system("A", 3), psi=(1, 0, 2))
+    with pytest.raises(SatakeError) as exc:
+        restrict(inv)
+    assert str(exc.value) == (
+        "SatakeInvolution(A3, I={}, psi=(1,2)) is not admissible: "
+        "psi does not preserve the Cartan matrix"
+    )
+
+
 def test_admissible_data_are_certified_and_split_rank_is_the_trace():
     """Every admissible datum -- the 174 enumerated ones and the catalog
     classes, A/B/C/D of ranks 9-16 included -- restricts with the basis
