@@ -24,7 +24,8 @@ O(dim^3) rather than the O(dim^5) of dense products.
 
 A realization dtheta is a signed permutation of the Chevalley basis: k
 and p are read off its orbits and the automorphism check relabels the
-bracket table, so only ``centralizer_dims`` eliminates over F_p.
+bracket table.  Only ``centralizer_dims`` eliminates over F_p, on the
+blocks [x, k] -> p and [x, p] -> k of ad x at the eigenspaces' lead rows.
 """
 
 from __future__ import annotations
@@ -65,10 +66,9 @@ def _brackets_fit_int64(dim: int, p: int) -> bool:
     """Whether every int64 sum over reduced residues stays below 2**63.
 
     The sums bounded are: one key of ``ChevalleyTable.adjoint``, at most dim
-    terms of a residue times a table entry, (p-1)*6 each; the products
-    ``k_basis @ ad_x.T``, dim terms of (p-1)^2 each; and a bracket of two
-    reduced vectors summed over all dim^2 pairs of their coordinates,
-    6*(p-1)^2 each.  6*dim^2*(p-1)^2 covers them all.
+    terms of a residue times a table entry, (p-1)*6 each; and a bracket of
+    two reduced vectors summed over all dim^2 pairs of their coordinates,
+    6*(p-1)^2 each.  6*dim^2*(p-1)^2 covers both.
     """
     return _AD_ENTRY_BOUND * dim * dim * (p - 1) ** 2 < 2**63
 
@@ -372,7 +372,8 @@ class SymmetricPairRealization:
     fixed point j gives e_j, to k when sign[j] = +1 and to p otherwise; a
     2-cycle i < j gives e_j + s e_i to k and e_j - s e_i to p, s = sign[j].
     These are the reduced echelon kernels of dtheta -+ 1, with no
-    elimination.
+    elimination; ``_rows`` holds the lead j, partner perm[j] and coef of
+    each row, k rows then p rows.
     """
 
     def __init__(self, alg: ModularLieAlgebra, perm, sign, kind: str):
@@ -391,19 +392,22 @@ class SymmetricPairRealization:
         ):
             raise LieAlgebraError("dtheta is not an involution")
         self.perm, self.sign = _read_only(perm), _read_only(sign)
-        self.k_basis, self.p_basis = self._eigenbasis(1), self._eigenbasis(-1)
-        self.dim_k = self.k_basis.shape[0]
-        self.dim_p = self.p_basis.shape[0]
+        k_rows = self._eigenbasis(1)
+        self.dim_k, self.dim_p = k_rows.shape[1], dim - k_rows.shape[1]
+        self._rows = _read_only(np.hstack([k_rows, self._eigenbasis(-1)]))
+        lead, partner, coef = self._rows
+        basis = np.eye(dim, dtype=np.int64)[lead]
+        basis[np.arange(dim), partner] += coef
+        self.k_basis, self.p_basis = basis[: self.dim_k], basis[self.dim_k :]
 
     def _eigenbasis(self, eig: int) -> np.ndarray:
+        """Rows (lead j, partner perm[j], coef), one column per basis row
+        e_j + coef e_{perm[j]}: coef is 0 at a fixed point and eig * sign[j]
+        mod p on a 2-cycle."""
         perm, sign = self.perm, self.sign
         j = np.flatnonzero(perm <= np.arange(len(perm)))
         j = j[(perm[j] != j) | (sign[j] == eig)]
-        basis = np.zeros((len(j), len(perm)), dtype=np.int64)
-        basis[np.arange(len(j)), j] = 1
-        pair = np.flatnonzero(perm[j] != j)
-        basis[pair, perm[j[pair]]] = eig * sign[j[pair]] % self.alg.p
-        return basis
+        return np.stack([j, perm[j], np.where(perm[j] != j, eig * sign[j] % self.alg.p, 0)])
 
     def check_automorphism(self) -> None:
         """dtheta[x_i, x_k] = [dtheta x_i, dtheta x_k] mod p on all basis pairs.
@@ -444,21 +448,34 @@ class SymmetricPairRealization:
         self.check_automorphism()
 
     def centralizer_dims(self, x: np.ndarray) -> Tuple[int, int]:
-        """(dim z_k(x), dim z_p(x)) for x in p, by exact F_p ranks.
+        """(dim z_k(x), dim z_p(x)) for x in p, by exact F_p ranks of the
+        blocks [x, k] -> p and [x, p] -> k of ad x.
 
-        Raises LieAlgebraError when x is not a vector of length dim, or
-        not in p (dtheta x != -x mod p).
+        Column b of ``cols`` is [x, b], read off ad x at the lead and partner
+        of basis row b.  Each call checks that the k columns lie in p and the
+        p columns in k, whether or not ``check_grading`` ran.  No other row
+        of an eigenspace touches a row's lead, so a vector of p (of k) is
+        fixed by its coordinates at the p rows' (k rows') leads, and the
+        blocks there have the ranks.  Raises LieAlgebraError when x has the
+        wrong shape or is not in p, or when a check fails.
         """
-        alg, p = self.alg, self.alg.p
+        alg, p, dk = self.alg, self.alg.p, self.dim_k
         x = np.asarray(x)
         if x.shape != (alg.dim,):
             raise LieAlgebraError(f"x has shape {x.shape}, expected ({alg.dim},)")
         if np.any((self.sign * x[self.perm] + x) % p):
             raise LieAlgebraError("x is not in p: dtheta x != -x mod p")
         ad_x = alg.table.adjoint(x[None], p)[0]
+        lead, partner, coef = self._rows
+        cols = (ad_x[:, lead] + coef * ad_x[:, partner]) % p
+        image = self.sign[:, None] * cols[self.perm]
+        if np.any((image[:, :dk] + cols[:, :dk]) % p):
+            raise LieAlgebraError("grading fails at x: [x, k] is not in p")
+        if np.any((image[:, dk:] - cols[:, dk:]) % p):
+            raise LieAlgebraError("grading fails at x: [x, p] is not in k")
         return (
-            self.dim_k - linalg.rank_mod_p(self.k_basis @ ad_x.T, p),
-            self.dim_p - linalg.rank_mod_p(self.p_basis @ ad_x.T, p),
+            dk - linalg.rank_mod_p(cols[lead[dk:], :dk], p),
+            self.dim_p - linalg.rank_mod_p(cols[lead[:dk], dk:], p),
         )
 
     def random_p_element(self, rng: random.Random) -> np.ndarray:

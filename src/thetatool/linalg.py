@@ -1,10 +1,11 @@
 """Exact linear algebra over Q and over F_p.
 
-There is one Gauss-Jordan elimination per field: ``echelon`` over Q, which
-runs fraction-free over Z, and ``rref_mod_p`` over F_p, on numpy ``int64``
-arrays.  Both run on integers alone.  Ranks and inverses are read off the
-reduced row echelon form, which is unique, so every result is independent
-of the pivoting order.  The library eliminates over Q in one place only,
+There is one elimination per field, on integers alone.  Over Q it is the
+Gauss-Jordan ``echelon``, which runs fraction-free over Z; inverses are
+read off the reduced row echelon form, which is unique, so they are
+independent of the pivoting order.  Over F_p it is ``rank_mod_p``, one
+forward elimination on numpy ``int64`` arrays that counts pivots and forms
+no reduced form.  The library eliminates over Q in one place only,
 ``RootSystem.cartan_inverse``, and over F_p in one place only, the ranks of
 ``SymmetricPairRealization.centralizer_dims``.
 """
@@ -80,44 +81,26 @@ def scaled_inverse(rows: Sequence[Sequence]) -> Optional[Tuple[List[List[int]], 
 # -- over F_p ------------------------------------------------------------------
 
 
-def rref_mod_p(mat, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form over F_p of a 2-D integer matrix.
-
-    Returns the nonzero rows of the form (entries in [0, p)) and their pivot
-    columns.  Raises LinalgError when p >= 2**31, where int64 products of
-    two residues could overflow.
-
-    The elimination runs on the transpose T, so that column c is the
-    contiguous row T[c].  Columns before c are already reduced, and rows r
-    and below are zero there, so each pivot only updates T[c:].
+def rank_mod_p(mat, p: int) -> int:
+    """Rank over F_p of a 2-D integer matrix, by forward elimination alone:
+    each step pivots on the first nonzero entry a in row-major order, at
+    (i, c), drops rows i and above (the rows above are zero) and sets
+    A <- a A - A[:, c] (x) A[i] mod p.  There is no inverse, no row swap and
+    no back-substitution; the rank is the number of steps.  Raises
+    LinalgError when p >= 2**31, where int64 products of two residues could
+    overflow.
     """
     if p >= 2**31:  # entries stay in [0, p), so products stay below p^2 < 2**62
         raise LinalgError(f"modulus {p} is too large for int64 elimination")
-    T = np.ascontiguousarray(np.mod(np.asarray(mat, dtype=np.int64), p).T)
-    ncols, nrows = T.shape
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    A = np.mod(np.asarray(mat, dtype=np.int64), p)
+    rank = 0
+    while A.size:
+        nonzero = (A != 0).ravel()
+        first = int(nonzero.argmax())
+        if not nonzero[first]:
             break
-        rest = T[c:]
-        col = rest[0]
-        nonzero = col[r:].nonzero()[0]
-        if not nonzero.size:
-            continue
-        sel = r + int(nonzero[0])
-        if sel != r:
-            rest[:, [r, sel]] = rest[:, [sel, r]]
-        pivot_row = rest[:, r] * pow(int(col[r]), -1, p) % p
-        # clears column c everywhere, row r included; row r is then restored
-        rest -= pivot_row[:, None] * col
-        rest[:, r] = pivot_row
-        rest %= p
-        pivots.append(c)
-        r += 1
-    return T[:, :r].T, pivots
-
-
-def rank_mod_p(mat, p: int) -> int:
-    """Rank over F_p."""
-    return len(rref_mod_p(mat, p)[1])
+        i, c = divmod(first, A.shape[1])
+        pivot_row, A = A[i], A[i + 1 :]
+        A = (pivot_row[c] * A - A[:, c, None] * pivot_row) % p
+        rank += 1
+    return rank

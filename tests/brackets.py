@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from typing import List, Tuple
 
 import numpy as np
 
 from thetatool.liealg import LieAlgebraError
-from thetatool.linalg import rank_mod_p, rref_mod_p
+from thetatool.linalg import LinalgError, rank_mod_p
 
 
 @lru_cache(maxsize=4)
@@ -74,6 +75,44 @@ def dense_dtheta(pair) -> np.ndarray:
     return d
 
 
+def rref_mod_p(mat, p: int) -> Tuple[np.ndarray, List[int]]:
+    """Reduced row echelon form over F_p of a 2-D integer matrix.
+
+    Returns the nonzero rows of the form (entries in [0, p)) and their pivot
+    columns.  Raises LinalgError when p >= 2**31, where int64 products of
+    two residues could overflow.
+
+    The elimination runs on the transpose T, so that column c is the
+    contiguous row T[c].  Columns before c are already reduced, and rows r
+    and below are zero there, so each pivot only updates T[c:].
+    """
+    if p >= 2**31:  # entries stay in [0, p), so products stay below p^2 < 2**62
+        raise LinalgError(f"modulus {p} is too large for int64 elimination")
+    T = np.ascontiguousarray(np.mod(np.asarray(mat, dtype=np.int64), p).T)
+    ncols, nrows = T.shape
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        rest = T[c:]
+        col = rest[0]
+        nonzero = col[r:].nonzero()[0]
+        if not nonzero.size:
+            continue
+        sel = r + int(nonzero[0])
+        if sel != r:
+            rest[:, [r, sel]] = rest[:, [sel, r]]
+        pivot_row = rest[:, r] * pow(int(col[r]), -1, p) % p
+        # clears column c everywhere, row r included; row r is then restored
+        rest -= pivot_row[:, None] * col
+        rest[:, r] = pivot_row
+        rest %= p
+        pivots.append(c)
+        r += 1
+    return T[:, :r].T, pivots
+
+
 def kernel_mod_p(mat, p: int) -> np.ndarray:
     """Basis of the right kernel {x : mat @ x = 0} over F_p.
 
@@ -88,6 +127,17 @@ def kernel_mod_p(mat, p: int) -> np.ndarray:
         basis[k, f] = 1
         basis[k, pivots] = -R[:, f] % p
     return basis
+
+
+def dense_centralizer_dims(pair, x) -> tuple:
+    """(dim z_k(x), dim z_p(x)) from the full products k_basis @ ad.T and
+    p_basis @ ad.T over all dim columns, ranked by ``rref_mod_p``."""
+    p = pair.alg.p
+    ad = pair.alg.table.adjoint(x[None], p)[0]
+    return tuple(
+        len(basis) - len(rref_mod_p(basis @ ad.T, p)[1])
+        for basis in (pair.k_basis, pair.p_basis)
+    )
 
 
 def grading_laws_hold(pair) -> bool:

@@ -37,7 +37,7 @@ from thetatool.liealg import (
 from thetatool.rootsys import build_root_system
 from thetatool.satake import catalog_list
 
-from brackets import dense_ad, dense_dtheta
+from brackets import dense_ad, dense_centralizer_dims, dense_dtheta
 from scalar import (
     _chain_down,
     coroot_coords,
@@ -281,6 +281,54 @@ def test_flipped_sign_in_dtheta_fails_at_the_oracle_pair(series, rank, p, block_
         with pytest.raises(LieAlgebraError) as exc:
             bad.check_automorphism()
         assert str(exc.value) == f"dtheta fails to preserve brackets at pair ({i}, {j})"
+
+
+def _dense_grading_failure(pair, x):
+    """The message centralizer_dims owes x in p: None when [x, k] lies in p
+    and [x, p] in k, from the dense tensordot ad and dense dtheta."""
+    p, d = pair.alg.p, dense_dtheta(pair)
+    ad = np.tensordot(x, dense_ad(pair.alg.table), axes=1) % p
+    for basis, eig, law in ((pair.k_basis, -1, "[x, k] is not in p"),
+                            (pair.p_basis, 1, "[x, p] is not in k")):
+        images = basis @ ad.T % p  # rows [x, b]
+        if np.any((images @ d.T - eig * images) % p):
+            return f"grading fails at x: {law}"
+    return None
+
+
+def _flip_cases():
+    """Split involutions of four types and two inner involutions."""
+    for series, rank, p in [("G", 2, 7), ("B", 3, 5), ("D", 4, 5), ("F", 4, 5)]:
+        yield realize_chevalley_involution(build_algebra(series, rank, p))
+    for series, rank, label in [("D", 4, "DI(2)"), ("F", 4, "FII")]:
+        alg = build_algebra(series, rank, 5)
+        dims = next(e for e in catalog_list(series, rank) if e.label == label).satake.kp_dimensions()
+        yield realize_inner(alg, find_inner_coweight(alg, dims.k, dims.p))
+
+
+def test_flipped_sign_in_dtheta_is_caught_by_centralizer_dims():
+    """On realizations whose dtheta fails check_automorphism, every sample
+    x in p whose [x, k] leaves p or whose [x, p] leaves k (by the dense
+    oracle) makes centralizer_dims raise, so no rank read at the lead rows
+    is returned; on the other samples the ranks equal the full products'."""
+    messages = []
+    for pair in _flip_cases():
+        rng = random.Random(f"flipped {pair.alg.rs.series}{pair.alg.rs.rank} {pair.kind}")
+        for bad in _flipped(pair, rng, 6):
+            with pytest.raises(LieAlgebraError):
+                bad.check_automorphism()
+            for x in [bad.random_p_element(rng) for _ in range(3)] + list(bad.p_basis[:6]):
+                want = _dense_grading_failure(bad, x)
+                if want is None:
+                    assert bad.centralizer_dims(x) == dense_centralizer_dims(bad, x)
+                    continue
+                with pytest.raises(LieAlgebraError) as exc:
+                    bad.centralizer_dims(x)
+                assert str(exc.value) == want
+                messages.append(want)
+    assert len(messages) >= 100
+    assert set(messages) == {"grading fails at x: [x, k] is not in p",
+                             "grading fails at x: [x, p] is not in k"}
 
 
 def test_automorphism_check_on_inner_involutions():

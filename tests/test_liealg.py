@@ -25,6 +25,7 @@ from thetatool.verify import realized_pairs
 from brackets import (
     bracket_vec,
     dense_ad,
+    dense_centralizer_dims,
     dense_dtheta,
     grading_laws_hold,
     kernel_mod_p,
@@ -289,6 +290,35 @@ def test_grading_check_matches_dense_oracle(name, pair):
         sign[i] = -sign[i]
         bad = SymmetricPairRealization(pair.alg, pair.perm, sign, kind="corrupted")
         assert (_passes_grading(bad), grading_laws_hold(bad)) == (False, False), (name, i)
+
+
+def _centralizer_samples(pair, rng):
+    """x = 0, two random elements of p, two sparse ones (two or three
+    p-basis rows with random coefficients) and up to eight single p-basis
+    rows."""
+    p, rows = pair.alg.p, pair.p_basis
+    yield np.zeros(pair.alg.dim, dtype=np.int64)
+    for _ in range(2):
+        yield pair.random_p_element(rng)
+    for count in (2, 3):
+        picked = rng.sample(range(len(rows)), min(count, len(rows)))
+        coeffs = np.array([rng.randrange(1, p) for _ in picked], dtype=np.int64)
+        yield coeffs @ rows[picked] % p
+    for i in rng.sample(range(len(rows)), min(8, len(rows))):
+        yield rows[i]
+
+
+def test_centralizer_dims_match_the_dense_oracle():
+    """The ranks of the two off-diagonal blocks at the lead rows equal the
+    ranks of the full products over all dim columns, on every realized pair
+    and on split E8 at p = 7, for zero, random, sparse and single-row x."""
+    pairs = [(name, pair) for name, _, pair in realized_pairs()]
+    pairs.append(("E8/chevalley/p=7", realize_chevalley_involution(build_algebra("E", 8, 7))))
+    assert len(pairs) == 121
+    for name, pair in pairs:
+        rng = random.Random(name)
+        for x in _centralizer_samples(pair, rng):
+            assert pair.centralizer_dims(x) == dense_centralizer_dims(pair, x), name
 
 
 def test_centralizer_at_zero():

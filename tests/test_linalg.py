@@ -1,10 +1,13 @@
 """Exact linear algebra over Q and F_p, checked against the loop-based
 eliminations it replaced (kept below, verbatim in substance, as reference
-oracles) on random, low-rank, empty and zero matrices.  ``rref_mod_p`` is
-also checked against its earlier row-major numpy body, and the
-fraction-free ``echelon`` over Q against the ``Fraction`` Gauss-Jordan it
-replaced (``scalar.ref_rref``); each must give the same reduced form and
-pivots on every input.  ``brackets.kernel_mod_p``, the oracle for the
+oracles) on random, low-rank, empty and zero matrices.  The fraction-free
+``echelon`` over Q is checked against the ``Fraction`` Gauss-Jordan it
+replaced (``scalar.ref_rref``): it must give the same reduced form and
+pivots on every input.  Over F_p the library keeps only the rank-only
+forward elimination ``rank_mod_p``; the reduced form ``brackets.rref_mod_p``
+is its oracle, checked here against its earlier row-major numpy body, and
+``rank_mod_p`` must count its pivots on every input, edge cases at the
+largest modulus included.  ``brackets.kernel_mod_p``, the oracle for the
 eigenspaces of a realization (the library reads them off the orbits of
 dtheta), is checked here against the loop-based eigenspace it replaced."""
 
@@ -22,7 +25,7 @@ from hypothesis.extra.numpy import arrays
 
 from thetatool import linalg
 
-from brackets import kernel_mod_p
+from brackets import kernel_mod_p, rref_mod_p
 from scalar import ref_rref
 
 PRIMES = st.sampled_from([3, 5, 7, 11, 13])
@@ -262,7 +265,7 @@ def rref_inputs(draw):
 @given(rref_inputs())
 def test_rref_mod_p_matches_row_major_oracle(case):
     mat, p = case
-    got, got_pivots = linalg.rref_mod_p(mat, p)
+    got, got_pivots = rref_mod_p(mat, p)
     want, want_pivots = ref_rref_mod_p(mat, p)
     assert got_pivots == want_pivots
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -271,10 +274,10 @@ def test_rref_mod_p_matches_row_major_oracle(case):
 
 def test_rref_mod_p_no_swap_and_swap():
     # pivots in place: no row moves
-    R, pivots = linalg.rref_mod_p(np.array([[1, 2, 3], [0, 1, 4], [0, 0, 2]]), 5)
+    R, pivots = rref_mod_p(np.array([[1, 2, 3], [0, 1, 4], [0, 0, 2]]), 5)
     assert pivots == [0, 1, 2] and R.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     # the first pivot is in the last row, the second needs none
-    R, pivots = linalg.rref_mod_p(np.array([[0, 3, 1], [0, 0, 0], [2, 1, 1]]), 7)
+    R, pivots = rref_mod_p(np.array([[0, 3, 1], [0, 0, 0], [2, 1, 1]]), 7)
     want, want_pivots = ref_rref_mod_p(np.array([[0, 3, 1], [0, 0, 0], [2, 1, 1]]), 7)
     assert pivots == want_pivots and np.array_equal(R, want)
 
@@ -283,6 +286,50 @@ def test_rref_mod_p_no_swap_and_swap():
 @given(int_matrices(), PRIMES)
 def test_rank_mod_p_matches_reference(mat, p):
     assert linalg.rank_mod_p(mat, p) == ref_rank_mod_p(mat, p)
+
+
+@settings(deadline=None, max_examples=300)
+@given(rref_inputs())
+def test_rank_mod_p_counts_the_oracle_pivots(case):
+    mat, p = case
+    before = mat.copy()
+    assert linalg.rank_mod_p(mat, p) == len(rref_mod_p(mat, p)[1])
+    assert np.array_equal(mat, before)
+
+
+def _edge_cases():
+    """(name, matrix, p): the largest modulus with every entry p - 1, empty
+    and zero matrices, a single row and a single column, and matrices whose
+    first nonzero entry in row-major order lies in the last row."""
+    big = LARGEST_PRIME
+    rng = np.random.default_rng(20)
+    row = rng.integers(0, big, size=(1, 9))
+    return [
+        ("all p-1, 1x1", np.full((1, 1), big - 1), big),
+        ("all p-1, 4x7", np.full((4, 7), big - 1), big),
+        ("all -1, 6x3", np.full((6, 3), -1), big),
+        ("p-1 diagonal", (big - 1) * np.eye(5, dtype=np.int64), big),
+        ("0x0", np.zeros((0, 0), dtype=np.int64), 7),
+        ("0x5", np.zeros((0, 5), dtype=np.int64), big),
+        ("6x0", np.zeros((6, 0), dtype=np.int64), 7),
+        ("zero 4x4", np.zeros((4, 4), dtype=np.int64), 5),
+        ("zero 3x8", np.zeros((3, 8), dtype=np.int64), big),
+        ("1xn", row, big),
+        ("1xn zero", np.zeros((1, 9), dtype=np.int64), big),
+        ("nx1", row.T, big),
+        ("nx1, nonzero last", np.r_[np.zeros((8, 1), dtype=np.int64), [[3]]], 7),
+        ("last row only", np.array([[0, 0, 0], [0, 0, 0], [0, 2, 1]]), 5),
+        ("last row, p-1", np.r_[np.zeros((3, 4), dtype=np.int64), [[0, 0, big - 1, 1]]], big),
+        ("first nonzero right of a later pivot", np.array([[0, 1], [1, 0]]), 3),
+        ("multiples below the first pivot", np.array([[0, 0, 2], [3, 1, 1], [6, 2, 4]]), 7),
+    ]
+
+
+@pytest.mark.parametrize("name, mat, p", _edge_cases(), ids=[c[0] for c in _edge_cases()])
+def test_rank_mod_p_edge_cases_match_oracle(name, mat, p):
+    before = mat.copy()
+    assert linalg.rank_mod_p(mat, p) == len(rref_mod_p(mat, p)[1]) == ref_rank_mod_p(mat, p)
+    assert np.array_equal(mat, before)
 
 
 @settings(deadline=None)
@@ -320,7 +367,7 @@ def test_row_span_membership_by_rank(data, p):
 
 
 def test_rref_mod_p_shape_and_edge_cases():
-    R, pivots = linalg.rref_mod_p(np.array([[2, 4, 1], [1, 2, 0]]), 5)
+    R, pivots = rref_mod_p(np.array([[2, 4, 1], [1, 2, 0]]), 5)
     assert pivots == [0, 2]
     assert R.tolist() == [[1, 2, 0], [0, 0, 1]]
     assert linalg.rank_mod_p(np.zeros((0, 4), dtype=np.int64), 7) == 0
@@ -334,7 +381,7 @@ def test_rref_mod_p_shape_and_edge_cases():
 @pytest.mark.parametrize("p", [2**31, 2**31 + 11, 2**61 - 1])
 def test_large_modulus_rejected(p):
     mat = np.eye(2, dtype=np.int64)
-    for call in (linalg.rref_mod_p, linalg.rank_mod_p, kernel_mod_p):
+    for call in (rref_mod_p, linalg.rank_mod_p, kernel_mod_p):
         with pytest.raises(linalg.LinalgError):
             call(mat, p)
 
