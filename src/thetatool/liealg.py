@@ -22,10 +22,11 @@ wholesale by checking ad[x,y] = [ad x, ad y] over Z (faithful for the
 derived Chevalley form) as joins of the sparse table with itself, in
 O(dim^3) rather than the O(dim^5) of dense products.
 
-A realization dtheta is a signed permutation of the Chevalley basis: k
-and p are read off its orbits and the automorphism check relabels the
-bracket table.  Only ``centralizer_dims`` eliminates over F_p, on the
-blocks [x, k] -> p and [x, p] -> k of ad x at the eigenspaces' lead rows.
+A realization dtheta is a signed permutation of the Chevalley basis.  Its
+eigenspaces k and p are held once, as one (lead, partner, coef) triple per
+basis row, read off the orbits; the grading check relabels the bracket
+table.  Only ``centralizer_dims`` eliminates over F_p, on the blocks
+[x, k] -> p and [x, p] -> k of ad x at the eigenspaces' lead rows.
 """
 
 from __future__ import annotations
@@ -366,14 +367,14 @@ class SymmetricPairRealization:
     """A concrete Z/2-grading g = k + p over F_p.
 
     dtheta(x_i) = sign[i] x_{perm[i]}, so dtheta x = sign * x[perm]; perm
-    and sign are read-only int64 arrays.  k_basis / p_basis are integer
-    coefficient matrices (rows = basis vectors of the eigenspaces, residues
-    mod p), one row per orbit of perm, ordered by its larger index j: a
-    fixed point j gives e_j, to k when sign[j] = +1 and to p otherwise; a
-    2-cycle i < j gives e_j + s e_i to k and e_j - s e_i to p, s = sign[j].
-    These are the reduced echelon kernels of dtheta -+ 1, with no
-    elimination; ``_rows`` holds the lead j, partner perm[j] and coef of
-    each row, k rows then p rows.
+    and sign are read-only int64 arrays.  ``_rows`` is the one record of
+    the eigenspaces: a read-only (3, dim) array with one column (lead j,
+    partner perm[j], coef) per basis row e_j + coef e_{perm[j]} (residues
+    mod p), one row per orbit of perm, k rows then p rows, each ordered by
+    its larger index j.  A fixed point j gives e_j (coef 0), to k when
+    sign[j] = +1 and to p otherwise; a 2-cycle i < j gives e_j + s e_i to k
+    and e_j - s e_i to p, s = sign[j].  These are the reduced echelon
+    kernels of dtheta -+ 1, with no elimination.
     """
 
     def __init__(self, alg: ModularLieAlgebra, perm, sign, kind: str):
@@ -395,10 +396,6 @@ class SymmetricPairRealization:
         k_rows = self._eigenbasis(1)
         self.dim_k, self.dim_p = k_rows.shape[1], dim - k_rows.shape[1]
         self._rows = _read_only(np.hstack([k_rows, self._eigenbasis(-1)]))
-        lead, partner, coef = self._rows
-        basis = np.eye(dim, dtype=np.int64)[lead]
-        basis[np.arange(dim), partner] += coef
-        self.k_basis, self.p_basis = basis[: self.dim_k], basis[self.dim_k :]
 
     def _eigenbasis(self, eig: int) -> np.ndarray:
         """Rows (lead j, partner perm[j], coef), one column per basis row
@@ -409,14 +406,24 @@ class SymmetricPairRealization:
         j = j[(perm[j] != j) | (sign[j] == eig)]
         return np.stack([j, perm[j], np.where(perm[j] != j, eig * sign[j] % self.alg.p, 0)])
 
-    def check_automorphism(self) -> None:
-        """dtheta[x_i, x_k] = [dtheta x_i, dtheta x_k] mod p on all basis pairs.
+    def check_grading(self) -> None:
+        """[k,k] in k, [k,p] in p, [p,p] in k, exhaustively on basis pairs.
 
-        With sigma = perm, s = sign and [x_i, x_k] = T(i,k,l) x_l, that is
-        s_i s_k s_l T(sigma i, sigma k, sigma l) = T(i,k,l) for all (i, k, l):
-        the table rows and their relabelled copies, valued -s_i s_k s_l c at
-        key (sigma i, sigma k, sigma l), are summed per key.  The first
-        failing pair (i, k) in row-major order is reported.
+        The laws hold exactly when dtheta preserves brackets.  Each row of
+        ``_rows`` is an eigenvector: with s = sign[j] = sign[perm[j]] (the
+        constructor checks it) and c = eig * s, dtheta(e_j + c e_i) =
+        s e_i + c s e_j = eig (e_j + c e_i).  An orbit gives as many rows
+        as it has elements, and e_j + s e_i, e_j - s e_i span e_i and e_j
+        since 2 is invertible mod p, so the rows span g.  On eigenvectors x
+        and y, [x, y] lies in the eigenspace of the product eigenvalue
+        exactly when dtheta[x, y] = [dtheta x, dtheta y].
+
+        With sigma = perm, s = sign and [x_i, x_k] = T(i,k,l) x_l, dtheta
+        preserves brackets when s_i s_k s_l T(sigma i, sigma k, sigma l) =
+        T(i,k,l) mod p for all (i, k, l): the table rows and their
+        relabelled copies, valued -s_i s_k s_l c at key (sigma i, sigma k,
+        sigma l), are summed per key.  The first failing pair (i, k) in
+        row-major order is reported.
         """
         dim, perm, s = self.alg.dim, self.perm, self.sign
         i, k, l, c = self.alg.table.entries.T
@@ -426,26 +433,6 @@ class SymmetricPairRealization:
         if key is not None:
             i, j = divmod(key // dim, dim)
             raise LieAlgebraError(f"dtheta fails to preserve brackets at pair ({i}, {j})")
-
-    def check_grading(self) -> None:
-        """[k,k] in k, [k,p] in p, [p,p] in k, exhaustively on basis pairs.
-
-        Since p is odd and dtheta is an involution, the laws hold exactly
-        when k_basis is fixed by dtheta, p_basis is negated by it, the two
-        span g, and dtheta preserves brackets: then [x, y] is an eigenvector
-        with the product of the eigenvalues of x and y.  The span holds by
-        construction: each orbit gives as many rows as it has elements, a
-        fixed point e_j and a 2-cycle e_j + s e_i and e_j - s e_i, which
-        span e_i and e_j since 2 is invertible mod p.  So this reads the
-        laws off two gathers and ``check_automorphism``.
-        """
-        p = self.alg.p
-        for basis, eig, name in ((self.k_basis, 1, "k"), (self.p_basis, -1, "p")):
-            if np.any((self.sign * basis[:, self.perm] - eig * basis) % p):
-                raise LieAlgebraError(
-                    f"grading fails: {name} is not the {eig:+d} eigenspace of dtheta"
-                )
-        self.check_automorphism()
 
     def centralizer_dims(self, x: np.ndarray) -> Tuple[int, int]:
         """(dim z_k(x), dim z_p(x)) for x in p, by exact F_p ranks of the
@@ -479,10 +466,16 @@ class SymmetricPairRealization:
         )
 
     def random_p_element(self, rng: random.Random) -> np.ndarray:
-        coeffs = [rng.randrange(self.alg.p) for _ in range(self.dim_p)]
-        return np.mod(
-            np.array(coeffs, dtype=np.int64) @ self.p_basis, self.alg.p
-        )
+        """sum_r c_r (e_lead + coef e_partner) mod p over the p rows, the c_r
+        drawn by rng.randrange(p) in row order.  No two p rows share a lead
+        or a partner, so each sum is two scatters."""
+        p = self.alg.p
+        lead, partner, coef = self._rows[:, self.dim_k :]
+        c = np.array([rng.randrange(p) for _ in range(self.dim_p)], dtype=np.int64)
+        x = np.zeros(self.alg.dim, dtype=np.int64)
+        x[lead] = c
+        x[partner] += c * coef
+        return x % p
 
 
 def realize_inner(alg: ModularLieAlgebra, mu: Sequence[int]) -> SymmetricPairRealization:
@@ -512,9 +505,10 @@ def realize_chevalley_involution(alg: ModularLieAlgebra) -> SymmetricPairRealiza
     perm = np.r_[np.arange(rs.rank), alg.e_index((roots + npos) % len(roots))]
     sign = -np.ones(alg.dim, dtype=np.int64)
     pair = SymmetricPairRealization(alg, perm, sign, kind="chevalley")
-    pair.check_automorphism()
-    if pair.dim_k != npos or pair.dim_p != npos + rs.rank:
-        raise LieAlgebraError("split realization has wrong eigenspace dimensions")
+    # no dimension check: each h_i is a negated fixed point and each 2-cycle
+    # e_a <-> e_{-a} gives one k row and one p row, so the orbits fix
+    # (dim k, dim p) = (|Phi+|, |Phi+| + rank)
+    pair.check_grading()
     return pair
 
 

@@ -2,12 +2,14 @@
 sparse Chevalley table, the structure constants N_{a,b} and the bracket of
 two coefficient vectors read off it, literal Jacobi checks on sampled basis
 triples, the dense matrix of a realization's dtheta, the kernel over F_p
-that is the oracle for its eigenspaces, and the grading laws of a
+that is the oracle for its eigenspaces, the dense eigenspace bases of a
+realization and the samples drawn from them, and the grading laws of a
 realization checked bracket by bracket.
 
-These are independent of ``ChevalleyTable.adjoint`` and of the signed
-permutation a realization holds, so the tests that use them check the
-library against a second route through the same table.
+Apart from ``eigenbases``, which spells out the (lead, partner, coef)
+rows a realization holds as dense matrices, these are independent of
+``ChevalleyTable.adjoint`` and of the signed permutation, so the tests that
+use them check the library against a second route through the same table.
 """
 
 from __future__ import annotations
@@ -129,26 +131,42 @@ def kernel_mod_p(mat, p: int) -> np.ndarray:
     return basis
 
 
+def eigenbases(pair) -> Tuple[np.ndarray, np.ndarray]:
+    """The dense k and p bases of a realization: one row e_j + c e_{perm[j]}
+    for each column (j, perm[j], c) of its ``_rows``, k rows then p rows."""
+    lead, partner, coef = pair._rows
+    basis = np.eye(pair.alg.dim, dtype=np.int64)[lead]
+    basis[np.arange(pair.alg.dim), partner] += coef
+    return basis[: pair.dim_k], basis[pair.dim_k :]
+
+
+def dense_p_element(pair, rng: random.Random) -> np.ndarray:
+    """The sample ``random_p_element`` owes rng: dim_p coefficients drawn by
+    rng.randrange(p), times the dense p basis, mod p."""
+    coeffs = [rng.randrange(pair.alg.p) for _ in range(pair.dim_p)]
+    return np.mod(np.array(coeffs, dtype=np.int64) @ eigenbases(pair)[1], pair.alg.p)
+
+
 def dense_centralizer_dims(pair, x) -> tuple:
-    """(dim z_k(x), dim z_p(x)) from the full products k_basis @ ad.T and
-    p_basis @ ad.T over all dim columns, ranked by ``rref_mod_p``."""
+    """(dim z_k(x), dim z_p(x)) from the full products of the dense k and p
+    bases with ad.T over all dim columns, ranked by ``rref_mod_p``."""
     p = pair.alg.p
     ad = pair.alg.table.adjoint(x[None], p)[0]
     return tuple(
         len(basis) - len(rref_mod_p(basis @ ad.T, p)[1])
-        for basis in (pair.k_basis, pair.p_basis)
+        for basis in eigenbases(pair)
     )
 
 
 def grading_laws_hold(pair) -> bool:
-    """k_basis and p_basis are the +1 and -1 eigenspaces of the dense
+    """The dense k and p bases are the +1 and -1 eigenspaces of the dense
     dtheta (each row fixed or negated, together of rank dim mod p), and
     [k,k] in k, [k,p] in p and [p,p] in k on all pairs of basis vectors:
     every bracket is formed densely, and each law holds when appending the
     brackets to the target basis leaves its rank mod p unchanged."""
     alg, p = pair.alg, pair.alg.p
     ad = dense_ad(alg.table)
-    k, pp = pair.k_basis, pair.p_basis
+    k, pp = eigenbases(pair)
     d = dense_dtheta(pair)
     if np.any((k @ d.T - k) % p) or np.any((pp @ d.T + pp) % p):
         return False

@@ -37,7 +37,7 @@ from thetatool.liealg import (
 from thetatool.rootsys import build_root_system
 from thetatool.satake import catalog_list
 
-from brackets import dense_ad, dense_centralizer_dims, dense_dtheta
+from brackets import dense_ad, dense_centralizer_dims, dense_dtheta, eigenbases
 from scalar import (
     _chain_down,
     coroot_coords,
@@ -254,7 +254,7 @@ def test_one_read_only_table_shared_across_primes():
             arr[(0,) * arr.ndim] = 1
 
 
-# -- the exhaustive automorphism check ------------------------------------------------
+# -- the exhaustive grading check ----------------------------------------------------
 
 
 def _flipped(pair, rng, count):
@@ -270,7 +270,7 @@ def _flipped(pair, rng, count):
 @pytest.mark.parametrize("block_rows", [liealg._BLOCK_ROWS, 64])
 @pytest.mark.parametrize("series, rank, p", [("G", 2, 7), ("B", 3, 5), ("D", 4, 5), ("F", 4, 5)])
 def test_flipped_sign_in_dtheta_fails_at_the_oracle_pair(series, rank, p, block_rows, monkeypatch):
-    """The automorphism check reports the dense oracle's first failing pair
+    """The grading check reports the dense oracle's first failing pair
     on corrupted signs; it reads no join block, so the Jacobi check's block
     size does not change its answer."""
     monkeypatch.setattr(liealg, "_BLOCK_ROWS", block_rows)
@@ -279,7 +279,7 @@ def test_flipped_sign_in_dtheta_fails_at_the_oracle_pair(series, rank, p, block_
     for bad in _flipped(pair, random.Random(f"{series}{rank}"), 6):
         i, j = ref_first_automorphism_failure(bad)
         with pytest.raises(LieAlgebraError) as exc:
-            bad.check_automorphism()
+            bad.check_grading()
         assert str(exc.value) == f"dtheta fails to preserve brackets at pair ({i}, {j})"
 
 
@@ -288,8 +288,8 @@ def _dense_grading_failure(pair, x):
     and [x, p] in k, from the dense tensordot ad and dense dtheta."""
     p, d = pair.alg.p, dense_dtheta(pair)
     ad = np.tensordot(x, dense_ad(pair.alg.table), axes=1) % p
-    for basis, eig, law in ((pair.k_basis, -1, "[x, k] is not in p"),
-                            (pair.p_basis, 1, "[x, p] is not in k")):
+    for basis, eig, law in zip(eigenbases(pair), (-1, 1),
+                               ("[x, k] is not in p", "[x, p] is not in k")):
         images = basis @ ad.T % p  # rows [x, b]
         if np.any((images @ d.T - eig * images) % p):
             return f"grading fails at x: {law}"
@@ -307,7 +307,7 @@ def _flip_cases():
 
 
 def test_flipped_sign_in_dtheta_is_caught_by_centralizer_dims():
-    """On realizations whose dtheta fails check_automorphism, every sample
+    """On realizations whose dtheta fails check_grading, every sample
     x in p whose [x, k] leaves p or whose [x, p] leaves k (by the dense
     oracle) makes centralizer_dims raise, so no rank read at the lead rows
     is returned; on the other samples the ranks equal the full products'."""
@@ -316,8 +316,8 @@ def test_flipped_sign_in_dtheta_is_caught_by_centralizer_dims():
         rng = random.Random(f"flipped {pair.alg.rs.series}{pair.alg.rs.rank} {pair.kind}")
         for bad in _flipped(pair, rng, 6):
             with pytest.raises(LieAlgebraError):
-                bad.check_automorphism()
-            for x in [bad.random_p_element(rng) for _ in range(3)] + list(bad.p_basis[:6]):
+                bad.check_grading()
+            for x in [bad.random_p_element(rng) for _ in range(3)] + list(eigenbases(bad)[1][:6]):
                 want = _dense_grading_failure(bad, x)
                 if want is None:
                     assert bad.centralizer_dims(x) == dense_centralizer_dims(bad, x)
@@ -338,12 +338,12 @@ def test_automorphism_check_on_inner_involutions():
         mu = find_inner_coweight(alg, dims.k, dims.p)
         if mu is not None:
             pair = realize_inner(alg, mu)
-            pair.check_automorphism()
+            pair.check_grading()
             assert ref_first_automorphism_failure(pair) is None
             for bad in _flipped(pair, random.Random(4), 6):
                 i, j = ref_first_automorphism_failure(bad)
                 with pytest.raises(LieAlgebraError, match=rf"at pair \({i}, {j}\)$"):
-                    bad.check_automorphism()
+                    bad.check_grading()
 
 
 # -- E7 and E8 end to end -------------------------------------------------------------

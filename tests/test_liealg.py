@@ -27,6 +27,8 @@ from brackets import (
     dense_ad,
     dense_centralizer_dims,
     dense_dtheta,
+    dense_p_element,
+    eigenbases,
     grading_laws_hold,
     kernel_mod_p,
     root_constants,
@@ -196,20 +198,36 @@ def _split_pairs():
 
 
 def test_eigenbases_are_the_kernels_of_dtheta_byte_for_byte():
-    """k_basis and p_basis, read off the orbits of the signed permutation,
-    equal byte for byte the reduced echelon kernels of dtheta -+ 1 over
-    F_p, on the 120 realized pairs and the split involution of all 32
-    catalog types at p = 7, so the samples drawn from p_basis are the
-    same as by elimination."""
+    """The k and p bases spelled out from the (lead, partner, coef) rows
+    read off the orbits of the signed permutation equal byte for byte the
+    reduced echelon kernels of dtheta -+ 1 over F_p, on the 120 realized
+    pairs and the split involution of all 32 catalog types at p = 7, so
+    the samples drawn from the p rows are the same as by elimination."""
     pairs = [(name, pair) for name, _, pair in realized_pairs()] + _split_pairs()
     assert len(pairs) == 152
     for name, pair in pairs:
         p, eye = pair.alg.p, np.eye(pair.alg.dim, dtype=np.int64)
         d = dense_dtheta(pair)
-        for got, eig in ((pair.k_basis, 1), (pair.p_basis, -1)):
+        for got, eig in zip(eigenbases(pair), (1, -1)):
             want = kernel_mod_p(d - eig * eye, p)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
+
+
+def test_random_p_element_is_the_dense_sample_byte_for_byte():
+    """random_p_element scatters its draws at the p rows' leads and
+    partners.  On the 120 realized pairs and on split E8 at p = 7 it equals
+    byte for byte the dense formula coeffs @ p basis mod p on the same
+    seeded stream, and leaves the stream in the same state."""
+    pairs = [(name, pair) for name, _, pair in realized_pairs()]
+    pairs.append(("E8/chevalley/p=7", realize_chevalley_involution(build_algebra("E", 8, 7))))
+    assert len(pairs) == 121
+    for name, pair in pairs:
+        got, want = random.Random(name), random.Random(name)
+        for _ in range(5):
+            x, y = pair.random_p_element(got), dense_p_element(pair, want)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert got.getstate() == want.getstate(), name
 
 
 def test_constructor_rejects_non_involutions():
@@ -245,7 +263,7 @@ def test_chevalley_involution_a1():
     pair = realize_chevalley_involution(alg)
     assert (pair.dim_k, pair.dim_p) == (1, 2)
     # k is spanned by e - f
-    v = pair.k_basis[0]
+    v = eigenbases(pair)[0][0]
     assert v[0] == 0 and v[alg.e_index(0)] != 0 and v[alg.e_index(1)] != 0
 
 
@@ -253,16 +271,19 @@ def test_chevalley_involution_g2():
     alg = build_algebra("G", 2, 7)
     pair = realize_chevalley_involution(alg)
     assert (pair.dim_k, pair.dim_p) == (6, 8)
-    pair.check_automorphism()  # exhaustive: all 196 basis pairs
-    pair.check_grading()
+    pair.check_grading()  # exhaustive: all 196 basis pairs
 
 
 def test_grading_check_rejects_swapped_eigenspaces():
+    """-dtheta swaps k and p.  It is an involution but, when p is odd,
+    never an automorphism of a non-abelian g: on eigenvectors x and y of
+    dtheta, -dtheta[x, y] = -[-dtheta x, -dtheta y]."""
     pair = realize_chevalley_involution(build_algebra("G", 2, 7))
-    pair.k_basis, pair.p_basis = pair.p_basis, pair.k_basis
-    assert not grading_laws_hold(pair)
-    with pytest.raises(LieAlgebraError, match=r"grading fails: k is not the \+1 eigenspace of dtheta"):
-        pair.check_grading()
+    swapped = SymmetricPairRealization(pair.alg, pair.perm, -pair.sign, kind="swapped")
+    assert (swapped.dim_k, swapped.dim_p) == (pair.dim_p, pair.dim_k)
+    assert not grading_laws_hold(swapped)
+    with pytest.raises(LieAlgebraError, match=r"^dtheta fails to preserve brackets at pair \(\d+, \d+\)$"):
+        swapped.check_grading()
 
 
 def _passes_grading(pair) -> bool:
@@ -296,7 +317,7 @@ def _centralizer_samples(pair, rng):
     """x = 0, two random elements of p, two sparse ones (two or three
     p-basis rows with random coefficients) and up to eight single p-basis
     rows."""
-    p, rows = pair.alg.p, pair.p_basis
+    p, rows = pair.alg.p, eigenbases(pair)[1]
     yield np.zeros(pair.alg.dim, dtype=np.int64)
     for _ in range(2):
         yield pair.random_p_element(rng)
@@ -337,11 +358,11 @@ def test_centralizer_dims_rejects_wrong_length():
 
 def test_centralizer_dims_rejects_x_outside_p():
     pair = realize_chevalley_involution(build_algebra("B", 2, 5))
-    x = pair.k_basis[0] + pair.p_basis[0]
-    for bad in (pair.k_basis[0], x):
+    k, pp = eigenbases(pair)
+    for bad in (k[0], k[0] + pp[0]):
         with pytest.raises(LieAlgebraError, match="x is not in p"):
             pair.centralizer_dims(bad)
-    pair.centralizer_dims(pair.p_basis[0])
+    pair.centralizer_dims(pp[0])
 
 
 def test_centralizer_identity_sampled():

@@ -24,7 +24,7 @@ from thetatool.restricted import restrict
 from thetatool.rootsys import FiniteAbelianGroup, RootSystemError, build_root_system
 from thetatool.satake import SatakeInvolution, all_catalog_entries, catalog_lookup
 
-from brackets import dense_ad
+from brackets import dense_ad, eigenbases
 from scalar import coroot_coords, theta_star
 from weylgroup import enumerate_weyl, simple_reflection
 
@@ -408,10 +408,10 @@ def _nilcone_point_count(series, rank, label, p):
     else:
         mu = liealg.find_inner_coweight(alg, dims.k, dims.p)
         pair = liealg.realize_inner(alg, mu)
-    ad = dense_ad(alg.table)
+    ad, p_basis = dense_ad(alg.table), eigenbases(pair)[1]
     count = 0
     for coeffs in itertools.product(range(p), repeat=pair.dim_p):
-        x = np.mod(np.array(coeffs, dtype=np.int64) @ pair.p_basis, p)
+        x = np.mod(np.array(coeffs, dtype=np.int64) @ p_basis, p)
         if not np.any(x):
             count += 1
             continue

@@ -334,3 +334,18 @@ def test_weyl_elements_are_root_index_arrays():
     for w in (inv.theta_perm(), rs.longest_element(), rs.longest_element(inv.compact)):
         assert isinstance(w, np.ndarray) and w.dtype == np.int64 and not w.flags.writeable
         assert sorted(w.tolist()) == list(range(len(rs.roots)))
+
+
+def test_realization_eigenspaces_are_held_once():
+    """A realization's eigenspaces are its ``_rows`` alone: no library
+    file names a dense ``k_basis`` or ``p_basis``, or the
+    ``check_automorphism`` that ``check_grading`` absorbed, not even in a
+    comment."""
+    found = [
+        f"{path.name}:{lineno} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        for name in ("k_basis", "p_basis", "check_automorphism")
+        if name in line
+    ]
+    assert not found, f"second eigenspace representation in {', '.join(found)}"
