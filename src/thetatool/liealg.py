@@ -40,6 +40,7 @@ import numpy as np
 from . import linalg
 from .rootsys import (
     RootSystem,
+    _is_integer,
     _read_only,
     build_root_system,
     good_primes_from,
@@ -323,6 +324,9 @@ class ModularLieAlgebra:
 
     def __init__(self, rs: RootSystem, p: int):
         dim = rs.rank + len(rs.roots)
+        if not _is_integer(p):
+            raise LieAlgebraError(f"p = {p!r} is not an integer")
+        p = int(p)
         if not _brackets_fit_int64(dim, p):
             raise LieAlgebraError(
                 f"p = {p} is too large for exact int64 brackets of "
@@ -351,11 +355,12 @@ class ModularLieAlgebra:
         return self.rs.rank + root_idx
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_algebra(series: str, rank: int, p: int) -> ModularLieAlgebra:
     """Build (and cache) the Chevalley algebra of a simple type over F_p.
 
     Raises LieAlgebraError when p is not an odd good prime for the type.
+    The cache is typed, so p = 7.0 is validated, not answered as p = 7.
     """
     return ModularLieAlgebra(build_root_system(series, rank), p)
 

@@ -7,9 +7,11 @@ integer kernel, ``GramKernel``: a block of rows of the Gram table V F V^T of
 a vector list V is one matrix product.  Each root system owns one kernel
 over its roots, built with them and kept, and one exact coroot array.  The
 root list is the kernel's read-only int64 array, and ``kernel.lookup`` finds
-roots in it.  A Weyl group element is a read-only int64 permutation w of
-the (finite, canonically ordered) root list, sending roots[i] to
-roots[w[i]]; the product x y is x[y].
+roots in it.  The inverse Cartan matrix is one product of the coroot and
+root arrays (``cartan_inverse``): the package eliminates over Q nowhere.
+A Weyl group element is a read-only int64 permutation w of the (finite,
+canonically ordered) root list, sending roots[i] to roots[w[i]]; the
+product x y is x[y].
 
 The one Weyl orbit walk of the package, ``orbit_levels``, runs on Python
 tuples: the roots are built with it, and ``weylinv`` walks the parabolic
@@ -30,8 +32,6 @@ from math import gcd, lcm, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from . import linalg
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -98,10 +98,18 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def is_odd_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; 2 and every integer below it are
-    rejected.  Raises RootSystemError at or above the bound where the bases
-    are proven to decide, rather than guess."""
+    """Deterministic Miller-Rabin; 2, every integer below it and every
+    value that is not an integer are rejected.  Raises RootSystemError at or
+    above the bound where the bases are proven to decide, rather than guess."""
+    if not _is_integer(p):
+        return False
+    p = int(p)
     if p >= _PRIME_BOUND:
         raise RootSystemError(f"p = {p} is too large to test for primality exactly")
     if p < 3 or p % 2 == 0 or p in _PRIME_BASES:
@@ -131,12 +139,13 @@ def weyl_order(series: str, rank: int) -> int:
 
 
 def validate_type(series: str, rank: int) -> None:
-    """Reject (series, rank) pairs that are not a simple type.
+    """Reject (series, rank) pairs that are not a simple type, and a rank
+    that is not a Python or numpy integer (a bool included).
 
     D3 (= A3) is accepted since it is a legitimate simple system under the
     D-shaped Cartan matrix.
     """
-    ok = (
+    ok = _is_integer(rank) and (
         (series == "A" and rank >= 1)
         or (series in ("B", "C") and rank >= 2)
         or (series == "D" and rank >= 3)
@@ -348,11 +357,26 @@ class RootSystem:
 
     @cached_property
     def cartan_inverse(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
-        """(L C^-1, L) for the Cartan matrix C, with L the least common
-        denominator of C^-1, computed once (C is nonsingular: its
-        determinant is the order of Z, which L divides)."""
-        M, L = linalg.scaled_inverse(self.cartan)
-        return tuple(map(tuple, M)), L
+        """(L C^-1, L) for the Cartan matrix C, with L the least positive
+        integer that makes L C^-1 integral, read off the roots once, with no
+        elimination.  T(x) = sum_a <x, a^vee> a over the roots commutes with
+        W, so on the irreducible reflection representation it is kappa
+        times the identity (Schur; Bourbaki, Lie VI 1.12), and kappa > 0
+        since (x, T x) = sum_a 2 (x, a)^2 / (a, a).  Row i of C X, with
+        X = coroots^T roots, is T(alpha_i) in the simple-root basis, so
+        C X = kappa I; dividing X and kappa by their gcd g leaves the least
+        L = kappa / g.  The identity is checked, so a wrong coroot array
+        raises RootSystemError.  Root and coroot coefficients are at most 6,
+        so |X_ij| <= 36 |Phi|: X and C X are exact in int64."""
+        X = self.coroots.T @ self.roots
+        CX = np.array(self.cartan, dtype=np.int64) @ X
+        kappa = int(CX[0, 0])
+        if kappa <= 0 or (CX != kappa * np.eye(self.rank, dtype=np.int64)).any():
+            raise RootSystemError(
+                f"the coroots of {self.series}{self.rank} do not invert its Cartan matrix"
+            )
+        g = gcd(kappa, *X.ravel().tolist())
+        return tuple(map(tuple, (X // g).tolist())), kappa // g
 
     @property
     def highest_root(self) -> np.ndarray:
@@ -408,11 +432,12 @@ class RootSystem:
         return self.longest_element(range(self.rank))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_root_system(series: str, rank: int) -> RootSystem:
     """Build (and cache) the root system of a simple type.
 
-    Raises RootSystemError on an invalid (series, rank) pair.
+    Raises RootSystemError on an invalid (series, rank) pair.  The cache
+    is typed, so a rank of 3.0 is validated, not answered as rank 3.
     """
     return RootSystem(series, rank)
 

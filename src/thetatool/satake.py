@@ -25,7 +25,7 @@ from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rootsys import RootSystem, RootSystemError, _read_only, build_root_system
+from .rootsys import RootSystem, RootSystemError, _is_integer, _read_only, build_root_system
 
 
 class SatakeError(ValueError):
@@ -60,10 +60,13 @@ class SatakeInvolution:
         psi: Optional[Sequence[int]] = None,
     ):
         self.ambient = ambient
+        compact = tuple(compact)
+        psi = tuple(psi) if psi is not None else tuple(range(ambient.rank))
+        for i in compact + psi:
+            if not _is_integer(i):
+                raise SatakeError(f"Satake index {i!r} is not an integer")
         self.compact: FrozenSet[int] = frozenset(compact)
-        self.psi: Tuple[int, ...] = (
-            tuple(psi) if psi is not None else tuple(range(ambient.rank))
-        )
+        self.psi: Tuple[int, ...] = psi
         self._admitted = False
         if sorted(self.psi) != list(range(ambient.rank)):
             raise SatakeError("psi is not a permutation of the simple indices")
@@ -416,7 +419,7 @@ def _catalog_types() -> List[Tuple[str, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _catalog_list_cached(series: str, rank: int) -> Tuple[InvolutionClassEntry, ...]:
     build_root_system(series, rank)  # raises on invalid type
     entries = [_entry_from_record(series, rank, r) for r in class_records(series, rank)]

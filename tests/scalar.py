@@ -7,14 +7,14 @@ alone, one vector at a time, so the tests that use them check the arrays
 against a second route.  ``ref_roots`` is the frontier search that built
 the root list before the array closure, ``ref_omega_alpha`` the scalar
 classification of the basis cocharacters, ``ref_pi_coords`` the elimination
-over Q for the pi-coordinates (by ``ref_rref``, the Gauss-Jordan over
-``Fraction``s that the library's fraction-free ``echelon`` replaced),
-``ref_factors`` the Dynkin-diagram walk that
-named the restricted factors, ``ref_minus_one_rank`` the split rank as
-n - rank(theta* + 1) over Q, and ``ref_structure_constants``
-the recursion on root tuples that built N_{a,b} before the array build by
-height; ``act`` applies a Weyl element to one root tuple.  The ``ref_*``
-realization loops build dtheta and search the coweights root by root.
+over Q for the pi-coordinates (by ``ref_rref``, a Gauss-Jordan over
+``Fraction``s; the library eliminates over Q nowhere), ``ref_factors`` the
+Dynkin-diagram walk that named the restricted factors,
+``ref_minus_one_rank`` the split rank as n - rank(theta* + 1) over Q (by
+``ref_rref`` too), and ``ref_structure_constants`` the recursion on root
+tuples that built N_{a,b} before the array build by height; ``act``
+applies a Weyl element to one root tuple.  The ``ref_*`` realization loops
+build dtheta and search the coweights root by root.
 
 The library keeps each root list as one int64 array; ``root_tuples``,
 ``root_index`` and ``is_root`` (by a dict over the tuples) and
@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from thetatool import linalg
 from thetatool.liealg import LieAlgebraError
 from thetatool.restricted import RestrictedCocharacter, RestrictionError, SimpleFactor
 from thetatool.rootsys import RootSystem, RootSystemError, cartan_matrix
@@ -124,13 +123,13 @@ def theta_star(inv, root: Sequence[int]) -> Tuple[int, ...]:
 
 def ref_minus_one_rank(inv) -> int:
     """The dimension of the (-1)-eigenspace of theta*, n - rank(theta* + 1)
-    by ``linalg.echelon``.  Unlike (n - tr theta*)/2 it needs no
+    by ``ref_rref``.  Unlike (n - tr theta*)/2 it needs no
     involution, so it is defined on every (I, psi) whose theta* permutes
     the roots."""
     n = inv.ambient.rank
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     rows = [[x + y for x, y in zip(theta_star(inv, e), e)] for e in unit]
-    return n - len(linalg.echelon(rows)[1])
+    return n - len(ref_rref(rows)[1])
 
 
 def ref_roots(series: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
@@ -186,7 +185,8 @@ def ref_omega_alpha(inv, rrs, basis_pos: int) -> RestrictedCocharacter:
 
 
 def ref_rref(rows) -> Tuple[List[List[Fraction]], List[int]]:
-    """The Gauss-Jordan over Fractions that the fraction-free one replaced."""
+    """The reduced row echelon form over Q and its pivot columns, by
+    Gauss-Jordan over Fractions."""
     A = [[Fraction(x) for x in row] for row in rows]
     ncols = len(A[0]) if A else 0
     pivots: List[int] = []

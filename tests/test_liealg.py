@@ -88,6 +88,17 @@ def test_bad_prime_rejected():
         build_algebra("F", 4, 3)
 
 
+def test_non_integer_prime_rejected():
+    """A prime that is not an integer is refused, also when the integer
+    prime is already cached; numpy integers are accepted."""
+    build_algebra("A", 2, 7)
+    for p in (7.0, True, 1e300):
+        with pytest.raises(LieAlgebraError, match="not an integer"):
+            build_algebra("A", 2, p)
+    alg = build_algebra("A", 2, np.int64(7))
+    assert alg.p == 7 and type(alg.p) is int
+
+
 def test_jacobi_exhaustive_small_ranks():
     # the constructor already verifies ad[x,y] = [ad x, ad y] over Z;
     # here the literal triple identity is re-checked exhaustively mod p

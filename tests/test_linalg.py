@@ -1,21 +1,18 @@
-"""Exact linear algebra over Q and F_p, checked against the loop-based
+"""Exact linear algebra over F_p, checked against the loop-based
 eliminations it replaced (kept below, verbatim in substance, as reference
-oracles) on random, low-rank, empty and zero matrices.  The fraction-free
-``echelon`` over Q is checked against the ``Fraction`` Gauss-Jordan it
-replaced (``scalar.ref_rref``): it must give the same reduced form and
-pivots on every input.  Over F_p the library keeps only the rank-only
-forward elimination ``rank_mod_p``; the reduced form ``brackets.rref_mod_p``
-is its oracle, checked here against its earlier row-major numpy body, and
-``rank_mod_p`` must count its pivots on every input, edge cases at the
-largest modulus included.  ``brackets.kernel_mod_p``, the oracle for the
-eigenspaces of a realization (the library reads them off the orbits of
-dtheta), is checked here against the loop-based eigenspace it replaced."""
+oracles) on random, low-rank, empty and zero matrices.  The library keeps
+only the rank-only forward elimination ``rank_mod_p``, and none over Q
+(``test_rootsys`` checks ``RootSystem.cartan_inverse``).  The reduced form
+``brackets.rref_mod_p`` is its oracle, checked here against its earlier
+row-major numpy body, and ``rank_mod_p`` must count its pivots on every
+input, edge cases at the largest modulus included.
+``brackets.kernel_mod_p``, the oracle for the eigenspaces of a realization
+(the library reads them off the orbits of dtheta), is checked here against
+the loop-based eigenspace it replaced."""
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 import pytest
@@ -26,7 +23,6 @@ from hypothesis.extra.numpy import arrays
 from thetatool import linalg
 
 from brackets import kernel_mod_p, rref_mod_p
-from scalar import ref_rref
 
 PRIMES = st.sampled_from([3, 5, 7, 11, 13])
 LARGEST_PRIME = 2**31 - 1
@@ -144,22 +140,6 @@ def ref_in_row_span(basis: np.ndarray, v: np.ndarray, p: int) -> bool:
     return not np.any(w)
 
 
-def ref_inverse(rows) -> Optional[List[List[Fraction]]]:
-    n = len(rows)
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    R, pivots = ref_rref([list(row) + e for row, e in zip(rows, identity)])
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in R]
-
-
-def inverse(rows) -> Optional[List[List[Fraction]]]:
-    """The inverse over Q of a square matrix, or None when it is singular,
-    read off ``linalg.scaled_inverse``."""
-    scaled = linalg.scaled_inverse(rows)
-    return None if scaled is None else [[Fraction(x, scaled[1]) for x in row] for row in scaled[0]]
-
-
 # -- strategies -------------------------------------------------------------------
 
 
@@ -179,34 +159,6 @@ def int_matrices(draw, rows=None, cols=None):
     left = draw(arrays(np.int64, (m, k), elements=st.integers(-4, 4)))
     right = draw(arrays(np.int64, (k, n), elements=st.integers(-4, 4)))
     return left @ right
-
-
-@st.composite
-def q_matrices(draw, rows=None, cols=None):
-    """Matrices over Q as lists of rows, of int or Fraction entries:
-    random, zero, empty, tall, wide and rank-deficient (products of thin
-    factors)."""
-    kind = draw(st.sampled_from(["random", "zero", "empty", "tall", "wide", "deficient"]))
-    m = draw(dims()) if rows is None else rows
-    n = draw(dims()) if cols is None else cols
-    if kind == "empty" and rows is None:
-        m, n = draw(st.sampled_from([(0, 0), (0, 3), (1, 0), (5, 0)]))
-    if kind in ("tall", "wide") and rows is None:
-        m, n = draw(st.integers(8, 14)), draw(st.integers(1, 4))
-        if kind == "wide":
-            m, n = n, m
-    entries = st.integers(-30, 30)
-    if draw(st.booleans()):
-        entries = st.fractions(-9, 9, max_denominator=12)
-    if kind == "zero":
-        return [[0] * n for _ in range(m)]
-    if kind == "deficient":
-        k = draw(st.integers(0, max(0, min(m, n) - 1)))
-        left = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=m, max_size=m))
-        right = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
-        return [[sum((row[t] * right[t][j] for t in range(k)), 0) for j in range(n)]
-                for row in left]
-    return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
 
 
 @st.composite
@@ -393,79 +345,3 @@ def test_largest_modulus_is_exact(mat):
     a, b, c, d = (int(x) for x in mat.ravel())
     want = 2 if (a * d - b * c) % p else (1 if any((a, b, c, d)) else 0)
     assert linalg.rank_mod_p(mat, p) == want
-
-
-# -- Q -------------------------------------------------------------------------------
-
-
-def q_rank(rows) -> int:
-    """Rank over Q: the number of pivots of ``echelon``."""
-    return len(linalg.echelon(rows)[1])
-
-
-def test_rank_edge_cases():
-    assert q_rank([]) == 0
-    assert q_rank([[0, 0], [0, 0]]) == 0
-    assert q_rank([[1, 2], [2, 4], [0, 1]]) == 2
-
-
-@settings(deadline=None)
-@given(st.integers(0, 5).flatmap(
-    lambda n: arrays(np.int64, (n, n), elements=st.integers(-4, 4))
-))
-def test_inverse_over_q(mat):
-    rows = [[int(x) for x in row] for row in mat]
-    n = len(rows)
-    inv = inverse(rows)
-    if q_rank(rows) < n:
-        assert inv is None
-        return
-    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    assert [
-        [sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in rows
-    ] == identity
-
-
-@settings(deadline=None, max_examples=150)
-@given(q_matrices())
-def test_q_elimination_matches_fraction_oracle(rows):
-    """echelon's pivots are the oracle's, and its rows are the oracle's
-    reduced rows scaled to primitive integer vectors with a positive pivot."""
-    want, want_pivots = ref_rref(rows)
-    R, pivots = linalg.echelon(rows)
-    assert pivots == want_pivots
-    for row, ref_row, c in zip(R, want, pivots):
-        assert all(type(x) is int for x in row)
-        assert row[c] > 0 and math.gcd(*row) == 1
-        assert [Fraction(x, row[c]) for x in row] == ref_row
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.data())
-def test_q_inverse_matches_fraction_oracle(data):
-    n = data.draw(dims())
-    square = data.draw(q_matrices(rows=n, cols=n))
-    want = ref_inverse(square)
-    assert inverse(square) == want
-    scaled = linalg.scaled_inverse(square)
-    if want is None:
-        assert scaled is None
-        return
-    M, L = scaled
-    assert L == math.lcm(*(x.denominator for row in want for x in row))
-    assert [[Fraction(x, L) for x in row] for row in M] == want
-
-
-@settings(deadline=None, max_examples=60)
-@given(q_matrices())
-def test_q_rank_and_echelon_build_no_fraction(rows):
-    """Integer and Fraction input alike: echelon never constructs a
-    Fraction; on integer input it reads the ints as they are."""
-
-    def no_fraction(*args):
-        raise AssertionError("Fraction constructed")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Fraction, "__new__", no_fraction)
-        R, pivots = linalg.echelon(rows)
-    assert all(type(x) is int for row in R for x in row)

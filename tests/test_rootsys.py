@@ -3,6 +3,7 @@ root permutations, lattice quotients."""
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -25,9 +26,9 @@ from thetatool.rootsys import (
     smith_normal_form,
     weyl_order,
 )
-from thetatool.satake import _catalog_types
+from thetatool.satake import _catalog_types, catalog_list
 
-from scalar import act, coroot_coords, pair_coroot, ref_roots, root_tuples
+from scalar import act, coroot_coords, pair_coroot, ref_roots, ref_rref, root_tuples
 from weylgroup import element, enumerate_weyl, identity, inverse, length, reflection, simple_reflection
 
 # every type of rank <= 8 (D3 included), and three larger classical ones
@@ -110,6 +111,19 @@ def test_invalid_type_rejected():
     for series, rank in [("A", 0), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2), ("D", 2)]:
         with pytest.raises(RootSystemError):
             build_root_system(series, rank)
+
+
+def test_non_integer_rank_rejected():
+    """A rank that is not an integer is refused with RootSystemError, also
+    when the integer rank is already cached, by the root system and by the
+    catalog; numpy integers are accepted."""
+    build_root_system("A", 3)
+    catalog_list("A", 3)
+    for rank in (3.0, True, "3"):
+        for build in (build_root_system, catalog_list):
+            with pytest.raises(RootSystemError):
+                build("A", rank)
+    assert build_root_system("A", np.int64(3)).rank == 3
 
 
 def test_closure_and_negation_invariants():
@@ -385,6 +399,11 @@ def test_is_odd_prime_rejects_strong_pseudoprimes():
     assert is_odd_prime(2**61 - 1)
 
 
+def test_is_odd_prime_rejects_non_integers():
+    assert [is_odd_prime(p) for p in (7.0, 7.5, True, "7", None)] == [False] * 5
+    assert is_odd_prime(np.int64(10007)) and not is_odd_prime(np.int64(10001))
+
+
 def test_is_odd_prime_refuses_to_guess_above_its_bound():
     bound = 3_317_044_064_679_887_385_961_981
     assert is_odd_prime(bound - 2) in (True, False)
@@ -414,21 +433,49 @@ def test_fundamental_group_order_is_cartan_determinant():
         assert fundamental_group(rs).order == abs(det)
 
 
+# every simple type of rank <= 8, and the classical ones up to A24, B16, C16, D16
+CARTAN_INVERSE_TYPES = (
+    [("A", n) for n in range(1, 25)] + [("B", n) for n in range(2, 17)]
+    + [("C", n) for n in range(2, 17)] + [("D", n) for n in range(3, 17)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
 def test_cartan_inverse_is_exact_and_cached():
-    """cartan_inverse is (L cartan^-1, L): cartan @ scaled = L, L is the
-    least denominator, and |Z| is a multiple of it (the inverse is the
-    adjugate over det = |Z|)."""
-    for series, rank in [("A", 4), ("B", 3), ("C", 5), ("D", 6), ("E", 8), ("F", 4), ("G", 2)]:
+    """cartan_inverse is (L cartan^-1, L), against the inverse over Q read
+    off the reduced row echelon form of [cartan | 1]: L is the least
+    denominator, and |Z| is a multiple of it (the inverse is the adjugate
+    over det = |Z|)."""
+    for series, rank in CARTAN_INVERSE_TYPES:
         rs = build_root_system(series, rank)
         scaled, L = rs.cartan_inverse
         assert rs.cartan_inverse is rs.cartan_inverse
         n = rs.rank
-        assert [
-            [sum(rs.cartan[i][k] * scaled[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ] == [[L * int(i == j) for j in range(n)] for i in range(n)]
-        assert fundamental_group(rs).order % L == 0
-        assert math.lcm(*(Fraction(x, L).denominator for row in scaled for x in row)) == L
+        R, pivots = ref_rref([list(row) + [int(i == j) for j in range(n)]
+                              for i, row in enumerate(rs.cartan)])
+        assert pivots == list(range(n))
+        assert [[Fraction(x, L) for x in row] for row in scaled] == [row[n:] for row in R], rs
+        assert all(type(x) is int for row in scaled for x in row) and type(L) is int
+        assert math.lcm(*(Fraction(x, L).denominator for row in scaled for x in row)) == L, rs
+        assert fundamental_group(rs).order % L == 0, rs
+
+
+@pytest.mark.parametrize("series,rank,corrupt", [
+    ("A", 4, lambda rs: np.vstack([rs.coroots[1:2], rs.coroots[1:]])),
+    ("B", 3, lambda rs: rs.roots),
+    ("G", 2, lambda rs: rs.roots),
+    ("A", 1, lambda rs: rs.coroots * [[1], [-1]]),
+], ids=["A4-row", "B3-roots", "G2-roots", "A1-zero"])
+def test_cartan_inverse_refuses_wrong_coroots(series, rank, corrupt):
+    """cartan_inverse checks C X = kappa I with kappa > 0, so coroots that
+    are not those of the roots raise RootSystemError instead of answering:
+    one coroot row replaced, the roots themselves on a doubly-laced or
+    triply-laced type, and coroots that make X vanish."""
+    rs = copy.copy(build_root_system(series, rank))
+    rs.__dict__.pop("cartan_inverse", None)
+    rs.coroots = corrupt(rs)
+    with pytest.raises(RootSystemError, match="do not invert"):
+        rs.cartan_inverse
 
 
 def _int_det(m):

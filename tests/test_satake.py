@@ -117,6 +117,21 @@ def test_theta_star_rejects_non_root():
         theta_star(inv, (5, 5))
 
 
+@pytest.mark.parametrize("compact, psi", [([0.5], None), ((), [0.0, 1, 2]), ([True], None)],
+                         ids=["compact-float", "psi-float", "compact-bool"])
+def test_non_integer_indices_rejected(compact, psi):
+    """A Satake index that is not an integer is refused by the constructor
+    with SatakeError, before ``validate`` could fail on it with a TypeError
+    or an IndexError."""
+    with pytest.raises(SatakeError, match="not an integer"):
+        SatakeInvolution(build_root_system("A", 3), compact=compact, psi=psi)
+
+
+def test_numpy_integer_indices_accepted():
+    inv = SatakeInvolution(build_root_system("A", 3), compact=[np.int64(1)], psi=np.array([2, 1, 0]))
+    assert inv.validate().ok and inv.compact == {1} and inv.psi == (2, 1, 0)
+
+
 def loop_theta_perm(inv: SatakeInvolution) -> Tuple[int, ...]:
     """theta* one root at a time, as the library once computed it: w_I as
     a greedy product of reflection tuples, psi applied to the coordinates

@@ -9,15 +9,33 @@ from pathlib import Path
 import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "thetatool"
+LIBRARY = ("__init__.py", "cli.py", "liealg.py", "linalg.py", "nilcomp.py",
+           "restricted.py", "rootsys.py", "satake.py", "verify.py", "weylinv.py")
+
+
+def _library() -> dict:
+    """The text of each library module, by file name.  Every rule below
+    reads the library through here, and the ten modules must all be found,
+    so that no rule passes on an empty or partial glob (say, from a copy of
+    this file in another directory)."""
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    missing = sorted(set(LIBRARY) - set(texts))
+    assert not missing, f"library modules not found under {SRC}: {', '.join(missing)}"
+    return texts
+
+
+def _trees() -> dict:
+    """The parsed library modules, by file name."""
+    return {fname: ast.parse(text, filename=fname) for fname, text in _library().items()}
 
 
 def test_no_bare_assert_in_library():
     """`assert` vanishes under `python -O`; checks must raise typed errors."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for fname, tree in _trees().items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
-                found.append(f"{path.name}:{node.lineno}")
+                found.append(f"{fname}:{node.lineno}")
     assert not found, f"bare assert in {', '.join(found)}"
 
 
@@ -26,8 +44,8 @@ def test_only_linalg_constructs_fractions():
     ``fractions`` or names ``Fraction``, by name, as an attribute or in an
     import."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for fname, tree in _trees().items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -39,7 +57,7 @@ def test_only_linalg_constructs_fractions():
             else:
                 continue
             if {"fractions", "Fraction"} & set(names):
-                found.append(f"{path.name}:{node.lineno}")
+                found.append(f"{fname}:{node.lineno}")
     assert not found, f"fractions used in {', '.join(found)}"
 
 
@@ -80,7 +98,7 @@ def test_every_library_function_is_used():
     """Each function or method in the library is referenced by name outside
     its own body or exported in ``__all__``: code that only tests call
     belongs in ``tests/``."""
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     refs = sum((_referenced_names(tree) for tree in trees.values()), Counter())
     exported = {
         elt.value
@@ -113,39 +131,37 @@ def _calls(node: ast.AST, name: str) -> list:
     return [n for n in ast.walk(node) if isinstance(n, ast.Call) and _call_name(n) == name]
 
 
-def test_only_cartan_inverse_eliminates_over_q():
-    """Over Q the library eliminates in one place: ``RootSystem.cartan_inverse``
-    calls ``linalg.scaled_inverse``, and nothing else calls it or
-    ``echelon``.  ``linalg`` defines no ``rank``, and ``satake``, which reads
-    the split rank off the trace of theta*, does not import ``linalg``."""
+def test_library_does_not_eliminate_over_q():
+    """The library eliminates over Q nowhere: ``RootSystem.cartan_inverse``
+    reads the inverse off the roots.  No module defines or calls
+    ``echelon``, ``scaled_inverse`` or ``rank``; ``rootsys`` and ``satake``,
+    which reads the split rank off the trace of theta*, do not import
+    ``linalg``; and ``linalg`` defines ``LinalgError`` and ``rank_mod_p``
+    alone."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        allowed = {
-            id(call)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef)
-            and (path.name, node.name) in (("rootsys.py", "cartan_inverse"),
-                                           ("linalg.py", "scaled_inverse"))
-            for call in ast.walk(node)
-        }
+    trees = _trees()
+    for fname, tree in trees.items():
         for name in ("echelon", "scaled_inverse", "rank"):
-            found += [f"{path.name}:{call.lineno} {name}()" for call in _calls(tree, name)
-                      if id(call) not in allowed]
-        found += [
-            f"{path.name}:{node.lineno} def rank"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == "rank"
-        ]
-        if path.name == "satake.py":
+            found += [f"{fname}:{call.lineno} {name}()" for call in _calls(tree, name)]
             found += [
-                f"satake.py:{node.lineno} import linalg"
+                f"{fname}:{node.lineno} def {name}"
                 for node in ast.walk(tree)
-                if isinstance(node, (ast.Import, ast.ImportFrom))
-                and any("linalg" in (alias.name, getattr(node, "module", None))
-                        for alias in node.names)
+                if isinstance(node, ast.FunctionDef) and node.name == name
             ]
-    assert not found, f"a second elimination over Q: {', '.join(found)}"
+    for fname in ("rootsys.py", "satake.py"):
+        found += [
+            f"{fname}:{node.lineno} import linalg"
+            for node in ast.walk(trees[fname])
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and any("linalg" in (alias.name, getattr(node, "module", None)) for alias in node.names)
+        ]
+    found += [
+        f"linalg.py:{node.lineno} def {node.name}"
+        for node in ast.walk(trees["linalg.py"])
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in ("LinalgError", "rank_mod_p")
+    ]
+    assert not found, f"an elimination over Q: {', '.join(found)}"
 
 
 def test_only_centralizer_dims_eliminates_over_f_p():
@@ -155,21 +171,20 @@ def test_only_centralizer_dims_eliminates_over_f_p():
     ``kernel_mod_p``: ``rank_mod_p`` forms no reduced form, and a
     realization reads its eigenspaces off the orbits of dtheta."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for fname, tree in _trees().items():
         allowed = {
             id(call)
             for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef)
-            and (path.name, node.name) == ("liealg.py", "centralizer_dims")
+            and (fname, node.name) == ("liealg.py", "centralizer_dims")
             for call in ast.walk(node)
         }
-        found += [f"{path.name}:{call.lineno} rank_mod_p()" for call in _calls(tree, "rank_mod_p")
+        found += [f"{fname}:{call.lineno} rank_mod_p()" for call in _calls(tree, "rank_mod_p")
                   if id(call) not in allowed]
         for name in ("rref_mod_p", "kernel_mod_p"):
-            found += [f"{path.name}:{call.lineno} {name}()" for call in _calls(tree, name)]
+            found += [f"{fname}:{call.lineno} {name}()" for call in _calls(tree, name)]
             found += [
-                f"{path.name}:{node.lineno} def {name}"
+                f"{fname}:{node.lineno} def {name}"
                 for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == name
             ]
@@ -182,8 +197,7 @@ def test_one_gram_kernel_per_root_system():
     outside ``rootsys.py`` a ``form`` is read only as an argument of that
     construction, so no other module pairs vectors through the form itself."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for fname, tree in _trees().items():
         owned = {
             id(call)
             for cls in ast.walk(tree)
@@ -191,14 +205,14 @@ def test_one_gram_kernel_per_root_system():
             for call in _calls(cls, "GramKernel")
         }
         found += [
-            f"{path.name}:{call.lineno} GramKernel(" for call in _calls(tree, "GramKernel")
+            f"{fname}:{call.lineno} GramKernel(" for call in _calls(tree, "GramKernel")
             if id(call) not in owned
         ]
-        if path.name == "rootsys.py":
+        if fname == "rootsys.py":
             continue
         handed = {id(arg) for call in _calls(tree, "GramKernel") for arg in call.args}
         found += [
-            f"{path.name}:{node.lineno} form"
+            f"{fname}:{node.lineno} form"
             for node in ast.walk(tree)
             if (getattr(node, "attr", None) == "form" or getattr(node, "id", None) == "form")
             and id(node) not in handed
@@ -214,9 +228,9 @@ def test_no_scalar_pairing_methods():
               "_reflect_vector", "gram_kernel", "theta_star", "_chain_down", "_N",
               "_derive_constant"}
     found = [
-        f"{path.name}:{node.lineno} {node.name}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{fname}:{node.lineno} {node.name}"
+        for fname, tree in _trees().items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name in scalar
     ]
     assert not found, f"scalar pairing method in {', '.join(found)}"
@@ -232,9 +246,9 @@ def test_root_lists_are_int64_arrays_only():
     calls = {"is_root", "root_index", "act"}
     defs = calls | {"compact_subsystem", "reduced_positive", "_is_positive"}
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+    for fname, tree in _trees().items():
+        for node in ast.walk(tree):
+            where = f"{fname}:{getattr(node, 'lineno', '?')}"
             if isinstance(node, ast.Call) and _call_name(node) in calls:
                 found.append(f"{where} {_call_name(node)}()")
             elif isinstance(node, ast.FunctionDef) and node.name in defs:
@@ -251,7 +265,7 @@ def test_root_lists_are_int64_arrays_only():
             elif isinstance(node, ast.Name) and node.id == "Counter":
                 found.append(f"{where} Counter")
             elif isinstance(node, ast.alias) and node.name == "Counter":
-                found.append(f"{path.name} import Counter")
+                found.append(f"{fname} import Counter")
     assert not found, f"a scalar copy of a root list in {', '.join(found)}"
 
     from thetatool.restricted import restrict
@@ -280,9 +294,9 @@ def test_library_lists_no_weyl_element():
     enumerators = {"permutation_bfs", "enumerate_weyl", "baby_weyl", "BabyWeylGroup",
                    "poincare_from_enumeration", "_conjugacy_search", "reflection_perm"}
     found = [
-        f"{path.name}:{node.lineno} {node.name}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{fname}:{node.lineno} {node.name}"
+        for fname, tree in _trees().items()
+        for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in enumerators
     ]
     assert not found, f"Weyl-group enumeration in {', '.join(found)}"
@@ -292,7 +306,7 @@ def test_restricted_layer_neither_eliminates_nor_walks_a_graph():
     """``restricted.py`` reads pi-coordinates by one division at the lift
     nodes and factor types from root supports: it imports no ``linalg``
     and keeps no Dynkin-diagram walk."""
-    tree = ast.parse((SRC / "restricted.py").read_text())
+    tree = _trees()["restricted.py"]
     found = [
         f"import {alias.name}"
         for node in ast.walk(tree)
@@ -315,14 +329,13 @@ def test_weyl_elements_are_root_index_arrays():
     removed = {"WeylElement", "identity_element", "reflection", "simple_reflection",
                "_simple_perms"}
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        text = path.read_text()
+    for fname, text in _library().items():
         found += [
-            f"{path.name}:{node.lineno} {node.name}"
-            for node in ast.walk(ast.parse(text, filename=str(path)))
+            f"{fname}:{node.lineno} {node.name}"
+            for node in ast.walk(ast.parse(text, filename=fname))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in removed
         ]
-        found += [f"{path.name} central_split"] if "central_split" in text else []
+        found += [f"{fname} central_split"] if "central_split" in text else []
     assert not found, f"Weyl element objects in {', '.join(found)}"
 
     import thetatool
@@ -342,9 +355,9 @@ def test_realization_eigenspaces_are_held_once():
     ``check_automorphism`` that ``check_grading`` absorbed, not even in a
     comment."""
     found = [
-        f"{path.name}:{lineno} {name}"
-        for path in sorted(SRC.glob("*.py"))
-        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        f"{fname}:{lineno} {name}"
+        for fname, text in _library().items()
+        for lineno, line in enumerate(text.splitlines(), 1)
         for name in ("k_basis", "p_basis", "check_automorphism")
         if name in line
     ]
