@@ -19,7 +19,7 @@ from typing import Any, Dict, Optional
 from . import nilcomp, restricted, verify, weylinv
 from .nilcomp import ComponentCountError, OmegaError
 from .restricted import RestrictionError
-from .rootsys import DEFAULT_CAP, CapExceededError, RootSystemError
+from .rootsys import DEFAULT_CAP, CapExceededError, RootSystemError, _is_integer
 from .satake import SatakeError, catalog_list, catalog_lookup
 from .weylinv import DegreeError
 
@@ -54,7 +54,7 @@ def build_report(
     report: Dict[str, Any] = {
         "schema": SCHEMA_VERSION,
         "series": series,
-        "rank": rank,
+        "rank": inv.ambient.rank,
         "label": entry.label,
         "fixed_algebra": entry.fixed_algebra_name,
         "is_split": entry.is_split,
@@ -90,6 +90,7 @@ def build_report(
         "codim_nilcone": rrs.r,
     }
     if prime is not None:
+        prime = int(prime) if _is_integer(prime) else prime  # a numpy prime would not serialize
         good, witness = rrs.check_p_good(prime)
         report["p_good"] = {"p": prime, "good": good, "witness": witness}
     return report

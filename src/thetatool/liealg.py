@@ -18,9 +18,9 @@ The integral table does not depend on p, so each type has one
 holds a sparse bracket table with one row (i, k, l, c) for each
 [x_i, x_k] = c x_l; the adjoint matrices mod p are scattered from the
 rows on demand, so no dim^3 array is ever built.  The table is verified
-wholesale by checking ad[x,y] = [ad x, ad y] over Z (faithful for the
-derived Chevalley form) as joins of the sparse table with itself, in
-O(dim^3) rather than the O(dim^5) of dense products.
+by reading off it that the 2n simple root vectors x generate it, and by
+checking ad[x, y] = [ad x, ad y] over Z for each of them and every basis
+y, as joins of the rows of x with the table, one x at a time.
 
 A realization dtheta is a signed permutation of the Chevalley basis.  Its
 eigenspaces k and p are held once, as one (lead, partner, coef) triple per
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,9 +57,6 @@ class LieAlgebraError(ValueError):
 # most 6 (the highest root of E8).
 _AD_ENTRY_BOUND = 6
 
-# The Jacobi check holds at most about this many join rows at once.
-_BLOCK_ROWS = 1 << 16
-
 # find_inner_coweight pairs at most this many masks with the roots at once.
 _MASK_BLOCK = 1 << 10
 
@@ -78,25 +75,14 @@ def _brackets_fit_int64(dim: int, p: int) -> bool:
 # -- sparse joins ----------------------------------------------------------------
 
 
-def _join(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """All index pairs (a, b) with left[a] == right[b]; right is sorted."""
-    lo = np.searchsorted(right, left, side="left")
-    n = np.searchsorted(right, left, side="right") - lo
+def _join(left: np.ndarray, starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """All index pairs (a, b) with left[a] == right[b], for a sorted column
+    right given by starts[v] = np.searchsorted(right, v)."""
+    lo = starts[left]
+    n = starts[left + 1] - lo
     a = np.repeat(np.arange(len(left)), n)
     b = np.arange(int(n.sum())) + np.repeat(lo - np.cumsum(n) + n, n)
     return a, b
-
-
-def _key_ranges(cost: np.ndarray) -> Iterator[Tuple[int, int]]:
-    """Consecutive ranges of keys whose costs sum to at most _BLOCK_ROWS
-    (a single key may exceed it)."""
-    start, total = 0, 0
-    for key, c in enumerate(cost.tolist()):
-        if total + c > _BLOCK_ROWS and key > start:
-            yield start, key
-            start, total = key, 0
-        total += c
-    yield start, len(cost)
 
 
 def _first_nonzero_key(keys: np.ndarray, vals: np.ndarray, p: int = 0) -> Optional[int]:
@@ -242,56 +228,68 @@ class ChevalleyTable:
         return f"e{tuple(self.rs.roots[i - self.rs.rank].tolist())}"
 
     def check_jacobi(self) -> None:
-        """ad[x_i, x_j] = [ad x_i, ad x_j] over Z for all basis pairs.
+        """ad[x_g, x_j] = [ad x_g, ad x_j] over Z for every j and each g in
+        S = e_{alpha_1}..e_{alpha_n}, e_{-alpha_1}..e_{-alpha_n}.
 
-        The adjoint representation of the rational Chevalley form is
-        faithful, so this is equivalent to the Jacobi identity on all basis
-        triples.  With [x_i, x_k] = T(i,k,l) x_l, entry (l, k) of
-        ad[x_i, x_j] - [ad x_i, ad x_j] is
+        The pairwise identity for (i, j) says that ad x_i is a derivation
+        at x_j.  The x with ad x a derivation form a Lie subalgebra: if ad x
+        and ad y are derivations, ad[x, y] = [ad x, ad y] is a commutator of
+        derivations, hence one.  So the identity holds for all pairs once
+        it holds on S and S generates g (Humphreys, *Introduction to Lie
+        Algebras and Representation Theory*, 18.3 and 25.2).  Generation
+        over Q is read off the table first: each basis element outside S
+        must be the x_l of a row [g, y] = c x_l with g in S, c != 0, that
+        is the lone row of its pair (g, y); h_i from [e_{alpha_i},
+        e_{-alpha_i}], a root vector from a y of smaller |height| (h has
+        height 0), so induction on |height| gives g.
 
-            sum_m T(i,j,m) T(m,k,l) - sum_n T(j,k,n) T(i,n,l)
-                                    + sum_n T(i,k,n) T(j,n,l),
+        With [x_i, x_k] = T(i,k,l) x_l, entry (l, k) of ad[x_g, x_j] -
+        [ad x_g, ad x_j] is
 
-        each sum a join of the table with itself on its middle index.  Keys
-        (i, j, k, l) are summed in blocks of i, so the first block with a
-        nonzero sum holds the first failing pair (i < j, row-major).
+            sum_m T(g,j,m) T(m,k,l) - sum_n T(j,k,n) T(g,n,l)
+                                    + sum_n T(g,k,n) T(j,n,l),
+
+        each sum a join of the rows of g with the table on its middle index,
+        one g at a time in the order of S.  The first failing pair is raised.
         """
-        dim = self.dim
+        rs, dim, n, npos = self.rs, self.dim, self.rs.rank, self.rs.num_positive
         first, second, out, coef = self.entries.T
-        by_second = np.argsort(second, kind="stable")
-        by_out = np.argsort(out, kind="stable")
-
-        def count(col):
-            return np.bincount(col, minlength=dim)
-
-        cost = np.zeros(dim, dtype=np.int64)
-        np.add.at(cost, first, count(first)[out] + count(second)[out] + count(out)[second])
-        for i0, i1 in _key_ranges(cost):
-            rows = np.arange(*np.searchsorted(first, [i0, i1]))
-            # T(i,j,m) T(m,k,l): a's output is b's first index
-            a, b = _join(out[rows], first)
-            a = rows[a]
-            terms = [(first[a], second[a], second[b], out[b], coef[a] * coef[b])]
-            # T(i,k,n) T(j,n,l): a's output is b's middle index
-            a, b = _join(out[rows], second[by_second])
-            a, b = rows[a], by_second[b]
-            terms.append((first[a], first[b], second[a], out[b], coef[a] * coef[b]))
-            # -T(j,k,n) T(i,n,l): b's middle index is a's output
-            b, a = _join(second[rows], out[by_out])
-            b, a = rows[b], by_out[a]
-            terms.append((first[b], first[a], second[a], out[b], -coef[a] * coef[b]))
-            keys, vals = [], []
-            for i, j, k, l, v in terms:
-                keep = i < j
-                keys.append(((i * dim + j) * dim + k)[keep] * dim + l[keep])
-                vals.append(v[keep])
-            key = _first_nonzero_key(np.concatenate(keys), np.concatenate(vals))
+        simple = n + rs.simple_indices
+        gens = np.concatenate([simple, simple + npos])
+        in_s, coroot_of = np.zeros(dim, dtype=bool), np.full(dim, -1)
+        in_s[gens], coroot_of[simple] = True, np.arange(n)
+        height = np.r_[np.zeros(n, dtype=np.int64), np.abs(rs.roots.sum(axis=1))]
+        pair = first * dim + second
+        edge = np.concatenate([[True], pair[1:] != pair[:-1], [True]])
+        lone = edge[:-1] & edge[1:]
+        witness = in_s[first] & (coef != 0) & lone & np.where(
+            out < n,
+            (coroot_of[first] == out) & (second == first + npos),
+            height[second] < height[out],
+        )
+        covered = in_s | (np.bincount(out[witness], minlength=dim) > 0)
+        if not covered.all():
+            missing = self.basis_name(int(np.argmin(covered)))
+            raise LieAlgebraError(f"{missing} is not generated by the simple root vectors")
+        by_second, by_out = np.argsort(second, kind="stable"), np.argsort(out, kind="stable")
+        at_first, at_second, at_out = (
+            np.searchsorted(col, np.arange(dim + 1)) for col in (first, second[by_second], out[by_out])
+        )
+        for g in gens.tolist():
+            rows = np.arange(at_first[g], at_first[g + 1])
+            # u runs over the rows of g, v over the table, in each of the three sums
+            u1, v1 = _join(out[rows], at_first)  # T(g,j,m) T(m,k,l)
+            u2, v2 = _join(out[rows], at_second)  # T(g,k,n) T(j,n,l)
+            u3, v3 = _join(second[rows], at_out)  # T(g,n,l) T(j,k,n)
+            u1, u2, u3, v2, v3 = rows[u1], rows[u2], rows[u3], by_second[v2], by_out[v3]
+            j = np.concatenate([second[u1], first[v2], first[v3]])
+            k = np.concatenate([second[v1], second[u2], second[v3]])
+            l = np.concatenate([out[v1], out[v2], out[u3]])
+            vals = np.concatenate([coef[u1] * coef[v1], coef[u2] * coef[v2], -coef[u3] * coef[v3]])
+            key = _first_nonzero_key((j * dim + k) * dim + l, vals)
             if key is not None:
-                i, j = divmod(key // (dim * dim), dim)
-                raise LieAlgebraError(
-                    f"Jacobi failure at basis pair ({self.basis_name(i)}, "
-                    f"{self.basis_name(j)})"
-                )
+                names = f"{self.basis_name(g)}, {self.basis_name(key // (dim * dim))}"
+                raise LieAlgebraError(f"Jacobi failure at basis pair ({names})")
 
     def check_chevalley_property(self) -> None:
         """|N_{a,b}| = q + 1 on every row [e_a, e_b] = N_{a,b} e_{a+b},

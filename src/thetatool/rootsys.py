@@ -318,7 +318,7 @@ class RootSystem:
     def __init__(self, series: str, rank: int):
         validate_type(series, rank)
         self.series = series
-        self.rank = rank
+        self.rank = int(rank)  # a numpy rank would reach the reports
         self.cartan = cartan_matrix(series, rank)
         d = _root_halflengths(series, rank)
         # Symmetrized form (alpha_i, alpha_j) = cartan[i][j] * d_j.

@@ -94,9 +94,12 @@ def pair_coroot_simple(rs, v: Sequence[int], j: int) -> int:
     return sum(v[i] * rs.cartan[i][j] for i in range(rs.rank))
 
 
-def pair_coroot(rs, v: Sequence[int], beta: Sequence[int]) -> int:
-    """Cartan integer <v, beta^vee> = 2(v, beta)/(beta, beta)."""
-    q, r = divmod(2 * inner(rs, v, beta), norm2(rs, beta))
+def pair_coroot(rs, v: Sequence[int], beta: Sequence[int], beta_norm2: Optional[int] = None) -> int:
+    """Cartan integer <v, beta^vee> = 2(v, beta)/(beta, beta); a caller
+    pairing many v with one beta may pass (beta, beta) as beta_norm2."""
+    if beta_norm2 is None:
+        beta_norm2 = norm2(rs, beta)
+    q, r = divmod(2 * inner(rs, v, beta), beta_norm2)
     if r:
         raise RootSystemError(f"non-integral Cartan pairing of {v} with {beta}")
     return q

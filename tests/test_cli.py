@@ -5,6 +5,9 @@ from __future__ import annotations
 import json
 import time
 
+import numpy as np
+import pytest
+
 from thetatool.cli import build_report, main
 
 
@@ -82,6 +85,19 @@ def test_report_cap_override_allows_e8(capsys):
 def test_json_round_trip():
     rep = build_report("D", 4, "DIII")
     assert json.loads(json.dumps(rep)) == rep
+
+
+@pytest.mark.parametrize("series, rank, label, prime", [
+    ("A", 3, "AI", None), ("A", 3, "AI", 7), ("A", 3, "AI", 9), ("E", 6, "EII", 5),
+])
+def test_numpy_integer_arguments_give_the_same_json(series, rank, label, prime):
+    """A numpy rank or prime is stored as a Python int: the JSON equals the
+    one from Python-int arguments byte for byte (a good prime, a composite
+    and none)."""
+    want = json.dumps(build_report(series, rank, label, prime=prime))
+    got = build_report(series, np.int64(rank), label,
+                       prime=None if prime is None else np.int64(prime))
+    assert json.dumps(got) == want
 
 
 def test_list_d4(capsys):

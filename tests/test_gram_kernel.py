@@ -60,10 +60,11 @@ def ref_reflection(rs, table, j: int) -> Tuple[int, ...]:
 
 
 def ref_check_axioms(rrs) -> None:
-    index = doubled_index(rrs)
+    rs, index = rrs.inv.ambient, doubled_index(rrs)
+    norms = {b: norm2(rs, b) for b in index}  # once per b, not per pair
     for a in index:
         for b in index:
-            c = pair_coroot(rrs.inv.ambient, a, b)  # raises if non-integral
+            c = pair_coroot(rs, a, b, norms[b])  # raises if non-integral
             img = tuple(x - c * y for x, y in zip(a, b))
             if img not in index:
                 raise RestrictionError(

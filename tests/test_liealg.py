@@ -5,6 +5,7 @@ sl2-triples."""
 from __future__ import annotations
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -124,6 +125,15 @@ def test_jacobi_sampled_rank_up_to_six():
     for series, rank in [("A", 4), ("D", 4), ("F", 4), ("B", 5), ("D", 5), ("E", 6)]:
         alg = build_algebra(series, rank, 7)
         sample_jacobi(alg, 10**4 if rank >= 4 else 10**3, seed=11)
+
+
+def test_jacobi_sampled_on_e8():
+    """10^5 literal basis triples of E8 at p = 7 (seed 24) within 10 s; each
+    bracket is read off the table rows, so no 122 MB dense ad is built."""
+    t0 = time.perf_counter()
+    sample_jacobi(build_algebra("E", 8, 7), 10**5, seed=24)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10, f"E8 sampling took {elapsed:.1f} s"
 
 
 def test_chevalley_n_property():

@@ -362,3 +362,18 @@ def test_realization_eigenspaces_are_held_once():
         if name in line
     ]
     assert not found, f"second eigenspace representation in {', '.join(found)}"
+
+
+def test_jacobi_check_joins_one_generator_at_a_time():
+    """The Jacobi check's largest block is the join of one simple root
+    vector's rows, so the block planner ``_key_ranges`` and its
+    ``_BLOCK_ROWS`` are gone from the library, not even named in a
+    comment."""
+    found = [
+        f"{fname}:{lineno} {name}"
+        for fname, text in _library().items()
+        for lineno, line in enumerate(text.splitlines(), 1)
+        for name in ("_key_ranges", "_BLOCK_ROWS")
+        if name in line
+    ]
+    assert not found, f"join blocks in {', '.join(found)}"
