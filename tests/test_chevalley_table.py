@@ -265,12 +265,17 @@ def test_raised_constant_fails_the_chevalley_property(series, rank):
         assert str(exc.value) == f"|N| != q+1 at ({a}, {b}): N = {c}"
 
 
+# two independent seeded draws of corruptions per type
+SEEDS = [65536, 64]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("series, rank", SMALL)
-def test_corrupted_tables_fail_jacobi_with_the_oracle_message(series, rank):
+def test_corrupted_tables_fail_jacobi_with_the_oracle_message(series, rank, seed):
     """Every corruption is rejected by the dense all-pairs oracle, and the
     library rejects it too, with the message of the dense oracle on the
     simple root vectors."""
-    rng = random.Random(f"{series}{rank}")
+    rng = random.Random(f"{series}{rank}-{seed}")
     table = chevalley_table(series, rank)
     assert _outcome(lambda: ref_verify_integral_jacobi(table)) is None
     assert _outcome(lambda: ref_generator_jacobi(table)) is None
@@ -351,13 +356,14 @@ def _flipped(pair, rng, count):
         yield SymmetricPairRealization(pair.alg, pair.perm, sign, kind="corrupted")
 
 
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("series, rank, p", [("G", 2, 7), ("B", 3, 5), ("D", 4, 5), ("F", 4, 5)])
-def test_flipped_sign_in_dtheta_fails_at_the_oracle_pair(series, rank, p):
+def test_flipped_sign_in_dtheta_fails_at_the_oracle_pair(series, rank, p, seed):
     """The grading check reports the dense oracle's first failing pair
     on corrupted signs."""
     pair = realize_chevalley_involution(build_algebra(series, rank, p))
     assert ref_first_automorphism_failure(pair) is None
-    for bad in _flipped(pair, random.Random(f"{series}{rank}"), 6):
+    for bad in _flipped(pair, random.Random(f"{series}{rank}-{seed}"), 6):
         i, j = ref_first_automorphism_failure(bad)
         with pytest.raises(LieAlgebraError) as exc:
             bad.check_grading()
