@@ -21,15 +21,13 @@ from .satake import (
     catalog_lookup,
 )
 from .restricted import RestrictedRootSystem, restrict
-from .weylinv import DegreeProfile, IntPolynomial, invariant_degrees, poincare_polynomial
+from .weylinv import invariant_degrees, poincare_polynomial
 from .nilcomp import ComponentReport, component_count, omega, verify_w0_decomposition
 
 __all__ = [
     "CapExceededError",
     "ComponentReport",
-    "DegreeProfile",
     "FiniteAbelianGroup",
-    "IntPolynomial",
     "InvolutionClassEntry",
     "KPDimensions",
     "NonFiniteQuotientError",

@@ -38,14 +38,14 @@ def build_report(
     inv = entry.satake
     dims = inv.kp_dimensions()
     rrs = restricted.restrict(inv)
-    profile = weylinv.invariant_degrees(rrs)
-    cochar, diagram = nilcomp.omega(inv, rrs)
+    degrees = weylinv.invariant_degrees(rrs)
+    cochar, diagram = nilcomp.omega(rrs)
     comp = nilcomp.component_count(entry, rrs)
 
     poincare: Optional[list] = None
     poincare_skipped = None
     try:
-        poincare = list(weylinv.poincare_polynomial(rrs, order_cap).coeffs)
+        poincare = list(weylinv.poincare_polynomial(rrs, order_cap))
     except CapExceededError as exc:
         poincare_skipped = (
             f"W_A too large: order {exc.predicted_order} exceeds cap {exc.cap}"
@@ -72,11 +72,11 @@ def build_report(
         },
         "weyl": {
             "order": rrs.weyl_order(),
-            "degrees": list(profile.degrees),
+            "degrees": list(degrees),
             "poincare": poincare,
             "poincare_skipped": poincare_skipped,
         },
-        "omega_diagram": list(diagram.weights),
+        "omega_diagram": list(diagram),
         "omega_cocharacter": list(cochar.coords),
         "components": {
             "count": comp.count,
@@ -120,8 +120,7 @@ def _print_text_report(rep: Dict[str, Any]) -> None:
     w = rep["weyl"]
     print(f"  |W_A| = {w['order']}, degrees {tuple(w['degrees'])}")
     if w["poincare"] is not None:
-        poly = weylinv.IntPolynomial(tuple(w["poincare"]))
-        print(f"  Poincare polynomial: {poly}")
+        print(f"  Poincare polynomial: {_poly_str(w['poincare'])}")
     else:
         print(f"  Poincare polynomial: skipped ({w['poincare_skipped']})")
     print(f"  omega diagram (Bourbaki order): {' '.join(map(str, rep['omega_diagram']))}")
@@ -140,6 +139,17 @@ def _print_text_report(rep: Dict[str, Any]) -> None:
     if "p_good" in rep:
         pg = rep["p_good"]
         print(f"  p = {pg['p']}: {'good' if pg['good'] else 'NOT good'} ({pg['witness']})")
+
+
+def _poly_str(coeffs) -> str:
+    """sum_i c_i t^i, lowest degree first: "1 + 2t^2", with a coefficient
+    of 1 left out after the constant term and "0" for no terms."""
+    terms = [
+        str(a) if i == 0 else ("" if a == 1 else str(a)) + ("t" if i == 1 else f"t^{i}")
+        for i, a in enumerate(coeffs)
+        if a
+    ]
+    return " + ".join(terms) or "0"
 
 
 def _group_str(factors) -> str:

@@ -380,9 +380,8 @@ class SymmetricPairRealization:
     kernels of dtheta -+ 1, with no elimination.
     """
 
-    def __init__(self, alg: ModularLieAlgebra, perm, sign, kind: str):
+    def __init__(self, alg: ModularLieAlgebra, perm, sign):
         self.alg = alg
-        self.kind = kind
         dim = alg.dim
         perm = np.asarray(perm, dtype=np.int64)
         sign = np.asarray(sign, dtype=np.int64)
@@ -492,9 +491,7 @@ def realize_inner(alg: ModularLieAlgebra, mu: Sequence[int]) -> SymmetricPairRea
         raise LieAlgebraError("mu must pair against each simple root")
     parity = rs.roots @ np.array(mu, dtype=np.int64) % 2
     sign = np.r_[np.ones(rs.rank, dtype=np.int64), 1 - 2 * parity]
-    return SymmetricPairRealization(
-        alg, np.arange(alg.dim), sign, kind=f"inner mu={tuple(mu)}"
-    )
+    return SymmetricPairRealization(alg, np.arange(alg.dim), sign)
 
 
 def realize_chevalley_involution(alg: ModularLieAlgebra) -> SymmetricPairRealization:
@@ -507,7 +504,7 @@ def realize_chevalley_involution(alg: ModularLieAlgebra) -> SymmetricPairRealiza
     roots, npos = np.arange(len(rs.roots)), rs.num_positive
     perm = np.r_[np.arange(rs.rank), alg.e_index((roots + npos) % len(roots))]
     sign = -np.ones(alg.dim, dtype=np.int64)
-    pair = SymmetricPairRealization(alg, perm, sign, kind="chevalley")
+    pair = SymmetricPairRealization(alg, perm, sign)
     # no dimension check: each h_i is a negated fixed point and each 2-cycle
     # e_a <-> e_{-a} gives one k row and one p row, so the orbits fix
     # (dim k, dim p) = (|Phi+|, |Phi+| + rank)

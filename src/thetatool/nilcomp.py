@@ -53,22 +53,16 @@ class OmegaError(ValueError):
     """The even-cocharacter system has no integral solution."""
 
 
-@dataclass(frozen=True)
-class WeightedDiagram:
-    """Weights on the simple roots in Bourbaki order (0/2 for omega)."""
-
-    weights: Tuple[int, ...]
-
-
-def omega(
-    inv: SatakeInvolution, rrs: RestrictedRootSystem
-) -> Tuple[RestrictedCocharacter, WeightedDiagram]:
+def omega(rrs: RestrictedRootSystem) -> Tuple[RestrictedCocharacter, Tuple[int, ...]]:
     """The regular-nilpotent cocharacter: <a, omega> = 0 on I, 2 off I.
 
     Solves the integral system on the coroot lattice and asserts both
     descriptions: the diagram values on the simple roots and the pairing
-    <pi, omega> = 2 with every restricted basis root.
+    <pi, omega> = 2 with every restricted basis root.  Returns the
+    cocharacter and its weighted diagram, the weights on the simple roots
+    in Bourbaki order.
     """
+    inv = rrs.inv
     rs = inv.ambient
     n = rs.rank
     diagram = tuple(0 if i in inv.compact else 2 for i in range(n))
@@ -88,10 +82,7 @@ def omega(
         if val != 4:  # doubled root, so <pi, omega> = val/2 must be 2
             raise OmegaError(f"<pi_{j}, omega> = {val}/2 != 2")
         pairings.append(2)
-    return (
-        RestrictedCocharacter(coords, tuple(pairings)),
-        WeightedDiagram(diagram),
-    )
+    return RestrictedCocharacter(coords, tuple(pairings)), diagram
 
 
 def _theta_on_coroots(inv: SatakeInvolution, coords: Sequence[int]) -> Tuple[int, ...]:
@@ -105,9 +96,7 @@ def _theta_on_coroots(inv: SatakeInvolution, coords: Sequence[int]) -> Tuple[int
 # -- Z cap A and the component count -------------------------------------------
 
 
-def z_cap_a(
-    inv: SatakeInvolution, rrs: RestrictedRootSystem
-) -> Tuple[FiniteAbelianGroup, FiniteAbelianGroup]:
+def z_cap_a(rrs: RestrictedRootSystem) -> Tuple[FiniteAbelianGroup, FiniteAbelianGroup]:
     """(Z cap A, (Z cap A)/(Z cap A)^2) for a simply-connected ambient group.
 
     |Z cap A| = |Z(B*)| / 2^i, where Z(B*) is the fundamental group of the
@@ -117,7 +106,7 @@ def z_cap_a(
     |Z(B*)| = 2, leaving the trivial group, and anything else is refused.
     """
     zb = cokernel(rrs.cartan_matrix(), rrs.r)  # Z(B*)
-    i = case_iii_count(inv, rrs)
+    i = case_iii_count(rrs)
     if i == 0:
         grp = zb
     else:
@@ -228,7 +217,7 @@ def component_count(
         rrs = restrict(inv)
     z = fundamental_group(inv.ambient)
     z_mod_z2 = z.mod_squares()
-    za, za_sq = z_cap_a(inv, rrs)
+    za, za_sq = z_cap_a(rrs)
     z_order, z_mod_tau = _tau_z_data(inv)
     tau_z_order, rem = divmod(z_order, z_mod_tau)
     if rem:
@@ -313,13 +302,10 @@ class OrthogonalDecomposition:
     series: str
     rank: int
     betas: Tuple[Tuple[int, ...], ...]
-    lambda_diagram: WeightedDiagram
+    lambda_diagram: Tuple[int, ...]  # weights on the simple roots
     target_simple_twists: Tuple[int, ...] = ()  # w0 * product of these s_i
     conjugator: Optional[Tuple[int, ...]] = None
     up_to_conjugacy: bool = False
-
-    def root_system(self) -> RootSystem:
-        return build_root_system(self.series, self.rank)
 
 
 @dataclass(frozen=True)
@@ -344,9 +330,7 @@ def _root_indices(rs: RootSystem, vectors: Sequence[Sequence[int]]) -> np.ndarra
     return rs.kernel.lookup(np.array(rows, dtype=np.int64).reshape(-1, rs.rank))
 
 
-def verify_w0_decomposition(
-    dec: OrthogonalDecomposition, rs: Optional[RootSystem] = None
-) -> DecompositionReport:
+def verify_w0_decomposition(dec: OrthogonalDecomposition) -> DecompositionReport:
     """Check orthogonality, the product identity, and the mod-4 condition.
 
     The product check compares against w0 (times the recorded simple
@@ -355,8 +339,7 @@ def verify_w0_decomposition(
     must share their class, which is decided in type A only (by traces) and
     counts as a failure in every other type.
     """
-    if rs is None:
-        rs = dec.root_system()
+    rs = build_root_system(dec.series, dec.rank)
     idx = _root_indices(rs, dec.betas)
     failures = [f"beta_{i + 1} = {dec.betas[i]} is not a root" for i in np.flatnonzero(idx < 0)]
     orthogonal = not failures
@@ -399,7 +382,7 @@ def verify_w0_decomposition(
 
     mod4_in_p = True
     for i, b in enumerate(dec.betas):
-        val = sum(c * w for c, w in zip(b, dec.lambda_diagram.weights))
+        val = sum(c * w for c, w in zip(b, dec.lambda_diagram))
         if val % 4 != 2:
             mod4_in_p = False
             failures.append(
@@ -441,8 +424,8 @@ def builtin_decompositions() -> List[OrthogonalDecomposition]:
     variants in the E series), each with its grading diagram."""
     out: List[OrthogonalDecomposition] = []
 
-    def all_two(n: int, zeros: Sequence[int] = ()) -> WeightedDiagram:
-        return WeightedDiagram(tuple(0 if i in zeros else 2 for i in range(n)))
+    def all_two(n: int, zeros: Sequence[int] = ()) -> Tuple[int, ...]:
+        return tuple(0 if i in zeros else 2 for i in range(n))
 
     # type A, both parities: alternating simple reflections, up to conjugacy
     n = 5

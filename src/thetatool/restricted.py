@@ -366,9 +366,7 @@ class RestrictedCocharacter:
     case: Optional[str] = None  # 'i' | 'ii' | 'iii' for omega_alpha
 
 
-def omega_alpha(
-    inv: SatakeInvolution, rrs: RestrictedRootSystem, basis_pos: int
-) -> RestrictedCocharacter:
+def omega_alpha(rrs: RestrictedRootSystem, basis_pos: int) -> RestrictedCocharacter:
     """The basis cocharacter dual to the restricted simple root pi[basis_pos].
 
     Classified by the lift beta of the basis root: (i) theta(beta) = -beta,
@@ -376,6 +374,7 @@ def omega_alpha(
     an A2.  The returned cocharacter satisfies <pi[basis_pos], omega> = 2 and
     <pi[j], omega> equals the Cartan integer of the restricted basis.
     """
+    inv = rrs.inv
     rs = inv.ambient
     if not 0 <= basis_pos < rrs.r:
         raise RestrictionError(f"basis position {basis_pos} out of range")
@@ -406,12 +405,12 @@ def omega_alpha(
     return RestrictedCocharacter(tuple(coords.tolist()), tuple(pairings), case)
 
 
-def case_iii_count(inv: SatakeInvolution, rrs: RestrictedRootSystem) -> int:
+def case_iii_count(rrs: RestrictedRootSystem) -> int:
     """Number of basis roots of type (iii); at most one per simple factor."""
     count = 0
     per_factor = {f: 0 for f in rrs.factors}
     for j in range(rrs.r):
-        oc = omega_alpha(inv, rrs, j)
+        oc = omega_alpha(rrs, j)
         if oc.case == "iii":
             count += 1
             for f in rrs.factors:

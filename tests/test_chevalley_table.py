@@ -353,7 +353,7 @@ def _flipped(pair, rng, count):
         i = rng.randrange(pair.alg.dim)
         sign = pair.sign.copy()
         sign[[i, pair.perm[i]]] *= -1
-        yield SymmetricPairRealization(pair.alg, pair.perm, sign, kind="corrupted")
+        yield SymmetricPairRealization(pair.alg, pair.perm, sign)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -384,13 +384,15 @@ def _dense_grading_failure(pair, x):
 
 
 def _flip_cases():
-    """Split involutions of four types and two inner involutions."""
+    """Split involutions of four types and two inner involutions, each
+    with the kind that names it in its seed."""
     for series, rank, p in [("G", 2, 7), ("B", 3, 5), ("D", 4, 5), ("F", 4, 5)]:
-        yield realize_chevalley_involution(build_algebra(series, rank, p))
+        yield "chevalley", realize_chevalley_involution(build_algebra(series, rank, p))
     for series, rank, label in [("D", 4, "DI(2)"), ("F", 4, "FII")]:
         alg = build_algebra(series, rank, 5)
         dims = next(e for e in catalog_list(series, rank) if e.label == label).satake.kp_dimensions()
-        yield realize_inner(alg, find_inner_coweight(alg, dims.k, dims.p))
+        mu = find_inner_coweight(alg, dims.k, dims.p)
+        yield f"inner mu={tuple(mu)}", realize_inner(alg, mu)
 
 
 def test_flipped_sign_in_dtheta_is_caught_by_centralizer_dims():
@@ -399,8 +401,8 @@ def test_flipped_sign_in_dtheta_is_caught_by_centralizer_dims():
     oracle) makes centralizer_dims raise, so no rank read at the lead rows
     is returned; on the other samples the ranks equal the full products'."""
     messages = []
-    for pair in _flip_cases():
-        rng = random.Random(f"flipped {pair.alg.rs.series}{pair.alg.rs.rank} {pair.kind}")
+    for kind, pair in _flip_cases():
+        rng = random.Random(f"flipped {pair.alg.rs.series}{pair.alg.rs.rank} {kind}")
         for bad in _flipped(pair, rng, 6):
             with pytest.raises(LieAlgebraError):
                 bad.check_grading()

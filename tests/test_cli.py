@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from thetatool.cli import build_report, main
+from thetatool.cli import _poly_str, build_report, main
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +38,18 @@ def test_report_g2(capsys):
     assert sorted(rep["weyl"]["degrees"]) == [2, 6]
     assert rep["weyl"]["order"] == 12
     assert rep["codim_nilcone"] == rep["dims"]["a"]
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ((1, 0, 2), "1 + 2t^2"),
+    ((1, 2, 2, 2, 2, 2, 1), "1 + 2t + 2t^2 + 2t^3 + 2t^4 + 2t^5 + t^6"),  # G2
+    ((0, 1, -1), "t + -1t^2"),
+    ((), "0"),
+], ids=["gap", "g2", "negative", "zero"])
+def test_text_report_polynomial_format(coeffs, text):
+    """The text report writes a coefficient list lowest degree first, with
+    a coefficient of 1 left out after the constant term."""
+    assert _poly_str(coeffs) == text
 
 
 def test_report_unknown_label_exit_2(capsys):

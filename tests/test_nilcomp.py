@@ -4,6 +4,7 @@ longest-element decompositions."""
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ import pytest
 from thetatool.nilcomp import (
     OmegaError,
     OrthogonalDecomposition,
-    WeightedDiagram,
     _conjugate_in_type_a,
     _theta_on_coroots,
     builtin_decompositions,
@@ -42,15 +42,14 @@ def test_theta_on_coroots_matches_scalar():
 
 def test_omega_split_all_two():
     e = catalog_lookup("F", 4, "FI")
-    _, diagram = omega(e.satake, restrict(e.satake))
-    assert diagram.weights == (2, 2, 2, 2)
+    _, diagram = omega(restrict(e.satake))
+    assert diagram == (2, 2, 2, 2)
 
 
 def test_omega_evi_diagram():
     # printed row order (a1 a3 a4 a5 a6 a7) = 2 2 2 0 2 0 with a2 = 0
     e = catalog_lookup("E", 7, "EVI")
-    _, diagram = omega(e.satake, restrict(e.satake))
-    w = diagram.weights
+    _, w = omega(restrict(e.satake))
     assert (w[0], w[2], w[3], w[4], w[5], w[6]) == (2, 2, 2, 0, 2, 0)
     assert w[1] == 0
 
@@ -58,43 +57,45 @@ def test_omega_evi_diagram():
 def test_omega_bi_m_twos():
     for n, m in [(4, 1), (5, 2), (6, 3)]:
         e = catalog_lookup("B", n, f"BI({m})")
-        _, diagram = omega(e.satake, restrict(e.satake))
-        assert diagram.weights == tuple([2] * m + [0] * (n - m))
+        _, diagram = omega(restrict(e.satake))
+        assert diagram == tuple([2] * m + [0] * (n - m))
 
 
 def test_omega_rejects_a_non_integral_diagram():
     """A2 with I = {alpha_1} and psi = 1 is no Satake datum, so it has no
-    restricted system; omega's integrality check runs before it reads one.
-    The diagram (0, 2) solves to the coroot coordinates (2/3, 4/3)."""
+    restricted system; omega's integrality check runs before it reads
+    anything of one but its involution, so a stand-in that holds only
+    ``inv`` reaches it.  The diagram (0, 2) solves to the coroot
+    coordinates (2/3, 4/3)."""
     inv = SatakeInvolution(build_root_system("A", 2), compact=(0,))
     assert not inv.validate().ok
     with pytest.raises(OmegaError, match="no integral cocharacter"):
-        omega(inv, None)
+        omega(SimpleNamespace(inv=inv))
 
 
 def test_omega_pairings():
     for e in all_catalog_entries(max_rank=5):
         rrs = restrict(e.satake)
-        cochar, _ = omega(e.satake, rrs)
+        cochar, _ = omega(rrs)
         assert all(v == 2 for v in cochar.pairings)
 
 
 def test_z_cap_a_split_c():
     e = catalog_lookup("C", 3, "CI")
-    za, za_sq = z_cap_a(e.satake, restrict(e.satake))
+    za, za_sq = z_cap_a(restrict(e.satake))
     assert za == FiniteAbelianGroup((2,))
     assert za_sq == FiniteAbelianGroup((2,))
 
 
 def test_z_cap_a_aiii_inner_trivial():
     e = catalog_lookup("A", 4, "AIII(2,3)")
-    za, _ = z_cap_a(e.satake, restrict(e.satake))
+    za, _ = z_cap_a(restrict(e.satake))
     assert za.order == 1
 
 
 def test_z_cap_a_split_d_even():
     e = catalog_lookup("D", 4, "DI(4)")
-    za, za_sq = z_cap_a(e.satake, restrict(e.satake))
+    za, za_sq = z_cap_a(restrict(e.satake))
     assert za == FiniteAbelianGroup((2, 2))
     assert za_sq.order == 4
 
@@ -107,7 +108,7 @@ def test_z_cap_a_matches_ambient_center_for_split():
     for e in all_catalog_entries(max_rank=6):
         if not e.is_split:
             continue
-        za, _ = z_cap_a(e.satake, restrict(e.satake))
+        za, _ = z_cap_a(restrict(e.satake))
         assert za == fundamental_group(e.satake.ambient)
 
 
@@ -178,7 +179,7 @@ def test_w0_a_odd_betas_alternating():
 
 def test_w0_e8_subsubregular_zeros():
     e8 = next(d for d in builtin_decompositions() if d.name == "E8-subsubregular")
-    zeros = [i for i, w in enumerate(e8.lambda_diagram.weights) if w == 0]
+    zeros = [i for i, w in enumerate(e8.lambda_diagram) if w == 0]
     assert zeros == [3, 5]  # a4 and a6 (0-based positions 3, 5)
 
 
@@ -196,7 +197,7 @@ def test_w0_perturbed_fixture_fails():
     bad2 = OrthogonalDecomposition(
         name="F4-wrong-beta", series="F", rank=4,
         betas=((2, 3, 4, 2), (0, 1, 2, 2), (0, 1, 2, 0), (0, 0, 0, 1)),
-        lambda_diagram=WeightedDiagram((2, 2, 2, 2)),
+        lambda_diagram=(2, 2, 2, 2),
     )
     rep = verify_w0_decomposition(bad2)
     assert not rep.ok
@@ -340,8 +341,8 @@ def partition_from_diagram(series, rank, w):
 
 def _omega_diagram(series, rank, label):
     e = catalog_lookup(series, rank, label)
-    _, dia = omega(e.satake, restrict(e.satake))
-    return dia.weights
+    _, dia = omega(restrict(e.satake))
+    return dia
 
 
 def test_regular_partitions_type_b():

@@ -254,7 +254,7 @@ def test_omega_alpha_split_case_i():
     e = catalog_lookup("C", 3, "CI")
     rrs = restrict(e.satake)
     for j in range(rrs.r):
-        oc = omega_alpha(e.satake, rrs, j)
+        oc = omega_alpha(rrs, j)
         assert oc.case == "i"
         # omega_alpha = beta^vee for the simple lift
         assert oc.coords == coroot_coords(
@@ -269,7 +269,7 @@ def test_omega_alpha_matches_scalar_oracle():
     for e in all_catalog_entries():
         rrs = restrict(e.satake)
         for j in range(rrs.r):
-            oc = omega_alpha(e.satake, rrs, j)
+            oc = omega_alpha(rrs, j)
             assert oc == ref_omega_alpha(e.satake, rrs, j), (e.series, e.rank, e.label, j)
             assert all(type(x) is int for x in oc.coords + oc.pairings)
             cases.add(oc.case)
@@ -279,7 +279,7 @@ def test_omega_alpha_matches_scalar_oracle():
 def test_omega_alpha_case_iii_detected():
     e = catalog_lookup("A", 4, "AIII(2,3)")
     rrs = restrict(e.satake)
-    cases = [omega_alpha(e.satake, rrs, j).case for j in range(rrs.r)]
+    cases = [omega_alpha(rrs, j).case for j in range(rrs.r)]
     assert "iii" in cases
 
 
@@ -288,7 +288,7 @@ def test_omega_alpha_pairings_are_cartan_integers():
         rrs = restrict(e.satake)
         C = rrs.cartan_matrix()
         for j in range(rrs.r):
-            oc = omega_alpha(e.satake, rrs, j)
+            oc = omega_alpha(rrs, j)
             assert oc.pairings[j] == 2
             for b in range(rrs.r):
                 assert oc.pairings[b] == C[b][j]
@@ -297,7 +297,7 @@ def test_omega_alpha_pairings_are_cartan_integers():
 def test_case_iii_at_most_one_per_factor():
     for e in all_catalog_entries(max_rank=6):
         rrs = restrict(e.satake)
-        count = case_iii_count(e.satake, rrs)  # raises if a factor has two
+        count = case_iii_count(rrs)  # raises if a factor has two
         multipliable = {d for d, m in zip(doubled_tuples(rrs), rrs.multipliable) if m}
         n_mult = sum(1 for d in tuples(rrs.pi) if d in multipliable)
         assert count == n_mult

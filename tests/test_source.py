@@ -377,3 +377,23 @@ def test_jacobi_check_joins_one_generator_at_a_time():
         if name in line
     ]
     assert not found, f"join blocks in {', '.join(found)}"
+
+
+def test_polynomials_degrees_and_diagrams_are_int_tuples():
+    """A polynomial, a degree multiset and a weighted diagram are tuples of
+    ints: no library module defines an ``IntPolynomial``, ``DegreeProfile``
+    or ``WeightedDiagram`` class, ``weylinv`` defines no class but
+    ``DegreeError``, and the package exports none of them."""
+    removed = {"IntPolynomial", "DegreeProfile", "WeightedDiagram"}
+    found = sorted({
+        f"{fname}:{node.lineno} class {node.name}"
+        for fname, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and (node.name in removed or (fname == "weylinv.py" and node.name != "DegreeError"))
+    })
+    assert not found, f"a wrapper around an int tuple in {', '.join(found)}"
+
+    import thetatool
+
+    assert not removed & set(thetatool.__all__)

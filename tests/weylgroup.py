@@ -20,7 +20,6 @@ from typing import Iterator, List, Sequence, Tuple
 
 from thetatool.restricted import RestrictedRootSystem, RestrictionError
 from thetatool.rootsys import CapExceededError, RootSystem, weyl_order
-from thetatool.weylinv import IntPolynomial
 
 from scalar import doubled_index, tuples
 
@@ -167,6 +166,8 @@ def baby_weyl(rrs: RestrictedRootSystem, order_cap: int) -> BabyWeylGroup:
     return BabyWeylGroup(rrs)
 
 
-def poincare_from_enumeration(group: BabyWeylGroup) -> IntPolynomial:
-    """Length generating polynomial by brute-force element enumeration."""
-    return IntPolynomial.from_list(group.length_counts())
+def poincare_from_enumeration(group: BabyWeylGroup) -> Tuple[int, ...]:
+    """Length generating polynomial by brute-force element enumeration, as
+    the library holds one: coefficients lowest degree first, the last one
+    nonzero (it counts the longest elements)."""
+    return tuple(group.length_counts())
