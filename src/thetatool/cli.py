@@ -1,11 +1,11 @@
 """Command-line front end: per-involution reports, catalog listings, and
 verification suites, in text or JSON.
 
-Exit codes: 0 success, 1 verification failure or a computation that
-rejected its data, 2 usage error.  The JSON report schema is versioned by a
-top-level "schema": 1 field; the cap on |W_A| for the Poincare polynomial
-defaults to 5e6 and can be overridden with --cap or the THETA_TOOL_CAP
-environment variable.
+Exit codes: 0 success, 1 verification failure, a computation that
+rejected its data or memory exhaustion, 2 usage error.  The JSON report
+schema is versioned by a top-level "schema": 1 field; the cap on |W_A| for
+the Poincare polynomial defaults to 5e6 and can be overridden with --cap or
+the THETA_TOOL_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -157,13 +157,7 @@ def _group_str(factors) -> str:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        rep = build_report(
-            args.series, args.rank, args.label, order_cap=args.cap, prime=args.prime
-        )
-    except (RootSystemError, SatakeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = build_report(args.series, args.rank, args.label, order_cap=args.cap, prime=args.prime)
     if args.format == "json":
         print(json.dumps(rep, indent=2, sort_keys=True))
     else:
@@ -172,13 +166,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    try:
-        entries = catalog_list(args.series, args.rank)
-    except (RootSystemError, SatakeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     rows = []
-    for e in entries:
+    for e in catalog_list(args.series, args.rank):
         rrs = restricted.restrict(e.satake)
         kind = "split" if e.is_split else ("quasi-split" if e.is_quasi_split else "-")
         rows.append((e.label, e.fixed_algebra_name, kind, rrs.reduced_type))
@@ -323,9 +312,16 @@ def main(argv: Optional[list] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except (RootSystemError, SatakeError) as exc:
+        # an invalid type or an unknown class: a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (RestrictionError, DegreeError, OmegaError, ComponentCountError) as exc:
         # valid input that a consistency check of the computation rejected
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 1
 
 

@@ -14,7 +14,10 @@ runs Araki's conditions, and ``admit`` turns its first failure into a
 involution theta*, and the split rank is read off its trace.
 
 The catalog is generated: ``class_records`` lists the classes of each type
-from the families of the classification.
+from the families of the classification, each as one
+``InvolutionClassEntry``.  Its ``components`` column is the summary table
+of non-irreducible classes, which ``verify proposition`` compares against
+the computed count; the computation never reads it.
 """
 
 from __future__ import annotations
@@ -242,8 +245,6 @@ class InvolutionClassEntry:
     series: str
     rank: int
     label: str
-    compact: FrozenSet[int]  # 0-based simple indices
-    psi: Tuple[int, ...]
     fixed_algebra_name: str
     phi_a_type: str  # expected restricted type, e.g. "BC2"
     components: int  # expected number of irreducible components of N
@@ -296,27 +297,20 @@ def _canonical_type(series: str, rank: int) -> str:
     return f"{series}{rank}"
 
 
-def class_records(series: str, rank: int) -> List[dict]:
-    """The involution classes of a simple type, as raw records.
+def class_records(series: str, rank: int) -> List[InvolutionClassEntry]:
+    """The involution classes of a simple type, in the order of the families.
 
     Labels follow the customary classification names (AI, AII, AIII(p,q),
-    BI(m), CI, CII(m), DI(p), DIII, EI..EIX, FI, FII, G).  Indices inside
-    records are 0-based.
+    BI(m), CI, CII(m), DI(p), DIII, EI..EIX, FI, FII, G).  Satake indices
+    are 0-based.  Raises RootSystemError for an invalid type.
     """
     n = rank
-    recs: List[dict] = []
+    ambient = build_root_system(series, rank)
+    recs: List[InvolutionClassEntry] = []
 
     def rec(label, compact, psi, k_name, phi_a, components):
-        recs.append(
-            dict(
-                label=label,
-                compact=frozenset(compact),
-                psi=tuple(psi),
-                k_name=k_name,
-                phi_a=phi_a,
-                components=components,
-            )
-        )
+        inv = SatakeInvolution(ambient, compact, psi)
+        recs.append(InvolutionClassEntry(series, rank, label, k_name, phi_a, components, inv))
 
     ident = tuple(range(n))
     if series == "A":
@@ -391,22 +385,6 @@ def class_records(series: str, rank: int) -> List[dict]:
     return recs
 
 
-def _entry_from_record(series: str, rank: int, r: dict) -> InvolutionClassEntry:
-    ambient = build_root_system(series, rank)
-    inv = SatakeInvolution(ambient, r["compact"], r["psi"])
-    return InvolutionClassEntry(
-        series=series,
-        rank=rank,
-        label=r["label"],
-        compact=frozenset(r["compact"]),
-        psi=tuple(r["psi"]),
-        fixed_algebra_name=r["k_name"],
-        phi_a_type=r["phi_a"],
-        components=r["components"],
-        satake=inv,
-    )
-
-
 MAX_CATALOG_RANK = 8
 
 
@@ -421,9 +399,7 @@ def _catalog_types() -> List[Tuple[str, int]]:
 
 @lru_cache(maxsize=None, typed=True)
 def _catalog_list_cached(series: str, rank: int) -> Tuple[InvolutionClassEntry, ...]:
-    build_root_system(series, rank)  # raises on invalid type
-    entries = [_entry_from_record(series, rank, r) for r in class_records(series, rank)]
-    return tuple(sorted(entries, key=lambda e: e.label))
+    return tuple(sorted(class_records(series, rank), key=lambda e: e.label))
 
 
 def catalog_list(series: str, rank: int) -> List[InvolutionClassEntry]:

@@ -3,9 +3,9 @@
 Each suite returns a SuiteResult with one Check per assertion, so the CLI
 can print machine-readable pass/fail lists and the test suite can assert
 on the same objects.  The `proposition` suite compares the computed
-component counts against an independently coded reading of the summary
+component counts against the catalog's ``components`` column, the summary
 table of non-irreducible classes (the computation itself never consults
-that table; it goes through the split / quasi-split / connectedness
+that column; it goes through the split / quasi-split / connectedness
 methods).
 """
 
@@ -56,48 +56,8 @@ def _entry_key(e: InvolutionClassEntry) -> str:
 
 
 def expected_component_count(entry: InvolutionClassEntry) -> int:
-    """The summary table of non-irreducible classes, coded independently.
-
-    Two components for: symmetric pairs (gl(n), so(n)) with n even;
-    (gl(2n), gl(n)+gl(n)); so-pairs of type B with the even part smaller
-    (and the split so(n)+so(n+1) pairs); (sp(2n), gl(n)); type-D so-pairs
-    with both parts even; (so(4n), gl(2n)); (so(4n+2), so(2n+1)+so(2n+1));
-    and the two E7 classes sl(8) and e6+R.  Four components for split
-    so(2n)+so(2n); one component otherwise.
-    """
-    s, n, label = entry.series, entry.rank, entry.label
-    if s == "A":
-        if label == "AI":
-            return 2 if (n + 1) % 2 == 0 else 1
-        if label.startswith("AIII("):
-            p, q = _aiii_params(label)
-            return 2 if p == q else 1
-        return 1
-    if s == "B" and label.startswith("BI("):
-        m = int(label[3:-1])
-        if m == n:
-            return 2  # split: |Z/Z^2| = 2 regardless of the parity of n
-        return 2 if m % 2 == 0 else 1
-    if s == "C":
-        return 2 if label == "CI" else 1
-    if s == "D":
-        if label.startswith("DI("):
-            p = int(label[3:-1])
-            if p == n:
-                return 4 if n % 2 == 0 else 2
-            return 2 if p % 2 == 0 else 1
-        if label == "DIII":
-            return 2 if n % 2 == 0 else 1
-        return 1
-    if s == "E" and n == 7:
-        return 2 if label in ("EV", "EVII") else 1
-    return 1
-
-
-def _aiii_params(label: str) -> Tuple[int, int]:
-    inner = label[label.index("(") + 1 : -1]
-    p, q = inner.split(",")
-    return int(p), int(q)
+    """The class's row of the summary table of non-irreducible classes."""
+    return entry.components
 
 
 def run_proposition() -> SuiteResult:

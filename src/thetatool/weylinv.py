@@ -15,7 +15,6 @@ sum_w t^{l(w)} = prod_i (1 - t^{d_i})/(1 - t) is checked against
 
 from __future__ import annotations
 
-from math import prod
 from typing import List, Sequence, Tuple
 
 from .rootsys import DEFAULT_CAP, CapExceededError, degrees_for, orbit_levels
@@ -50,15 +49,7 @@ def invariant_degrees(rrs: RestrictedRootSystem) -> Tuple[int, ...]:
 
     Type lookup on each simple factor of the reduced subsystem.
     """
-    degs: List[int] = []
-    for f in rrs.factors:
-        try:
-            degs.extend(degrees_for(f.series, f.rank))
-        except Exception as exc:
-            raise DegreeError(f"no degree table for factor {f.type_name}") from exc
-    if prod(degs) != rrs.weyl_order():
-        raise DegreeError("degree product does not match the Weyl group order")
-    return tuple(sorted(degs))
+    return tuple(sorted(d for f in rrs.factors for d in degrees_for(f.series, f.rank)))
 
 
 def poincare_polynomial(

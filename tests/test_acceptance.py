@@ -20,9 +20,10 @@ from test_gram_kernel import scan_axioms
 
 
 # `theta-tool verify grading|centdim --format json` as recorded before the
-# F_p kernel was rewritten, and `verify poincare|w0 --format json` as recorded
-# before the Weyl-group enumeration left the library; the suites must keep
-# printing them byte for byte.
+# F_p kernel was rewritten, `verify poincare|w0 --format json` as recorded
+# before the Weyl-group enumeration left the library, and `verify proposition
+# --format json` as recorded before its table became the catalog's
+# ``components`` column; the suites must keep printing them byte for byte.
 FIXTURES = Path(__file__).resolve().parent
 
 
@@ -43,7 +44,8 @@ def _report(name: str, ok: bool, elapsed: float, budget: float, extra: str = "")
 
 def test_criterion_1_proposition_table():
     """Every catalog class reproduces the non-irreducibility table exactly:
-    count 2 on the listed classes, 4 for split D_{2n}, 1 elsewhere."""
+    count 2 on the listed classes, 4 for split D_{2n}, 1 elsewhere.  The
+    suite's JSON equals the recorded `verify proposition --format json`."""
     t0 = time.time()
     res = verify.run_proposition()
     counts_4 = 0
@@ -54,7 +56,7 @@ def test_criterion_1_proposition_table():
             assert e.is_split and e.series == "D" and e.rank % 2 == 0
     _report(
         "criterion 1: proposition table",
-        res.passed and counts_4 == 3,  # D4, D6, D8
+        res.passed and counts_4 == 3 and _matches_fixture(res, "proposition"),  # D4, D6, D8
         time.time() - t0,
         10,
         f"{len(res.checks)} classes",

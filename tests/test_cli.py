@@ -3,12 +3,22 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thetatool.cli import _poly_str, build_report, main
+from thetatool.satake import catalog_lookup
+
+# The benchmark's record of every catalog class of rank <= 8: its catalog
+# columns and its JSON report.  Read here, never written.
+BENCH_REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+                   / "catalog_seed.json")
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +107,19 @@ def test_report_cap_override_allows_e8(capsys):
 def test_json_round_trip():
     rep = build_report("D", 4, "DIII")
     assert json.loads(json.dumps(rep)) == rep
+
+
+def test_reports_and_catalog_columns_match_the_benchmark_reference():
+    """Each report, and the entry fields the benchmark's reference records,
+    as recorded there for all 135 classes."""
+    classes = json.loads(BENCH_REFERENCE.read_text())["classes"]
+    assert len(classes) == 135
+    for ref in classes:
+        key = (ref["series"], ref["rank"], ref["label"])
+        entry = catalog_lookup(*key)
+        assert json.loads(json.dumps(build_report(*key))) == ref["report"], key
+        assert entry.phi_a_type == ref["phiA"], key
+        assert entry.components == ref["components"], key
 
 
 @pytest.mark.parametrize("series, rank, label, prime", [
@@ -258,6 +281,26 @@ def test_computation_errors_exit_1(capsys, monkeypatch):
             assert code == 1
             assert out == ""
             assert err == "error: injected failure\n"
+
+
+def test_out_of_memory_exits_1_without_traceback():
+    """``list A 1000`` under a 300 MB address-space limit runs out of memory
+    and ends in one error line and exit 1."""
+    resource = pytest.importorskip("resource")
+    limit = 300 << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetatool.cli", "list", "A", "1000"],
+        capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: out of memory running list\n"
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_report_prime_bad_for_ambient_type(capsys):

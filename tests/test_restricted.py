@@ -469,7 +469,7 @@ def test_check_p_good_requires_ambient_good_prime():
 
 
 def test_classical_sweep_rank_9_to_12():
-    from thetatool import nilcomp, verify
+    from thetatool import nilcomp
     from thetatool.satake import catalog_list
 
     n = 0
@@ -479,6 +479,6 @@ def test_classical_sweep_rank_9_to_12():
                 rrs = restrict(e.satake)
                 assert rrs.restricted_type == e.phi_a_type, (series, rank, e.label)
                 count = nilcomp.component_count(e, rrs).count
-                assert count == verify.expected_component_count(e), (series, rank, e.label)
+                assert count == e.components, (series, rank, e.label)
                 n += 1
     assert n == 140

@@ -12,6 +12,7 @@ import pytest
 from thetatool.restricted import restrict
 from thetatool.rootsys import RootSystemError, build_root_system
 from thetatool.satake import (
+    InvolutionClassEntry,
     SatakeError,
     SatakeInvolution,
     UnknownClassError,
@@ -46,15 +47,16 @@ def _cycles_to_psi(text: str, rank: int) -> Tuple[int, ...]:
     return tuple(psi)
 
 
-def render_record(series: str, rank: int, r: dict) -> str:
-    i_txt = ",".join(str(i + 1) for i in sorted(r["compact"])) or "-"
+def render_record(e: InvolutionClassEntry) -> str:
+    inv = e.satake
+    i_txt = ",".join(str(i + 1) for i in sorted(inv.compact)) or "-"
     return (
-        f"{series} {rank} {r['label']} I={i_txt} psi={_psi_to_cycles(r['psi'])} "
-        f"k={r['k_name']} phiA={r['phi_a']} components={r['components']}"
+        f"{e.series} {e.rank} {e.label} I={i_txt} psi={_psi_to_cycles(inv.psi)} "
+        f"k={e.fixed_algebra_name} phiA={e.phi_a_type} components={e.components}"
     )
 
 
-def parse_record(line: str) -> Tuple[str, int, dict]:
+def parse_record(line: str) -> InvolutionClassEntry:
     parts = line.split()
     if len(parts) != 8:
         raise SatakeError(f"malformed catalog record: {line!r}")
@@ -64,24 +66,17 @@ def parse_record(line: str) -> Tuple[str, int, dict]:
     for part in parts[3:]:
         key, _, val = part.partition("=")
         fields[key] = val
-    compact = frozenset(
-        int(x) - 1 for x in fields["I"].split(",") if fields["I"] != "-" and x
-    )
-    return series, rank, dict(
-        label=label,
-        compact=compact,
-        psi=_cycles_to_psi(fields["psi"], rank),
-        k_name=fields["k"],
-        phi_a=fields["phiA"],
-        components=int(fields["components"]),
-    )
+    compact = [int(x) - 1 for x in fields["I"].split(",") if fields["I"] != "-" and x]
+    inv = SatakeInvolution(build_root_system(series, rank), compact,
+                           _cycles_to_psi(fields["psi"], rank))
+    return InvolutionClassEntry(series, rank, label, fields["k"], fields["phiA"],
+                                int(fields["components"]), inv)
 
 
 def render_catalog() -> str:
     lines = ["# involution classes of the simple types, rank <= 8"]
     for series, rank in _catalog_types():
-        for r in class_records(series, rank):
-            lines.append(render_record(series, rank, r))
+        lines.extend(render_record(e) for e in class_records(series, rank))
     return "\n".join(lines) + "\n"
 
 
@@ -222,7 +217,8 @@ def test_admissible_satake_data_are_the_catalog():
                 accepted.add(orbit_key(inv.compact, inv.psi, automorphisms))
         classes = {}
         for e in catalog_list(series, rank):
-            classes.setdefault(orbit_key(e.compact, e.psi, automorphisms), []).append(e.label)
+            key = orbit_key(e.satake.compact, e.satake.psi, automorphisms)
+            classes.setdefault(key, []).append(e.label)
         compact_form = [key for key in accepted if len(key[0]) == rank]
         assert len(compact_form) == 1, (series, rank)
         assert accepted == set(classes) | set(compact_form), (series, rank)
@@ -326,7 +322,7 @@ def test_split_entries_have_full_split_rank():
         if e.is_split:
             assert e.satake.kp_dimensions().a == e.rank
         if e.is_quasi_split:
-            assert not e.compact
+            assert not e.satake.compact
 
 
 def test_catalog_lookup():
@@ -359,11 +355,11 @@ def test_split_names_match_published_table():
 
 def test_catalog_record_round_trip():
     for series, rank in [("A", 5), ("D", 6), ("E", 7)]:
-        for rec in class_records(series, rank):
-            line = render_record(series, rank, rec)
-            s, r, parsed = parse_record(line)
-            assert (s, r) == (series, rank)
-            assert parsed == rec
+        for e in class_records(series, rank):
+            parsed = parse_record(render_record(e))
+            # entry equality ignores the Satake datum, so compare it as well
+            assert parsed == e
+            assert (parsed.satake.compact, parsed.satake.psi) == (e.satake.compact, e.satake.psi)
 
 
 def test_catalog_file_matches_generator():

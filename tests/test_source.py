@@ -397,3 +397,25 @@ def test_polynomials_degrees_and_diagrams_are_int_tuples():
     import thetatool
 
     assert not removed & set(thetatool.__all__)
+
+
+def test_only_the_proposition_table_reads_the_components_column():
+    """The catalog's ``components`` column is the expected count of
+    ``verify proposition``: in the library, only
+    ``verify.expected_component_count`` reads a ``.components`` attribute,
+    so the computation never consults the column it is checked against."""
+    found = []
+    for fname, tree in _trees().items():
+        allowed = set()
+        if fname == "verify.py":
+            allowed = {
+                id(node)
+                for func in ast.walk(tree)
+                if isinstance(func, ast.FunctionDef) and func.name == "expected_component_count"
+                for node in ast.walk(func)
+            }
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "components"
+                    and id(node) not in allowed):
+                found.append(f"{fname}:{node.lineno}")
+    assert not found, f"the components column read in {', '.join(found)}"
