@@ -16,8 +16,7 @@ one height of alpha + beta at a time, every value scattered at once to the
 The integral table does not depend on p, so each type has one
 ``ChevalleyTable``, built and verified once and shared by every prime.  It
 holds a sparse bracket table with one row (i, k, l, c) for each
-[x_i, x_k] = c x_l; the adjoint matrices mod p are scattered from the
-rows on demand, so no dim^3 array is ever built.  The table is verified
+[x_i, x_k] = c x_l, and no dim^3 array is ever built.  The table is verified
 by reading off it that the 2n simple root vectors x generate it, and by
 checking ad[x, y] = [ad x, ad y] over Z for each of them and every basis
 y, as joins of the rows of x with the table, one x at a time.
@@ -25,14 +24,16 @@ y, as joins of the rows of x with the table, one x at a time.
 A realization dtheta is a signed permutation of the Chevalley basis.  Its
 eigenspaces k and p are held once, as one (lead, partner, coef) triple per
 basis row, read off the orbits; the grading check relabels the bracket
-table.  Only ``centralizer_dims`` eliminates over F_p, on the blocks
-[x, k] -> p and [x, p] -> k of ad x at the eigenspaces' lead rows.
+table.  Each realization composes the table with its rows once, into a
+sparse plan from x in p to the matrix of [x, row b] on the rows, which
+one scatter mod p fills per sample.  Only ``centralizer_dims`` eliminates
+over F_p, on the blocks [x, k] -> p and [x, p] -> k of that matrix.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,10 +65,11 @@ _MASK_BLOCK = 1 << 10
 def _brackets_fit_int64(dim: int, p: int) -> bool:
     """Whether every int64 sum over reduced residues stays below 2**63.
 
-    The sums bounded are: one key of ``ChevalleyTable.adjoint``, at most dim
-    terms of a residue times a table entry, (p-1)*6 each; and a bracket of
-    two reduced vectors summed over all dim^2 pairs of their coordinates,
-    6*(p-1)^2 each.  6*dim^2*(p-1)^2 covers both.
+    The sums bounded are: one entry of the matrix Q of
+    ``SymmetricPairRealization.centralizer_dims``, at most dim terms (one
+    per source index of the plan) of two residues, (p-1)^2 each; and a
+    bracket of two reduced vectors summed over all dim^2 pairs of their
+    coordinates, 6*(p-1)^2 each.  6*dim^2*(p-1)^2 covers both.
     """
     return _AD_ENTRY_BOUND * dim * dim * (p - 1) ** 2 < 2**63
 
@@ -193,10 +195,7 @@ class ChevalleyTable:
 
     Basis order: h_1..h_n (simple coroots), then e_beta for beta in the
     canonical root order.  ``entries`` is the sparse bracket table, rows
-    (i, k, l, c) for [x_i, x_k] = c x_l sorted by (i, k, l).  ``_scatter``
-    is the plan of ``adjoint``: the rows sorted by the matrix position
-    l*dim + k, as (i, c, segment starts, one position per segment).  All
-    arrays are read-only.
+    (i, k, l, c) for [x_i, x_k] = c x_l sorted by (i, k, l), read-only.
     """
 
     def __init__(self, rs: RootSystem, entries: np.ndarray):
@@ -204,23 +203,6 @@ class ChevalleyTable:
         self.dim = rs.rank + len(rs.roots)
         entries = np.array(entries, dtype=np.int64).reshape(-1, 4)
         self.entries = _read_only(entries[np.lexsort(entries[:, 2::-1].T)])
-        i, k, l, c = self.entries.T
-        pos = l * self.dim + k
-        order = np.argsort(pos, kind="stable")
-        pos = pos[order]
-        starts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
-        self._scatter = tuple(
-            _read_only(a) for a in (i[order], c[order], starts, pos[starts])
-        )
-
-    def adjoint(self, X: np.ndarray, p: int) -> np.ndarray:
-        """The stack of ad(x) mod p for the rows x of X, shape (n, dim, dim);
-        entry (l, k) of ad(x) is the x_l coefficient of [x, x_k]."""
-        X = np.mod(X, p)
-        first, coef, starts, pos = self._scatter
-        out = np.zeros((len(X), self.dim * self.dim), dtype=np.int64)
-        out[:, pos] = np.add.reduceat(X[:, first] * coef, starts, axis=1) % p
-        return out.reshape(-1, self.dim, self.dim)
 
     def basis_name(self, i: int) -> str:
         if i < self.rs.rank:
@@ -377,7 +359,8 @@ class SymmetricPairRealization:
     its larger index j.  A fixed point j gives e_j (coef 0), to k when
     sign[j] = +1 and to p otherwise; a 2-cycle i < j gives e_j + s e_i to k
     and e_j - s e_i to p, s = sign[j].  These are the reduced echelon
-    kernels of dtheta -+ 1, with no elimination.
+    kernels of dtheta -+ 1, with no elimination.  ``_p_rows`` is the p
+    part of ``_rows``, a read-only copy.
     """
 
     def __init__(self, alg: ModularLieAlgebra, perm, sign):
@@ -395,9 +378,10 @@ class SymmetricPairRealization:
         ):
             raise LieAlgebraError("dtheta is not an involution")
         self.perm, self.sign = _read_only(perm), _read_only(sign)
-        k_rows = self._eigenbasis(1)
-        self.dim_k, self.dim_p = k_rows.shape[1], dim - k_rows.shape[1]
-        self._rows = _read_only(np.hstack([k_rows, self._eigenbasis(-1)]))
+        k_rows, p_rows = self._eigenbasis(1), self._eigenbasis(-1)
+        self.dim_k, self.dim_p = k_rows.shape[1], p_rows.shape[1]
+        self._rows = _read_only(np.hstack([k_rows, p_rows]))
+        self._p_rows = _read_only(p_rows)
 
     def _eigenbasis(self, eig: int) -> np.ndarray:
         """Rows (lead j, partner perm[j], coef), one column per basis row
@@ -436,35 +420,96 @@ class SymmetricPairRealization:
             i, j = divmod(key // dim, dim)
             raise LieAlgebraError(f"dtheta fails to preserve brackets at pair ({i}, {j})")
 
+    @cached_property
+    def _plan(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The linear map from x in p to the dim x dim matrix Q of
+        ``_bracket_matrix``, as read-only (source index, coefficient mod p,
+        segment starts, one position r*dim + b per segment):
+        Q.flat[pos] = reduceat(x[src] * coef, starts) mod p.
+
+        Q[r, b] is the component on row r of [x, row b].  With R the matrix
+        of ``_rows`` (R[r, lead] = 1, R[r, partner] = coef), Q = W R ad(x)
+        R^T, three sparse maps composed:
+        - the table rows (i, k, l, c), entry (l, k) of ad x_i;
+        - R^T, since row b is e_lead + coef e_partner;
+        - W R, the projection of coordinate l onto the rows, with
+          W = diag(w), w = 1 at a fixed point and 2^-1 mod p on a 2-cycle
+          (p is odd): on a 2-cycle i < j with s = sign[j], v_j e_j + v_i e_i
+          = (v_j + s v_i)/2 (e_j + s e_i) + (v_j - s v_i)/2 (e_j - s e_i).
+        Since x is in p, x = sum_r x[lead_r] R[r] over the p rows, so each
+        x_i is read at the lead of the one p row through i, and indices in
+        no p row are dropped.  Terms of equal (position, source) are summed
+        and zero sums dropped, so a segment has at most dim terms.
+        """
+        dim, p, dk = self.alg.dim, self.alg.p, self.dim_k
+        lead, partner, coef = self._rows
+        two = lead != partner
+        # R as (row, column, value) sorted by column: an index is the lead or
+        # the partner of one row at a fixed point, of a k and a p row otherwise
+        row = np.r_[np.arange(dim), np.flatnonzero(two)]
+        col = np.r_[lead, partner[two]]
+        val = np.r_[np.ones(dim, dtype=np.int64), coef[two]]
+        order = np.argsort(col, kind="stable")
+        row, col, val = row[order], col[order], val[order]
+        at = np.searchsorted(col, np.arange(dim + 1))
+        in_p = row >= dk
+        src, fold = np.full(dim, -1, dtype=np.int64), np.zeros(dim, dtype=np.int64)
+        src[col[in_p]], fold[col[in_p]] = lead[row[in_p]], val[in_p]
+        i, k, l, c = self.alg.table.entries[src[self.alg.table.entries[:, 0]] >= 0].T
+        c = c * fold[i] % p
+        u, v = _join(k, at)  # row b = row[v] has weight val[v] at column k
+        uu, vv = _join(l[u], at)  # coordinate l goes to row r = row[vv]
+        u, v = u[uu], v[uu]
+        r, b = row[vv], row[v]
+        w = np.where(two[r], pow(2, -1, p), 1) * val[vv] % p
+        key = (r * dim + b) * dim + src[i[u]]
+        vals = c[u] * val[v] % p * w % p
+        order = np.argsort(key)
+        key, vals = key[order], vals[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        vals = np.add.reduceat(vals, first) % p
+        key, vals = key[first[vals != 0]], vals[vals != 0]
+        pos = key // dim
+        starts = np.flatnonzero(np.diff(pos, prepend=-1))
+        return tuple(_read_only(a) for a in (key % dim, vals, starts, pos[starts]))
+
+    def _bracket_matrix(self, x: np.ndarray) -> np.ndarray:
+        """Q for x in p, entry (r, b) the component on row r of [x, row b]:
+        one gather-multiply, one ``reduceat`` and one scatter mod p through
+        ``_plan``."""
+        dim, p = self.alg.dim, self.alg.p
+        src, coef, starts, pos = self._plan
+        Q = np.zeros(dim * dim, dtype=np.int64)
+        Q[pos] = np.add.reduceat(np.mod(x, p)[src] * coef, starts) % p
+        return Q.reshape(dim, dim)
+
     def centralizer_dims(self, x: np.ndarray) -> Tuple[int, int]:
         """(dim z_k(x), dim z_p(x)) for x in p, by exact F_p ranks of the
-        blocks [x, k] -> p and [x, p] -> k of ad x.
+        blocks [x, k] -> p and [x, p] -> k of ``_bracket_matrix``, k rows
+        first.
 
-        Column b of ``cols`` is [x, b], read off ad x at the lead and partner
-        of basis row b.  Each call checks that the k columns lie in p and the
-        p columns in k, whether or not ``check_grading`` ran.  No other row
-        of an eigenspace touches a row's lead, so a vector of p (of k) is
-        fixed by its coordinates at the p rows' (k rows') leads, and the
-        blocks there have the ranks.  Raises LieAlgebraError when x has the
-        wrong shape or is not in p, or when a check fails.
+        Each call checks that Q[:dk, :dk] ([x, k] on k) and Q[dk:, dk:]
+        ([x, p] on p) vanish, whether or not ``check_grading`` ran.  Then
+        [x, k] lies in p, and its components on the p rows are its
+        coordinates at their leads (no other row touches a row's lead), so
+        the off-diagonal blocks are those of ad x at the lead rows; each is
+        eliminated on its own.  Raises LieAlgebraError when x has the wrong
+        shape or is not in p, or when a check fails.
         """
-        alg, p, dk = self.alg, self.alg.p, self.dim_k
+        dim, p, dk = self.alg.dim, self.alg.p, self.dim_k
         x = np.asarray(x)
-        if x.shape != (alg.dim,):
-            raise LieAlgebraError(f"x has shape {x.shape}, expected ({alg.dim},)")
+        if x.shape != (dim,):
+            raise LieAlgebraError(f"x has shape {x.shape}, expected ({dim},)")
         if np.any((self.sign * x[self.perm] + x) % p):
             raise LieAlgebraError("x is not in p: dtheta x != -x mod p")
-        ad_x = alg.table.adjoint(x[None], p)[0]
-        lead, partner, coef = self._rows
-        cols = (ad_x[:, lead] + coef * ad_x[:, partner]) % p
-        image = self.sign[:, None] * cols[self.perm]
-        if np.any((image[:, :dk] + cols[:, :dk]) % p):
+        Q = self._bracket_matrix(x)
+        if Q[:dk, :dk].any():
             raise LieAlgebraError("grading fails at x: [x, k] is not in p")
-        if np.any((image[:, dk:] - cols[:, dk:]) % p):
+        if Q[dk:, dk:].any():
             raise LieAlgebraError("grading fails at x: [x, p] is not in k")
         return (
-            dk - linalg.rank_mod_p(cols[lead[dk:], :dk], p),
-            self.dim_p - linalg.rank_mod_p(cols[lead[:dk], dk:], p),
+            dk - linalg.rank_mod_p(Q[dk:, :dk], p),
+            self.dim_p - linalg.rank_mod_p(Q[:dk, dk:], p),
         )
 
     def random_p_element(self, rng: random.Random) -> np.ndarray:
@@ -472,7 +517,7 @@ class SymmetricPairRealization:
         drawn by rng.randrange(p) in row order.  No two p rows share a lead
         or a partner, so each sum is two scatters."""
         p = self.alg.p
-        lead, partner, coef = self._rows[:, self.dim_k :]
+        lead, partner, coef = self._p_rows
         c = np.array([rng.randrange(p) for _ in range(self.dim_p)], dtype=np.int64)
         x = np.zeros(self.alg.dim, dtype=np.int64)
         x[lead] = c

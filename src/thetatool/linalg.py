@@ -21,15 +21,16 @@ def rank_mod_p(mat, p: int) -> int:
     each step pivots on the first nonzero entry a in row-major order, at
     (i, c), drops rows i and above (the rows above are zero) and sets
     A <- a A - A[:, c] (x) A[i] mod p.  There is no inverse, no row swap and
-    no back-substitution; the rank is the number of steps.  Raises
+    no back-substitution; the rank is the number of steps, and the steps
+    stop at rank min(m, n) with no scan of what is left.  Raises
     LinalgError when p >= 2**31, where int64 products of two residues could
     overflow.
     """
     if p >= 2**31:  # entries stay in [0, p), so products stay below p^2 < 2**62
         raise LinalgError(f"modulus {p} is too large for int64 elimination")
     A = np.mod(np.asarray(mat, dtype=np.int64), p)
-    rank = 0
-    while A.size:
+    rank, full = 0, min(A.shape)
+    while A.size and rank < full:
         nonzero = (A != 0).ravel()
         first = int(nonzero.argmax())
         if not nonzero[first]:

@@ -378,6 +378,12 @@ class RootSystem:
         g = gcd(kappa, *X.ravel().tolist())
         return tuple(map(tuple, (X // g).tolist())), kappa // g
 
+    @cached_property
+    def simple_cartan_rows(self) -> np.ndarray:
+        """Read-only (rank, |Phi|) array, entry (i, b) the Cartan integer
+        <alpha_i, roots[b]^vee>."""
+        return _read_only(self.kernel.cartan_rows(self.roots[self.simple_indices])[0])
+
     @property
     def highest_root(self) -> np.ndarray:
         return self.roots[self.num_positive - 1]

@@ -170,7 +170,7 @@ class SatakeInvolution:
         # Araki: <alpha_j, rho_I^vee> is an integer for each white node j
         # fixed by psi, i.e. alpha_j pairs with the positive coroots of
         # Phi_I to an even sum
-        cartan, _ = rs.kernel.cartan_rows(rs.roots[rs.simple_indices])
+        cartan = rs.simple_cartan_rows
         sums = cartan[:, : rs.num_positive][:, compact[: rs.num_positive]].sum(axis=1)
         for j in range(rs.rank):
             if j not in self.compact and self.psi[j] == j and sums[j] % 2:

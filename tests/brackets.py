@@ -1,16 +1,18 @@
 """Dense brackets for the tests: the integral ``ad`` scattered from the
-sparse Chevalley table, the structure constants N_{a,b} and the bracket of
-two coefficient vectors read off it, literal Jacobi checks on sampled basis
+sparse Chevalley table, the stack of ad(x) mod p for the rows x of a
+matrix, the structure constants N_{a,b} and the bracket of two
+coefficient vectors read off it, literal Jacobi checks on sampled basis
 triples (from the table rows, so E8 needs no dense ``ad``), the dense
-matrix of a realization's dtheta, the kernel over F_p
-that is the oracle for its eigenspaces, the dense eigenspace bases of a
-realization and the samples drawn from them, and the grading laws of a
-realization checked bracket by bracket.
+matrix of a realization's dtheta, the kernel over F_p that is the oracle
+for its eigenspaces, the dense eigenspace bases of a realization and the
+samples drawn from them, and the grading laws of a realization checked
+bracket by bracket.
 
 Apart from ``eigenbases``, which spells out the (lead, partner, coef)
-rows a realization holds as dense matrices, these are independent of
-``ChevalleyTable.adjoint`` and of the signed permutation, so the tests that
-use them check the library against a second route through the same table.
+rows a realization holds as dense matrices, these are independent of the
+plan of ``centralizer_dims`` and of the signed permutation, so the tests
+that use them check the library against a second route through the same
+table.
 """
 
 from __future__ import annotations
@@ -35,6 +37,28 @@ def dense_ad(table) -> np.ndarray:
     ad[i, l, k] = c
     ad.flags.writeable = False
     return ad
+
+
+@lru_cache(maxsize=None)
+def _scatter(table) -> tuple:
+    """The plan of ``adjoint``: the table rows sorted by the matrix position
+    l*dim + k, as (i, c, segment starts, one position per segment)."""
+    i, k, l, c = table.entries.T
+    pos = l * table.dim + k
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    starts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
+    return i[order], c[order], starts, pos[starts]
+
+
+def adjoint(table, X: np.ndarray, p: int) -> np.ndarray:
+    """The stack of ad(x) mod p for the rows x of X, shape (n, dim, dim);
+    entry (l, k) of ad(x) is the x_l coefficient of [x, x_k]."""
+    X = np.mod(X, p)
+    first, coef, starts, pos = _scatter(table)
+    out = np.zeros((len(X), table.dim * table.dim), dtype=np.int64)
+    out[:, pos] = np.add.reduceat(X[:, first] * coef, starts, axis=1) % p
+    return out.reshape(-1, table.dim, table.dim)
 
 
 def root_constants(table) -> dict:
@@ -162,7 +186,7 @@ def dense_centralizer_dims(pair, x) -> tuple:
     """(dim z_k(x), dim z_p(x)) from the full products of the dense k and p
     bases with ad.T over all dim columns, ranked by ``rref_mod_p``."""
     p = pair.alg.p
-    ad = pair.alg.table.adjoint(x[None], p)[0]
+    ad = adjoint(pair.alg.table, x[None], p)[0]
     return tuple(
         len(basis) - len(rref_mod_p(basis @ ad.T, p)[1])
         for basis in eigenbases(pair)

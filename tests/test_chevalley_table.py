@@ -4,8 +4,8 @@ The dense Python loops the table replaced (the dim^2 bracket scatter and the
 O(dim^5) pairwise Jacobi check) are kept here as oracles, together with a
 dense check on the simple root vectors in the library's order, a dense
 all-pairs automorphism check and dense products with the integral ``ad``.
-The sparse checks and ``ChevalleyTable.adjoint`` must agree with them, the
-checks also on seeded corruptions, message for message.  The
+The sparse checks and the scatter ``adjoint`` of ``brackets`` must agree
+with them, the checks also on seeded corruptions, message for message.  The
 constants come from the root-tuple recursion ``ref_structure_constants``,
 so the array build by height is checked against it on every type of rank
 at most 8.
@@ -38,7 +38,7 @@ from thetatool.liealg import (
 from thetatool.rootsys import build_root_system
 from thetatool.satake import catalog_list
 
-from brackets import dense_ad, dense_centralizer_dims, dense_dtheta, eigenbases
+from brackets import adjoint, dense_ad, dense_centralizer_dims, dense_dtheta, eigenbases
 from scalar import (
     _chain_down,
     coroot_coords,
@@ -212,7 +212,7 @@ def test_sparse_table_scatters_to_the_bracket_loop_and_passes_jacobi(series, ran
             rng.integers(0, p, size=(2, dim)) + p * (2**62 // p),  # unreduced
         ):
             want = np.tensordot(X % p, ad, axes=(1, 0)) % p
-            assert np.array_equal(table.adjoint(X, p), want), (p, X.shape)
+            assert np.array_equal(adjoint(table, X, p), want), (p, X.shape)
     table.check_jacobi()
     table.check_chevalley_property()
 
@@ -338,7 +338,8 @@ def test_one_read_only_table_shared_across_primes():
     algs = [build_algebra("B", 3, p) for p in (5, 7, 11)]
     table = chevalley_table("B", 3)
     assert all(alg.table is table for alg in algs)
-    for arr in (table.entries, *table._scatter, *liealg._root_tables(table.rs)):
+    plan = realize_chevalley_involution(algs[0])._plan
+    for arr in (table.entries, *plan, *liealg._root_tables(table.rs)):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
 

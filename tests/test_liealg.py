@@ -24,6 +24,7 @@ from thetatool.satake import _catalog_types, catalog_list, catalog_lookup
 from thetatool.verify import realized_pairs
 
 from brackets import (
+    adjoint,
     bracket_vec,
     dense_ad,
     dense_centralizer_dims,
@@ -33,6 +34,7 @@ from brackets import (
     grading_laws_hold,
     kernel_mod_p,
     root_constants,
+    rref_mod_p,
     sample_jacobi,
 )
 from scalar import (
@@ -363,6 +365,27 @@ def test_centralizer_dims_match_the_dense_oracle():
             assert pair.centralizer_dims(x) == dense_centralizer_dims(pair, x), name
 
 
+def test_bracket_matrix_is_the_dense_projection():
+    """Q from the plan equals, entry by entry, the components on the rows
+    of [x, row b], solved densely from the k and p bases and ad(x) (the
+    dense scatter of the table, so E8 needs no dim^3 array), on the 120
+    realized pairs and split E8 at p = 7, for three samples each."""
+    pairs = [(name, pair) for name, _, pair in realized_pairs()]
+    pairs.append(("E8/chevalley/p=7", realize_chevalley_involution(build_algebra("E", 8, 7))))
+    assert len(pairs) == 121
+    for name, pair in pairs:
+        rng, p, dim = random.Random(name), pair.alg.p, pair.alg.dim
+        R = np.vstack(eigenbases(pair))
+        xs = [pair.random_p_element(rng) for _ in range(3)]
+        # row b of R^T Q = ad(x) R^T is [x, row b] written on the rows
+        brackets = [adjoint(pair.alg.table, x[None], p)[0] @ R.T % p for x in xs]
+        reduced, pivots = rref_mod_p(np.hstack([R.T] + brackets), p)
+        assert pivots == list(range(dim)), name
+        for x, want in zip(xs, np.split(reduced[:, dim:], 3, axis=1)):
+            got = pair._bracket_matrix(x)
+            assert got.dtype == np.int64 and np.array_equal(got, want), name
+
+
 def test_centralizer_at_zero():
     alg = build_algebra("B", 2, 5)
     pair = realize_chevalley_involution(alg)
@@ -530,6 +553,25 @@ def test_centdim_fails_outside_hypotheses():
     assert violated, "expected a centdim violation for sl(5) over F_5"
 
 
+def _python_rank(rows, p):
+    """Rank mod p of lists of Python ints, by Gauss-Jordan elimination."""
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def _accepts(series, rank, p):
     """False when the algebra rejects p as too large for int64 brackets."""
     try:
@@ -566,3 +608,21 @@ def test_prime_too_large_for_int64_brackets_rejected():
         sum((p - 1) * ad[i][k][j] * (p - 1) for i, j in pairs) % p for k in range(alg.dim)
     ]
     assert bracket_vec(alg, x, y).tolist() == exact
+    # ... and ranks the centralizers exactly: against ad x in Python ints, of
+    # rank dim k - dim z_k(x) on the k rows and dim p - dim z_p(x) on the p rows
+    pair = realize_chevalley_involution(alg)
+    rng = random.Random(p)
+    table = pair.alg.table.entries.tolist()
+    for _ in range(3):
+        x = pair.random_p_element(rng)
+        xs = x.tolist()
+        ad_x = [[0] * alg.dim for _ in range(alg.dim)]
+        for i, k, l, c in table:
+            ad_x[l][k] += xs[i] * c
+        images = [
+            [sum(a * b for a, b in zip(ad_row, row)) for ad_row in ad_x]
+            for row in np.vstack(eigenbases(pair)).tolist()
+        ]
+        want = (pair.dim_k - _python_rank(images[: pair.dim_k], p),
+                pair.dim_p - _python_rank(images[pair.dim_k :], p))
+        assert pair.centralizer_dims(x) == want

@@ -251,12 +251,19 @@ def test_rank_mod_p_counts_the_oracle_pivots(case):
 
 def _edge_cases():
     """(name, matrix, p): the largest modulus with every entry p - 1, empty
-    and zero matrices, a single row and a single column, and matrices whose
-    first nonzero entry in row-major order lies in the last row."""
+    and zero matrices, a single row and a single column, matrices whose
+    first nonzero entry in row-major order lies in the last row, and
+    tall, wide and square matrices of full rank, where the elimination
+    stops before the rows run out."""
     big = LARGEST_PRIME
     rng = np.random.default_rng(20)
     row = rng.integers(0, big, size=(1, 9))
-    return [
+    full = [
+        (f"full rank {kind} {m}x{n}, p={p}", rng.integers(0, p, size=(m, n)), p)
+        for p in (7, big)
+        for kind, m, n in (("tall", 9, 4), ("wide", 4, 9), ("square", 6, 6))
+    ]
+    return full + [
         ("all p-1, 1x1", np.full((1, 1), big - 1), big),
         ("all p-1, 4x7", np.full((4, 7), big - 1), big),
         ("all -1, 6x3", np.full((6, 3), -1), big),
@@ -282,6 +289,8 @@ def test_rank_mod_p_edge_cases_match_oracle(name, mat, p):
     before = mat.copy()
     assert linalg.rank_mod_p(mat, p) == len(rref_mod_p(mat, p)[1]) == ref_rank_mod_p(mat, p)
     assert np.array_equal(mat, before)
+    if name.startswith("full rank"):
+        assert ref_rank_mod_p(mat, p) == min(mat.shape)
 
 
 @settings(deadline=None)

@@ -460,6 +460,19 @@ def test_cartan_inverse_is_exact_and_cached():
         assert fundamental_group(rs).order % L == 0, rs
 
 
+@pytest.mark.parametrize("series, rank", RANK_UP_TO_EIGHT)
+def test_simple_cartan_rows_are_cached_read_only_kernel_rows(series, rank):
+    """simple_cartan_rows is built once per root system, cannot be written,
+    and equals the kernel's Cartan rows of the simple roots."""
+    rs = build_root_system(series, rank)
+    rows = rs.simple_cartan_rows
+    assert rs.simple_cartan_rows is rows
+    assert rows.dtype == np.int64 and rows.shape == (rs.rank, len(rs.roots))
+    assert np.array_equal(rows, rs.kernel.cartan_rows(rs.roots[rs.simple_indices])[0])
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0
+
+
 @pytest.mark.parametrize("series,rank,corrupt", [
     ("A", 4, lambda rs: np.vstack([rs.coroots[1:2], rs.coroots[1:]])),
     ("B", 3, lambda rs: rs.roots),
