@@ -19,7 +19,7 @@ from typing import Any, Dict, Optional
 from . import nilcomp, restricted, verify, weylinv
 from .nilcomp import ComponentCountError, OmegaError
 from .restricted import RestrictionError
-from .rootsys import DEFAULT_CAP, CapExceededError, RootSystemError, _is_integer
+from .rootsys import DEFAULT_CAP, SERIES, CapExceededError, RootSystemError, _is_integer
 from .satake import SatakeError, catalog_list, catalog_lookup
 from .weylinv import DegreeError
 
@@ -40,7 +40,7 @@ def build_report(
     rrs = restricted.restrict(inv)
     degrees = weylinv.invariant_degrees(rrs)
     cochar, diagram = nilcomp.omega(rrs)
-    comp = nilcomp.component_count(entry, rrs)
+    comp = nilcomp.component_count(entry)
 
     poincare: Optional[list] = None
     poincare_skipped = None
@@ -284,14 +284,14 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument(name, **options[name])
 
     p = sub.add_parser("report", help="full report for one involution class")
-    p.add_argument("series", choices=("A", "B", "C", "D", "E", "F", "G"))
+    p.add_argument("series", choices=SERIES)
     p.add_argument("rank", type=int)
     p.add_argument("label")
     add_options(p, "--cap", "--prime")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("list", help="catalog classes for a simple type")
-    p.add_argument("series", choices=("A", "B", "C", "D", "E", "F", "G"))
+    p.add_argument("series", choices=SERIES)
     p.add_argument("rank", type=int)
     add_options(p)
     p.set_defaults(func=cmd_list)

@@ -134,8 +134,7 @@ def _structure_constants(rs: RootSystem) -> np.ndarray:
     ordered pairs of its triple by antisymmetry, N_{-a,-b} = -N_{a,b} and
     N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b)."""
     S, D, q = _root_tables(rs)
-    m, npos, norms = len(rs.roots), rs.num_positive, rs.kernel.norms
-    neg = np.r_[np.arange(npos, m), np.arange(npos)]
+    m, npos, norms, neg = len(rs.roots), rs.num_positive, rs.kernel.norms, rs.negation
     # one spare row and column of zeros: N[-1, b] reads 0 for "no root"
     N = np.zeros((m + 1, m + 1), dtype=np.int64)
 
@@ -179,12 +178,12 @@ def _bracket_entries(rs: RootSystem) -> np.ndarray:
     r, h = np.nonzero(simple)
     c, e = simple[r, h], n + r
     q, k = np.nonzero(rs.coroots[:npos])
-    v = rs.coroots[q, k]
+    v, neg = rs.coroots[q, k], rs.negation[q]
     S = _root_tables(rs)[0]
     a, b = np.nonzero(S >= 0)
     blocks = [
         (h, e, e, c), (e, h, e, -c),
-        (n + q, n + npos + q, k, v), (n + npos + q, n + q, k, -v),
+        (n + q, n + neg, k, v), (n + neg, n + q, k, -v),
         (n + a, n + b, n + S[a, b], _structure_constants(rs)[a, b]),
     ]
     return np.concatenate([np.stack(b, axis=1) for b in blocks])
@@ -234,10 +233,11 @@ class ChevalleyTable:
         each sum a join of the rows of g with the table on its middle index,
         one g at a time in the order of S.  The first failing pair is raised.
         """
-        rs, dim, n, npos = self.rs, self.dim, self.rs.rank, self.rs.num_positive
+        rs, dim, n = self.rs, self.dim, self.rs.rank
         first, second, out, coef = self.entries.T
+        neg = np.r_[np.arange(n), n + rs.negation]  # x_b -> x_{-b} on basis indices
         simple = n + rs.simple_indices
-        gens = np.concatenate([simple, simple + npos])
+        gens = np.concatenate([simple, neg[simple]])
         in_s, coroot_of = np.zeros(dim, dtype=bool), np.full(dim, -1)
         in_s[gens], coroot_of[simple] = True, np.arange(n)
         height = np.r_[np.zeros(n, dtype=np.int64), np.abs(rs.roots.sum(axis=1))]
@@ -246,7 +246,7 @@ class ChevalleyTable:
         lone = edge[:-1] & edge[1:]
         witness = in_s[first] & (coef != 0) & lone & np.where(
             out < n,
-            (coroot_of[first] == out) & (second == first + npos),
+            (coroot_of[first] == out) & (second == neg[first]),
             height[second] < height[out],
         )
         covered = in_s | (np.bincount(out[witness], minlength=dim) > 0)
@@ -493,11 +493,14 @@ class SymmetricPairRealization:
         [x, k] lies in p, and its components on the p rows are its
         coordinates at their leads (no other row touches a row's lead), so
         the off-diagonal blocks are those of ad x at the lead rows; each is
-        eliminated on its own.  Raises LieAlgebraError when x has the wrong
+        eliminated on its own.  Raises LieAlgebraError when x is not an
+        integer array that int64 holds (a bool is not one), has the wrong
         shape or is not in p, or when a check fails.
         """
         dim, p, dk = self.alg.dim, self.alg.p, self.dim_k
         x = np.asarray(x)
+        if x.dtype.kind not in "iu" or not np.can_cast(x.dtype, np.int64):
+            raise LieAlgebraError(f"x has dtype {x.dtype}, expected an integer type within int64")
         if x.shape != (dim,):
             raise LieAlgebraError(f"x has shape {x.shape}, expected ({dim},)")
         if np.any((self.sign * x[self.perm] + x) % p):
@@ -546,8 +549,7 @@ def realize_chevalley_involution(alg: ModularLieAlgebra) -> SymmetricPairRealiza
     (a failure would mean a sign bug in the constant table).
     """
     rs = alg.rs
-    roots, npos = np.arange(len(rs.roots)), rs.num_positive
-    perm = np.r_[np.arange(rs.rank), alg.e_index((roots + npos) % len(roots))]
+    perm = np.r_[np.arange(rs.rank), alg.e_index(rs.negation)]
     sign = -np.ones(alg.dim, dtype=np.int64)
     pair = SymmetricPairRealization(alg, perm, sign)
     # no dimension check: each h_i is a negated fixed point and each 2-cycle

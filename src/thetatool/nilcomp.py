@@ -17,7 +17,9 @@ Three computations live here:
 The module also carries the orthogonal-reflection decompositions of the
 longest Weyl element for every simple type (plus the subregular E-series
 variants), with the verifier for orthogonality, the product identity, and
-the mod-4 sign condition that puts each root vector in p.
+the mod-4 sign condition that puts each root vector in p.  The two type-A
+decompositions hold up to conjugacy, which the verifier decides by
+counting the roots that the product and w0 fix.
 """
 
 from __future__ import annotations
@@ -201,23 +203,20 @@ def _sommers_connected(entry: InvolutionClassEntry) -> Optional[Tuple[bool, str]
     return None
 
 
-def component_count(
-    entry: InvolutionClassEntry, rrs: Optional[RestrictedRootSystem] = None
-) -> ComponentReport:
+def component_count(entry: InvolutionClassEntry) -> ComponentReport:
     """Irreducible components of the nilpotent cone of p (simply-connected
     almost simple ambient group, good characteristic).
 
     Split classes use |Z/Z^2|; quasi-split ones |(Z cap A)/tau(Z)|; the
     remaining classes use the bound |(Z cap A)/tau(Z)| sharpened by the
     connectedness table.  A class outside all methods raises
-    ComponentCountError rather than guessing.
+    ComponentCountError rather than guessing.  The restricted system is
+    ``restrict(entry.satake)``, memoized on the involution.
     """
     inv = entry.satake
-    if rrs is None:
-        rrs = restrict(inv)
     z = fundamental_group(inv.ambient)
     z_mod_z2 = z.mod_squares()
-    za, za_sq = z_cap_a(rrs)
+    za, za_sq = z_cap_a(restrict(inv))
     z_order, z_mod_tau = _tau_z_data(inv)
     tau_z_order, rem = divmod(z_order, z_mod_tau)
     if rem:
@@ -310,15 +309,14 @@ class OrthogonalDecomposition:
 
 @dataclass(frozen=True)
 class DecompositionReport:
+    """The failed checks of one decomposition, each naming its check."""
+
     name: str
-    orthogonal: bool
-    product_matches: bool
-    mod4_in_p: bool
     failures: Tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return self.orthogonal and self.product_matches and self.mod4_in_p
+        return not self.failures
 
 
 def _root_indices(rs: RootSystem, vectors: Sequence[Sequence[int]]) -> np.ndarray:
@@ -336,26 +334,24 @@ def verify_w0_decomposition(dec: OrthogonalDecomposition) -> DecompositionReport
     The product check compares against w0 (times the recorded simple
     twists); when a conjugator is present the identity is
     s_a . product . s_a = target, and in the up-to-conjugacy mode the two
-    must share their class, which is decided in type A only (by traces) and
-    counts as a failure in every other type.
+    must share their class, which is decided in type A only (by counting
+    fixed roots) and counts as a failure in every other type.
     """
     rs = build_root_system(dec.series, dec.rank)
     idx = _root_indices(rs, dec.betas)
     failures = [f"beta_{i + 1} = {dec.betas[i]} is not a root" for i in np.flatnonzero(idx < 0)]
-    orthogonal = not failures
-    if orthogonal:
+    if not failures:
         cartan, _ = rs.kernel.cartan_rows(rs.roots[idx])
-        for i in range(len(idx)):
-            for j in range(i + 1, len(idx)):
-                if cartan[i, idx[j]] != 0:
-                    orthogonal = False
-                    failures.append(
-                        f"beta_{i + 1} and beta_{j + 1} are not orthogonal"
-                    )
+        failures += [
+            f"beta_{i + 1} and beta_{j + 1} are not orthogonal"
+            for i in range(len(idx))
+            for j in range(i + 1, len(idx))
+            if cartan[i, idx[j]] != 0
+        ]
 
-    product_matches = False
-    reason = "product of reflections does not match the target"
-    if orthogonal:
+    if not failures:
+        product_matches = False
+        reason = "product of reflections does not match the target"
         # Weyl elements are root permutations; the product x y is x[y]
         prod = np.arange(len(rs.roots))
         for s in rs.reflections(idx):
@@ -374,45 +370,38 @@ def verify_w0_decomposition(dec: OrthogonalDecomposition) -> DecompositionReport
         elif dec.up_to_conjugacy and rs.series != "A":
             reason = "conjugacy is decided only in type A"
         elif dec.up_to_conjugacy:
-            product_matches = _conjugate_in_type_a(rs, prod, target)
+            product_matches = _conjugate_involutions(prod, target)
         else:
             product_matches = np.array_equal(prod, target)
         if not product_matches:
             failures.append(reason)
 
-    mod4_in_p = True
     for i, b in enumerate(dec.betas):
         val = sum(c * w for c, w in zip(b, dec.lambda_diagram))
         if val % 4 != 2:
-            mod4_in_p = False
             failures.append(
                 f"<beta_{i + 1}, lambda> = {val} is not 2 mod 4 "
                 "(root vector not in p)"
             )
-
-    return DecompositionReport(
-        name=dec.name,
-        orthogonal=orthogonal,
-        product_matches=product_matches,
-        mod4_in_p=mod4_in_p,
-        failures=tuple(failures),
-    )
+    return DecompositionReport(dec.name, tuple(failures))
 
 
-def _conjugate_in_type_a(rs: RootSystem, x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether x and y are conjugate in W(A_n) = S_{n+1}.
+def _conjugate_involutions(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether y is conjugate in W(A_n) = S_{n+1} to x, a product of
+    reflections in pairwise orthogonal roots: y[y] is the identity and x
+    and y fix as many roots.
 
-    Conjugacy there is cycle type, which the characteristic polynomial of w
-    on the root lattice fixes, and over Q that polynomial is fixed by the
-    traces of w^k for k = 1..n.  Row i of each matrix is w(alpha_i) in
-    simple-root coordinates; every power is again a Weyl element, so the
-    int64 products are exact.
+    The roots e_i - e_j and e_k - e_l are orthogonal exactly when {i, j}
+    and {k, l} are disjoint, so x is an involution, made of disjoint
+    transpositions.  Involutions of S_{n+1} are conjugate exactly when
+    they have as many fixed points.  A permutation with f fixed points
+    fixes the f(f - 1) roots e_i - e_j with i and j both fixed, and an
+    involution has f = n + 1 (mod 2).  Two counts f, g of one parity with
+    f(f - 1) = g(g - 1) give (f - g)(f + g - 1) = 0 with f + g - 1 odd,
+    so f = g: the count of fixed roots gives f.
     """
-    mx, my = (rs.roots[w[rs.simple_indices]] for w in (x, y))
-    return all(
-        np.trace(np.linalg.matrix_power(mx, k)) == np.trace(np.linalg.matrix_power(my, k))
-        for k in range(1, rs.rank + 1)
-    )
+    ident = np.arange(len(x))
+    return np.array_equal(y[y], ident) and np.sum(x == ident) == np.sum(y == ident)
 
 
 def _simple(rank: int, i: int) -> Tuple[int, ...]:

@@ -380,7 +380,7 @@ def omega_alpha(rrs: RestrictedRootSystem, basis_pos: int) -> RestrictedCocharac
         raise RestrictionError(f"basis position {basis_pos} out of range")
     b = rs.simple_indices[rrs.pi_lifts[basis_pos]]
     t = inv.theta_perm()[b]  # theta*(beta)
-    if t == (b + rs.num_positive) % len(rs.roots):
+    if t == rs.negation[b]:
         case = "i"
         coords = rs.coroots[b]
     else:

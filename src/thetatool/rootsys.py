@@ -21,7 +21,8 @@ fundamental groups and their two-torsion are computed downstream.
 
 Root ordering convention: positive roots sorted by (height, coordinate
 tuple), then the negative roots in the mirrored order, so that
-``roots[i + num_positive] == -roots[i]``.
+``roots[i + num_positive] == -roots[i]``.  Other modules read that order
+through ``RootSystem.negation``, never through index arithmetic.
 """
 
 from __future__ import annotations
@@ -308,7 +309,8 @@ class RootSystem:
         cartan: Cartan matrix, cartan[i][j] = <alpha_i, alpha_j^vee>.
         roots: ``kernel.vectors``, the roots as int64 rows in canonical order.
         num_positive: the first num_positive rows of ``roots`` are the
-            positive roots; roots[i + num_positive] = -roots[i].
+            positive roots.
+        negation: read-only int64 array, roots[negation[i]] = -roots[i].
         simple_indices: read-only int64 array, entry i the row of alpha_i.
         kernel: the ``GramKernel`` of the roots.
         coroots: read-only int64 array, row i the simple-coroot
@@ -347,7 +349,8 @@ class RootSystem:
         vectors = np.vstack([pos, -pos])
         self.kernel = GramKernel(vectors, self.form)
         self.roots = self.kernel.vectors
-        self.num_positive = len(pos)
+        self.num_positive = npos = len(pos)
+        self.negation = _read_only(np.r_[np.arange(npos, 2 * npos), np.arange(npos)])
         self.simple_indices = _read_only(self.kernel.lookup(np.eye(n, dtype=np.int64)))
         # beta^vee = sum_i b_i (alpha_i, alpha_i)/(beta, beta) alpha_i^vee
         num = self.roots * np.diag(self.kernel.form)

@@ -100,13 +100,12 @@ class SatakeInvolution:
     @cached_property
     def _theta_perm(self) -> np.ndarray:
         """psi permutes the columns of the root array and one Gram-kernel
-        lookup finds the images; then w_I, then the negation
-        i -> i +- num_positive."""
+        lookup finds the images; then w_I, then the negation."""
         rs = self.ambient
         psi = rs.kernel.lookup(rs.roots[:, np.argsort(self.psi)])
         if (psi < 0).any():
             raise RootSystemError(f"psi does not map the roots of {rs.series}{rs.rank} to roots")
-        return _read_only((self._w_I[psi] + rs.num_positive) % len(rs.roots))
+        return _read_only(rs.negation[self._w_I[psi]])
 
     @cached_property
     def compact_roots(self) -> np.ndarray:
@@ -134,7 +133,7 @@ class SatakeInvolution:
         rs = self.ambient
         w0, simple = rs.longest_element(), rs.simple_indices
         # the simple roots are the first rank rows, so argsort inverts simple
-        sigma0 = np.argsort(simple)[w0[simple] - rs.num_positive]
+        sigma0 = np.argsort(simple)[rs.negation[w0[simple]]]
         return tuple(sigma0[list(self.psi)].tolist())
 
     # -- validation -----------------------------------------------------------
@@ -164,7 +163,7 @@ class SatakeInvolution:
         # the two expressions -w_I psi and -psi w_I must agree, with psi
         # read back from theta* = -w_I psi
         wI = self._w_I
-        psi = np.argsort(wI)[(perm + rs.num_positive) % len(perm)]
+        psi = np.argsort(wI)[rs.negation[perm]]
         if (wI[psi] != psi[wI]).any():
             failures.append("-w_I(psi(a)) != -psi(w_I(a))")
         # Araki: <alpha_j, rho_I^vee> is an integer for each white node j

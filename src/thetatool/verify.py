@@ -66,9 +66,8 @@ def run_proposition() -> SuiteResult:
     |(Z cap A)/(Z cap A)^2|, which is reported here as "no method".)"""
     res = SuiteResult("proposition")
     for e in all_catalog_entries():
-        rrs = restricted.restrict(e.satake)
         try:
-            rep = nilcomp.component_count(e, rrs)
+            rep = nilcomp.component_count(e)
         except nilcomp.ComponentCountError as exc:
             res.add(_entry_key(e), False, f"no method: {exc}")
             continue

@@ -249,7 +249,7 @@ def test_criterion_8_structural_invariants():
     for e in all_catalog_entries():
         rrs = restricted.restrict(e.satake)
         scan_axioms(rrs)
-        rep = nilcomp.component_count(e, rrs)
+        rep = nilcomp.component_count(e)
         if rep.z_cap_a_mod_sq.order % rep.count != 0:
             ok = False
 

@@ -5,6 +5,7 @@ sl2-triples."""
 from __future__ import annotations
 
 import random
+import re
 import time
 
 import numpy as np
@@ -407,6 +408,26 @@ def test_centralizer_dims_rejects_x_outside_p():
         with pytest.raises(LieAlgebraError, match="x is not in p"):
             pair.centralizer_dims(bad)
     pair.centralizer_dims(pp[0])
+
+
+def test_centralizer_dims_refuses_x_that_is_not_an_int64_integer_array():
+    """x must be an integer array that int64 holds, or the answer would
+    come from truncated values (a float), from 0/1 (a bool) or from an
+    uncaught TypeError (a string).  The dtype is refused before the shape
+    and in-p checks; int32 and int64 answer as before, pinned on B3 at
+    p = 7: zero, the twelve rows of p and one random element."""
+    pair = realize_chevalley_involution(build_algebra("B", 3, 7))
+    x = pair.random_p_element(random.Random(1))
+    for bad in (x / 2, x.astype(float), x.astype(bool), x.astype(str), x.astype(np.uint64),
+                (x / 2)[:-1]):
+        with pytest.raises(LieAlgebraError, match=re.escape(f"x has dtype {bad.dtype}, expected")):
+            pair.centralizer_dims(bad)
+    _, pp = eigenbases(pair)
+    samples = [np.zeros(pair.alg.dim, dtype=np.int64), *pp, x]
+    want = [(9, 12)] + [(2, 5), (2, 5), (4, 7), (4, 7), (2, 5), (2, 5),
+                        (4, 7), (2, 5), (2, 5), (4, 7), (2, 5), (2, 5)] + [(0, 3)]
+    for dtype in (np.int64, np.int32):
+        assert [pair.centralizer_dims(v.astype(dtype)) for v in samples] == want
 
 
 def test_centralizer_identity_sampled():

@@ -478,7 +478,7 @@ def test_classical_sweep_rank_9_to_12():
             for e in catalog_list(series, rank):
                 rrs = restrict(e.satake)
                 assert rrs.restricted_type == e.phi_a_type, (series, rank, e.label)
-                count = nilcomp.component_count(e, rrs).count
+                count = nilcomp.component_count(e).count
                 assert count == e.components, (series, rank, e.label)
                 n += 1
     assert n == 140

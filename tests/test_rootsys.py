@@ -473,6 +473,18 @@ def test_simple_cartan_rows_are_cached_read_only_kernel_rows(series, rank):
         rows[0, 0] = 0
 
 
+@pytest.mark.parametrize("series, rank", RANK_UP_TO_EIGHT)
+def test_negation_is_a_read_only_root_permutation(series, rank):
+    """roots[negation[i]] == -roots[i] on every type of rank <= 8, and the
+    array cannot be written."""
+    rs = build_root_system(series, rank)
+    neg = rs.negation
+    assert neg.dtype == np.int64 and sorted(neg.tolist()) == list(range(len(rs.roots)))
+    assert np.array_equal(rs.roots[neg], -rs.roots)
+    with pytest.raises(ValueError):
+        neg[0] = 0
+
+
 @pytest.mark.parametrize("series,rank,corrupt", [
     ("A", 4, lambda rs: np.vstack([rs.coroots[1:2], rs.coroots[1:]])),
     ("B", 3, lambda rs: rs.roots),

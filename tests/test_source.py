@@ -289,8 +289,9 @@ def test_root_lists_are_int64_arrays_only():
 def test_library_lists_no_weyl_element():
     """The library computes the Weyl group by formula (order from the
     degrees, Poincare polynomial by coset factorization, w_0 by the greedy
-    walk, type-A conjugacy by traces); the element-by-element enumerators
-    are test oracles and live in ``tests/weylgroup.py``."""
+    walk, type-A conjugacy of involutions by fixed roots); the
+    element-by-element enumerators are test oracles and live in
+    ``tests/weylgroup.py``."""
     enumerators = {"permutation_bfs", "enumerate_weyl", "baby_weyl", "BabyWeylGroup",
                    "poincare_from_enumeration", "_conjugacy_search", "reflection_perm"}
     found = [
@@ -419,3 +420,73 @@ def test_only_the_proposition_table_reads_the_components_column():
                     and id(node) not in allowed):
                 found.append(f"{fname}:{node.lineno}")
     assert not found, f"the components column read in {', '.join(found)}"
+
+
+def test_library_uses_no_numpy_linalg():
+    """Every answer is exact: no library module names ``np.linalg`` or
+    ``numpy.linalg``, not even in a comment, or imports ``linalg`` from
+    numpy.  (The package's own ``linalg`` module is integer-only.)"""
+    found = [
+        f"{fname}:{lineno}"
+        for fname, text in _library().items()
+        for lineno, line in enumerate(text.splitlines(), 1)
+        if "np.linalg" in line or "numpy.linalg" in line
+    ]
+    found += [
+        f"{fname}:{node.lineno} import"
+        for fname, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+        and any(alias.name == "linalg" for alias in node.names)
+    ]
+    assert not found, f"numpy.linalg in {', '.join(found)}"
+
+
+def _num_positive_names(func: ast.AST) -> set:
+    """The names that ``func`` binds to a ``.num_positive``, in plain or
+    tuple assignments."""
+    names = set()
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = list(zip(target.elts, node.value.elts))
+            names |= {
+                t.id for t, v in pairs
+                if isinstance(t, ast.Name) and getattr(v, "attr", None) == "num_positive"
+            }
+    return names
+
+
+def test_only_rootsys_does_arithmetic_on_the_root_order():
+    """The index of -roots[i] is ``rs.negation[i]``: outside ``rootsys.py``,
+    which owns the root order, nothing adds ``num_positive`` (or a local
+    name bound to it) to an index, subtracts it from one, or starts an
+    ``arange`` at it.  Slices such as ``[:num_positive]`` and comparisons
+    stay allowed."""
+    found = set()
+    for fname, tree in _trees().items():
+        if fname == "rootsys.py":
+            continue
+        for func in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]:
+            aliases = _num_positive_names(func)
+
+            def is_npos(node):
+                return getattr(node, "attr", None) == "num_positive" or (
+                    isinstance(node, ast.Name) and node.id in aliases
+                )
+
+            for node in ast.walk(func):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+                    hit = is_npos(node.left) or is_npos(node.right)
+                elif isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Sub)):
+                    hit = is_npos(node.value)
+                elif isinstance(node, ast.Call) and _call_name(node) == "arange":
+                    hit = len(node.args) > 1 and is_npos(node.args[0])
+                else:
+                    continue
+                if hit:
+                    found.add(f"{fname}:{node.lineno}")
+    assert not found, f"index arithmetic on num_positive in {', '.join(sorted(found))}"

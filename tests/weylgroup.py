@@ -2,12 +2,12 @@
 
 The library computes everything about a Weyl group by formula: the order
 from the degrees, the Poincare polynomial by coset factorization, w_0 by the
-greedy parabolic walk, and type-A conjugacy by traces.  The enumerators here
-are the brute-force oracles those formulas are checked against: a
-breadth-first walk over permutations of a root list, the ambient Weyl group
-of a root system, and the little Weyl group W_A acting on the restricted
-roots.  Each checks the predicted group order against a cap first and raises
-``CapExceededError`` above it.
+greedy parabolic walk, and type-A conjugacy of involutions by fixed
+roots.  The enumerators here are the brute-force oracles those formulas are
+checked against: a breadth-first walk over permutations of a root list, the
+ambient Weyl group of a root system, and the little Weyl group W_A acting on
+the restricted roots.  Each checks the predicted group order against a cap
+first and raises ``CapExceededError`` above it.
 
 The library keeps a Weyl element as an int64 root permutation; ``Element``
 is the tests' hashable tuple form of one, with its root system.
