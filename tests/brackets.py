@@ -25,7 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from thetatool.liealg import LieAlgebraError
-from thetatool.linalg import LinalgError, rank_mod_p
+from thetatool.linalg import LinalgError
 
 
 @lru_cache(maxsize=4)
@@ -198,19 +198,22 @@ def grading_laws_hold(pair) -> bool:
     dtheta (each row fixed or negated, together of rank dim mod p), and
     [k,k] in k, [k,p] in p and [p,p] in k on all pairs of basis vectors:
     every bracket is formed densely, and each law holds when appending the
-    brackets to the target basis leaves its rank mod p unchanged."""
+    brackets to the target basis leaves its rank mod p unchanged.  The
+    ranks are pivot counts of ``rref_mod_p``, not the library's
+    ``rank_mod_p``, so that the check is independent of it."""
     alg, p = pair.alg, pair.alg.p
     ad = dense_ad(alg.table)
     k, pp = eigenbases(pair)
     d = dense_dtheta(pair)
     if np.any((k @ d.T - k) % p) or np.any((pp @ d.T + pp) % p):
         return False
-    if rank_mod_p(np.vstack([k, pp]), p) != alg.dim:
+    if len(rref_mod_p(np.vstack([k, pp]), p)[1]) != alg.dim:
         return False
     for left, right, target in ((k, k, k), (k, pp, pp), (pp, pp, k)):
         # [x, y] = ad(x) @ y, with ad(x) = sum_i x_i ad(x_i)
         ad_left = np.tensordot(left, ad, axes=1) % p
         brackets = (right @ ad_left.transpose(0, 2, 1)).reshape(-1, alg.dim)
-        if rank_mod_p(np.vstack([target, brackets]), p) != rank_mod_p(target, p):
+        rank = len(rref_mod_p(target, p)[1])
+        if len(rref_mod_p(np.vstack([target, brackets]), p)[1]) != rank:
             return False
     return True

@@ -1,11 +1,17 @@
 """Exact linear algebra over F_p, checked against the loop-based
 eliminations it replaced (kept below, verbatim in substance, as reference
 oracles) on random, low-rank, empty and zero matrices.  The library keeps
-only the rank-only forward elimination ``rank_mod_p``, and none over Q
-(``test_rootsys`` checks ``RootSystem.cartan_inverse``).  The reduced form
+only ``rank_mod_p``, which walks the rows in order, pivots each at its
+largest residue after the updates before it and reduces mod p only when
+int64 could next overflow, and no elimination over Q (``test_rootsys``
+checks ``RootSystem.cartan_inverse``).  The reduced form
 ``brackets.rref_mod_p`` is its oracle, checked here against its earlier
 row-major numpy body, and ``rank_mod_p`` must count its pivots on every
-input, edge cases at the largest modulus included.
+input: edge cases at the largest modulus, and products of known rank at
+four primes that run the delayed reduction, one of which overflows int64
+within five steps without it.  Inputs outside the exact range (a modulus
+below 2 or not an integer, an array that is not 2-D or not of an integer
+type within int64) raise ``LinalgError``.
 ``brackets.kernel_mod_p``, the oracle for the eigenspaces of a realization
 (the library reads them off the orbits of dtheta), is checked here against
 the loop-based eigenspace it replaced."""
@@ -252,9 +258,11 @@ def test_rank_mod_p_counts_the_oracle_pivots(case):
 def _edge_cases():
     """(name, matrix, p): the largest modulus with every entry p - 1, empty
     and zero matrices, a single row and a single column, matrices whose
-    first nonzero entry in row-major order lies in the last row, and
-    tall, wide and square matrices of full rank, where the elimination
-    stops before the rows run out."""
+    only nonzero row is the last, tall, wide and square matrices of full
+    rank, a tall rank-deficient matrix (eliminated as its transpose), a
+    zero row between two pivot rows, a row whose pivot column is zero
+    until the update by the row above, and a dependent row that the update
+    leaves nonzero over Z but zero mod p."""
     big = LARGEST_PRIME
     rng = np.random.default_rng(20)
     row = rng.integers(0, big, size=(1, 9))
@@ -281,6 +289,10 @@ def _edge_cases():
         ("last row, p-1", np.r_[np.zeros((3, 4), dtype=np.int64), [[0, 0, big - 1, 1]]], big),
         ("first nonzero right of a later pivot", np.array([[0, 1], [1, 0]]), 3),
         ("multiples below the first pivot", np.array([[0, 0, 2], [3, 1, 1], [6, 2, 4]]), 7),
+        ("tall rank 2, 9x4", _mod_product(rng.integers(0, 7, (9, 2)), rng.integers(0, 7, (2, 4)), 7), 7),
+        ("zero row between pivots", np.array([[1, 2, 3], [0, 0, 0], [0, 1, 4]]), 5),
+        ("pivot column nonzero only after the update", np.array([[1, 1, 0], [1, 0, 0], [0, 0, 1]]), 3),
+        ("dependent row nonzero over Z after the update", np.array([[1, 2], [3, 1]]), 5),
     ]
 
 
@@ -291,6 +303,101 @@ def test_rank_mod_p_edge_cases_match_oracle(name, mat, p):
     assert np.array_equal(mat, before)
     if name.startswith("full rank"):
         assert ref_rank_mod_p(mat, p) == min(mat.shape)
+
+
+def _known_rank(m: int, n: int, r: int, p: int, seed: int) -> np.ndarray:
+    """An m x n matrix of rank exactly r over F_p: L @ U mod p with L[:r]
+    unit lower and U[:, :r] unit upper triangular (so the product's leading
+    r x r block is invertible), the other entries random, then rows and
+    columns shuffled."""
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, p, size=(m, r))
+    left[:r] = np.tril(left[:r], -1) + np.eye(r, dtype=np.int64)
+    right = rng.integers(0, p, size=(r, n))
+    right[:, :r] = np.triu(right[:, :r], 1) + np.eye(r, dtype=np.int64)
+    return _mod_product(left, right, p)[rng.permutation(m)][:, rng.permutation(n)]
+
+
+def _unreduced_peaks(mat, p: int) -> List[int]:
+    """The row walk of ``rank_mod_p`` with the delayed reduction removed,
+    in Python integers: the largest |entry| left after each pivot."""
+    A = np.mod(np.asarray(mat, dtype=object), p)
+    if A.shape[0] > A.shape[1]:
+        A = A.T
+    peaks = []
+    while len(A):
+        row, A = A[0] % p, A[1:]
+        c = int(np.argmax(row))
+        if row[c]:
+            A = row[c] * A - A[:, c, None] * row
+            peaks.append(max((abs(v) for v in A.flat), default=0))
+    return peaks
+
+
+KNOWN_RANK_SHAPES = {"tall": (64, 24, 17), "wide": (24, 64, 17), "square": (64, 64, 48),
+                     "square full": (64, 64, 64)}
+
+
+@pytest.mark.parametrize("p", [3, 5, 10007, LARGEST_PRIME])
+@pytest.mark.parametrize("kind", list(KNOWN_RANK_SHAPES))
+def test_delayed_reduction_gives_the_known_rank(kind, p):
+    m, n, r = KNOWN_RANK_SHAPES[kind]
+    mat = _known_rank(m, n, r, p, seed=29)
+    before = mat.copy()
+    assert linalg.rank_mod_p(mat, p) == r == len(rref_mod_p(mat, p)[1])
+    assert np.array_equal(mat, before)
+
+
+def test_known_rank_cases_run_the_delayed_reduction():
+    """At p = 3 an entry bound of 2 * 4**k after k unreduced steps allows 30
+    of them, and the square cases pivot more often than that; at p = 10007
+    the square case leaves int64 within five steps unless it is reduced."""
+    bound, unreduced = 2, 0
+    while bound * 4 < 2**63:
+        bound, unreduced = bound * 4, unreduced + 1
+    assert unreduced == 30
+    for kind in ("square", "square full"):
+        m, n, r = KNOWN_RANK_SHAPES[kind]
+        assert len(_unreduced_peaks(_known_rank(m, n, r, 3, seed=29), 3)) == r > 30
+    m, n, r = KNOWN_RANK_SHAPES["square"]
+    assert max(_unreduced_peaks(_known_rank(m, n, r, 10007, seed=29), 10007)[:5]) >= 2**63
+
+
+@pytest.mark.parametrize(
+    "mat, p",
+    [
+        (np.eye(2, dtype=np.int64), 0),
+        (np.eye(2, dtype=np.int64), 1),
+        (np.eye(2, dtype=np.int64), -5),
+        (np.eye(2, dtype=np.int64), 5.0),
+        (np.eye(2, dtype=np.int64), True),
+        (np.eye(2, dtype=np.int64), "7"),
+        (np.ones(3, dtype=np.int64), 5),
+        (np.ones((2, 2, 2), dtype=np.int64), 5),
+        (np.int64(3), 5),
+        (0.5 * np.eye(2), 5),
+        (np.eye(2, dtype=bool), 5),
+        (np.array([["1", "2"]]), 5),
+        (np.array([[2**70, 1]], dtype=object), 5),
+        (np.array([[1, 0.5]], dtype=object), 5),
+        (np.array([[2**63, 1]], dtype=np.uint64), 5),
+    ],
+    ids=["p=0", "p=1", "p=-5", "p=5.0", "p=True", "p='7'", "1-D", "2x2x2", "0-D", "float",
+         "bool", "str", "object beyond int64", "object float", "uint64"],
+)
+def test_rank_mod_p_rejects_inputs_outside_the_exact_range(mat, p):
+    with pytest.raises(linalg.LinalgError):
+        linalg.rank_mod_p(mat, p)
+
+
+def test_rank_mod_p_accepts_integer_types_within_int64():
+    mat = np.array([[2, 4, 1], [1, 2, 4], [3, 6, 5]])
+    assert linalg.rank_mod_p(mat, 5) == 2
+    for dtype in (np.int8, np.uint8, np.int32, np.uint32, object):
+        assert linalg.rank_mod_p(mat.astype(dtype), 5) == 2
+    assert linalg.rank_mod_p(mat.tolist(), np.int64(5)) == 2
+    big = np.array([[2**63 - 1, -(2**63)], [1, 1]], dtype=object)
+    assert linalg.rank_mod_p(big, 7) == ref_rank_mod_p(big.astype(np.int64), 7)
 
 
 @settings(deadline=None)
